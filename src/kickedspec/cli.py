@@ -9,7 +9,6 @@ be traced back to its inputs.
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,14 +33,17 @@ class ConfigError(Exception):
 
 
 def parse_scalar(text: str) -> float:
-    """Parse a float, expanding the golden-ratio shorthand at full precision."""
+    """Parse a finite float, expanding the golden-ratio shorthand at full precision."""
     token = text.strip().lower()
     if token in ("golden", "golden-ratio", "gr"):
         return GOLDEN_RATIO
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"expected a number or 'golden', got {text!r}") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def parse_sweep(text: str) -> np.ndarray:
@@ -102,7 +104,6 @@ class RunConfig:
     harper_mode: str = CLOSED_FORM
     alpha_ladder: tuple = ()
     bins: int = 50
-    workers: int = 1
     full_scale: bool = False
     out_dir: Path = field(default_factory=lambda: Path("."))
 
@@ -111,7 +112,6 @@ def _flag_specs(command: str) -> dict:
     """Option name -> (converter, help). Shared across file keys and CLI flags."""
     common = {
         "out-dir": (str, "output directory for emitted files"),
-        "workers": (int, "worker pool width for sweep points"),
         "full-scale": (None, "allow heavy full-resolution runs"),
     }
     system = {
@@ -228,7 +228,6 @@ def parse_config(argv) -> RunConfig:
 
     cfg = RunConfig(command=command)
     cfg.out_dir = Path(values.get("out-dir", "."))
-    cfg.workers = max(int(values.get("workers", 1)), 1)
     cfg.full_scale = bool(values.get("full-scale", False))
     cfg.period = values.get("period", 1.0)
     if cfg.period <= 0:
@@ -418,16 +417,9 @@ def cmd_butterfly(cfg: RunConfig) -> Path:
         def column(xi: float) -> np.ndarray:
             return np.sort(np.linalg.eigvalsh(_su2_matrix(cfg, xi * np.pi * cfg.j)))
 
-    sweep = [float(v) for v in cfg.sweep]
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            columns = list(pool.map(column, sweep))
-    else:
-        columns = [column(v) for v in sweep]
-
     rows = []
-    for value, energies in zip(sweep, columns):
-        rows.extend((value, idx, energy) for idx, energy in enumerate(energies))
+    for value in cfg.sweep.tolist():
+        rows.extend((value, idx, energy) for idx, energy in enumerate(column(value)))
     out = cfg.out_dir / "butterfly.csv"
     write_csv(out, ("sweep_value", "index", "energy"), rows)
     return out

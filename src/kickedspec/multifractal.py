@@ -12,6 +12,12 @@ least half the scale points (never fewer than five), picked by the mean R^2
 of the per-q fits over the q in [2, 8].  Short windows latched onto a lucky
 stretch of the wobble otherwise make tau_q estimates irreproducible between
 nearly identical spectra.
+
+One window search serves spectra, eigenvector profiles, the information
+dimension and the mu slopes.  Windows are scanned shortest first; a window
+replaces the best so far only if its mean R^2 is higher by more than 1e-12,
+or within 1e-12 and longer.  A column whose centred sum of squares is at most
+1e-24 (absolute) is a constant fit: slope 0, R^2 1.
 """
 
 from dataclasses import dataclass, replace
@@ -62,51 +68,69 @@ def partition_moment(probabilities, q: float) -> float:
     return float(np.sum(occupied**q))
 
 
-def _window_fit(x, y):
-    """Least-squares slope and R^2 of y against x; constant y fits slope 0 exactly."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sxx = float(np.dot(xc, xc))
-    syy = float(np.dot(yc, yc))
-    sxy = float(np.dot(xc, yc))
-    if syy <= 1e-24 * max(1.0, y.mean() ** 2):
-        return 0.0, 1.0
-    slope = sxy / sxx
-    r2 = sxy * sxy / (sxx * syy)
-    return slope, min(max(r2, 0.0), 1.0)
-
-
 def _min_window(n_scales: int) -> int:
     return min(max(MIN_FIT_POINTS, -(-n_scales // 2)), n_scales)
 
 
+def _q_range_mask(q_grid) -> np.ndarray:
+    q = np.asarray(q_grid, dtype=float)
+    return (q >= MU_FIT_RANGE[0] - 1e-12) & (q <= MU_FIT_RANGE[1] + 1e-12)
+
+
 def _window_q_mask(q_grid) -> np.ndarray:
     """q entries steering the window choice: those in the mu-fit range if any."""
-    q = np.asarray(q_grid, dtype=float)
-    mask = (q >= MU_FIT_RANGE[0] - 1e-12) & (q <= MU_FIT_RANGE[1] + 1e-12)
+    mask = _q_range_mask(q_grid)
     return mask if np.any(mask) else np.ones_like(mask, dtype=bool)
 
 
-def detect_linear_region(x, ys, q_mask) -> tuple:
-    """Shared scaling window: maximize the mean R^2 of the masked columns.
+def _shared_window_fit(x, y, q_mask, min_len=None):
+    """Least-squares slopes of y against x inside each state's best window.
 
-    Scans every contiguous window of at least half the points (>= 5); ties go
-    to the longer window.  Returns (start, stop) with stop exclusive.
+    y has shape (n_scales, n_q, n_states).  Every contiguous window of at
+    least min_len points (default: half the scales, >= 5) is scanned; each
+    state keeps the window maximizing its mean R^2 over the q_mask columns,
+    ties going to the longer window.  Returns (slope, r2, start, stop): the
+    first two of shape (n_q, n_states), the window bounds (stop exclusive)
+    of shape (n_states,).
     """
     x = np.asarray(x, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    n = x.size
-    best = None
-    for length in range(_min_window(n), n + 1):
+    y = np.asarray(y, dtype=float)
+    n, n_q, n_states = y.shape
+    slope = np.zeros((n_q, n_states))
+    r2 = np.ones((n_q, n_states))
+    best_r2m = np.full(n_states, -1.0)
+    best_start = np.zeros(n_states, dtype=int)
+    best_len = np.zeros(n_states, dtype=int)
+    for length in range(_min_window(n) if min_len is None else min_len, n + 1):
         for start in range(0, n - length + 1):
-            r2s = [_window_fit(x[start:start + length], ys[start:start + length, k])[1]
-                   for k in np.nonzero(q_mask)[0]]
-            mean_r2 = float(np.mean(r2s))
-            if best is None or mean_r2 > best[0] + 1e-12 or (abs(mean_r2 - best[0]) <= 1e-12 and length > best[1][1] - best[1][0]):
-                best = (mean_r2, (start, start + length))
-    return best[1]
+            xw, yw = x[start:start + length], y[start:start + length]
+            xc = xw - xw.mean()
+            yc = yw - yw.mean(axis=0)
+            sxx = float(np.dot(xc, xc))
+            syy = np.einsum("iqs,iqs->qs", yc, yc)
+            sxy = np.einsum("i,iqs->qs", xc, yc)
+            flat = syy <= 1e-24
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slopes = np.where(flat, 0.0, sxy / sxx)
+                r2s = np.where(flat, 1.0, np.clip(sxy**2 / (sxx * syy), 0.0, 1.0))
+            mean_r2 = r2s[q_mask].mean(axis=0)
+            better = (mean_r2 > best_r2m + 1e-12) | ((np.abs(mean_r2 - best_r2m) <= 1e-12) & (length > best_len))
+            slope[:, better] = slopes[:, better]
+            r2[:, better] = r2s[:, better]
+            best_r2m = np.where(better, mean_r2, best_r2m)
+            best_start = np.where(better, start, best_start)
+            best_len = np.where(better, length, best_len)
+    return slope, r2, best_start, best_start + best_len
+
+
+def _slopes_over_q(q_grid, tau):
+    """mu: slope of tau_q (shape (n_q, n_states)) versus q over MU_FIT_RANGE."""
+    mask = _q_range_mask(q_grid)
+    n_mu = int(np.count_nonzero(mask))
+    if n_mu < 2:
+        return np.full(tau.shape[1], np.nan)
+    q = np.asarray(q_grid, dtype=float)[mask]
+    return _shared_window_fit(q, tau[mask][:, np.newaxis, :], [True], min_len=n_mu)[0][0]
 
 
 @dataclass(frozen=True)
@@ -149,15 +173,6 @@ def generalized_dimensions(spectrum: ScalingSpectrum) -> ScalingSpectrum:
     return replace(spectrum, dq=dq, skipped_q=skipped)
 
 
-def _slope_over_q(q_grid, tau, q_range=MU_FIT_RANGE):
-    q = np.asarray(q_grid, dtype=float)
-    mask = (q >= q_range[0] - 1e-12) & (q <= q_range[1] + 1e-12)
-    if np.count_nonzero(mask) < 2:
-        return float("nan")
-    slope, _ = _window_fit(q[mask], np.asarray(tau, dtype=float)[mask])
-    return float(slope)
-
-
 def tau_spectrum(values, q_grid=None, scale_grid=None) -> ScalingSpectrum:
     """Box-counting scaling exponents tau_q of a set of real values.
 
@@ -180,20 +195,17 @@ def tau_spectrum(values, q_grid=None, scale_grid=None) -> ScalingSpectrum:
         for k, q in enumerate(q_grid):
             log_z[i, k] = np.log(partition_moment(probs, float(q)))
 
-    start, stop = detect_linear_region(log_n, log_z, _window_q_mask(q_grid))
-    tau = np.empty(q_grid.size)
-    r2 = np.empty(q_grid.size)
-    for k in range(q_grid.size):
-        tau[k], r2[k] = _window_fit(log_n[start:stop], log_z[start:stop, k])
+    tau, r2, start, stop = _shared_window_fit(log_n, log_z[:, :, np.newaxis], _window_q_mask(q_grid))
+    window = (int(start[0]), int(stop[0]))
 
     spectrum = ScalingSpectrum(
         q_grid=q_grid,
-        tau=tau,
-        dq=np.full_like(tau, np.nan),
-        fit_r2=r2,
+        tau=tau[:, 0],
+        dq=np.full(q_grid.size, np.nan),
+        fit_r2=r2[:, 0],
         scale_grid=scale_grid,
-        fit_windows=tuple((start, stop) for _ in range(q_grid.size)),
-        mu=_slope_over_q(q_grid, tau),
+        fit_windows=tuple(window for _ in range(q_grid.size)),
+        mu=float(_slopes_over_q(q_grid, tau)[0]),
     )
     return generalized_dimensions(spectrum)
 
@@ -205,14 +217,13 @@ def information_dimension(values, scale_grid=None) -> float:
     if scale_grid.size < 4:
         raise ValueError(f"need at least 4 scales, got {scale_grid.size}")
     log_n = np.log(scale_grid.astype(float))
-    entropy = np.empty((scale_grid.size, 1))
+    entropy = np.empty((scale_grid.size, 1, 1))
     for i, n_bins in enumerate(scale_grid):
         probs = box_probabilities(values, int(n_bins)).probabilities
         occupied = probs[probs > 0.0]
-        entropy[i, 0] = float(np.sum(occupied * np.log(occupied)))
-    start, stop = detect_linear_region(log_n, entropy, np.array([True]))
-    slope, _ = _window_fit(log_n[start:stop], entropy[start:stop, 0])
-    return -float(slope)
+        entropy[i, 0, 0] = float(np.sum(occupied * np.log(occupied)))
+    slope = _shared_window_fit(log_n, entropy, [True])[0]
+    return -float(slope[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -322,18 +333,14 @@ def analyze_eigenvectors(weight_columns, q_grid=None, partition_grid=None) -> li
             log_s[i, k, :] = np.log(moment)
 
     log_m = np.log(partition_grid.astype(float))
-    tau_bar, fit_r2 = _batched_shared_window(log_m, log_s, _window_q_mask(q_grid))
+    tau_bar, fit_r2, _, _ = _shared_window_fit(log_m, log_s, _window_q_mask(q_grid))
 
     near_one = np.abs(q_grid - 1.0) <= _Q_ONE_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         d_bar = tau_bar / (1.0 - q_grid)[:, np.newaxis]
     d_bar[near_one, :] = np.nan
 
-    mu_mask = (q_grid >= MU_FIT_RANGE[0] - 1e-12) & (q_grid <= MU_FIT_RANGE[1] + 1e-12)
-    if np.count_nonzero(mu_mask) >= 2:
-        mu_bar = np.array([_window_fit(q_grid[mu_mask], tau_bar[mu_mask, s])[0] for s in range(n_states)])
-    else:
-        mu_bar = np.full(n_states, np.nan)
+    mu_bar = _slopes_over_q(q_grid, tau_bar)
 
     return [
         EigenvectorProfile(
@@ -348,43 +355,6 @@ def analyze_eigenvectors(weight_columns, q_grid=None, partition_grid=None) -> li
         )
         for s in range(n_states)
     ]
-
-
-def _batched_shared_window(x, log_s, q_mask):
-    """Per-state shared-window fits of log moments against x.
-
-    log_s has shape (n_scales, n_q, n_states); returns (tau, r2), both of
-    shape (n_q, n_states).  The window maximizes each state's mean R^2 over
-    the masked q columns; ties prefer longer windows.
-    """
-    n, n_q, n_states = log_s.shape
-    q_idx = np.nonzero(q_mask)[0]
-    best_r2m = np.full(n_states, -1.0)
-    best_len = np.zeros(n_states, dtype=int)
-    tau = np.zeros((n_q, n_states))
-    r2 = np.ones((n_q, n_states))
-    for length in range(_min_window(n), n + 1):
-        for start in range(0, n - length + 1):
-            xw = x[start:start + length]
-            xc = xw - xw.mean()
-            sxx = float(np.dot(xc, xc))
-            slopes = np.empty((n_q, n_states))
-            r2s = np.empty((n_q, n_states))
-            for k in range(n_q):
-                yw = log_s[start:start + length, k, :]
-                yc = yw - yw.mean(axis=0)
-                syy = np.einsum("ij,ij->j", yc, yc)
-                sxy = xc @ yc
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    slopes[k] = np.where(syy > 1e-24, sxy / sxx, 0.0)
-                    r2s[k] = np.where(syy > 1e-24, np.clip(sxy**2 / (sxx * syy), 0.0, 1.0), 1.0)
-            mean_r2 = r2s[q_idx].mean(axis=0)
-            better = (mean_r2 > best_r2m + 1e-12) | ((np.abs(mean_r2 - best_r2m) <= 1e-12) & (length > best_len))
-            tau[:, better] = slopes[:, better]
-            r2[:, better] = r2s[:, better]
-            best_len = np.where(better, length, best_len)
-            best_r2m = np.where(better, mean_r2, best_r2m)
-    return tau, r2
 
 
 def eigenvector_tau(weights, q_grid=None, partition_grid=None) -> EigenvectorProfile:

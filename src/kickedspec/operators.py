@@ -31,7 +31,7 @@ def require_hermitian(mat, rtol: float = HERMITICITY_RTOL, name: str = "operator
     """Return mat as an ndarray, raising if it fails the Hermiticity contract."""
     mat = require_square(mat, name)
     defect = hermiticity_defect(mat)
-    if defect > rtol:
+    if not defect <= rtol:
         raise ValueError(f"{name} is not Hermitian (relative defect {defect:.3e})")
     return mat
 
@@ -46,6 +46,6 @@ def unitarity_defect(mat) -> float:
 def require_unitary(mat, atol: float = UNITARITY_ATOL, name: str = "operator") -> np.ndarray:
     mat = require_square(mat, name)
     defect = unitarity_defect(mat)
-    if defect > atol:
+    if not defect <= atol:
         raise ValueError(f"{name} is not unitary (defect {defect:.3e})")
     return mat

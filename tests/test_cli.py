@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kickedspec
 from kickedspec import GOLDEN_RATIO
 from kickedspec.cli import ConfigError, main, parse_config, parse_scalar, parse_sweep
 
@@ -21,8 +24,9 @@ def test_parse_scalar_golden_token():
     assert parse_scalar("golden") == 0.6180339887498949
     assert parse_scalar("golden") == GOLDEN_RATIO
     assert parse_scalar("0.25") == 0.25
-    with pytest.raises(ConfigError):
-        parse_scalar("twelve")
+    for bad in ("twelve", "nan", "inf", "-inf"):
+        with pytest.raises(ConfigError):
+            parse_scalar(bad)
 
 
 def test_parse_sweep_grid():
@@ -140,7 +144,7 @@ def test_butterfly_single_point_sweep(tmp_path):
 def test_butterfly_harper_sigma_reflection(tmp_path):
     # cos(2 pi n (1-sigma)) = cos(2 pi n sigma): columns must match pairwise
     assert run_cli(["butterfly", "--system", "harper-static", "--length", "50",
-                    "--sigma-sweep", "0:1:0.125", "--workers", "2"], tmp_path) == 0
+                    "--sigma-sweep", "0:1:0.125"], tmp_path) == 0
     _, rows = read_csv(tmp_path / "butterfly.csv")
     table = {}
     for sweep, idx, energy in rows:
@@ -223,8 +227,11 @@ def test_harper_diff_report(tmp_path):
 # ---------------------------------------------------------------------------
 
 def run_module(args):
+    # the child imports the same kickedspec as this process, installed or not
+    src = str(Path(kickedspec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "kickedspec.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def test_exit_code_zero_on_success(tmp_path):
@@ -244,7 +251,27 @@ def test_exit_code_two_on_bad_flag(tmp_path):
     assert proc.returncode == 2
 
 
-def test_exit_code_three_on_numerical_failure(tmp_path):
+def test_exit_code_two_on_non_finite_parameter(tmp_path):
     proc = run_module(["spectrum", "--system", "dkt", "--j", "60", "--alpha", "nan",
                        "--eta-over-j", "golden", "--out-dir", str(tmp_path)])
-    assert proc.returncode == 3
+    assert proc.returncode == 2
+    assert "finite" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["--system", "dkt", "--j", "60", "--alpha", "0.1", "--eta", "nan"],
+    ["--system", "su2-a", "--j", "60", "--alpha", "nan", "--eta-over-j", "golden"],
+    ["--system", "harper-static", "--length", "50", "--sigma", "nan"],
+    ["--system", "harper-kicked", "--length", "50", "--sigma", "golden", "--alpha", "inf"],
+])
+def test_non_finite_parameter_is_config_error_on_every_system(args, tmp_path):
+    assert run_cli(["spectrum", *args], tmp_path) == 2
+
+
+def test_exit_code_three_on_numerical_failure(tmp_path, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    assert run_cli(["spectrum", "--system", "dkt", "--j", "10", "--alpha", "0.1",
+                    "--eta-over-j", "golden"], tmp_path) == 3

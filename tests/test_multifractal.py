@@ -16,6 +16,7 @@ from kickedspec.multifractal import (
     spectral_histogram,
     tau_spectrum,
 )
+from kickedspec.multifractal import _shared_window_fit
 
 
 def dq_at(spectrum, q):
@@ -158,6 +159,98 @@ def test_dq_ordering_on_cascade():
 
 def test_information_dimension_uniform():
     assert information_dimension(np.linspace(0, 1, 2**16)) == pytest.approx(1.0, abs=0.01)
+
+
+# ---------------------------------------------------------------------------
+# the shared scaling-window search
+# ---------------------------------------------------------------------------
+
+def reference_window_fit(x, y, steer):
+    """Scalar loop over states, windows and q: the rule of the module docstring."""
+    n, n_q, n_states = y.shape
+    slope, r2, windows = np.empty((n_q, n_states)), np.empty((n_q, n_states)), []
+    for s in range(n_states):
+        best = None
+        for length in range(min(max(5, -(-n // 2)), n), n + 1):
+            for start in range(n - length + 1):
+                xw, yw = x[start:start + length], y[start:start + length, :, s]
+                fits = [np.polyfit(xw, yw[:, k], 1)[0] for k in range(n_q)]
+                r2s = [np.corrcoef(xw, yw[:, k])[0, 1] ** 2 for k in range(n_q)]
+                mean_r2 = np.mean(np.asarray(r2s)[steer])
+                if best is None or mean_r2 > best[0] + 1e-12 or (
+                        abs(mean_r2 - best[0]) <= 1e-12 and length > best[2] - best[1]):
+                    best = (mean_r2, start, start + length, fits, r2s)
+        _, start, stop, slope[:, s], r2[:, s] = best
+        windows.append((start, stop))
+    return slope, r2, windows
+
+
+def test_shared_window_matches_scalar_reference_per_state():
+    rng = np.random.default_rng(23)
+    x = np.log(np.arange(2.0, 14.0))
+    y = np.cumsum(rng.normal(size=(x.size, 4, 6)), axis=0) - 2.0 * x[:, None, None]
+    steer = np.array([False, True, True, True])
+    slope, r2, start, stop = _shared_window_fit(x, y, steer)
+    ref_slope, ref_r2, ref_windows = reference_window_fit(x, y, steer)
+    assert list(zip(start.tolist(), stop.tolist())) == ref_windows
+    assert len(set(ref_windows)) > 1  # states pick their own windows
+    np.testing.assert_allclose(slope, ref_slope, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(r2, ref_r2, rtol=0, atol=1e-10)
+
+
+def test_shared_window_stops_at_kink():
+    x = np.arange(9.0)
+    y = np.where(x <= 5, -x, -5.0 - 3.0 * (x - 5))  # slope -1, kink at index 5
+    slope, r2, start, stop = _shared_window_fit(x, np.stack([y, 2 * y], axis=1)[:, :, None], [True, True])
+    assert (start[0], stop[0]) == (0, 6)
+    np.testing.assert_allclose(slope[:, 0], [-1.0, -2.0])
+    np.testing.assert_allclose(r2[:, 0], 1.0)
+
+
+def test_shared_window_exact_tie_goes_to_longer_window():
+    x = np.arange(10.0)
+    # every window fits exactly (R^2 = 1), so each longer window ties and wins
+    _, _, start, stop = _shared_window_fit(x, (3.0 * x + 1.0)[:, None, None], [True])
+    assert (start[0], stop[0]) == (0, 10)
+
+
+def test_shared_window_constant_column_fits_flat():
+    x = np.log(np.arange(2.0, 12.0))
+    y = np.stack([np.full(x.size, 3.7), 3.7 + 1e-14 * np.sin(x), -x], axis=1)[:, None, :]
+    slope, r2, _, _ = _shared_window_fit(x, y, [True])
+    np.testing.assert_array_equal(slope[0, :2], 0.0)
+    np.testing.assert_array_equal(r2[0, :2], 1.0)
+    assert slope[0, 2] == pytest.approx(-1.0)
+
+
+def kinked_cascade():
+    """Depth-6 binomial cascade (p = 1/4) spread evenly over 16 sites per cell.
+
+    As weights over 1024 sites and as integer-valued points, its partition and
+    box tables coincide: cascade scaling up to 64 cells, uniform beyond.
+    """
+    cells = 3 ** np.array([bin(k).count("1") for k in range(64)])
+    counts = np.repeat(cells, 16)
+    return counts / counts.sum(), np.repeat(np.arange(counts.size), counts).astype(float)
+
+
+def test_tau_spectrum_reports_window_before_kink():
+    _, values = kinked_cascade()
+    q = np.array([0.0, 2.0, 3.0, 5.0, 8.0])
+    spectrum = tau_spectrum(values, q_grid=q, scale_grid=[2, 4, 8, 16, 32, 64, 128, 256, 512])
+    assert spectrum.fit_windows == ((0, 6),) * q.size
+    np.testing.assert_allclose(spectrum.tau, np.log2(0.25**q + 0.75**q), atol=1e-12)
+
+
+def test_spectrum_and_eigenvector_fits_agree_on_same_table():
+    weights, values = kinked_cascade()
+    q = [0.0, 1.0, 2.0, 3.0, 5.0, 8.0]
+    grid = [2, 4, 8, 16, 32, 64, 128, 256, 512]
+    spectrum = tau_spectrum(values, q_grid=q, scale_grid=grid)
+    profile = eigenvector_tau(weights, q_grid=q, partition_grid=grid)
+    np.testing.assert_allclose(profile.tau_bar, spectrum.tau, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(profile.fit_r2, spectrum.fit_r2, rtol=0, atol=1e-12)
+    assert profile.mu_bar == pytest.approx(spectrum.mu, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
