@@ -40,6 +40,7 @@ from .multifractal import (
     spectral_histogram,
     tau_spectrum,
 )
+from .operators import Banded, eigensolve
 from .su2 import (
     CosineCoupling,
     SpinLabel,
@@ -57,6 +58,7 @@ GOLDEN_RATIO = 0.5 * (5.0**0.5 - 1.0)
 __version__ = "0.1.0"
 
 __all__ = [
+    "Banded",
     "BoxMeasure",
     "CLOSED_FORM",
     "CosineCoupling",
@@ -77,6 +79,7 @@ __all__ = [
     "dkt_kicked_system",
     "dkt_static_part",
     "effective_vs_floquet_error",
+    "eigensolve",
     "eigenvector_tau",
     "ensemble_statistics",
     "family_params",

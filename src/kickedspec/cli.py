@@ -18,6 +18,7 @@ from . import GOLDEN_RATIO
 from .floquet import dkt_effective_hamiltonian, effective_vs_floquet_error, fold_phases
 from .harper import CLOSED_FORM, GENERAL, HarperParams, harper_hamiltonian, heff_discrepancy_report, kicked_harper_effective
 from .multifractal import analyze_eigenvectors, ensemble_statistics, tau_spectrum
+from .operators import Banded, eigensolve
 from .su2 import SpinLabel, family_params, general_su2_hamiltonian
 
 SU2_CASES = ("a", "b", "c", "d", "e", "f")
@@ -325,7 +326,7 @@ def parse_config(argv) -> RunConfig:
 # Hamiltonian builders
 # ---------------------------------------------------------------------------
 
-def _su2_matrix(cfg: RunConfig, eta: float) -> np.ndarray:
+def _su2_matrix(cfg: RunConfig, eta: float) -> Banded:
     if cfg.system == "dkt":
         return dkt_effective_hamiltonian(cfg.alpha, eta, cfg.j, cfg.period)
     case = cfg.system.split("-", 1)[1]
@@ -333,7 +334,7 @@ def _su2_matrix(cfg: RunConfig, eta: float) -> np.ndarray:
     return general_su2_hamiltonian(params)
 
 
-def _harper_matrix(cfg: RunConfig, sigma: float) -> np.ndarray:
+def _harper_matrix(cfg: RunConfig, sigma: float) -> Banded:
     params = HarperParams(length=cfg.length, sigma=sigma, alpha=cfg.alpha, period=cfg.period)
     if cfg.system == "harper-static":
         return harper_hamiltonian(params)
@@ -345,16 +346,16 @@ def _spectrum_values(cfg: RunConfig) -> np.ndarray:
     if cfg.system == "synthetic-uniform":
         return np.linspace(0.0, 1.0, cfg.length)
     if cfg.system.startswith("harper"):
-        return np.linalg.eigvalsh(_harper_matrix(cfg, cfg.sigma))
-    return np.linalg.eigvalsh(_su2_matrix(cfg, cfg.eta))
+        return eigensolve(_harper_matrix(cfg, cfg.sigma))
+    return eigensolve(_su2_matrix(cfg, cfg.eta))
 
 
 def _eigensystem(cfg: RunConfig):
     if cfg.system == "synthetic-uniform":
         raise ConfigError("synthetic-uniform has no eigenvectors; use spectrum instead")
     if cfg.system.startswith("harper"):
-        return np.linalg.eigh(_harper_matrix(cfg, cfg.sigma))
-    return np.linalg.eigh(_su2_matrix(cfg, cfg.eta))
+        return eigensolve(_harper_matrix(cfg, cfg.sigma), vectors=True)
+    return eigensolve(_su2_matrix(cfg, cfg.eta), vectors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +409,14 @@ def cmd_butterfly(cfg: RunConfig) -> Path:
 
     if cfg.system.startswith("harper"):
         def column(sigma: float) -> np.ndarray:
-            return np.sort(np.linalg.eigvalsh(_harper_matrix(cfg, sigma)))
+            return eigensolve(_harper_matrix(cfg, sigma))
     elif cfg.system == "dkt":
         def column(xi: float) -> np.ndarray:
-            energies = np.linalg.eigvalsh(_su2_matrix(cfg, xi * np.pi * cfg.j))
+            energies = eigensolve(_su2_matrix(cfg, xi * np.pi * cfg.j))
             return np.sort(fold_phases(energies * cfg.period))
     else:
         def column(xi: float) -> np.ndarray:
-            return np.sort(np.linalg.eigvalsh(_su2_matrix(cfg, xi * np.pi * cfg.j)))
+            return eigensolve(_su2_matrix(cfg, xi * np.pi * cfg.j))
 
     rows = []
     for value in cfg.sweep.tolist():

@@ -6,36 +6,44 @@ second-order series in the drive's Fourier coefficients, which doubles as an
 independent cross-check of the closed form.  The periodic micromotion
 generator F(t), with exp(iF) the initial/final kick transformation, is
 evaluated from the same coefficients.
+
+Every formula here is written with matrix products, sums and adjoints, so it
+runs on `Banded` operators as well as on dense arrays; the delta-kick
+results of banded inputs stay banded.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import require_hermitian, require_square
+from .operators import Banded, as_operator, require_hermitian, require_square
 
 TWO_PI = 2.0 * np.pi
 
 
-def commutator(a, b) -> np.ndarray:
-    """AB - BA."""
-    a = np.asarray(a)
-    b = np.asarray(b)
+def commutator(a, b):
+    """AB - BA; banded when both operands are `Banded`, else an ndarray."""
+    a = as_operator(a)
+    b = as_operator(b)
     if a.shape != b.shape:
         raise ValueError(f"commutator needs equal shapes, got {a.shape} and {b.shape}")
     return a @ b - b @ a
 
 
-def _dagger(a: np.ndarray) -> np.ndarray:
+def _dagger(a):
     return a.conj().T
 
 
 @dataclass(frozen=True)
 class KickedSystem:
-    """Static part h0, kick operator applied once per period, and the period."""
+    """Static part h0, kick operator applied once per period, and the period.
 
-    h0: np.ndarray
-    kick: np.ndarray
+    The operators are kept as given: `Banded` stays banded, anything else
+    becomes an ndarray.
+    """
+
+    h0: Banded | np.ndarray
+    kick: Banded | np.ndarray
     period: float
 
     def __post_init__(self):
@@ -66,7 +74,7 @@ class FourierSeries:
     large truncations cheap since no per-n matrices are materialized.
     """
 
-    v0: np.ndarray
+    v0: Banded | np.ndarray
     harmonics: tuple | None
     n_max: int
 
@@ -88,7 +96,7 @@ class FourierSeries:
     def constant(self) -> bool:
         return self.harmonics is None
 
-    def coefficient(self, n: int) -> np.ndarray:
+    def coefficient(self, n: int):
         """V_n for any integer n; zero once |n| exceeds the truncation."""
         if n == 0:
             return self.v0
@@ -114,7 +122,7 @@ def _inverse_power_sum(n_max: int, power: int) -> float:
     return float(np.sum(1.0 / n**power))
 
 
-def heff_general(h0, series: FourierSeries, omega: float) -> np.ndarray:
+def heff_general(h0, series: FourierSeries, omega: float):
     """Second-order effective Hamiltonian from truncated Fourier sums.
 
     H0 + V0 + (1/w) sum_n [Vn, V-n]/n
@@ -165,7 +173,7 @@ def heff_general(h0, series: FourierSeries, omega: float) -> np.ndarray:
 _ZETA2 = np.pi**2 / 6.0
 
 
-def heff_delta_kicked(system: KickedSystem) -> np.ndarray:
+def heff_delta_kicked(system: KickedSystem):
     """Closed-form effective Hamiltonian of a delta-kicked system.
 
     h0 + kick/T + (1/24) [[kick, h0], kick]; the 1/24 is zeta(2)/(w T)^2 and is
@@ -176,7 +184,7 @@ def heff_delta_kicked(system: KickedSystem) -> np.ndarray:
     return require_hermitian(heff, name="effective Hamiltonian")
 
 
-def micromotion_kick(system: KickedSystem, series: FourierSeries, t: float, order: int = 2) -> np.ndarray:
+def micromotion_kick(system: KickedSystem, series: FourierSeries, t: float, order: int = 2):
     """Periodic micromotion generator F(t) at first or second order in 1/omega.
 
     F is Hermitian (exp(iF) is the unitary kick transformation), is T-periodic

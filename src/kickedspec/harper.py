@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effective import KickedSystem, heff_delta_kicked
-from .operators import require_hermitian
+from .operators import Banded, max_abs, require_hermitian
 
 CLOSED_FORM = "closed-form"
 GENERAL = "general"
@@ -44,44 +44,43 @@ def onsite_potential(params: HarperParams) -> np.ndarray:
     return 2.0 * np.cos(2.0 * np.pi * sites * params.sigma)
 
 
-def _hopping_matrix(params: HarperParams) -> np.ndarray:
-    """Unit hopping on open-chain bonds, closing the ring when periodic."""
-    mat = np.diag(np.ones(params.length - 1, dtype=complex), k=1)
-    mat = mat + mat.conj().T
+def _bond_matrix(params: HarperParams, bonds, closing: float) -> Banded:
+    """Symmetric hopping with `bonds` on the open-chain bonds; a periodic
+    chain of more than two sites also gets `closing` on the bond (L, 1)."""
+    bands = {1: bonds, -1: bonds}
     if params.periodic and params.length > 2:
-        mat[-1, 0] += 1.0
-        mat[0, -1] += 1.0
-    return mat
+        corner = np.array([closing])
+        bands[params.length - 1] = bands[1 - params.length] = corner
+    return Banded(params.length, bands)
 
 
-def harper_hamiltonian(params: HarperParams) -> np.ndarray:
+def _hopping_matrix(params: HarperParams) -> Banded:
+    """Unit hopping on open-chain bonds, closing the ring when periodic."""
+    return _bond_matrix(params, np.ones(params.length - 1), 1.0)
+
+
+def harper_hamiltonian(params: HarperParams) -> Banded:
     """Static chain: onsite 2 cos(2 pi n sigma) plus unit hopping on open bonds."""
-    ham = np.diag(onsite_potential(params).astype(complex))
-    ham += _hopping_matrix(params)
+    ham = Banded.diagonal(onsite_potential(params)) + _hopping_matrix(params)
     return require_hermitian(ham, name="Harper Hamiltonian")
 
 
-def closed_form_correction(params: HarperParams) -> np.ndarray:
+def closed_form_correction(params: HarperParams) -> Banded:
     """Hopping correction -(1/6) cos^2(2 pi n sigma) on bond (n, n+1)."""
     sites = np.arange(1, params.length)
     bonds = -np.cos(2.0 * np.pi * sites * params.sigma) ** 2 / 6.0
-    mat = np.diag(bonds.astype(complex), k=1)
-    mat = mat + mat.conj().T
-    if params.periodic and params.length > 2:
-        closing = -np.cos(2.0 * np.pi * params.length * params.sigma) ** 2 / 6.0
-        mat[-1, 0] += closing
-        mat[0, -1] += closing
-    return mat
+    closing = -np.cos(2.0 * np.pi * params.length * params.sigma) ** 2 / 6.0
+    return _bond_matrix(params, bonds, closing)
 
 
 def kicked_harper_system(params: HarperParams) -> KickedSystem:
     """Kicked chain: static hopping alpha*A, onsite kick 2 alpha cos(2 pi n sigma)."""
     h0 = params.alpha * _hopping_matrix(params)
-    kick = params.alpha * np.diag(onsite_potential(params).astype(complex))
+    kick = params.alpha * Banded.diagonal(onsite_potential(params))
     return KickedSystem(h0=h0, kick=kick, period=params.period)
 
 
-def kicked_harper_effective(params: HarperParams, mode: str) -> np.ndarray:
+def kicked_harper_effective(params: HarperParams, mode: str) -> Banded:
     """Effective Hamiltonian of the kicked Harper chain.
 
     CLOSED_FORM adds the cos^2 hopping correction to the static chain.
@@ -97,8 +96,8 @@ def kicked_harper_effective(params: HarperParams, mode: str) -> np.ndarray:
     return heff / params.alpha
 
 
-def _upper_bonds(mat: np.ndarray) -> np.ndarray:
-    return np.real(np.diagonal(mat, offset=1))
+def _upper_bonds(mat: Banded) -> np.ndarray:
+    return np.real(mat.band(1))
 
 
 @dataclass(frozen=True)
@@ -121,6 +120,6 @@ def heff_discrepancy_report(params: HarperParams) -> HarperEffectiveDiff:
         bonds_closed_form=_upper_bonds(closed),
         bonds_general=_upper_bonds(general),
         bond_difference=_upper_bonds(diff),
-        diagonal_difference=np.real(np.diagonal(diff)).copy(),
-        max_norm=float(np.max(np.abs(diff))),
+        diagonal_difference=np.real(diff.band(0)).copy(),
+        max_norm=max_abs(diff),
     )

@@ -232,7 +232,10 @@ def information_dimension(values, scale_grid=None) -> float:
 
 @dataclass(frozen=True)
 class EigenvectorProfile:
-    """Component weights |c_m|^2 with localization and scaling diagnostics."""
+    """Component weights |c_m|^2 with localization and scaling diagnostics.
+
+    `weights` is a column view into the analyzed weight matrix, not a copy.
+    """
 
     weights: np.ndarray
     pr: float
@@ -317,13 +320,16 @@ def analyze_eigenvectors(weight_columns, q_grid=None, partition_grid=None) -> li
         raise ValueError("each partition count must be >= 2")
     _require_normalized(weights)
 
-    pr = 1.0 / np.sum(weights**2, axis=0)
+    # Column-major, whatever layout came in: reduceat along axis 0 is several
+    # times faster on it, and every sum below then runs in one order.
+    columns = np.asfortranarray(weights)
+    pr = 1.0 / np.sum(columns**2, axis=0)
 
     # log sum(p~^q) for every scale, q, state
     n_scales = partition_grid.size
     log_s = np.empty((n_scales, q_grid.size, n_states))
     for i, n_parts in enumerate(partition_grid):
-        parts = np.add.reduceat(weights, _partition_starts(dim, int(n_parts)), axis=0)
+        parts = np.add.reduceat(columns, _partition_starts(dim, int(n_parts)), axis=0)
         occupied = parts > 0.0
         for k, q in enumerate(q_grid):
             if q == 0:
@@ -344,7 +350,7 @@ def analyze_eigenvectors(weight_columns, q_grid=None, partition_grid=None) -> li
 
     return [
         EigenvectorProfile(
-            weights=weights[:, s].copy(),
+            weights=columns[:, s],
             pr=float(pr[s]),
             q_grid=q_grid,
             tau_bar=tau_bar[:, s].copy(),

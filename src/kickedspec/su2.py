@@ -1,8 +1,9 @@
 """Angular-momentum operators and quasiperiodically modulated SU(2) Hamiltonians.
 
-All matrices are dense complex arrays in the Jz eigenbasis, ordered by
-ascending magnetic quantum number m = -j..+j.  Energies are dimensionless
-(hbar = 1).
+All operators are `Banded` matrices in the Jz eigenbasis, ordered by
+ascending magnetic quantum number m = -j..+j: Jx, Jy and every Hamiltonian
+here are tridiagonal, Jz and the phase operator diagonal.  Energies are
+dimensionless (hbar = 1).
 """
 
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .operators import require_hermitian
+from .operators import Banded, require_hermitian
 
 
 @dataclass(frozen=True)
@@ -41,10 +42,10 @@ def _as_spin(j) -> SpinLabel:
 
 @dataclass(frozen=True)
 class SpinOperators:
-    jx: np.ndarray
-    jy: np.ndarray
-    jz: np.ndarray
-    jplus: np.ndarray  # (jx + i jy)/2, half the conventional raising operator
+    jx: Banded
+    jy: Banded
+    jz: Banded
+    jplus: Banded  # (jx + i jy)/2, half the conventional raising operator
 
 
 def spin_operators(j) -> SpinOperators:
@@ -54,19 +55,19 @@ def spin_operators(j) -> SpinOperators:
     # <m+1| raising |m> = sqrt(j(j+1) - m(m+1)), placed on the subdiagonal
     # because rows are ordered by ascending m.
     ladder = np.sqrt(spin.j * (spin.j + 1.0) - m[:-1] * (m[:-1] + 1.0))
-    raising = np.diag(ladder.astype(complex), k=-1)
-    lowering = raising.conj().T
+    raising = Banded.diagonal(ladder, -1)
+    lowering = raising.T
     jx = (raising + lowering) / 2.0
     jy = (raising - lowering) / 2.0j
-    jz = np.diag(m.astype(complex))
+    jz = Banded.diagonal(m)
     return SpinOperators(jx=jx, jy=jy, jz=jz, jplus=raising / 2.0)
 
 
-def hopping_operator(j) -> np.ndarray:
+def hopping_operator(j) -> Banded:
     """Tridiagonal matrix with zero diagonal and unit nearest-neighbor entries."""
     spin = _as_spin(j)
     ones = np.ones(spin.dim - 1)
-    return (np.diag(ones, k=1) + np.diag(ones, k=-1)).astype(complex)
+    return Banded(spin.dim, {1: ones, -1: ones})
 
 
 def phase_diagonal(j, eta: float) -> np.ndarray:
@@ -77,9 +78,9 @@ def phase_diagonal(j, eta: float) -> np.ndarray:
     return eta * (2.0 * spin.m_values + 1.0) / (2.0 * spin.j)
 
 
-def phase_operator(j, eta: float) -> np.ndarray:
+def phase_operator(j, eta: float) -> Banded:
     """Diagonal operator eta*(2 Jz + 1)/(2j)."""
-    return np.diag(phase_diagonal(j, eta).astype(complex))
+    return Banded.diagonal(phase_diagonal(j, eta))
 
 
 class CosineCoupling(Enum):
@@ -136,31 +137,30 @@ def family_params(case: str, alpha: float, eta: float, j, epsilon: float | None 
                            alpha=alpha, eta=eta, j=_as_spin(j), epsilon=epsilon)
 
 
-def _cosine_coupling_matrix(params: Su2FamilyParams) -> np.ndarray:
+def _cosine_coupling_matrix(params: Su2FamilyParams) -> Banded:
     ops = spin_operators(params.j)
     if params.c_kind is CosineCoupling.JPLUS_HALF:
-        return (params.alpha / 2.0) * (ops.jx + 1j * ops.jy)
+        return params.alpha * ops.jplus  # (alpha/2)(Jx + iJy), real
     if params.c_kind is CosineCoupling.JX:
         return params.alpha * ops.jx
     if params.c_kind is CosineCoupling.HALF_IDENTITY:
-        return 0.5 * np.eye(params.j.dim, dtype=complex)
+        return Banded.diagonal(np.full(params.j.dim, 0.5))
     if params.c_kind is CosineCoupling.IDENTITY_ALPHA:
-        return params.alpha * np.eye(params.j.dim, dtype=complex)
+        return Banded.diagonal(np.full(params.j.dim, params.alpha))
     raise ValueError(f"unknown cosine coupling {params.c_kind!r}")
 
 
-def general_su2_hamiltonian(params: Su2FamilyParams) -> np.ndarray:
+def general_su2_hamiltonian(params: Su2FamilyParams) -> Banded:
     """a*Jx + b*A + C cos(X) + (C cos(X))^dag, Hermitian by construction."""
     ops = spin_operators(params.j)
-    cos_x = np.cos(phase_diagonal(params.j, params.eta))
-    coupling = _cosine_coupling_matrix(params)
-    modulated = coupling * cos_x[np.newaxis, :]  # right-multiplication by diag(cos X)
+    cos_x = Banded.diagonal(np.cos(phase_diagonal(params.j, params.eta)))
+    modulated = _cosine_coupling_matrix(params) @ cos_x
     ham = params.a * ops.jx + params.b * hopping_operator(params.j)
     ham = ham + modulated + modulated.conj().T
     return require_hermitian(ham, name="SU(2) family Hamiltonian")
 
 
-def dkt_static_part(alpha: float, eta: float, j, period: float = 1.0) -> np.ndarray:
+def dkt_static_part(alpha: float, eta: float, j, period: float = 1.0) -> Banded:
     """Static part of the kicked system equivalent to the double kicked top.
 
     Returns (alpha/T) Jplus exp(iX) + h.c. with X = eta(2Jz+1)/2j; nonzero
@@ -172,8 +172,7 @@ def dkt_static_part(alpha: float, eta: float, j, period: float = 1.0) -> np.ndar
     if period <= 0:
         raise ValueError(f"kick period must be positive, got {period}")
     spin = _as_spin(j)
-    ops = spin_operators(spin)
-    phase = np.exp(1j * phase_diagonal(spin, eta))
-    upper = ops.jplus * phase[np.newaxis, :]  # Jplus @ diag(e^{iX})
+    phase = Banded.diagonal(np.exp(1j * phase_diagonal(spin, eta)))
+    upper = spin_operators(spin).jplus @ phase
     ham = (alpha / period) * (upper + upper.conj().T)
     return require_hermitian(ham, name="kicked-top static part")

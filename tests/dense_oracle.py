@@ -1,0 +1,69 @@
+"""Dense reference builders for the banded operators.
+
+Each Hamiltonian is assembled here as a dense complex matrix with ordinary
+matrix products, straight from its defining formula, so the banded builders
+in kickedspec can be checked against an independent route at small sizes.
+"""
+
+import numpy as np
+
+from kickedspec.su2 import FAMILY_CASES, CosineCoupling, SpinLabel
+
+
+def spin_matrices(j):
+    """Dense Jx, Jy, Jz and the raising operator Jx + iJy, ascending m."""
+    spin = SpinLabel(j)
+    m = spin.m_values
+    ladder = np.sqrt(spin.j * (spin.j + 1.0) - m[:-1] * (m[:-1] + 1.0))
+    raising = np.diag(ladder.astype(complex), k=-1)
+    lowering = raising.conj().T
+    return (raising + lowering) / 2.0, (raising - lowering) / 2.0j, np.diag(m.astype(complex)), raising
+
+
+def _phase(j, eta):
+    spin = SpinLabel(j)
+    return eta * (2.0 * spin.m_values + 1.0) / (2.0 * spin.j)
+
+
+def commutator(a, b):
+    return a @ b - b @ a
+
+
+def su2_family(case, alpha, eta, j, epsilon=None):
+    """a Jx + b A + C cos(X) + h.c. for family case 'a'..'f'."""
+    a_rel, b_rel, kind = FAMILY_CASES[case]
+    b_rel = epsilon if b_rel is None else b_rel
+    jx, jy, _, _ = spin_matrices(j)
+    dim = SpinLabel(j).dim
+    hop = np.diag(np.ones(dim - 1), 1) + np.diag(np.ones(dim - 1), -1)
+    coupling = {
+        CosineCoupling.JPLUS_HALF: (alpha / 2.0) * (jx + 1j * jy),
+        CosineCoupling.JX: alpha * jx,
+        CosineCoupling.HALF_IDENTITY: 0.5 * np.eye(dim),
+        CosineCoupling.IDENTITY_ALPHA: alpha * np.eye(dim),
+    }[kind]
+    modulated = coupling @ np.diag(np.cos(_phase(j, eta)))
+    return a_rel * alpha * jx + b_rel * alpha * hop + modulated + modulated.conj().T
+
+
+def dkt_heff(alpha, eta, j, period=1.0):
+    """h0 + kick/T + [[kick, h0], kick]/24 of the double kicked top."""
+    jx, _, _, raising = spin_matrices(j)
+    upper = (raising / 2.0) @ np.diag(np.exp(1j * _phase(j, eta)))
+    h0 = (alpha / period) * (upper + upper.conj().T)
+    kick = alpha * jx
+    return h0 + kick / period + commutator(commutator(kick, h0), kick) / 24.0
+
+
+def harper(length, sigma, alpha=1.0, period=1.0, kind="static"):
+    """Static chain, or the kicked chain's H_eff by 'closed-form' or 'general'."""
+    sites = np.arange(1, length + 1)
+    onsite = np.diag(2.0 * np.cos(2.0 * np.pi * sites * sigma)).astype(complex)
+    hop = np.diag(np.ones(length - 1), 1) + np.diag(np.ones(length - 1), -1)
+    if kind == "static":
+        return onsite + hop
+    if kind == "closed-form":
+        bonds = -np.cos(2.0 * np.pi * sites[:-1] * sigma) ** 2 / 6.0
+        return onsite + hop + np.diag(bonds, 1) + np.diag(bonds, -1)
+    h0, kick = alpha * hop, alpha * onsite
+    return (h0 + kick / period + commutator(commutator(kick, h0), kick) / 24.0) / alpha

@@ -1,0 +1,111 @@
+"""Banded operators against dense matrices: arithmetic, the builders of every
+system against the dense oracle, and the structure-driven eigensolver."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dense_oracle as dense
+from kickedspec.floquet import dkt_effective_hamiltonian
+from kickedspec.harper import HarperParams, harper_hamiltonian, kicked_harper_effective
+from kickedspec.operators import Banded, eigensolve, hermiticity_defect
+from kickedspec.su2 import family_params, general_su2_hamiltonian
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+SYSTEMS = ("dkt",) + tuple(f"su2-{c}" for c in "abcdef") + ("harper-static", "harper-closed-form", "harper-general")
+
+
+@st.composite
+def banded_operators(draw, dim=None):
+    """A random complex operator on a random set of diagonals."""
+    dim = draw(st.integers(1, 24)) if dim is None else dim
+    offsets = draw(st.sets(st.integers(1 - dim, dim - 1), max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return Banded(dim, {k: rng.normal(size=dim - abs(k)) + 1j * rng.normal(size=dim - abs(k)) for k in offsets})
+
+
+@PROPERTY
+@given(st.integers(1, 24).flatmap(lambda n: st.tuples(banded_operators(n), banded_operators(n))))
+def test_banded_arithmetic_matches_dense(pair):
+    a, b = pair
+    da, db = a.to_dense(), b.to_dense()
+    np.testing.assert_allclose((a @ b).to_dense(), da @ db, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal((a + b).to_dense(), da + db)
+    np.testing.assert_array_equal((a - 2.5j * b).to_dense(), da - 2.5j * db)
+    np.testing.assert_array_equal((a.conj().T / 3.0).to_dense(), da.conj().T / 3.0)
+    assert hermiticity_defect(a) == hermiticity_defect(da)
+    row, col = a.dim // 2, -1
+    assert a[row, col] == da[row, col]
+
+
+def test_banded_mixed_with_dense_is_dense():
+    op = Banded(3, {1: np.ones(2), -1: np.ones(2)})
+    eye = np.eye(3)
+    for result in (op + eye, eye + op, op @ eye, eye @ op, op * eye):
+        assert isinstance(result, np.ndarray)
+    assert isinstance(np.float64(2.0) * op, Banded)
+    np.testing.assert_array_equal(np.asarray(op), op.to_dense())
+    with pytest.raises(ValueError, match="entries"):
+        Banded(3, {1: np.ones(3)})
+
+
+@st.composite
+def system_operators(draw):
+    """(system, banded build, dense oracle) at dimension <= 501."""
+    system = draw(st.sampled_from(SYSTEMS))
+    alpha = draw(st.floats(0.01, 2.0)) * draw(st.sampled_from((1.0, -1.0)))
+    period = draw(st.floats(0.25, 2.0))
+    if system.startswith("harper"):
+        length, sigma = draw(st.integers(2, 501)), draw(st.floats(0.0, 1.0))
+        params = HarperParams(length=length, sigma=sigma, alpha=alpha, period=period)
+        kind = system.split("-", 1)[1]
+        built = harper_hamiltonian(params) if kind == "static" else kicked_harper_effective(params, kind)
+        return system, built, dense.harper(length, sigma, alpha, period, kind)
+    j, eta = draw(st.integers(1, 500)) / 2.0, draw(st.floats(-50.0, 50.0))
+    if system == "dkt":
+        return system, dkt_effective_hamiltonian(alpha, eta, j, period), dense.dkt_heff(alpha, eta, j, period)
+    case = system[-1]
+    epsilon = draw(st.floats(-2.0, 2.0)) if case == "e" else None
+    built = general_su2_hamiltonian(family_params(case, alpha, eta, j, epsilon=epsilon))
+    return system, built, dense.su2_family(case, alpha, eta, j, epsilon)
+
+
+@PROPERTY
+@given(system_operators())
+def test_builders_match_dense_oracle(case):
+    system, built, oracle = case
+    assert built.bandwidth <= (3 if system == "dkt" else 1)
+    assert np.max(np.abs(built.to_dense() - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+@PROPERTY
+@given(system_operators())
+def test_eigensolve_matches_dense_eigh(case):
+    _, built, oracle = case
+    expected_values, expected_vectors = np.linalg.eigh(oracle)
+    scale = np.max(np.abs(expected_values))
+    assert np.max(np.abs(eigensolve(built) - expected_values)) <= 1e-12 * scale
+    values, vectors = eigensolve(built, vectors=True)
+    assert np.max(np.abs(values - expected_values)) <= 1e-12 * scale
+    # compare weights only where the eigenvector is well defined: a state whose
+    # eigenvalue nearly meets a neighbour's may mix with it differently per solver
+    gaps = np.diff(expected_values)
+    separated = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf]) > 1e-5 * scale
+    weights = np.abs(vectors[:, separated]) ** 2
+    expected_weights = np.abs(expected_vectors[:, separated]) ** 2
+    assert np.max(np.abs(weights - expected_weights), initial=0.0) <= 1e-8
+
+
+def test_eigensolve_periodic_ring():
+    # the ring closure puts entries on diagonals +-(L-1): a wide band
+    ring = harper_hamiltonian(HarperParams(12, 0.3, periodic=True))
+    assert ring.bandwidth == 11
+    expected = np.linalg.eigvalsh(ring.to_dense())
+    np.testing.assert_allclose(eigensolve(ring), expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+
+
+def test_eigensolve_rejects_non_hermitian():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eigensolve(Banded(3, {1: np.ones(2)}))

@@ -226,12 +226,15 @@ def test_harper_diff_report(tmp_path):
 # exit codes as a subprocess (the documented contract)
 # ---------------------------------------------------------------------------
 
-def run_module(args):
+def run_python(args):
     # the child imports the same kickedspec as this process, installed or not
     src = str(Path(kickedspec.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "kickedspec.cli", *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_module(args):
+    return run_python(["-m", "kickedspec.cli", *args])
 
 
 def test_exit_code_zero_on_success(tmp_path):
@@ -269,9 +272,22 @@ def test_non_finite_parameter_is_config_error_on_every_system(args, tmp_path):
 
 
 def test_exit_code_three_on_numerical_failure(tmp_path, monkeypatch):
+    import scipy.linalg
+
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    # the dkt spectrum is solved by the banded driver (bandwidth 3, complex)
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", no_convergence)
     assert run_cli(["spectrum", "--system", "dkt", "--j", "10", "--alpha", "0.1",
                     "--eta-over-j", "golden"], tmp_path) == 3
+
+
+def test_floquet_path_does_not_load_scipy(tmp_path):
+    # importing scipy.linalg costs more time and memory than a small Floquet
+    # comparison; only the banded eigensolver may load it
+    argv = ["floquet-compare", "--j", "10", "--eta-over-j", "golden",
+            "--alpha-ladder", "0.04,0.02,0.01", "--out-dir", str(tmp_path)]
+    proc = run_python(["-c", f"import sys, kickedspec.cli as cli; rc = cli.main({argv!r}); "
+                             "print(rc, 'scipy' in sys.modules)"])
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr

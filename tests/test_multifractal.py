@@ -339,6 +339,20 @@ def test_analyze_eigenvectors_matches_single():
         assert single.pr == pytest.approx(profiles[col].pr)
 
 
+def test_analyze_eigenvectors_layout_independent_without_copies():
+    rng = np.random.default_rng(23)
+    weights = rng.random((300, 40))
+    weights /= weights.sum(axis=0)
+    by_rows = analyze_eigenvectors(np.ascontiguousarray(weights))
+    columns = np.asfortranarray(weights)
+    by_columns = analyze_eigenvectors(columns)
+    for a, b in zip(by_rows, by_columns):
+        np.testing.assert_array_equal(a.tau_bar, b.tau_bar)
+        assert a.pr == b.pr and a.mu_bar == b.mu_bar
+    # a column-major input is analyzed in place: profiles hold views of it
+    assert all(np.shares_memory(p.weights, columns) for p in by_columns)
+
+
 def test_default_partition_grid_powers_of_two():
     # capped so that cells keep at least ~8 components
     assert default_partition_grid(2001).tolist() == [2, 4, 8, 16, 32, 64, 128]
