@@ -23,7 +23,7 @@ from .su2 import SpinLabel, family_params, general_su2_hamiltonian
 
 SU2_CASES = ("a", "b", "c", "d", "e", "f")
 SYSTEMS = ("dkt",) + tuple(f"su2-{c}" for c in SU2_CASES) + ("harper-static", "harper-kicked", "synthetic-uniform")
-FULL_SCALE_DIM = 2101  # larger dense eigenproblems require --full-scale
+FULL_SCALE_DIM = 2101  # larger eigenvector tables (eigenstates) require --full-scale
 
 _EXIT_CONFIG = 2
 _EXIT_NUMERICAL = 3
@@ -113,7 +113,7 @@ def _flag_specs(command: str) -> dict:
     """Option name -> (converter, help). Shared across file keys and CLI flags."""
     common = {
         "out-dir": (str, "output directory for emitted files"),
-        "full-scale": (None, "allow heavy full-resolution runs"),
+        "full-scale": (None, f"allow eigenstates above dimension {FULL_SCALE_DIM}"),
     }
     system = {
         "system": (str, f"one of {', '.join(SYSTEMS)}"),
@@ -317,45 +317,34 @@ def parse_config(argv) -> RunConfig:
         cfg.length = int(values.get("length", 4096))
         return cfg
 
-    if dim > FULL_SCALE_DIM and not cfg.full_scale:
+    # the eigenstates table holds dim x dim eigenvectors (a dense eigh for dkt)
+    if command == "eigenstates" and dim > FULL_SCALE_DIM and not cfg.full_scale:
         raise ConfigError(f"dimension {dim} exceeds {FULL_SCALE_DIM}; pass --full-scale for heavy runs")
     return cfg
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian builders
+# Hamiltonian builder
 # ---------------------------------------------------------------------------
 
-def _su2_matrix(cfg: RunConfig, eta: float) -> Banded:
+def _hamiltonian(cfg: RunConfig, sweep_value: float | None = None) -> Banded:
+    """The configured system's Hamiltonian.  A butterfly passes `sweep_value`
+    in place of the fixed parameter: xi (eta = xi*pi*j) for the SU(2)
+    systems, sigma for the Harper chains."""
+    if cfg.system == "synthetic-uniform":
+        raise ConfigError(f"{cfg.command} needs a physical system, not synthetic-uniform")
+    if cfg.system.startswith("harper"):
+        sigma = cfg.sigma if sweep_value is None else sweep_value
+        params = HarperParams(length=cfg.length, sigma=sigma, alpha=cfg.alpha, period=cfg.period)
+        if cfg.system == "harper-static":
+            return harper_hamiltonian(params)
+        return kicked_harper_effective(params, cfg.harper_mode)
+    eta = cfg.eta if sweep_value is None else sweep_value * np.pi * cfg.j
     if cfg.system == "dkt":
         return dkt_effective_hamiltonian(cfg.alpha, eta, cfg.j, cfg.period)
     case = cfg.system.split("-", 1)[1]
     params = family_params(case, cfg.alpha, eta, cfg.j, epsilon=cfg.epsilon)
     return general_su2_hamiltonian(params)
-
-
-def _harper_matrix(cfg: RunConfig, sigma: float) -> Banded:
-    params = HarperParams(length=cfg.length, sigma=sigma, alpha=cfg.alpha, period=cfg.period)
-    if cfg.system == "harper-static":
-        return harper_hamiltonian(params)
-    return kicked_harper_effective(params, cfg.harper_mode)
-
-
-def _spectrum_values(cfg: RunConfig) -> np.ndarray:
-    """Eigenvalues (or the synthetic test profile) of the configured system."""
-    if cfg.system == "synthetic-uniform":
-        return np.linspace(0.0, 1.0, cfg.length)
-    if cfg.system.startswith("harper"):
-        return eigensolve(_harper_matrix(cfg, cfg.sigma))
-    return eigensolve(_su2_matrix(cfg, cfg.eta))
-
-
-def _eigensystem(cfg: RunConfig):
-    if cfg.system == "synthetic-uniform":
-        raise ConfigError("synthetic-uniform has no eigenvectors; use spectrum instead")
-    if cfg.system.startswith("harper"):
-        return eigensolve(_harper_matrix(cfg, cfg.sigma), vectors=True)
-    return eigensolve(_su2_matrix(cfg, cfg.eta), vectors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -404,23 +393,12 @@ def _config_echo(cfg: RunConfig) -> dict:
 
 def cmd_butterfly(cfg: RunConfig) -> Path:
     """Sweep xi (SU(2) family) or sigma (Harper) and emit one spectrum per point."""
-    if cfg.system == "synthetic-uniform":
-        raise ConfigError("butterfly needs a physical system")
-
-    if cfg.system.startswith("harper"):
-        def column(sigma: float) -> np.ndarray:
-            return eigensolve(_harper_matrix(cfg, sigma))
-    elif cfg.system == "dkt":
-        def column(xi: float) -> np.ndarray:
-            energies = eigensolve(_su2_matrix(cfg, xi * np.pi * cfg.j))
-            return np.sort(fold_phases(energies * cfg.period))
-    else:
-        def column(xi: float) -> np.ndarray:
-            return eigensolve(_su2_matrix(cfg, xi * np.pi * cfg.j))
-
     rows = []
     for value in cfg.sweep.tolist():
-        rows.extend((value, idx, energy) for idx, energy in enumerate(column(value)))
+        energies = eigensolve(_hamiltonian(cfg, value))
+        if cfg.system == "dkt":
+            energies = np.sort(fold_phases(energies * cfg.period))
+        rows.extend((value, idx, energy) for idx, energy in enumerate(energies))
     out = cfg.out_dir / "butterfly.csv"
     write_csv(out, ("sweep_value", "index", "energy"), rows)
     return out
@@ -428,7 +406,10 @@ def cmd_butterfly(cfg: RunConfig) -> Path:
 
 def cmd_spectrum(cfg: RunConfig) -> Path:
     """Diagonalize, box-count, and report tau_q / D_q with fit diagnostics."""
-    values = _spectrum_values(cfg)
+    if cfg.system == "synthetic-uniform":
+        values = np.linspace(0.0, 1.0, cfg.length)
+    else:
+        values = eigensolve(_hamiltonian(cfg))
     spectrum = tau_spectrum(values, q_grid=cfg.q_grid, scale_grid=cfg.scale_grid)
     q = spectrum.q_grid
     rows = zip(q, spectrum.tau, spectrum.dq, spectrum.fit_r2)
@@ -457,7 +438,7 @@ def cmd_spectrum(cfg: RunConfig) -> Path:
 
 def cmd_eigenstates(cfg: RunConfig) -> Path:
     """Analyze the full eigenbasis: PR, D_bar_2, D_bar_5, mu_bar per state."""
-    _, vectors = _eigensystem(cfg)
+    _, vectors = eigensolve(_hamiltonian(cfg), vectors=True)
     weights = np.abs(vectors) ** 2
     profiles = analyze_eigenvectors(weights, q_grid=cfg.q_grid, partition_grid=cfg.scale_grid)
     rows = [(idx, p.pr, p.d2, p.d5, p.mu_bar) for idx, p in enumerate(profiles)]

@@ -109,11 +109,11 @@ class FourierSeries:
 
 
 def kick_fourier_coefficients(kick, period: float, n_max: int) -> FourierSeries:
-    """Fourier series of kick * sum_n delta(t - n*period): every coefficient is kick/period."""
+    """Fourier series of kick * sum_n delta(t - n*period): every coefficient is
+    kick/period, whose Hermiticity `FourierSeries` checks."""
     if period <= 0:
         raise ValueError(f"kick period must be positive, got {period}")
-    kick = require_hermitian(kick, name="kick operator")
-    return FourierSeries(v0=kick / period, harmonics=None, n_max=int(n_max))
+    return FourierSeries(v0=as_operator(kick) / period, harmonics=None, n_max=int(n_max))
 
 
 def _inverse_power_sum(n_max: int, power: int) -> float:

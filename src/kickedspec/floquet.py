@@ -41,17 +41,18 @@ def dkt_effective_hamiltonian(alpha: float, eta: float, j, period: float = 1.0) 
     return heff_delta_kicked(dkt_kicked_system(alpha, eta, j, period))
 
 
+def _floquet_operator(system: KickedSystem) -> np.ndarray:
+    """One-period evolution operator exp(-i*T*h0) exp(-i*kick) of a kicked system."""
+    return unitary_from_hermitian(system.h0, system.period) @ unitary_from_hermitian(system.kick, 1.0)
+
+
 def dkt_floquet(alpha: float, eta: float, j) -> np.ndarray:
     """One-period evolution operator of the double kicked top.
 
     Product of the free-evolution factor exp(-i*T*H0), whose generator is the
     static part with the period absorbed, and the kick factor exp(-i*alpha*Jx).
     """
-    spin = _as_spin(j)
-    period = 1.0  # cancels: T * H0 is period-independent
-    free = unitary_from_hermitian(dkt_static_part(alpha, eta, spin, period), period)
-    kick = unitary_from_hermitian(spin_operators(spin).jx, alpha)
-    return require_unitary(free @ kick, name="Floquet operator")
+    return _floquet_operator(dkt_kicked_system(alpha, eta, j))
 
 
 def quasienergy_spectrum(unitary) -> np.ndarray:
@@ -76,7 +77,8 @@ def effective_vs_floquet_error(alpha: float, eta: float, j, period: float = 1.0)
     Both spectra are sorted after folding E*T into (-pi, pi] and compared
     pairwise; the maximum absolute difference is returned.
     """
-    heff = dkt_effective_hamiltonian(alpha, eta, j, period)
+    system = dkt_kicked_system(alpha, eta, j, period)
+    heff = heff_delta_kicked(system)
     folded = np.sort(fold_phases(np.linalg.eigvalsh(heff.to_dense()) * period))
-    exact = quasienergy_spectrum(dkt_floquet(alpha, eta, j))
+    exact = quasienergy_spectrum(_floquet_operator(system))
     return float(np.max(np.abs(folded - exact)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effective import KickedSystem, heff_delta_kicked
-from .operators import Banded, max_abs, require_hermitian
+from .operators import Banded, max_abs
 
 CLOSED_FORM = "closed-form"
 GENERAL = "general"
@@ -34,6 +34,8 @@ class HarperParams:
             raise ValueError(f"chain length must be >= 2, got {self.length}")
         if not np.isfinite(self.sigma):
             raise ValueError("sigma must be finite")
+        if not np.isfinite(self.alpha) or self.alpha == 0.0:
+            raise ValueError("alpha must be finite and nonzero")
         if self.period <= 0:
             raise ValueError(f"kick period must be positive, got {self.period}")
 
@@ -61,8 +63,7 @@ def _hopping_matrix(params: HarperParams) -> Banded:
 
 def harper_hamiltonian(params: HarperParams) -> Banded:
     """Static chain: onsite 2 cos(2 pi n sigma) plus unit hopping on open bonds."""
-    ham = Banded.diagonal(onsite_potential(params)) + _hopping_matrix(params)
-    return require_hermitian(ham, name="Harper Hamiltonian")
+    return Banded.diagonal(onsite_potential(params)) + _hopping_matrix(params)
 
 
 def closed_form_correction(params: HarperParams) -> Banded:

@@ -1,5 +1,16 @@
 """Banded operators, their Hermiticity and unitarity contracts, and the one
-eigensolver dispatch chosen from an operator's band structure."""
+eigensolver dispatch chosen from an operator's band structure.
+
+Contracts are checked where an operator enters, not where it is built.  The
+public entry points that accept a caller's matrix check it: `eigensolve`,
+`effective.KickedSystem`, `effective.FourierSeries`, `effective.heff_general`,
+`floquet.unitary_from_hermitian` and `floquet.quasienergy_spectrum`.  The
+builders in `su2` and `harper` assemble their operators Hermitian by
+construction from validated scalars and check nothing; every path from them
+to a solver or an exponential passes one of those entry points.  The one
+check on a built result is `effective.heff_delta_kicked`'s, because its
+products can overflow even when its inputs passed.
+"""
 
 import numbers
 

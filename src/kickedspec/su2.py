@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .operators import Banded, require_hermitian
+from .operators import Banded
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,7 @@ def general_su2_hamiltonian(params: Su2FamilyParams) -> Banded:
     cos_x = Banded.diagonal(np.cos(phase_diagonal(params.j, params.eta)))
     modulated = _cosine_coupling_matrix(params) @ cos_x
     ham = params.a * ops.jx + params.b * hopping_operator(params.j)
-    ham = ham + modulated + modulated.conj().T
-    return require_hermitian(ham, name="SU(2) family Hamiltonian")
+    return ham + modulated + modulated.conj().T
 
 
 def dkt_static_part(alpha: float, eta: float, j, period: float = 1.0) -> Banded:
@@ -174,5 +173,4 @@ def dkt_static_part(alpha: float, eta: float, j, period: float = 1.0) -> Banded:
     spin = _as_spin(j)
     phase = Banded.diagonal(np.exp(1j * phase_diagonal(spin, eta)))
     upper = spin_operators(spin).jplus @ phase
-    ham = (alpha / period) * (upper + upper.conj().T)
-    return require_hermitian(ham, name="kicked-top static part")
+    return (alpha / period) * (upper + upper.conj().T)

@@ -10,6 +10,10 @@ import pytest
 import kickedspec
 from kickedspec import GOLDEN_RATIO
 from kickedspec.cli import ConfigError, main, parse_config, parse_scalar, parse_sweep
+from kickedspec.floquet import dkt_effective_hamiltonian, fold_phases
+from kickedspec.harper import HarperParams, harper_hamiltonian, kicked_harper_effective
+from kickedspec.operators import eigensolve
+from kickedspec.su2 import family_params, general_su2_hamiltonian
 
 
 def run_cli(args, tmp_path):
@@ -84,8 +88,14 @@ def test_parse_config_rejects_wrong_sweep_axis():
 
 
 def test_parse_config_full_scale_gate():
+    # only the eigenvector table is gated; a banded spectrum at j=2500 is cheap
     with pytest.raises(ConfigError, match="full-scale"):
-        parse_config(["spectrum", "--system", "dkt", "--j", "2500", "--eta-over-j", "golden"])
+        parse_config(["eigenstates", "--system", "dkt", "--j", "2500", "--eta-over-j", "golden"])
+    cfg = parse_config(["eigenstates", "--system", "dkt", "--j", "2500",
+                        "--eta-over-j", "golden", "--full-scale"])
+    assert cfg.full_scale
+    cfg = parse_config(["spectrum", "--system", "dkt", "--j", "2500", "--eta-over-j", "golden"])
+    assert not cfg.full_scale
     cfg = parse_config(["spectrum", "--system", "dkt", "--j", "2500",
                         "--eta-over-j", "golden", "--full-scale"])
     assert cfg.full_scale
@@ -151,6 +161,47 @@ def test_butterfly_harper_sigma_reflection(tmp_path):
         table.setdefault(float(sweep), []).append(float(energy))
     for sigma in (0.0, 0.125, 0.25, 0.375):
         np.testing.assert_allclose(table[sigma], table[1.0 - sigma], atol=1e-10)
+
+
+XI, SIGMA = 0.3, 0.3
+SU2_ARGS = ["--j", "7.5", "--alpha", "0.4"]
+HARPER_ARGS = ["--length", "30", "--alpha", "0.7", "--period", "1.5"]
+
+# every CLI system with its arguments, harper-kicked once per mode
+BUTTERFLY_SYSTEMS = {
+    "dkt": ["--system", "dkt", "--j", "10", "--alpha", "0.2", "--period", "0.5"],
+    **{f"su2-{case}": ["--system", f"su2-{case}", *SU2_ARGS] for case in "abcdf"},
+    "su2-e": ["--system", "su2-e", *SU2_ARGS, "--epsilon", "0.6"],
+    "harper-static": ["--system", "harper-static", *HARPER_ARGS],
+    **{f"harper-kicked-{mode}": ["--system", "harper-kicked", *HARPER_ARGS, "--harper-mode", mode]
+       for mode in ("closed-form", "general")},
+}
+
+
+def library_hamiltonian(name):
+    """The Hamiltonian of BUTTERFLY_SYSTEMS[name] from the library, at xi = XI or sigma = SIGMA."""
+    if name == "dkt":
+        return dkt_effective_hamiltonian(0.2, XI * np.pi * 10.0, 10.0, 0.5)
+    if name.startswith("su2-"):
+        case = name[-1]
+        params = family_params(case, 0.4, XI * np.pi * 7.5, 7.5, epsilon=0.6 if case == "e" else None)
+        return general_su2_hamiltonian(params)
+    params = HarperParams(30, SIGMA, alpha=0.7, period=1.5)
+    if name == "harper-static":
+        return harper_hamiltonian(params)
+    return kicked_harper_effective(params, name.removeprefix("harper-kicked-"))
+
+
+@pytest.mark.parametrize("name", sorted(BUTTERFLY_SYSTEMS))
+def test_butterfly_column_matches_library_build(name, tmp_path):
+    sweep = ["--sigma-sweep", f"{SIGMA}:{SIGMA}:1"] if name.startswith("harper") else ["--xi-sweep", f"{XI}:{XI}:1"]
+    assert run_cli(["butterfly", *BUTTERFLY_SYSTEMS[name], *sweep], tmp_path) == 0
+    _, rows = read_csv(tmp_path / "butterfly.csv")
+    column = np.array([float(r[2]) for r in rows])
+    expected = eigensolve(library_hamiltonian(name))
+    if name == "dkt":
+        expected = np.sort(fold_phases(expected * 0.5))
+    np.testing.assert_array_equal(column, expected)
 
 
 def test_spectrum_synthetic_uniform(tmp_path):
@@ -269,6 +320,31 @@ def test_exit_code_two_on_non_finite_parameter(tmp_path):
 ])
 def test_non_finite_parameter_is_config_error_on_every_system(args, tmp_path):
     assert run_cli(["spectrum", *args], tmp_path) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["harper-diff", "--length", "10", "--sigma", "golden", "--alpha", "0"],
+    ["spectrum", "--system", "harper-kicked", "--length", "10", "--sigma", "golden",
+     "--harper-mode", "general", "--alpha", "0"],
+])
+def test_zero_harper_alpha_is_config_error(args, tmp_path, capsys):
+    # the general route divides by alpha; zero is rejected before any build
+    assert run_cli(args, tmp_path) == 2
+    assert "alpha" in capsys.readouterr().err
+    assert not (tmp_path / "harper_diff.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--system", "dkt", "--j", "10", "--alpha", "1e200", "--eta", "1"],
+    ["floquet-compare", "--j", "10", "--eta", "1", "--alpha-ladder", "1e200,1e100,1e50"],
+    ["harper-diff", "--length", "10", "--sigma", "golden", "--alpha", "1e200"],
+])
+def test_overflowing_effective_hamiltonian_is_config_error(args, tmp_path):
+    # finite inputs whose H_eff products overflow fail H_eff's own contract;
+    # a subprocess keeps the overflow warning away from the test's filters
+    proc = run_module([*args, "--out-dir", str(tmp_path)])
+    assert proc.returncode == 2, proc.stderr
+    assert "effective Hamiltonian is not Hermitian" in proc.stderr
 
 
 def test_exit_code_three_on_numerical_failure(tmp_path, monkeypatch):

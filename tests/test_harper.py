@@ -23,6 +23,9 @@ def test_params_validation():
         HarperParams(length=4, sigma=float("inf"))
     with pytest.raises(ValueError, match="period"):
         HarperParams(length=4, sigma=0.5, period=0.0)
+    for alpha in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="alpha must be finite and nonzero"):
+            HarperParams(length=4, sigma=0.5, alpha=alpha)
 
 
 def test_static_chain_simple_cases():
