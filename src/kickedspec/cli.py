@@ -24,6 +24,7 @@ from .su2 import SpinLabel, family_params, general_su2_hamiltonian
 SU2_CASES = ("a", "b", "c", "d", "e", "f")
 SYSTEMS = ("dkt",) + tuple(f"su2-{c}" for c in SU2_CASES) + ("harper-static", "harper-kicked", "synthetic-uniform")
 FULL_SCALE_DIM = 2101  # larger eigenvector tables (eigenstates) require --full-scale
+MAX_SWEEP_POINTS = 100_000  # each point is one eigensolve
 
 _EXIT_CONFIG = 2
 _EXIT_NUMERICAL = 3
@@ -57,8 +58,10 @@ def parse_sweep(text: str) -> np.ndarray:
         raise ConfigError(f"sweep step must be positive, got {step}")
     if stop < start:
         raise ConfigError(f"sweep stop {stop} is below start {start}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    steps = (stop - start) / step
+    if not steps + 1e-9 < MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep {text!r} has more than {MAX_SWEEP_POINTS} points")
+    return start + step * np.arange(int(np.floor(steps + 1e-9)) + 1)
 
 
 def parse_grid(text: str, kind=float) -> tuple:
@@ -215,10 +218,17 @@ def _resolve_alpha(values: dict, spin: float | None) -> float | None:
     if "alpha" in values and "alpha-over" in values:
         raise ConfigError("give only one of alpha, alpha-over")
     if "alpha-over" in values:
-        if spin is None:
-            raise ConfigError("alpha-over requires j")
+        if not spin:
+            raise ConfigError("alpha-over requires j > 0")
         return values["alpha-over"] / spin
     return values.get("alpha")
+
+
+def _spin(j: float) -> SpinLabel:
+    try:
+        return SpinLabel(j)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_config(argv) -> RunConfig:
@@ -235,7 +245,7 @@ def parse_config(argv) -> RunConfig:
         raise ConfigError(f"period must be positive, got {cfg.period}")
     cfg.bins = int(values.get("bins", 50))
     if "q-grid" in values:
-        cfg.q_grid = parse_grid(values["q-grid"], float)
+        cfg.q_grid = parse_grid(values["q-grid"], parse_scalar)
     if "scale-grid" in values:
         cfg.scale_grid = parse_grid(values["scale-grid"], int)
     cfg.harper_mode = values.get("harper-mode", CLOSED_FORM)
@@ -248,9 +258,10 @@ def parse_config(argv) -> RunConfig:
         cfg.alpha_ladder = tuple(parse_scalar(v) for v in str(values["alpha-ladder"]).split(","))
         if len(cfg.alpha_ladder) < 3:
             raise ConfigError("alpha ladder needs at least 3 values")
-        cfg.j = values.get("j")
-        if cfg.j is None:
+        if "j" not in values:
             raise ConfigError("floquet-compare requires --j")
+        _spin(values["j"])
+        cfg.j = values["j"]
         cfg.eta = _resolve_eta(values, cfg.j)
         if cfg.eta is None:
             raise ConfigError("floquet-compare requires eta (or eta-over-j / xi)")
@@ -294,8 +305,8 @@ def parse_config(argv) -> RunConfig:
     if is_su2:
         if "j" not in values:
             raise ConfigError(f"system {system} requires --j")
+        spin = _spin(values["j"])
         cfg.j = values["j"]
-        spin = SpinLabel(cfg.j)
         cfg.alpha = _resolve_alpha(values, cfg.j)
         if cfg.alpha is None:
             cfg.alpha = 1.0 / cfg.j if cfg.j > 0 else 1.0  # butterfly-sweep default
@@ -416,12 +427,11 @@ def cmd_spectrum(cfg: RunConfig) -> Path:
     csv_path = cfg.out_dir / "tau.csv"
     write_csv(csv_path, ("q", "tau", "d_q", "r2"), rows)
 
-    d2_idx = np.nonzero(np.abs(q - 2.0) <= 1e-9)[0]
     report = {
         "config": _config_echo(cfg),
         "results": {
             "n_values": int(values.size),
-            "d2": float(spectrum.dq[d2_idx[0]]) if d2_idx.size else None,
+            "d2": None if np.isnan(spectrum.d2) else spectrum.d2,
             "mu": float(spectrum.mu),
             "scale_grid": spectrum.scale_grid.tolist(),
             "q_grid": q.tolist(),

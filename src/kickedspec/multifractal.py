@@ -6,6 +6,14 @@ tau_q = 1 - q and generalized dimension D_q = tau_q/(1-q) = 1, while a point
 mass gives tau_q = 0 and D_q = 0.  Slopes mu of tau_q versus q are fitted
 over q in [2, 8].  Negative q is unsupported (empty bins would dominate).
 
+Spectra and eigenvectors take one path from measure to exponents.  A caller
+partitions its data at each count N (equal-width bins of one spectrum, or
+contiguous positional cells of many eigenvectors) into a cells x states
+table; `_moments` turns each table into Z_q for every q and state;
+`_scaling_fit` fits log Z_q against log N and derives D_q (`_dimensions`,
+NaN at q = 1) and mu.  `_q_values` and `_counts` validate the q grid and the
+count grid on the way in.
+
 Quasiperiodic spectra produce log-periodically wobbling Z_q(N); the scaling
 fits therefore sample scales densely in log N and use one shared window of at
 least half the scale points (never fewer than five), picked by the mean R^2
@@ -57,15 +65,45 @@ def box_probabilities(values, n_bins: int) -> BoxMeasure:
     return BoxMeasure(probabilities=probs, n_bins=int(n_bins), bin_width=float(edges[1] - edges[0]))
 
 
+def _q_values(q_grid) -> np.ndarray:
+    """The q grid as floats (DEFAULT_Q_GRID if None): finite and non-negative."""
+    q = np.asarray(DEFAULT_Q_GRID if q_grid is None else q_grid, dtype=float)
+    if q.ndim != 1 or q.size == 0:
+        raise ValueError("need a non-empty list of moment orders")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("moment orders must be finite")
+    if np.any(q < 0):
+        raise ValueError("negative moments are not supported")
+    return q
+
+
+def _counts(grid, min_scales: int, max_count=None) -> np.ndarray:
+    """Bin or partition counts: at least min_scales integers >= 2 (and at most
+    max_count), strictly increasing."""
+    counts = np.asarray(grid, dtype=float)
+    if counts.ndim != 1 or counts.size < min_scales:
+        raise ValueError(f"need at least {min_scales} scales, got {counts.size}")
+    if not np.all((counts == np.round(counts)) & (counts >= 2) & (counts < 2.0**63)):
+        raise ValueError(f"scale counts must be 64-bit integers >= 2, got {np.asarray(grid).tolist()}")
+    if np.any(np.diff(counts) <= 0):
+        raise ValueError(f"scale counts must be strictly increasing, got {np.asarray(grid).tolist()}")
+    if max_count is not None and counts[-1] > max_count:
+        raise ValueError(f"partition counts must not exceed the dimension {max_count}, got {counts[-1]:.0f}")
+    return counts.astype(int)
+
+
+def _moments(parts, q_grid) -> np.ndarray:
+    """Z_q of a cells x states table, shape (n_q, n_states): the sum of p^q
+    over occupied cells (p > 0); Z_0 is the number of occupied cells."""
+    cells = np.where(parts > 0.0, parts, 0.0)
+    return np.array([np.count_nonzero(cells, axis=0) if q == 0 else np.sum(cells**q, axis=0)
+                     for q in q_grid], dtype=float)
+
+
 def partition_moment(probabilities, q: float) -> float:
     """Z_q = sum of p^q over occupied bins; Z_0 counts occupied bins."""
-    if q < 0:
-        raise ValueError("negative moments are not supported")
-    probs = np.asarray(probabilities, dtype=float)
-    occupied = probs[probs > 0.0]
-    if q == 0:
-        return float(occupied.size)
-    return float(np.sum(occupied**q))
+    probs = np.asarray(probabilities, dtype=float).reshape(-1, 1)
+    return float(_moments(probs, _q_values([q]))[0, 0])
 
 
 def _min_window(n_scales: int) -> int:
@@ -133,6 +171,28 @@ def _slopes_over_q(q_grid, tau):
     return _shared_window_fit(q, tau[mask][:, np.newaxis, :], [True], min_len=n_mu)[0][0]
 
 
+def _skipped_q(q_grid) -> tuple:
+    return tuple(float(v) for v in q_grid if abs(v - 1.0) <= _Q_ONE_TOL)
+
+
+def _dimensions(q_grid, tau) -> np.ndarray:
+    """D_q = tau_q / (1 - q) for tau of shape (n_q,) or (n_q, n_states); NaN at q = 1."""
+    q = np.asarray(q_grid, dtype=float)
+    denominator = np.where(np.abs(q - 1.0) <= _Q_ONE_TOL, np.nan, 1.0 - q)
+    return tau / denominator.reshape(q.shape + (1,) * (np.ndim(tau) - 1))
+
+
+def _scaling_fit(counts, measures, q_grid):
+    """Fit log Z_q against log N for cells x states tables, one per count N.
+
+    Returns tau and R^2 (shape (n_q, n_states)), each state's window bounds
+    (start, stop), D_q and mu.
+    """
+    log_z = np.stack([np.log(_moments(parts, q_grid)) for parts in measures])
+    tau, r2, start, stop = _shared_window_fit(np.log(counts.astype(float)), log_z, _window_q_mask(q_grid))
+    return tau, r2, start, stop, _dimensions(q_grid, tau), _slopes_over_q(q_grid, tau)
+
+
 @dataclass(frozen=True)
 class ScalingSpectrum:
     """tau_q and D_q with per-q fit diagnostics.
@@ -151,6 +211,11 @@ class ScalingSpectrum:
     mu: float
     skipped_q: tuple = ()
 
+    @property
+    def d2(self) -> float:
+        """D_2, NaN if q = 2 is not on the grid."""
+        return _value_at_q(self.q_grid, self.dq, 2.0)
+
 
 def default_scale_grid(n_values: int, n_points: int = 32) -> np.ndarray:
     """Bin counts sampled densely in log scale from 16 up to ~n_values/4.
@@ -165,12 +230,7 @@ def default_scale_grid(n_values: int, n_points: int = 32) -> np.ndarray:
 
 def generalized_dimensions(spectrum: ScalingSpectrum) -> ScalingSpectrum:
     """Fill D_q = tau_q / (1 - q), skipping q = 1 with a flag."""
-    q = np.asarray(spectrum.q_grid, dtype=float)
-    near_one = np.abs(q - 1.0) <= _Q_ONE_TOL
-    dq = np.full_like(q, np.nan)
-    dq[~near_one] = spectrum.tau[~near_one] / (1.0 - q[~near_one])
-    skipped = tuple(float(v) for v in q[near_one])
-    return replace(spectrum, dq=dq, skipped_q=skipped)
+    return replace(spectrum, dq=_dimensions(spectrum.q_grid, spectrum.tau), skipped_q=_skipped_q(spectrum.q_grid))
 
 
 def tau_spectrum(values, q_grid=None, scale_grid=None) -> ScalingSpectrum:
@@ -181,41 +241,27 @@ def tau_spectrum(values, q_grid=None, scale_grid=None) -> ScalingSpectrum:
     shared detected linear region.
     """
     values = np.asarray(values, dtype=float).ravel()
-    q_grid = np.asarray(DEFAULT_Q_GRID if q_grid is None else q_grid, dtype=float)
-    if np.any(q_grid < 0):
-        raise ValueError("negative moments are not supported")
-    scale_grid = default_scale_grid(values.size) if scale_grid is None else np.asarray(scale_grid, dtype=int)
-    if scale_grid.size < 4:
-        raise ValueError(f"need at least 4 scales, got {scale_grid.size}")
-
-    log_n = np.log(scale_grid.astype(float))
-    log_z = np.empty((scale_grid.size, q_grid.size))
-    for i, n_bins in enumerate(scale_grid):
-        probs = box_probabilities(values, int(n_bins)).probabilities
-        for k, q in enumerate(q_grid):
-            log_z[i, k] = np.log(partition_moment(probs, float(q)))
-
-    tau, r2, start, stop = _shared_window_fit(log_n, log_z[:, :, np.newaxis], _window_q_mask(q_grid))
-    window = (int(start[0]), int(stop[0]))
-
-    spectrum = ScalingSpectrum(
+    q_grid = _q_values(q_grid)
+    scale_grid = _counts(default_scale_grid(values.size) if scale_grid is None else scale_grid, 4)
+    boxes = (box_probabilities(values, int(n_bins)).probabilities for n_bins in scale_grid)
+    measures = (probs[probs > 0.0, np.newaxis] for probs in boxes)  # occupied boxes, summed in bin order
+    tau, r2, start, stop, dq, mu = _scaling_fit(scale_grid, measures, q_grid)
+    return ScalingSpectrum(
         q_grid=q_grid,
         tau=tau[:, 0],
-        dq=np.full(q_grid.size, np.nan),
+        dq=dq[:, 0],
         fit_r2=r2[:, 0],
         scale_grid=scale_grid,
-        fit_windows=tuple(window for _ in range(q_grid.size)),
-        mu=float(_slopes_over_q(q_grid, tau)[0]),
+        fit_windows=((int(start[0]), int(stop[0])),) * q_grid.size,
+        mu=float(mu[0]),
+        skipped_q=_skipped_q(q_grid),
     )
-    return generalized_dimensions(spectrum)
 
 
 def information_dimension(values, scale_grid=None) -> float:
     """D_1 from the entropy scaling sum(p log p) ~ -D_1 log N."""
     values = np.asarray(values, dtype=float).ravel()
-    scale_grid = default_scale_grid(values.size) if scale_grid is None else np.asarray(scale_grid, dtype=int)
-    if scale_grid.size < 4:
-        raise ValueError(f"need at least 4 scales, got {scale_grid.size}")
+    scale_grid = _counts(default_scale_grid(values.size) if scale_grid is None else scale_grid, 4)
     log_n = np.log(scale_grid.astype(float))
     entropy = np.empty((scale_grid.size, 1, 1))
     for i, n_bins in enumerate(scale_grid):
@@ -277,12 +323,13 @@ def participation_ratio(weights) -> float:
 
 
 def default_partition_grid(dim: int) -> np.ndarray:
-    """Partition counts 2, 4, ... capped so cells keep at least ~8 components.
+    """Partition counts 2, 4, ... capped so cells keep at least ~8 components
+    (and never more partitions than components).
 
     Cells wider than typical localization lengths keep strongly localized
     states at flat scaling (D_bar ~ 0) instead of probing their interior.
     """
-    cap = max(dim // 8, 4)
+    cap = min(max(dim // 8, 4), dim)
     grid = []
     m = 2
     while m <= cap:
@@ -312,41 +359,16 @@ def analyze_eigenvectors(weight_columns, q_grid=None, partition_grid=None) -> li
     if weights.ndim == 1:
         weights = weights[:, np.newaxis]
     dim, n_states = weights.shape
-    q_grid = np.asarray(DEFAULT_Q_GRID if q_grid is None else q_grid, dtype=float)
-    if np.any(q_grid < 0):
-        raise ValueError("negative moments are not supported")
-    partition_grid = default_partition_grid(dim) if partition_grid is None else np.asarray(partition_grid, dtype=int)
-    if np.any(partition_grid < 2):
-        raise ValueError("each partition count must be >= 2")
+    q_grid = _q_values(q_grid)
+    partition_grid = _counts(default_partition_grid(dim) if partition_grid is None else partition_grid, 1, dim)
     _require_normalized(weights)
 
     # Column-major, whatever layout came in: reduceat along axis 0 is several
     # times faster on it, and every sum below then runs in one order.
     columns = np.asfortranarray(weights)
     pr = 1.0 / np.sum(columns**2, axis=0)
-
-    # log sum(p~^q) for every scale, q, state
-    n_scales = partition_grid.size
-    log_s = np.empty((n_scales, q_grid.size, n_states))
-    for i, n_parts in enumerate(partition_grid):
-        parts = np.add.reduceat(columns, _partition_starts(dim, int(n_parts)), axis=0)
-        occupied = parts > 0.0
-        for k, q in enumerate(q_grid):
-            if q == 0:
-                moment = occupied.sum(axis=0).astype(float)
-            else:
-                moment = np.sum(np.where(occupied, parts, 1.0) ** q * occupied, axis=0)
-            log_s[i, k, :] = np.log(moment)
-
-    log_m = np.log(partition_grid.astype(float))
-    tau_bar, fit_r2, _, _ = _shared_window_fit(log_m, log_s, _window_q_mask(q_grid))
-
-    near_one = np.abs(q_grid - 1.0) <= _Q_ONE_TOL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d_bar = tau_bar / (1.0 - q_grid)[:, np.newaxis]
-    d_bar[near_one, :] = np.nan
-
-    mu_bar = _slopes_over_q(q_grid, tau_bar)
+    measures = (np.add.reduceat(columns, _partition_starts(dim, int(m)), axis=0) for m in partition_grid)
+    tau_bar, fit_r2, _, _, d_bar, mu_bar = _scaling_fit(partition_grid, measures, q_grid)
 
     return [
         EigenvectorProfile(

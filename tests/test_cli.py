@@ -44,6 +44,8 @@ def test_parse_sweep_grid():
         parse_sweep("0:1")
     with pytest.raises(ConfigError):
         parse_sweep("0:1:-0.1")
+    with pytest.raises(ConfigError, match="points"):
+        parse_sweep("-1e308:1e308:1")  # the span itself overflows
 
 
 def test_parse_config_butterfly_flags():
@@ -224,6 +226,13 @@ def test_spectrum_dkt_small(tmp_path):
     assert report["config"]["eta"] == pytest.approx(GOLDEN_RATIO * 200)
 
 
+def test_spectrum_report_d2_null_without_q_two(tmp_path):
+    assert run_cli(["spectrum", "--system", "synthetic-uniform", "--length", "4096",
+                    "--q-grid", "0,3"], tmp_path) == 0
+    report = json.loads((tmp_path / "spectrum_report.json").read_text())
+    assert report["results"]["d2"] is None
+
+
 def test_eigenstates_two_level_toy(tmp_path):
     assert run_cli(["eigenstates", "--system", "dkt", "--j", "0.5", "--alpha", "0.3",
                     "--eta", "1.0", "--scale-grid", "2", "--bins", "5"], tmp_path) == 0
@@ -345,6 +354,57 @@ def test_overflowing_effective_hamiltonian_is_config_error(args, tmp_path):
     proc = run_module([*args, "--out-dir", str(tmp_path)])
     assert proc.returncode == 2, proc.stderr
     assert "effective Hamiltonian is not Hermitian" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--system", "dkt", "--j", "-1", "--eta", "1"],
+    ["eigenstates", "--system", "su2-a", "--j", "2.25", "--eta", "1"],
+    ["butterfly", "--system", "dkt", "--j", "-1", "--xi-sweep", "0:1:0.5"],
+    ["floquet-compare", "--j", "-2", "--eta", "1", "--alpha-ladder", "0.04,0.02,0.01"],
+    ["spectrum", "--system", "dkt", "--j", "0", "--alpha-over", "1", "--eta", "1"],
+    ["butterfly", "--system", "dkt", "--j", "2", "--xi-sweep", "0:1:1e-300"],
+    ["butterfly", "--system", "dkt", "--j", "2", "--xi-sweep", "0:1e308:1e-308"],
+])
+def test_bad_spin_or_sweep_is_config_error(args, tmp_path):
+    # rejected while parsing: one error line, no traceback, nothing written
+    proc = run_module([*args, "--out-dir", str(tmp_path)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--system", "synthetic-uniform"],
+    ["eigenstates", "--system", "harper-static", "--length", "64", "--sigma", "golden"],
+])
+@pytest.mark.parametrize("q_grid", ["nan,2", "inf,2", "2,-inf"])
+def test_non_finite_q_grid_is_config_error(command, q_grid, tmp_path, capsys):
+    assert run_cli([*command, "--q-grid", q_grid], tmp_path) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--system", "synthetic-uniform", "--scale-grid", "16,16,16,16"],
+    ["eigenstates", "--system", "harper-static", "--length", "64", "--sigma", "golden",
+     "--scale-grid", "2,4,100,200"],
+])
+def test_degenerate_count_grid_is_config_error(args, tmp_path):
+    proc = run_module([*args, "--out-dir", str(tmp_path)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args, dim", [
+    (["--system", "dkt", "--j", "0.5", "--alpha", "0.3", "--eta", "1.0"], 2),
+    (["--system", "harper-static", "--length", "3", "--sigma", "golden"], 3),
+])
+def test_eigenstates_default_grid_at_smallest_dimensions(args, dim, tmp_path):
+    assert run_cli(["eigenstates", *args], tmp_path) == 0
+    report = json.loads((tmp_path / "eigenstates_report.json").read_text())
+    assert report["partition_grid"] == [2]
+    assert report["statistics"]["count"] == dim
 
 
 def test_exit_code_three_on_numerical_failure(tmp_path, monkeypatch):

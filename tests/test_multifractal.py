@@ -122,6 +122,54 @@ def test_tau_rejects_negative_q():
         tau_spectrum(np.linspace(0, 1, 100), q_grid=[-2.0, 2.0], scale_grid=[4, 8, 16, 32])
 
 
+@pytest.mark.parametrize("q_grid", [[np.nan, 2.0], [np.inf, 2.0], [-np.inf, 2.0], [], [[2.0]]])
+def test_non_finite_or_empty_q_grid_rejected(q_grid):
+    values = np.linspace(0, 1, 100)
+    weights = np.full(64, 1.0 / 64)
+    with pytest.raises(ValueError, match="moment orders"):
+        tau_spectrum(values, q_grid=q_grid, scale_grid=[4, 8, 16, 32])
+    with pytest.raises(ValueError, match="moment orders"):
+        analyze_eigenvectors(weights, q_grid=q_grid, partition_grid=[2, 4])
+    if len(q_grid) == 2:
+        with pytest.raises(ValueError, match="finite"):
+            partition_moment([0.5, 0.5], q_grid[0])
+
+
+@pytest.mark.parametrize("scale_grid, message", [
+    ([16, 16, 16, 16], "increasing"),
+    ([16, 8, 32, 64], "increasing"),
+    ([1, 2, 4, 8], "integers >= 2"),
+    ([16.5, 32, 64, 128], "integers >= 2"),
+    ([16, 32, np.nan, 128], "integers >= 2"),
+    ([16, 32, 64, np.inf], "integers >= 2"),
+    ([16, 32, 64, 10**30], "integers >= 2"),
+])
+def test_degenerate_scale_grid_rejected(scale_grid, message):
+    values = np.linspace(0, 1, 4096)
+    with pytest.raises(ValueError, match=message):
+        tau_spectrum(values, scale_grid=scale_grid)
+    with pytest.raises(ValueError, match=message):
+        information_dimension(values, scale_grid=scale_grid)
+
+
+@pytest.mark.parametrize("partition_grid, message", [
+    ([2, 4, 100, 200], "exceed the dimension 64"),
+    ([2, 2], "increasing"),
+    ([4, 2], "increasing"),
+    ([1, 2], "integers >= 2"),
+    ([2.5, 4], "integers >= 2"),
+    ([], "at least 1 scales"),
+])
+def test_degenerate_partition_grid_rejected(partition_grid, message):
+    with pytest.raises(ValueError, match=message):
+        analyze_eigenvectors(np.full(64, 1.0 / 64), partition_grid=partition_grid)
+
+
+def test_partition_count_equal_to_dimension_accepted():
+    profile = eigenvector_tau(np.full(8, 1.0 / 8), partition_grid=[2, 4, 8])
+    np.testing.assert_allclose(profile.tau_bar, 1.0 - profile.q_grid, atol=1e-12)
+
+
 def test_default_scale_grid_dense_and_capped():
     grid = default_scale_grid(2001)
     assert grid.min() == 16
@@ -138,6 +186,13 @@ def test_generalized_dimensions_skips_q_one():
     assert spectrum.skipped_q == (1.0,)
     refilled = generalized_dimensions(spectrum)
     assert dq_at(refilled, 2.0) == pytest.approx(1.0, abs=0.01)
+
+
+def test_spectrum_d2_uses_the_q_lookup():
+    values = np.linspace(0.0, 1.0, 4096)
+    spectrum = tau_spectrum(values, q_grid=[0.0, 2.0, 3.0], scale_grid=[16, 32, 64, 128])
+    assert spectrum.d2 == dq_at(spectrum, 2.0)
+    assert np.isnan(tau_spectrum(values, q_grid=[0.0, 3.0], scale_grid=[16, 32, 64, 128]).d2)
 
 
 def test_zq_monotonicity_invariants():
@@ -357,6 +412,15 @@ def test_default_partition_grid_powers_of_two():
     # capped so that cells keep at least ~8 components
     assert default_partition_grid(2001).tolist() == [2, 4, 8, 16, 32, 64, 128]
     assert default_partition_grid(256).tolist() == [2, 4, 8, 16, 32]
+
+
+def test_default_partition_grid_never_exceeds_dimension():
+    assert default_partition_grid(2).tolist() == [2]
+    assert default_partition_grid(3).tolist() == [2]
+    assert default_partition_grid(4).tolist() == [2, 4]
+    assert default_partition_grid(1).tolist() == []
+    with pytest.raises(ValueError, match="scales"):
+        analyze_eigenvectors(np.ones((1, 1)))
 
 
 def test_uneven_partitions_cover_all_components():
