@@ -15,6 +15,7 @@ from .floquet import (
     dkt_floquet,
     dkt_kicked_system,
     effective_vs_floquet_error,
+    effective_vs_floquet_errors,
     fold_phases,
     quasienergy_spectrum,
     unitary_from_hermitian,
@@ -79,6 +80,7 @@ __all__ = [
     "dkt_kicked_system",
     "dkt_static_part",
     "effective_vs_floquet_error",
+    "effective_vs_floquet_errors",
     "eigensolve",
     "eigenvector_tau",
     "ensemble_statistics",

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import GOLDEN_RATIO
-from .floquet import dkt_effective_hamiltonian, effective_vs_floquet_error, fold_phases
+from .floquet import dkt_effective_hamiltonian, effective_vs_floquet_errors, fold_phases
 from .harper import CLOSED_FORM, GENERAL, HarperParams, harper_hamiltonian, heff_discrepancy_report, kicked_harper_effective
 from .multifractal import analyze_eigenvectors, ensemble_statistics, tau_spectrum
 from .operators import Banded, eigensolve
@@ -467,7 +467,7 @@ def cmd_eigenstates(cfg: RunConfig) -> Path:
 
 def cmd_floquet_compare(cfg: RunConfig) -> Path:
     """Effective-vs-exact quasienergy error along a ladder of kick strengths."""
-    errors = [effective_vs_floquet_error(alpha, cfg.eta, cfg.j, cfg.period) for alpha in cfg.alpha_ladder]
+    errors = effective_vs_floquet_errors(cfg.alpha_ladder, cfg.eta, cfg.j, cfg.period)
     ratios = [errors[i] / errors[i + 1] if errors[i + 1] > 0 else None for i in range(len(errors) - 1)]
     report = {
         "config": {"command": cfg.command, "j": cfg.j, "eta": cfg.eta, "period": cfg.period,

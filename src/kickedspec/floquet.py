@@ -1,17 +1,43 @@
 """Exact one-period evolution operators, quasienergies, and validation
 against the effective-Hamiltonian pipeline.
 
-This is the independent check route: it works on dense matrices with numpy
-alone, taking `Banded` operators through their dense form.
+This is the independent check route: it uses numpy alone and never the
+effective Hamiltonian.  Three facts make the exact side of a ladder of kick
+strengths cost one real eigendecomposition, plus one complex matrix product,
+one inverse and one Hermitian eigenvalue solve per kick strength.
+
+- Twist gauge.  The double kicked top's static generator is a diagonal phase
+  gauge of Jx: ``dkt_static_part(1, eta, j) = P Jx P^dag`` with
+  P = diag(p), p_0 = 1 and p_{k+1} = p_k exp(i X_k), where X is the phase
+  diagonal (P is the Jz^2 twist).  p is built as a running product of unit
+  phases; exp(i cumsum X) would drift by about 1e-8 relative at j = 1000.
+- One Jx eigendecomposition.  Jx = Vx diag(m) Vx^T with Vx real and the
+  eigenvalues exactly the magnetic numbers m, so the kick factor is
+  K = exp(-i alpha Jx) = Vx D Vx^T with D = diag(exp(-i alpha m)), and the
+  one-period operator is U = exp(-i alpha P Jx P^dag) K = P K P^dag K.  With
+  the complex symmetric unitary A = Vx^T P^dag Vx, built once per ladder,
+  M = conj(A) D A D = Vx^T U Vx has the spectrum of U.
+- Cayley quasienergies.  For W = exp(i theta) U, the Hermitian part of
+  H_c = i(1 - W)(1 + W)^-1 has eigenvalues lambda = -tan((E - theta)/2), so
+  E = theta - 2 arctan(lambda) comes from a Hermitian solve instead of a
+  nonsymmetric one.  The branch cut sits at E = theta + pi.  The first cut
+  is theta = 0.  When 1 + W is singular or max|lambda| exceeds CAYLEY_MAX,
+  an eigenvalue crowds the cut, and the cut moves once into the widest gap
+  of the spectrum's estimate from the Hermitian part of U, whose eigenvalues
+  cos(E) need no cut.  If that cut is crowded too, numpy.linalg.LinAlgError
+  is raised.
 """
 
 import numpy as np
 
 from .effective import KickedSystem, heff_delta_kicked
 from .operators import Banded, require_hermitian, require_unitary
-from .su2 import _as_spin, dkt_static_part, spin_operators
+from .su2 import SpinLabel, _as_spin, dkt_static_part, phase_diagonal, spin_operators
 
 TWO_PI = 2.0 * np.pi
+# Largest Cayley eigenvalue kept: the solve's absolute error grows with
+# max|lambda|, and a quasienergy's error is about 2 * eps * max|lambda|.
+CAYLEY_MAX = 1e3
 
 
 def unitary_from_hermitian(ham, scale: float) -> np.ndarray:
@@ -41,44 +67,125 @@ def dkt_effective_hamiltonian(alpha: float, eta: float, j, period: float = 1.0) 
     return heff_delta_kicked(dkt_kicked_system(alpha, eta, j, period))
 
 
-def _floquet_operator(system: KickedSystem) -> np.ndarray:
-    """One-period evolution operator exp(-i*T*h0) exp(-i*kick) of a kicked system."""
-    return unitary_from_hermitian(system.h0, system.period) @ unitary_from_hermitian(system.kick, 1.0)
+def _twist_gauge(spin: SpinLabel, eta: float) -> np.ndarray:
+    """Diagonal p of the gauge P with dkt_static_part(1, eta, j) = P Jx P^dag."""
+    steps = np.exp(1j * phase_diagonal(spin, eta)[:-1])
+    return np.concatenate(([1.0 + 0.0j], np.cumprod(steps)))
+
+
+def _jx_eigenvectors(spin: SpinLabel) -> np.ndarray:
+    """Real orthogonal Vx with Jx = Vx diag(m) Vx^T, m ascending."""
+    jx = require_hermitian(spin_operators(spin).jx, name="Jx")
+    return np.linalg.eigh(jx.to_dense())[1]
 
 
 def dkt_floquet(alpha: float, eta: float, j) -> np.ndarray:
     """One-period evolution operator of the double kicked top.
 
-    Product of the free-evolution factor exp(-i*T*H0), whose generator is the
-    static part with the period absorbed, and the kick factor exp(-i*alpha*Jx).
+    Product of the free-evolution factor exp(-i*alpha*G), whose generator
+    G = dkt_static_part(1, eta, j) = P Jx P^dag is the twisted Jx, and the kick
+    factor K = exp(-i*alpha*Jx): U = P K P^dag K.
     """
-    return _floquet_operator(dkt_kicked_system(alpha, eta, j))
+    if not (np.isfinite(alpha) and np.isfinite(eta)):
+        raise ValueError(f"alpha and eta must be finite, got alpha={alpha}, eta={eta}")
+    spin = _as_spin(j)
+    twist = _twist_gauge(spin, eta)
+    vecs = _jx_eigenvectors(spin)
+    kick = (vecs * np.exp(-1j * alpha * spin.m_values)) @ vecs.T
+    return (twist[:, None] * kick * twist.conj()) @ kick
+
+
+def _cayley_phases(unitary: np.ndarray, theta: float):
+    """Quasienergies from the Cayley transform of W = exp(i*theta)*U, or None
+    when an eigenvalue sits too close to the branch cut at E = theta + pi."""
+    dim = unitary.shape[0]
+    shifted = unitary * np.exp(1j * theta)
+    shifted.flat[::dim + 1] += 1.0
+    try:
+        inverse = np.linalg.inv(shifted)
+    except np.linalg.LinAlgError:  # an eigenvalue exactly on the cut
+        return None
+    del shifted
+    # H_c = 2i(1 + W)^-1 - i, whose Hermitian part is i(X - X^dag) for
+    # X = (1 + W)^-1.  That part is taken explicitly: the inverse's rounding
+    # grows with max|lambda| mostly in the anti-Hermitian part, which a
+    # Hermitian solver reading one triangle would let through (quasienergy
+    # errors of 3e-11 instead of 1e-13 at j = 500).
+    inverse -= inverse.conj().T
+    inverse *= 1j
+    lam = np.linalg.eigvalsh(inverse)
+    if not np.max(np.abs(lam)) <= CAYLEY_MAX:
+        return None
+    return fold_phases(theta - 2.0 * np.arctan(lam))
+
+
+def _cut_in_widest_gap(unitary: np.ndarray) -> float:
+    """Quasienergy in [0, pi] midway across the widest gap of the spectrum's
+    estimate.
+
+    U + U^dag has eigenvalues 2 cos(E), which give |E| without a branch cut;
+    the spectrum is estimated as the mirrored set of +-|E|.
+    """
+    cosines = np.linalg.eigvalsh(unitary + unitary.conj().T) / 2.0
+    angles = np.sort(np.arccos(np.clip(cosines, -1.0, 1.0)))
+    # gaps between neighbouring angles, across E = 0 and across E = pi
+    edges = np.concatenate(([-angles[0]], angles, [TWO_PI - angles[-1]]))
+    widest = int(np.argmax(np.diff(edges)))
+    return 0.5 * (edges[widest] + edges[widest + 1])
 
 
 def quasienergy_spectrum(unitary) -> np.ndarray:
     """Sorted quasienergies of a unitary, each in (-pi, pi].
 
     A quasienergy E labels the eigenvalue exp(-iE), matching the sign of
-    exp(-i*H_eff*T), so folded effective energies compare directly.
+    exp(-i*H_eff*T), so folded effective energies compare directly.  Raises
+    numpy.linalg.LinAlgError when eigenvalues crowd both branch cuts tried.
     """
     unitary = require_unitary(unitary, name="Floquet operator")
-    evals = np.linalg.eigvals(unitary)
-    moduli = np.abs(evals)
-    if np.max(np.abs(moduli - 1.0)) > 1e-8:
-        raise ValueError("eigenvalues stray from the unit circle; input is not unitary enough")
-    phases = -np.angle(evals)
-    phases = np.where(phases <= -np.pi, phases + TWO_PI, phases)
+    phases = _cayley_phases(unitary, 0.0)
+    if phases is None:
+        cut = _cut_in_widest_gap(unitary)
+        phases = _cayley_phases(unitary, cut - np.pi)
+        if phases is None:
+            raise np.linalg.LinAlgError(
+                f"quasienergies: eigenvalues crowd the Cayley branch cuts at E = pi and E = {cut:.6g}")
     return np.sort(phases)
 
 
-def effective_vs_floquet_error(alpha: float, eta: float, j, period: float = 1.0) -> float:
-    """Largest gap between folded effective energies and exact quasienergies.
+def _ladder_gauge(spin: SpinLabel, eta: float) -> np.ndarray:
+    """A = Vx^T P^dag Vx, complex symmetric and unitary."""
+    vecs = _jx_eigenvectors(spin)
+    return vecs.T @ (_twist_gauge(spin, eta).conj()[:, None] * vecs)
 
-    Both spectra are sorted after folding E*T into (-pi, pi] and compared
-    pairwise; the maximum absolute difference is returned.
+
+def _ladder_rung(gauge: np.ndarray, spin: SpinLabel, alpha: float) -> np.ndarray:
+    """conj(A) D A D, unitarily similar to the one-period operator at alpha."""
+    phases = np.exp(-1j * alpha * spin.m_values)
+    right = gauge * phases
+    right *= phases[:, None]
+    return gauge.conj() @ right
+
+
+def effective_vs_floquet_errors(alphas, eta: float, j, period: float = 1.0) -> list:
+    """Largest gap between folded effective energies and exact quasienergies,
+    one per kick strength.
+
+    Both spectra of a kick strength are sorted after folding E*T into
+    (-pi, pi] and compared pairwise.  The exact operator does not depend on
+    the period, since T*h0 = alpha * dkt_static_part(1, eta, j).
     """
-    system = dkt_kicked_system(alpha, eta, j, period)
-    heff = heff_delta_kicked(system)
-    folded = np.sort(fold_phases(np.linalg.eigvalsh(heff.to_dense()) * period))
-    exact = quasienergy_spectrum(_floquet_operator(system))
-    return float(np.max(np.abs(folded - exact)))
+    alphas = list(alphas)
+    spin = _as_spin(j)
+    # every H_eff is solved before the dense Floquet factors exist, so that
+    # its temporaries never add to theirs
+    folded = [np.sort(fold_phases(np.linalg.eigvalsh(
+        heff_delta_kicked(dkt_kicked_system(alpha, eta, spin, period)).to_dense()) * period))
+        for alpha in alphas]
+    gauge = _ladder_gauge(spin, eta)
+    return [float(np.max(np.abs(effective - quasienergy_spectrum(_ladder_rung(gauge, spin, alpha)))))
+            for alpha, effective in zip(alphas, folded)]
+
+
+def effective_vs_floquet_error(alpha: float, eta: float, j, period: float = 1.0) -> float:
+    """`effective_vs_floquet_errors` at one kick strength."""
+    return effective_vs_floquet_errors([alpha], eta, j, period)[0]

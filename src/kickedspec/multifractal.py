@@ -308,10 +308,11 @@ def _value_at_q(q_grid, values, q: float) -> float:
 
 def _require_normalized(weights) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
-    if np.any(weights < -1e-12):
+    # written so that NaN fails: every comparison with NaN is False
+    if not np.all(weights >= -1e-12):
         raise ValueError("weights must be non-negative")
     sums = weights.sum(axis=0)
-    if np.any(np.abs(sums - 1.0) > 1e-8):
+    if not np.all(np.abs(sums - 1.0) <= 1e-8):
         raise ValueError("weights must sum to 1 per state")
     return weights
 

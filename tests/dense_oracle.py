@@ -3,10 +3,13 @@
 Each Hamiltonian is assembled here as a dense complex matrix with ordinary
 matrix products, straight from its defining formula, so the banded builders
 in kickedspec can be checked against an independent route at small sizes.
+The Floquet operator of the double kicked top is the product of two dense
+exponentials, and its quasienergies come from the nonsymmetric eigensolver.
 """
 
 import numpy as np
 
+from kickedspec.floquet import fold_phases, unitary_from_hermitian
 from kickedspec.su2 import FAMILY_CASES, CosineCoupling, SpinLabel
 
 
@@ -46,13 +49,38 @@ def su2_family(case, alpha, eta, j, epsilon=None):
     return a_rel * alpha * jx + b_rel * alpha * hop + modulated + modulated.conj().T
 
 
-def dkt_heff(alpha, eta, j, period=1.0):
-    """h0 + kick/T + [[kick, h0], kick]/24 of the double kicked top."""
+def dkt_parts(alpha, eta, j, period=1.0):
+    """Static part (alpha/T)(Jplus e^{iX} + h.c.) and kick alpha*Jx of the double kicked top."""
     jx, _, _, raising = spin_matrices(j)
     upper = (raising / 2.0) @ np.diag(np.exp(1j * _phase(j, eta)))
-    h0 = (alpha / period) * (upper + upper.conj().T)
-    kick = alpha * jx
+    return (alpha / period) * (upper + upper.conj().T), alpha * jx
+
+
+def dkt_heff(alpha, eta, j, period=1.0):
+    """h0 + kick/T + [[kick, h0], kick]/24 of the double kicked top."""
+    h0, kick = dkt_parts(alpha, eta, j, period)
     return h0 + kick / period + commutator(commutator(kick, h0), kick) / 24.0
+
+
+def dkt_floquet(alpha, eta, j, period=1.0):
+    """exp(-i T h0) exp(-i kick), each factor from its own dense eigendecomposition."""
+    h0, kick = dkt_parts(alpha, eta, j, period)
+    return unitary_from_hermitian(h0, period) @ unitary_from_hermitian(kick, 1.0)
+
+
+def quasienergies(unitary):
+    """Sorted -angle of the eigenvalues from the nonsymmetric solver, in (-pi, pi]."""
+    phases = -np.angle(np.linalg.eigvals(unitary))
+    return np.sort(np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases))
+
+
+def dkt_floquet_errors(alphas, eta, j, period=1.0):
+    """Largest gap between the folded dense H_eff spectrum and the quasienergies, per alpha."""
+    errors = []
+    for alpha in alphas:
+        folded = np.sort(fold_phases(np.linalg.eigvalsh(dkt_heff(alpha, eta, j, period)) * period))
+        errors.append(float(np.max(np.abs(folded - quasienergies(dkt_floquet(alpha, eta, j, period))))))
+    return errors
 
 
 def harper(length, sigma, alpha=1.0, period=1.0, kind="static"):

@@ -419,6 +419,32 @@ def test_exit_code_three_on_numerical_failure(tmp_path, monkeypatch):
                     "--eta-over-j", "golden"], tmp_path) == 3
 
 
+def test_failed_cayley_solve_exits_three(tmp_path, monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    # both branch cuts fail, so the quasienergy solve gives up
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    assert run_cli(["floquet-compare", "--j", "10", "--eta-over-j", "golden",
+                    "--alpha-ladder", "0.04,0.02,0.01"], tmp_path) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "floquet_compare.json").exists()
+
+
+def test_floquet_compare_decomposes_jx_once(tmp_path, monkeypatch):
+    # one real eigendecomposition of Jx serves every rung, and quasienergies
+    # never go through the nonsymmetric eigensolver
+    calls = {"eigh": 0, "eigvals": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert run_cli(["floquet-compare", "--j", "10", "--eta-over-j", "golden",
+                    "--alpha-ladder", "0.04,0.02,0.01,0.005,0.0025,0.00125"], tmp_path) == 0
+    assert calls == {"eigh": 1, "eigvals": 0}
+
+
 def test_floquet_path_does_not_load_scipy(tmp_path):
     # importing scipy.linalg costs more time and memory than a small Floquet
     # comparison; only the banded eigensolver may load it

@@ -1,18 +1,28 @@
+import math
+
 import numpy as np
 import pytest
 
+import dense_oracle as dense
 from kickedspec import GOLDEN_RATIO
 from kickedspec.floquet import (
+    _ladder_gauge,
+    _ladder_rung,
+    _twist_gauge,
     dkt_effective_hamiltonian,
     dkt_floquet,
     dkt_kicked_system,
     effective_vs_floquet_error,
+    effective_vs_floquet_errors,
     fold_phases,
     quasienergy_spectrum,
     unitary_from_hermitian,
 )
-from kickedspec.operators import unitarity_defect
-from kickedspec.su2 import spin_operators
+from kickedspec.operators import Banded, max_abs, unitarity_defect
+from kickedspec.su2 import SpinLabel, dkt_static_part, spin_operators
+
+MODULATIONS = {"golden": GOLDEN_RATIO, "silver": math.sqrt(2.0) - 1.0, "bronze": (math.sqrt(13.0) - 3.0) / 2.0}
+LADDER = (0.04, 0.02, 0.01, 0.005, 0.0025, 0.00125)
 
 
 def random_hermitian(dim, seed):
@@ -26,6 +36,18 @@ def random_unitary(dim, seed):
     mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(mat)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def with_quasienergies(phases, seed):
+    """Random unitary with eigenvalues exp(-iE) for the given E."""
+    q = random_unitary(len(phases), seed)
+    return (q * np.exp(-1j * np.asarray(phases))) @ q.conj().T
+
+
+def circular_distance(a, b):
+    """Largest distance on the circle from a phase in one set to the nearest in the other."""
+    gaps = np.abs(np.angle(np.exp(1j * (np.asarray(a)[:, None] - np.asarray(b)[None, :]))))
+    return max(gaps.min(axis=1).max(), gaps.min(axis=0).max())
 
 
 def test_unitary_from_hermitian_identity_at_zero():
@@ -156,3 +178,86 @@ def test_effective_hamiltonian_matches_kicked_system():
     from kickedspec.effective import heff_delta_kicked
     assert np.allclose(dkt_effective_hamiltonian(alpha, eta, j),
                        heff_delta_kicked(dkt_kicked_system(alpha, eta, j)))
+
+
+@pytest.mark.parametrize("j, period, ladder", [(10, 1.0, LADDER), (10, 0.7, LADDER), (200, 1.0, LADDER[:3])],
+                         ids=["j10", "j10-period0.7", "j200-three-rungs"])
+@pytest.mark.parametrize("modulation", sorted(MODULATIONS))
+def test_ladder_errors_match_dense_oracle(j, period, ladder, modulation):
+    # the benchmark's ladder, cut to its three largest kicks at j = 200, where
+    # (silver, 0.02) crowds the first branch cut; the oracle multiplies two
+    # dense exponentials and takes quasienergies from the nonsymmetric solver
+    eta = MODULATIONS[modulation] * j
+    got = effective_vs_floquet_errors(ladder, eta, j, period)
+    want = dense.dkt_floquet_errors(ladder, eta, j, period)
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
+def test_single_error_is_one_rung_of_the_ladder():
+    eta = GOLDEN_RATIO * 10
+    assert effective_vs_floquet_errors(LADDER, eta, 10)[2] == effective_vs_floquet_error(LADDER[2], eta, 10)
+
+
+@pytest.mark.parametrize("alpha, eta", [(0.7, 1.9), (0.04, 3.3)])
+@pytest.mark.parametrize("j", [0.5, 5, 50])
+def test_dkt_floquet_matches_dense_oracle(alpha, eta, j):
+    assert max_abs(dkt_floquet(alpha, eta, j) - dense.dkt_floquet(alpha, eta, j)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [(np.nan, 1.0), (np.inf, 1.0), (0.1, np.nan)])
+def test_dkt_floquet_rejects_non_finite_parameters(bad):
+    with pytest.raises(ValueError, match="finite"):
+        dkt_floquet(*bad, 5)
+
+
+@pytest.mark.parametrize("eta_over_j", [GOLDEN_RATIO, math.sqrt(2.0) - 1.0, 0.137, 2.7])
+@pytest.mark.parametrize("j", [0.5, 1, 10, 200, 1000])
+def test_static_part_is_twist_gauge_of_jx(eta_over_j, j):
+    # dkt_static_part(1, eta, j) = P Jx P^dag with P the running product of phases
+    spin = SpinLabel(j)
+    eta = eta_over_j * max(spin.j, 1.0)
+    twist = _twist_gauge(spin, eta)
+    lower = spin_operators(spin).jx.band(-1) * twist[1:] * twist[:-1].conj()
+    static = dkt_static_part(1.0, eta, spin)
+    gauged = Banded(spin.dim, {-1: lower, 1: lower.conj()})
+    assert max_abs(static - gauged) <= 1e-13 * max_abs(static)
+
+
+@pytest.mark.parametrize("unitary", [
+    with_quasienergies([np.pi, 0.3, -1.2, 2.0, -2.9, 1.1], seed=3),
+    with_quasienergies([-(np.pi - 1e-9), 0.3, -1.2, 2.0, -2.9, 1.1], seed=4),
+    -np.eye(5),
+    np.diag([-1.0, 1.0]),
+], ids=["minus-one", "near-minus-one", "minus-identity", "diag-minus-one-one"])
+def test_quasienergy_spectrum_moves_a_crowded_cut(unitary, monkeypatch):
+    # each has an eigenvalue on or within 1e-9 of -1, where the first branch
+    # cut sits; the cut moves once and the spectrum matches eigvals
+    inversions = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda mat: inversions.append(1) or inv(mat))
+    got = quasienergy_spectrum(unitary)
+    assert len(inversions) == 2
+    assert np.all(np.diff(got) >= 0) and np.all(got > -np.pi) and np.all(got <= np.pi)
+    assert got.size == unitary.shape[0]
+    assert circular_distance(got, dense.quasienergies(unitary)) <= 1e-12
+
+
+def test_quasienergy_spectrum_keeps_the_unitarity_tolerance():
+    # a matrix unitary only to ~1e-11 passes the contract and still gets its
+    # spectrum, to the accuracy its unitarity allows
+    unitary = with_quasienergies([np.pi - 1e-4, 0.3, -1.2, 2.0, -2.9, 1.1], seed=5)
+    unitary = unitary + 1e-11 * np.random.default_rng(5).normal(size=unitary.shape)
+    assert 1e-12 < unitarity_defect(unitary) <= 1e-10
+    assert circular_distance(quasienergy_spectrum(unitary), dense.quasienergies(unitary)) <= 1e-10
+
+
+@pytest.mark.parametrize("modulation", sorted(MODULATIONS))
+@pytest.mark.parametrize("alpha", [0.04, 0.01])
+def test_ladder_quasienergies_match_dense_oracle(modulation, alpha):
+    # a j = 200 rung in the Jx eigenbasis puts Cayley eigenvalues up to ~500
+    # on the first cut, where the inverse's rounding would reach the
+    # quasienergies through a solve that reads one triangle of H_c
+    spin = SpinLabel(200)
+    eta = MODULATIONS[modulation] * spin.j
+    got = quasienergy_spectrum(_ladder_rung(_ladder_gauge(spin, eta), spin, alpha))
+    assert circular_distance(got, dense.quasienergies(dense.dkt_floquet(alpha, eta, spin.j))) <= 1e-12

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -332,6 +334,17 @@ def test_participation_ratio_permutation_invariant():
 def test_participation_ratio_rejects_unnormalized():
     with pytest.raises(ValueError, match="sum to 1"):
         participation_ratio(np.full(10, 0.2))
+
+
+@pytest.mark.parametrize("weights", [np.full((8, 1), np.nan), np.array([[0.5], [np.nan], [0.25], [0.25]])])
+def test_nan_weights_are_rejected_without_warning(weights):
+    # NaN fails both weight checks instead of slipping through as PR nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="weights must"):
+            analyze_eigenvectors(weights, partition_grid=[2, 4])
+        with pytest.raises(ValueError, match="weights must"):
+            participation_ratio(weights[:, 0])
 
 
 def test_eigenvector_tau_uniform_weights():
