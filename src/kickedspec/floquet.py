@@ -22,10 +22,14 @@ one inverse and one Hermitian eigenvalue solve per kick strength.
   E = theta - 2 arctan(lambda) comes from a Hermitian solve instead of a
   nonsymmetric one.  The branch cut sits at E = theta + pi.  The first cut
   is theta = 0.  When 1 + W is singular or max|lambda| exceeds CAYLEY_MAX,
-  an eigenvalue crowds the cut, and the cut moves once into the widest gap
-  of the spectrum's estimate from the Hermitian part of U, whose eigenvalues
-  cos(E) need no cut.  If that cut is crowded too, numpy.linalg.LinAlgError
-  is raised.
+  an eigenvalue crowds the cut, and the cut moves once into the middle of
+  the widest gap of the spectrum's estimate from the Hermitian part of U,
+  whose eigenvalues cos(E) need no cut.  No eigenvalue lies closer to that
+  cut than half the gap g, so max|lambda| is about 4/g or less there; that
+  cut is accepted up to max(CAYLEY_MAX, 8/g).  The gap shrinks like 2 pi/dim
+  on an evenly spread spectrum, so a fixed limit would refuse it at large
+  dimension.  numpy.linalg.LinAlgError is raised only when 1 + W is
+  singular on the moved cut too, or the estimate misses the gap.
 """
 
 import numpy as np
@@ -35,8 +39,9 @@ from .operators import Banded, require_hermitian, require_unitary
 from .su2 import SpinLabel, _as_spin, dkt_static_part, phase_diagonal, spin_operators
 
 TWO_PI = 2.0 * np.pi
-# Largest Cayley eigenvalue kept: the solve's absolute error grows with
-# max|lambda|, and a quasienergy's error is about 2 * eps * max|lambda|.
+# Largest Cayley eigenvalue kept on the first cut: the solve's absolute error
+# grows with max|lambda|, and a quasienergy's error is about
+# 2 * eps * max|lambda|.
 CAYLEY_MAX = 1e3
 
 
@@ -75,8 +80,7 @@ def _twist_gauge(spin: SpinLabel, eta: float) -> np.ndarray:
 
 def _jx_eigenvectors(spin: SpinLabel) -> np.ndarray:
     """Real orthogonal Vx with Jx = Vx diag(m) Vx^T, m ascending."""
-    jx = require_hermitian(spin_operators(spin).jx, name="Jx")
-    return np.linalg.eigh(jx.to_dense())[1]
+    return np.linalg.eigh(spin_operators(spin).jx.to_dense())[1]
 
 
 def dkt_floquet(alpha: float, eta: float, j) -> np.ndarray:
@@ -95,9 +99,10 @@ def dkt_floquet(alpha: float, eta: float, j) -> np.ndarray:
     return (twist[:, None] * kick * twist.conj()) @ kick
 
 
-def _cayley_phases(unitary: np.ndarray, theta: float):
+def _cayley_phases(unitary: np.ndarray, theta: float, limit: float):
     """Quasienergies from the Cayley transform of W = exp(i*theta)*U, or None
-    when an eigenvalue sits too close to the branch cut at E = theta + pi."""
+    when an eigenvalue sits too close to the branch cut at E = theta + pi:
+    1 + W is singular or a Cayley eigenvalue exceeds `limit` in magnitude."""
     dim = unitary.shape[0]
     shifted = unitary * np.exp(1j * theta)
     shifted.flat[::dim + 1] += 1.0
@@ -114,14 +119,14 @@ def _cayley_phases(unitary: np.ndarray, theta: float):
     inverse -= inverse.conj().T
     inverse *= 1j
     lam = np.linalg.eigvalsh(inverse)
-    if not np.max(np.abs(lam)) <= CAYLEY_MAX:
+    if not np.max(np.abs(lam)) <= limit:
         return None
     return fold_phases(theta - 2.0 * np.arctan(lam))
 
 
-def _cut_in_widest_gap(unitary: np.ndarray) -> float:
+def _cut_in_widest_gap(unitary: np.ndarray):
     """Quasienergy in [0, pi] midway across the widest gap of the spectrum's
-    estimate.
+    estimate, and the width of that gap.
 
     U + U^dag has eigenvalues 2 cos(E), which give |E| without a branch cut;
     the spectrum is estimated as the mirrored set of +-|E|.
@@ -130,8 +135,9 @@ def _cut_in_widest_gap(unitary: np.ndarray) -> float:
     angles = np.sort(np.arccos(np.clip(cosines, -1.0, 1.0)))
     # gaps between neighbouring angles, across E = 0 and across E = pi
     edges = np.concatenate(([-angles[0]], angles, [TWO_PI - angles[-1]]))
-    widest = int(np.argmax(np.diff(edges)))
-    return 0.5 * (edges[widest] + edges[widest + 1])
+    gaps = np.diff(edges)
+    widest = int(np.argmax(gaps))
+    return 0.5 * (edges[widest] + edges[widest + 1]), float(gaps[widest])
 
 
 def quasienergy_spectrum(unitary) -> np.ndarray:
@@ -142,10 +148,10 @@ def quasienergy_spectrum(unitary) -> np.ndarray:
     numpy.linalg.LinAlgError when eigenvalues crowd both branch cuts tried.
     """
     unitary = require_unitary(unitary, name="Floquet operator")
-    phases = _cayley_phases(unitary, 0.0)
+    phases = _cayley_phases(unitary, 0.0, CAYLEY_MAX)
     if phases is None:
-        cut = _cut_in_widest_gap(unitary)
-        phases = _cayley_phases(unitary, cut - np.pi)
+        cut, gap = _cut_in_widest_gap(unitary)
+        phases = _cayley_phases(unitary, cut - np.pi, max(CAYLEY_MAX, 8.0 / gap))
         if phases is None:
             raise np.linalg.LinAlgError(
                 f"quasienergies: eigenvalues crowd the Cayley branch cuts at E = pi and E = {cut:.6g}")

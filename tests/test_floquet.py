@@ -242,6 +242,30 @@ def test_quasienergy_spectrum_moves_a_crowded_cut(unitary, monkeypatch):
     assert circular_distance(got, dense.quasienergies(unitary)) <= 1e-12
 
 
+def evenly_spread(dim):
+    """dim quasienergies 2 pi/dim apart, one at zero; none within pi/dim of pi."""
+    return 2.0 * np.pi * np.arange(-(dim // 2), dim - dim // 2) / dim
+
+
+@pytest.mark.parametrize("basis", ["diagonal", "haar"])
+def test_quasienergy_spectrum_accepts_the_moved_cut_at_large_dimension(basis, monkeypatch):
+    # both cuts sit pi/dim from an eigenvalue, so |lambda| ~ 2 dim/pi exceeds
+    # CAYLEY_MAX; the moved cut is accepted because no wider gap exists
+    phases = evenly_spread(2001 if basis == "diagonal" else 1601)
+    if basis == "diagonal":
+        unitary = np.diag(np.exp(-1j * phases))
+        expected = dense.quasienergies(unitary)
+    else:
+        unitary = with_quasienergies(phases, seed=6)
+        expected = phases
+    inversions = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda mat: inversions.append(1) or inv(mat))
+    got = quasienergy_spectrum(unitary)
+    assert len(inversions) == 2
+    assert circular_distance(got, expected) <= 1e-12
+
+
 def test_quasienergy_spectrum_keeps_the_unitarity_tolerance():
     # a matrix unitary only to ~1e-11 passes the contract and still gets its
     # spectrum, to the accuracy its unitarity allows
