@@ -1,6 +1,14 @@
 """Command-line surface: butterfly sweeps, spectrum and eigenstate analysis,
 Floquet comparison, and the Harper closed-form/general diff.
 
+Each option is declared once, in OPTIONS, with the converter that turns its
+text into the final value; argparse applies it, and a bad value exits 2 with
+one ``error:`` line.  A ``--config`` file holds ``key = value`` lines whose
+keys are exactly the command's flags.  Its entries are read as flags placed
+ahead of the command line, so a flag overrides the file.  `parse_config`
+then applies the rules that span options and the system-dependent defaults;
+every other default lives in `RunConfig`.
+
 All pipelines are deterministic and emit flat CSV (17 significant digits,
 LF, header row) or JSON with a config echo, so every number in a report can
 be traced back to its inputs.
@@ -9,7 +17,7 @@ be traced back to its inputs.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +30,7 @@ from .operators import Banded, eigensolve
 from .su2 import SpinLabel, family_params, general_su2_hamiltonian
 
 SU2_CASES = ("a", "b", "c", "d", "e", "f")
-SYSTEMS = ("dkt",) + tuple(f"su2-{c}" for c in SU2_CASES) + ("harper-static", "harper-kicked", "synthetic-uniform")
+SYSTEMS = ("dkt",) + tuple(f"su2-{c}" for c in SU2_CASES) + ("harper-static", "harper-kicked")
 FULL_SCALE_DIM = 2101  # larger eigenvector tables (eigenstates) require --full-scale
 MAX_SWEEP_POINTS = 100_000  # each point is one eigensolve
 
@@ -64,15 +72,67 @@ def parse_sweep(text: str) -> np.ndarray:
     return start + step * np.arange(int(np.floor(steps + 1e-9)) + 1)
 
 
-def parse_grid(text: str, kind=float) -> tuple:
+def _integer(text: str) -> int:
     try:
-        return tuple(kind(tok) for tok in text.split(",") if tok.strip())
+        return int(text)
     except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated list, got {text!r}") from exc
+        raise ConfigError(f"expected an integer, got {text!r}") from exc
+
+
+def _list(item):
+    """Converter of a comma-separated list of `item`s; empty entries are skipped."""
+    return lambda text: tuple(item(tok) for tok in text.split(",") if tok.strip())
+
+
+def _checked(convert, accept, message: str):
+    """`convert`, then a ConfigError with `message` (formatted with the value) unless `accept`."""
+    def checked(text):
+        value = convert(text)
+        if not accept(value):
+            raise ConfigError(message.format(value))
+        return value
+    return checked
+
+
+# flag -> (converter of its text, help); a switch has no converter
+OPTIONS = {
+    "system": (_checked(str, lambda s: s in SYSTEMS, f"unknown system {{!r}}; expected one of {', '.join(SYSTEMS)}"),
+               f"one of {', '.join(SYSTEMS)}"),
+    "j": (parse_scalar, "spin quantum number"),
+    "length": (_integer, "Harper chain length"),
+    "alpha": (parse_scalar, "coupling alpha"),
+    "alpha-over": (parse_scalar, "set alpha = value/j"),
+    "eta": (parse_scalar, "phase parameter eta"),
+    "eta-over-j": (parse_scalar, "set eta = value*j ('golden' accepted)"),
+    "xi": (parse_scalar, "set eta = value*pi*j"),
+    "sigma": (parse_scalar, "Harper modulation ('golden' accepted)"),
+    "period": (_checked(parse_scalar, lambda t: t > 0, "period must be positive, got {}"), "kick period T"),
+    "epsilon": (parse_scalar, "family case 'e' coupling ratio"),
+    "xi-sweep": (parse_sweep, "xi sweep start:stop:step"),
+    "sigma-sweep": (parse_sweep, "sigma sweep start:stop:step"),
+    "harper-mode": (_checked(str, lambda m: m in (CLOSED_FORM, GENERAL),
+                             f"harper-mode must be {CLOSED_FORM} or {GENERAL}, got {{!r}}"), "closed-form or general"),
+    "q-grid": (_list(parse_scalar), "comma-separated moment orders"),
+    "scale-grid": (_list(_integer), "comma-separated bin or partition counts"),
+    "bins": (_checked(_integer, lambda n: n >= 1, "bins must be positive, got {}"), "histogram bin count"),
+    "full-scale": (None, f"allow eigenstates above dimension {FULL_SCALE_DIM}"),
+    "alpha-ladder": (_checked(_list(parse_scalar), lambda a: len(a) >= 3, "alpha ladder needs at least 3 values"),
+                     "comma-separated alpha values, largest first"),
+    "out-dir": (Path, "output directory for emitted files"),
+}
+_SYSTEM_OPTIONS = ("system", "j", "length", "alpha", "alpha-over", "eta", "eta-over-j", "xi", "sigma", "period",
+                   "epsilon")
+COMMAND_OPTIONS = {command: (*names, "out-dir") for command, names in {
+    "butterfly": (*_SYSTEM_OPTIONS, "xi-sweep", "sigma-sweep", "harper-mode"),
+    "spectrum": (*_SYSTEM_OPTIONS, "q-grid", "scale-grid", "harper-mode"),
+    "eigenstates": (*_SYSTEM_OPTIONS, "q-grid", "scale-grid", "bins", "harper-mode", "full-scale"),
+    "floquet-compare": ("j", "eta", "eta-over-j", "xi", "period", "alpha-ladder"),
+    "harper-diff": ("length", "sigma", "alpha", "period"),
+}.items()}
 
 
 def read_config_file(path: str) -> dict:
-    """Flat key = value file; '#' starts a comment; keys mirror CLI flags."""
+    """Flat key = value file; '#' starts a comment; keys are flag names."""
     entries = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -89,6 +149,21 @@ def read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: empty key or value")
         entries[key.replace("_", "-")] = value
     return entries
+
+
+def _config_flags(path: str, command: str) -> list:
+    """The entries of a config file as `command` flags."""
+    entries = read_config_file(path)
+    unknown = sorted(set(entries) - set(COMMAND_OPTIONS[command]))
+    if unknown:
+        raise ConfigError(f"unknown config keys for {command}: {', '.join(unknown)}")
+    flags = []
+    for key, value in entries.items():
+        if OPTIONS[key][0] is not None:
+            flags.append(f"--{key}={value}")
+        elif value.lower() not in ("0", "false", "no"):  # a switch is set by any other value
+            flags.append(f"--{key}")
+    return flags
 
 
 @dataclass
@@ -112,116 +187,44 @@ class RunConfig:
     out_dir: Path = field(default_factory=lambda: Path("."))
 
 
-def _flag_specs(command: str) -> dict:
-    """Option name -> (converter, help). Shared across file keys and CLI flags."""
-    common = {
-        "out-dir": (str, "output directory for emitted files"),
-        "full-scale": (None, f"allow eigenstates above dimension {FULL_SCALE_DIM}"),
-    }
-    system = {
-        "system": (str, f"one of {', '.join(SYSTEMS)}"),
-        "j": (parse_scalar, "spin quantum number"),
-        "length": (int, "Harper chain length"),
-        "alpha": (parse_scalar, "coupling alpha"),
-        "alpha-over": (parse_scalar, "set alpha = value/j"),
-        "eta": (parse_scalar, "phase parameter eta"),
-        "eta-over-j": (parse_scalar, "set eta = value*j ('golden' accepted)"),
-        "xi": (parse_scalar, "set eta = value*pi*j"),
-        "sigma": (parse_scalar, "Harper modulation ('golden' accepted)"),
-        "period": (parse_scalar, "kick period T"),
-        "epsilon": (parse_scalar, "family case 'e' coupling ratio"),
-    }
-    analysis = {
-        "q-grid": (str, "comma-separated moment orders"),
-        "scale-grid": (str, "comma-separated bin or partition counts"),
-    }
-    per_command = {
-        "butterfly": {**system, "xi-sweep": (str, "xi sweep start:stop:step"),
-                      "sigma-sweep": (str, "sigma sweep start:stop:step"),
-                      "harper-mode": (str, "closed-form or general")},
-        "spectrum": {**system, **analysis, "harper-mode": (str, "closed-form or general")},
-        "eigenstates": {**system, **analysis, "bins": (int, "histogram bin count"),
-                        "harper-mode": (str, "closed-form or general")},
-        "floquet-compare": {"j": system["j"], "eta": system["eta"], "eta-over-j": system["eta-over-j"],
-                            "xi": system["xi"], "period": system["period"],
-                            "alpha-ladder": (str, "comma-separated alpha values, largest first")},
-        "harper-diff": {"length": system["length"], "sigma": system["sigma"],
-                        "alpha": system["alpha"], "period": system["period"]},
-    }
-    return {**per_command[command], **common}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kickedspec",
                                      description="Effective Hamiltonians of kicked systems and multifractal spectral analysis")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in ("butterfly", "spectrum", "eigenstates", "floquet-compare", "harper-diff"):
-        p = sub.add_parser(command)
-        p.add_argument("--config", help="flat key = value config file; flags override file entries")
-        for name, (conv, help_text) in _flag_specs(command).items():
-            if conv is None:
-                p.add_argument(f"--{name}", action="store_const", const="1", default=None, help=help_text)
+    for command, names in COMMAND_OPTIONS.items():
+        # an option not given stays out of the namespace, so RunConfig supplies its default
+        p = sub.add_parser(command, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", help="flat key = value file whose keys are this command's flags; flags override it")
+        for name in names:
+            convert, help_text = OPTIONS[name]
+            if convert is None:
+                p.add_argument(f"--{name}", action="store_true", help=help_text)
             else:
-                p.add_argument(f"--{name}", type=str, default=None, help=help_text, metavar="V")
+                p.add_argument(f"--{name}", type=convert, help=help_text, metavar="V")
     return parser
 
 
-def _merge_sources(command: str, args: argparse.Namespace) -> dict:
-    specs = _flag_specs(command)
-    merged = {}
-    if args.config:
-        file_entries = read_config_file(args.config)
-        unknown = sorted(set(file_entries) - set(specs))
-        if unknown:
-            raise ConfigError(f"unknown config keys for {command}: {', '.join(unknown)}")
-        merged.update(file_entries)
-    for name in specs:
-        value = getattr(args, name.replace("-", "_"))
-        if value is not None:
-            merged[name] = value
-    return merged
-
-
-def _convert(merged: dict, command: str) -> dict:
-    specs = _flag_specs(command)
-    out = {}
-    for key, raw in merged.items():
-        conv, _ = specs[key]
-        if conv is None:
-            out[key] = str(raw).strip().lower() not in ("0", "false", "no", "")
-        else:
-            try:
-                out[key] = conv(raw)
-            except ConfigError:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    return out
-
-
-def _resolve_eta(values: dict, spin: float | None) -> float | None:
-    given = [k for k in ("eta", "eta-over-j", "xi") if k in values]
+def _resolve_eta(values: dict, spin: float) -> float | None:
+    given = [k for k in ("eta", "eta_over_j", "xi") if k in values]
     if len(given) > 1:
-        raise ConfigError(f"give only one of eta, eta-over-j, xi (got {', '.join(given)})")
+        raise ConfigError(f"give only one of eta, eta-over-j, xi (got {', '.join(given).replace('_', '-')})")
     if not given:
         return None
     if given[0] == "eta":
         return values["eta"]
-    if spin is None:
-        raise ConfigError(f"{given[0]} requires j")
-    if given[0] == "eta-over-j":
-        return values["eta-over-j"] * spin
+    if given[0] == "eta_over_j":
+        return values["eta_over_j"] * spin
     return values["xi"] * np.pi * spin
 
 
-def _resolve_alpha(values: dict, spin: float | None) -> float | None:
-    if "alpha" in values and "alpha-over" in values:
+def _resolve_alpha(values: dict, spin: float) -> float | None:
+    if "alpha_over" not in values:
+        return values.get("alpha")
+    if "alpha" in values:
         raise ConfigError("give only one of alpha, alpha-over")
-    if "alpha-over" in values:
-        if not spin:
-            raise ConfigError("alpha-over requires j > 0")
-        return values["alpha-over"] / spin
-    return values.get("alpha")
+    if not spin:
+        raise ConfigError("alpha-over requires j > 0")
+    return values["alpha_over"] / spin
 
 
 def _spin(j: float) -> SpinLabel:
@@ -232,101 +235,71 @@ def _spin(j: float) -> SpinLabel:
 
 
 def parse_config(argv) -> RunConfig:
-    """Parse CLI flags (plus optional config file) into a validated RunConfig."""
-    args = build_parser().parse_args(argv)
-    command = args.command
-    values = _convert(_merge_sources(command, args), command)
-
-    cfg = RunConfig(command=command)
-    cfg.out_dir = Path(values.get("out-dir", "."))
-    cfg.full_scale = bool(values.get("full-scale", False))
-    cfg.period = values.get("period", 1.0)
-    if cfg.period <= 0:
-        raise ConfigError(f"period must be positive, got {cfg.period}")
-    cfg.bins = int(values.get("bins", 50))
-    if "q-grid" in values:
-        cfg.q_grid = parse_grid(values["q-grid"], parse_scalar)
-    if "scale-grid" in values:
-        cfg.scale_grid = parse_grid(values["scale-grid"], int)
-    cfg.harper_mode = values.get("harper-mode", CLOSED_FORM)
-    if cfg.harper_mode not in (CLOSED_FORM, GENERAL):
-        raise ConfigError(f"harper-mode must be {CLOSED_FORM} or {GENERAL}, got {cfg.harper_mode!r}")
+    """Parse CLI flags, after the entries of any --config file, into a validated RunConfig."""
+    argv = list(argv)
+    parser = build_parser()
+    values = vars(parser.parse_args(argv))
+    command = values["command"]
+    if "config" in values:
+        at = argv.index(command) + 1
+        values = vars(parser.parse_args(argv[:at] + _config_flags(values["config"], command) + argv[at:]))
+    known = {f.name for f in fields(RunConfig)}
+    cfg = RunConfig(**{k: v for k, v in values.items() if k in known})
 
     if command == "floquet-compare":
-        if "alpha-ladder" not in values:
+        if not cfg.alpha_ladder:
             raise ConfigError("floquet-compare requires --alpha-ladder")
-        cfg.alpha_ladder = tuple(parse_scalar(v) for v in str(values["alpha-ladder"]).split(","))
-        if len(cfg.alpha_ladder) < 3:
-            raise ConfigError("alpha ladder needs at least 3 values")
-        if "j" not in values:
+        if cfg.j is None:
             raise ConfigError("floquet-compare requires --j")
-        _spin(values["j"])
-        cfg.j = values["j"]
+        _spin(cfg.j)
         cfg.eta = _resolve_eta(values, cfg.j)
         if cfg.eta is None:
             raise ConfigError("floquet-compare requires eta (or eta-over-j / xi)")
         return cfg
 
     if command == "harper-diff":
-        if "length" not in values or "sigma" not in values:
+        if cfg.length is None or cfg.sigma is None:
             raise ConfigError("harper-diff requires --length and --sigma")
-        cfg.length = int(values["length"])
-        cfg.sigma = values["sigma"]
         cfg.alpha = values.get("alpha", 1.0)
         return cfg
 
-    system = values.get("system")
-    if system is None:
+    if cfg.system is None:
         raise ConfigError(f"{command} requires --system ({', '.join(SYSTEMS)})")
-    if system not in SYSTEMS:
-        raise ConfigError(f"unknown system {system!r}; expected one of {', '.join(SYSTEMS)}")
-    cfg.system = system
-
-    is_harper = system.startswith("harper")
-    is_su2 = system == "dkt" or system.startswith("su2-")
-    sweep_keys = [k for k in ("xi-sweep", "sigma-sweep") if k in values]
+    is_harper = cfg.system.startswith("harper")
 
     if command == "butterfly":
-        if len(sweep_keys) != 1:
+        sweeps = [k for k in ("xi_sweep", "sigma_sweep") if k in values]
+        if len(sweeps) != 1:
             raise ConfigError("butterfly requires exactly one of --xi-sweep, --sigma-sweep")
-        key = sweep_keys[0]
-        if is_su2 and key != "xi-sweep":
-            raise ConfigError(f"system {system} sweeps xi, not sigma")
-        if is_harper and key != "sigma-sweep":
-            raise ConfigError(f"system {system} sweeps sigma, not xi")
-        if key == "xi-sweep" and any(k in values for k in ("eta", "eta-over-j", "xi")):
+        axis, other = ("sigma", "xi") if is_harper else ("xi", "sigma")
+        if sweeps[0] != f"{axis}_sweep":
+            raise ConfigError(f"system {cfg.system} sweeps {axis}, not {other}")
+        if not is_harper and any(k in values for k in ("eta", "eta_over_j", "xi")):
             raise ConfigError("give either a fixed eta/xi or a sweep, not both")
-        if key == "sigma-sweep" and "sigma" in values:
+        if is_harper and cfg.sigma is not None:
             raise ConfigError("give either a fixed sigma or a sweep, not both")
-        cfg.sweep = parse_sweep(values[key])
-    elif sweep_keys:
-        raise ConfigError(f"{command} takes fixed parameters, not sweeps")
+        cfg.sweep = values[sweeps[0]]
 
-    if is_su2:
-        if "j" not in values:
-            raise ConfigError(f"system {system} requires --j")
-        spin = _spin(values["j"])
-        cfg.j = values["j"]
+    if is_harper:
+        cfg.j = cfg.eta = cfg.epsilon = None  # SU(2) parameters, unused by a chain
+        cfg.length = values.get("length", 2001)
+        cfg.alpha = values.get("alpha", 1.0)
+        if command != "butterfly" and cfg.sigma is None:
+            raise ConfigError(f"{command} requires a fixed sigma")
+        dim = cfg.length
+    else:
+        cfg.length = cfg.sigma = None  # chain parameters, unused by a spin
+        if cfg.j is None:
+            raise ConfigError(f"system {cfg.system} requires --j")
+        dim = _spin(cfg.j).dim
         cfg.alpha = _resolve_alpha(values, cfg.j)
         if cfg.alpha is None:
             cfg.alpha = 1.0 / cfg.j if cfg.j > 0 else 1.0  # butterfly-sweep default
         cfg.eta = _resolve_eta(values, cfg.j)
         if command != "butterfly" and cfg.eta is None:
             raise ConfigError(f"{command} requires a fixed eta (or eta-over-j / xi)")
-        if system == "su2-e" and values.get("epsilon") is None:
+        if cfg.system == "su2-e" and cfg.epsilon is None:
             raise ConfigError("system su2-e requires --epsilon (coupling ratio b = epsilon*alpha)")
-        cfg.epsilon = values.get("epsilon")
-        dim = spin.dim
-    elif is_harper:
-        cfg.length = int(values.get("length", 2001))
-        cfg.sigma = values.get("sigma")
-        if command != "butterfly" and cfg.sigma is None:
-            raise ConfigError(f"{command} requires a fixed sigma")
-        cfg.alpha = values.get("alpha", 1.0)
-        dim = cfg.length
-    else:  # synthetic-uniform test hook: no eigenproblem, no size gate
-        cfg.length = int(values.get("length", 4096))
-        return cfg
 
     # the eigenstates table holds dim x dim eigenvectors (a dense eigh for dkt)
     if command == "eigenstates" and dim > FULL_SCALE_DIM and not cfg.full_scale:
@@ -342,8 +315,6 @@ def _hamiltonian(cfg: RunConfig, sweep_value: float | None = None) -> Banded:
     """The configured system's Hamiltonian.  A butterfly passes `sweep_value`
     in place of the fixed parameter: xi (eta = xi*pi*j) for the SU(2)
     systems, sigma for the Harper chains."""
-    if cfg.system == "synthetic-uniform":
-        raise ConfigError(f"{cfg.command} needs a physical system, not synthetic-uniform")
     if cfg.system.startswith("harper"):
         sigma = cfg.sigma if sweep_value is None else sweep_value
         params = HarperParams(length=cfg.length, sigma=sigma, alpha=cfg.alpha, period=cfg.period)
@@ -417,10 +388,7 @@ def cmd_butterfly(cfg: RunConfig) -> Path:
 
 def cmd_spectrum(cfg: RunConfig) -> Path:
     """Diagonalize, box-count, and report tau_q / D_q with fit diagnostics."""
-    if cfg.system == "synthetic-uniform":
-        values = np.linspace(0.0, 1.0, cfg.length)
-    else:
-        values = eigensolve(_hamiltonian(cfg))
+    values = eigensolve(_hamiltonian(cfg))
     spectrum = tau_spectrum(values, q_grid=cfg.q_grid, scale_grid=cfg.scale_grid)
     q = spectrum.q_grid
     rows = zip(q, spectrum.tau, spectrum.dq, spectrum.fit_r2)

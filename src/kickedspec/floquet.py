@@ -61,6 +61,8 @@ def fold_phases(values) -> np.ndarray:
 def dkt_kicked_system(alpha: float, eta: float, j, period: float = 1.0) -> KickedSystem:
     """Single-kicked system equivalent to the double kicked top: kick alpha*Jx
     once per period on top of the phase-modulated static part."""
+    if not np.isfinite(alpha) or alpha == 0.0:
+        raise ValueError("alpha must be finite and nonzero")
     spin = _as_spin(j)
     h0 = dkt_static_part(alpha, eta, spin, period)
     kick = alpha * spin_operators(spin).jx

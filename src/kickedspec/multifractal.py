@@ -217,14 +217,14 @@ class ScalingSpectrum:
         return _value_at_q(self.q_grid, self.dq, 2.0)
 
 
-def default_scale_grid(n_values: int, n_points: int = 32) -> np.ndarray:
-    """Bin counts sampled densely in log scale from 16 up to ~n_values/4.
+def default_scale_grid(n_values: int) -> np.ndarray:
+    """Up to 32 bin counts, evenly spaced in log scale from 16 up to ~n_values/4.
 
     Box counts of quasiperiodic spectra oscillate around their scaling law;
     dense sampling lets the least-squares fit average the oscillation.
     """
     cap = max(n_values // 4, 64)
-    grid = np.unique(np.round(np.geomspace(16, cap, n_points)).astype(int))
+    grid = np.unique(np.round(np.geomspace(16, cap, 32)).astype(int))
     return grid
 
 

@@ -210,11 +210,11 @@ def require_square(mat, name: str = "operator"):
     return mat
 
 
-def require_hermitian(mat, rtol: float = HERMITICITY_RTOL, name: str = "operator"):
+def require_hermitian(mat, name: str = "operator"):
     """Return mat (`Banded` or ndarray), raising if it fails the Hermiticity contract."""
     mat = require_square(mat, name)
     defect = hermiticity_defect(mat)
-    if not defect <= rtol:
+    if not defect <= HERMITICITY_RTOL:
         raise ValueError(f"{name} is not Hermitian (relative defect {defect:.3e})")
     return mat
 
@@ -227,10 +227,10 @@ def unitarity_defect(mat) -> float:
     return max_abs(gram)
 
 
-def require_unitary(mat, atol: float = UNITARITY_ATOL, name: str = "operator") -> np.ndarray:
+def require_unitary(mat, name: str = "operator") -> np.ndarray:
     mat = np.asarray(require_square(mat, name))
     defect = unitarity_defect(mat)
-    if not defect <= atol:
+    if not defect <= UNITARITY_ATOL:
         raise ValueError(f"{name} is not unitary (defect {defect:.3e})")
     return mat
 

@@ -9,7 +9,7 @@ import pytest
 
 import kickedspec
 from kickedspec import GOLDEN_RATIO
-from kickedspec.cli import ConfigError, main, parse_config, parse_scalar, parse_sweep
+from kickedspec.cli import COMMAND_OPTIONS, ConfigError, main, parse_config, parse_scalar, parse_sweep
 from kickedspec.floquet import dkt_effective_hamiltonian, fold_phases
 from kickedspec.harper import HarperParams, harper_hamiltonian, kicked_harper_effective
 from kickedspec.operators import eigensolve
@@ -18,6 +18,10 @@ from kickedspec.su2 import family_params, general_su2_hamiltonian
 
 def run_cli(args, tmp_path):
     return main(list(args) + ["--out-dir", str(tmp_path)])
+
+
+# a physical spectrum of the usual size: the static Harper chain at the golden mean
+HARPER_GOLDEN = ["--system", "harper-static", "--length", "2001", "--sigma", "golden"]
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +102,6 @@ def test_parse_config_full_scale_gate():
     assert cfg.full_scale
     cfg = parse_config(["spectrum", "--system", "dkt", "--j", "2500", "--eta-over-j", "golden"])
     assert not cfg.full_scale
-    cfg = parse_config(["spectrum", "--system", "dkt", "--j", "2500",
-                        "--eta-over-j", "golden", "--full-scale"])
-    assert cfg.full_scale
 
 
 def test_config_file_merging_and_strictness(tmp_path):
@@ -116,6 +117,94 @@ def test_config_file_merging_and_strictness(tmp_path):
     bad.write_text("system = dkt\nj = 4\nxi-sweep = 0:1:0.5\nmystery-knob = 7\n")
     with pytest.raises(ConfigError, match="unknown config keys"):
         parse_config(["butterfly", "--config", str(bad)])
+
+
+def test_flags_override_the_config_file(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("system = harper-static\nlength = 40\nsigma = 0.3\nq_grid = 1,2\nbins = 9\nout-dir = a\n")
+    overrides = ["--sigma", "golden", "--q-grid", "2,4", "--out-dir", "b"]
+    # the file's entries come first wherever --config stands
+    for argv in (["--config", str(config), *overrides], [*overrides, "--config", str(config)]):
+        cfg = parse_config(["eigenstates", *argv])
+        assert (cfg.sigma, cfg.q_grid, cfg.out_dir) == (GOLDEN_RATIO, (2.0, 4.0), Path("b"))
+        assert (cfg.length, cfg.bins) == (40, 9)
+    # every occurrence is converted, so a bad file value fails even when a flag overrides it
+    config.write_text("system = harper-static\nlength = 40\nsigma = nan\n")
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config(["eigenstates", "--config", str(config), "--sigma", "golden"])
+
+
+@pytest.mark.parametrize("value, expected", [("1", True), ("yes", True), ("0", False), ("no", False), ("False", False)])
+def test_config_file_switch(value, expected, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"system = dkt\nj = 2\neta = 1\nfull_scale = {value}\n")
+    assert parse_config(["eigenstates", "--config", str(config)]).full_scale is expected
+
+
+@pytest.mark.parametrize("command", ["butterfly", "spectrum", "floquet-compare", "harper-diff"])
+def test_full_scale_is_an_eigenstates_flag(command, tmp_path):
+    with pytest.raises(SystemExit) as exit_info:
+        parse_config([command, "--full-scale"])
+    assert exit_info.value.code == 2
+    config = tmp_path / "run.cfg"
+    config.write_text("full-scale = 1\n")
+    with pytest.raises(ConfigError, match=f"unknown config keys for {command}: full-scale$"):
+        parse_config([command, "--config", str(config)])
+
+
+def parse_outcome(argv):
+    """The RunConfig that parse_config returns, as a dict, or its ConfigError message."""
+    try:
+        cfg = parse_config(argv)
+    except ConfigError as exc:
+        return str(exc)
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(cfg).items()}
+
+
+SYSTEM_RUNS = [
+    {"system": "dkt", "j": "10", "alpha-over": "1", "eta-over-j": "golden", "q-grid": "0,2,,4",
+     "scale-grid": "2,4,8,16"},
+    {"system": "su2-e", "j": "5", "alpha": "0.3", "eta": "1.5", "epsilon": "0.6", "period": "2"},
+    {"system": "su2-b", "j": "5", "xi": "0.3"},
+    {"system": "harper-kicked", "length": "100", "sigma": "golden", "alpha": "0.5", "harper-mode": "general",
+     "out-dir": "out"},
+]
+# runs that together give every option of each command
+OPTION_RUNS = {
+    "butterfly": [
+        {"system": "dkt", "j": "4", "alpha": "0.25", "xi-sweep": "0:1:0.5", "period": "0.5", "out-dir": "out"},
+        {"system": "su2-e", "j": "3.5", "alpha-over": "2", "epsilon": "0.6", "xi-sweep": "0.5:0.5:1"},
+        {"system": "harper-kicked", "length": "30", "alpha": "0.7", "sigma-sweep": "0:1:0.25",
+         "harper-mode": "general"},
+        # a fixed value on the swept axis fails either way
+        {"system": "dkt", "j": "4", "eta": "1", "xi-sweep": "0:1:0.5"},
+        {"system": "dkt", "j": "4", "eta-over-j": "golden", "xi-sweep": "0:1:0.5"},
+        {"system": "dkt", "j": "4", "xi": "0.3", "xi-sweep": "0:1:0.5"},
+        {"system": "harper-static", "sigma": "0.3", "sigma-sweep": "0:1:0.5"},
+    ],
+    "spectrum": SYSTEM_RUNS,
+    "eigenstates": [*SYSTEM_RUNS, {"system": "dkt", "j": "1100", "eta": "1", "bins": "7", "full-scale": "1"}],
+    "floquet-compare": [
+        {"j": "10", "eta-over-j": "golden", "alpha-ladder": "0.04,0.02,0.01", "period": "0.5"},
+        {"j": "4", "eta": "1", "alpha-ladder": "0.1,0.05,0.02", "out-dir": "out"},
+        {"j": "4", "xi": "0.2", "alpha-ladder": "0.1,,0.05,0.02"},
+    ],
+    "harper-diff": [{"length": "40", "sigma": "golden", "alpha": "0.5", "period": "2", "out-dir": "out"}],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_RUNS))
+def test_config_keys_parse_as_flags(command, tmp_path):
+    assert set().union(*OPTION_RUNS[command]) == set(COMMAND_OPTIONS[command])
+    for i, run in enumerate(OPTION_RUNS[command]):
+        flags = [command]
+        for key, value in run.items():
+            flags += [f"--{key}"] if key == "full-scale" else [f"--{key}", value]
+        config = tmp_path / f"{i}.cfg"
+        config.write_text("".join(f"{key} = {value}\n" for key, value in run.items()))
+        expected = parse_outcome(flags)
+        assert isinstance(expected, dict) or "not both" in expected, expected
+        assert parse_outcome([command, "--config", str(config)]) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +295,16 @@ def test_butterfly_column_matches_library_build(name, tmp_path):
     np.testing.assert_array_equal(column, expected)
 
 
-def test_spectrum_synthetic_uniform(tmp_path):
-    assert run_cli(["spectrum", "--system", "synthetic-uniform", "--length", "4096"], tmp_path) == 0
+def test_spectrum_report_is_self_describing(tmp_path):
+    assert run_cli(["spectrum", *HARPER_GOLDEN], tmp_path) == 0
     report = json.loads((tmp_path / "spectrum_report.json").read_text())
-    assert report["results"]["d2"] == pytest.approx(1.0, abs=0.02)
+    assert report["results"]["n_values"] == 2001
     header, rows = read_csv(tmp_path / "tau.csv")
     assert header == ["q", "tau", "d_q", "r2"]
     assert len(rows) == len(report["results"]["q_grid"])
     # config echo and fit windows make the report self-describing
-    assert report["config"]["system"] == "synthetic-uniform"
+    assert report["config"] == {"command": "spectrum", "system": "harper-static", "length": 2001, "alpha": 1.0,
+                                "sigma": GOLDEN_RATIO, "period": 1.0, "harper_mode": "closed-form"}
     assert len(report["results"]["fit_windows"]) == len(rows)
 
 
@@ -227,8 +317,7 @@ def test_spectrum_dkt_small(tmp_path):
 
 
 def test_spectrum_report_d2_null_without_q_two(tmp_path):
-    assert run_cli(["spectrum", "--system", "synthetic-uniform", "--length", "4096",
-                    "--q-grid", "0,3"], tmp_path) == 0
+    assert run_cli(["spectrum", *HARPER_GOLDEN, "--q-grid", "0,3"], tmp_path) == 0
     report = json.loads((tmp_path / "spectrum_report.json").read_text())
     assert report["results"]["d2"] is None
 
@@ -298,8 +387,7 @@ def run_module(args):
 
 
 def test_exit_code_zero_on_success(tmp_path):
-    proc = run_module(["spectrum", "--system", "synthetic-uniform",
-                       "--length", "2048", "--out-dir", str(tmp_path)])
+    proc = run_module(["spectrum", *HARPER_GOLDEN, "--out-dir", str(tmp_path)])
     assert proc.returncode == 0
 
 
@@ -312,6 +400,19 @@ def test_exit_code_two_on_config_error(tmp_path):
 def test_exit_code_two_on_bad_flag(tmp_path):
     proc = run_module(["spectrum", "--no-such-flag", "1"])
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_command_help(command):
+    # argparse %-formats help strings, so a stray '%' in one would crash --help
+    proc = run_module([command, "--help"])
+    assert proc.returncode == 0, proc.stderr
+    assert "--out-dir" in proc.stdout
+
+
+def test_unknown_system_is_config_error(tmp_path, capsys):
+    assert run_cli(["spectrum", "--system", "synthetic-uniform", "--length", "64"], tmp_path) == 2
+    assert "unknown system" in capsys.readouterr().err
 
 
 def test_exit_code_two_on_non_finite_parameter(tmp_path):
@@ -329,6 +430,19 @@ def test_exit_code_two_on_non_finite_parameter(tmp_path):
 ])
 def test_non_finite_parameter_is_config_error_on_every_system(args, tmp_path):
     assert run_cli(["spectrum", *args], tmp_path) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--system", "dkt", "--j", "10", "--alpha", "0", "--eta", "1"],
+    ["eigenstates", "--system", "dkt", "--j", "10", "--alpha", "0", "--eta", "1"],
+    ["butterfly", "--system", "dkt", "--j", "10", "--alpha", "0", "--xi-sweep", "0:1:0.5"],
+    ["floquet-compare", "--j", "10", "--eta", "1", "--alpha-ladder", "0.04,0.02,0"],
+])
+def test_zero_dkt_alpha_is_config_error(args, tmp_path, capsys):
+    # the same check as the SU(2) family and the Harper chains
+    assert run_cli(args, tmp_path) == 2
+    assert "alpha must be finite and nonzero" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("args", [
@@ -374,8 +488,18 @@ def test_bad_spin_or_sweep_is_config_error(args, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_nonpositive_bins_is_config_error(bins, tmp_path):
+    # rejected while parsing, before eigenstates.csv is written
+    proc = run_module(["eigenstates", "--system", "harper-static", "--length", "64", "--sigma", "golden",
+                       "--bins", bins, "--out-dir", str(tmp_path)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", [
-    ["spectrum", "--system", "synthetic-uniform"],
+    ["spectrum", *HARPER_GOLDEN],
     ["eigenstates", "--system", "harper-static", "--length", "64", "--sigma", "golden"],
 ])
 @pytest.mark.parametrize("q_grid", ["nan,2", "inf,2", "2,-inf"])
@@ -386,7 +510,7 @@ def test_non_finite_q_grid_is_config_error(command, q_grid, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["spectrum", "--system", "synthetic-uniform", "--scale-grid", "16,16,16,16"],
+    ["spectrum", *HARPER_GOLDEN, "--scale-grid", "16,16,16,16"],
     ["eigenstates", "--system", "harper-static", "--length", "64", "--sigma", "golden",
      "--scale-grid", "2,4,100,200"],
 ])

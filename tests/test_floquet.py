@@ -93,6 +93,13 @@ def test_dkt_floquet_alpha_zero_is_identity():
     assert np.allclose(dkt_floquet(0.0, 1.3, 4), np.eye(9))
 
 
+@pytest.mark.parametrize("alpha", [0.0, np.nan, np.inf])
+def test_dkt_kicked_system_rejects_zero_or_non_finite_alpha(alpha):
+    # every DKT effective-Hamiltonian path builds its kicked system here
+    with pytest.raises(ValueError, match="alpha must be finite and nonzero"):
+        dkt_kicked_system(alpha, 1.3, 4)
+
+
 def test_dkt_floquet_eta_zero_merges_kicks():
     # both factors become rotations about Jx: exp(-2 i alpha Jx)
     alpha, j = 0.37, 3
@@ -160,8 +167,10 @@ def test_dkt_system_consistency_with_floquet():
     assert np.allclose(rebuilt, dkt_floquet(alpha, eta, j), atol=1e-12)
 
 
-def test_effective_vs_floquet_error_zero_alpha():
-    assert effective_vs_floquet_error(0.0, 2.1, 5) == pytest.approx(0.0, abs=1e-12)
+def test_effective_vs_floquet_error_rejects_zero_alpha():
+    # the effective side builds its kicked system through dkt_kicked_system
+    with pytest.raises(ValueError, match="alpha must be finite and nonzero"):
+        effective_vs_floquet_error(0.0, 2.1, 5)
 
 
 def test_effective_vs_floquet_error_improves_with_smaller_alpha():
