@@ -2,12 +2,10 @@
 multifractal analysis of their spectra and eigenstates."""
 
 from .effective import (
-    FourierSeries,
     KickedSystem,
     commutator,
     heff_delta_kicked,
     heff_general,
-    kick_fourier_coefficients,
     micromotion_kick,
 )
 from .floquet import (
@@ -36,7 +34,6 @@ from .multifractal import (
     box_probabilities,
     eigenvector_tau,
     ensemble_statistics,
-    generalized_dimensions,
     participation_ratio,
     spectral_histogram,
     tau_spectrum,
@@ -64,7 +61,6 @@ __all__ = [
     "CLOSED_FORM",
     "CosineCoupling",
     "EigenvectorProfile",
-    "FourierSeries",
     "GENERAL",
     "GOLDEN_RATIO",
     "HarperParams",
@@ -87,13 +83,11 @@ __all__ = [
     "family_params",
     "fold_phases",
     "general_su2_hamiltonian",
-    "generalized_dimensions",
     "harper_hamiltonian",
     "heff_delta_kicked",
     "heff_discrepancy_report",
     "heff_general",
     "hopping_operator",
-    "kick_fourier_coefficients",
     "kicked_harper_effective",
     "micromotion_kick",
     "participation_ratio",

@@ -3,7 +3,9 @@ Floquet comparison, and the Harper closed-form/general diff.
 
 Each option is declared once, in OPTIONS, with the converter that turns its
 text into the final value; argparse applies it, and a bad value exits 2 with
-one ``error:`` line.  A ``--config`` file holds ``key = value`` lines whose
+one ``error:`` line that names the flag.  A value that starts with ``-`` and
+a digit or ``.`` (``--eta -1e-3``, ``--xi-sweep -1:1:0.5``) is the flag's
+value, not an option.  A ``--config`` file holds ``key = value`` lines whose
 keys are exactly the command's flags.  Its entries are read as flags placed
 ahead of the command line, so a flag overrides the file.  `parse_config`
 then applies the rules that span options and the system-dependent defaults;
@@ -16,6 +18,7 @@ be traced back to its inputs.
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -187,6 +190,36 @@ class RunConfig:
     out_dir: Path = field(default_factory=lambda: Path("."))
 
 
+def _named(flag: str, convert):
+    """`convert` with its ConfigError prefixed by the flag, since argparse does not name it."""
+    def named(text):
+        try:
+            return convert(text)
+        except ConfigError as exc:
+            raise ConfigError(f"{flag}: {exc}") from exc
+    return named
+
+
+# a value that argparse would take for an option: '-' then a digit or '.'
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+_VALUE_FLAGS = frozenset(f"--{name}" for name, (convert, _) in OPTIONS.items() if convert is not None)
+
+
+def _attach_negative_values(argv: list) -> list:
+    """Write ``--flag -1e-3`` as ``--flag=-1e-3``.
+
+    argparse takes a token after a flag for an option unless it looks like
+    ``-N`` or ``-N.N``, and the exact rule depends on the Python version.
+    """
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _VALUE_FLAGS and _NEGATIVE_VALUE.match(token):
+            joined[-1] = f"{joined[-1]}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kickedspec",
                                      description="Effective Hamiltonians of kicked systems and multifractal spectral analysis")
@@ -200,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
             if convert is None:
                 p.add_argument(f"--{name}", action="store_true", help=help_text)
             else:
-                p.add_argument(f"--{name}", type=convert, help=help_text, metavar="V")
+                p.add_argument(f"--{name}", type=_named(f"--{name}", convert), help=help_text, metavar="V")
     return parser
 
 
@@ -236,7 +269,7 @@ def _spin(j: float) -> SpinLabel:
 
 def parse_config(argv) -> RunConfig:
     """Parse CLI flags, after the entries of any --config file, into a validated RunConfig."""
-    argv = list(argv)
+    argv = _attach_negative_values(list(argv))
     parser = build_parser()
     values = vars(parser.parse_args(argv))
     command = values["command"]

@@ -1,22 +1,25 @@
-"""High-frequency effective Hamiltonians for time-periodic drives.
+"""High-frequency effective Hamiltonians of delta-kicked systems.
 
-Covers the closed-form result for a delta-kick train (static part plus
-averaged kick plus a 1/24 double-commutator correction) and the general
-second-order series in the drive's Fourier coefficients, which doubles as an
-independent cross-check of the closed form.  The periodic micromotion
-generator F(t), with exp(iF) the initial/final kick transformation, is
-evaluated from the same coefficients.
+A `KickedSystem` is a static part H0 plus a kick applied once per period T,
+that is the drive kick * sum_n delta(t - nT), whose every Fourier
+coefficient is V = kick/T.  `heff_delta_kicked` gives the closed form of the
+second-order kick-operator expansion (Rahav, Gilary & Fishman, PRA 68,
+013820 (2003)): H0 + V plus a 1/24 double-commutator correction.
+`heff_general` evaluates the same expansion with its Fourier sums truncated
+after N terms, an independent cross-check of the closed form, and
+`micromotion_kick` gives the periodic micromotion generator F(t), with
+exp(iF) the initial/final kick transformation, from the same truncation.
 
 Every formula here is written with matrix products, sums and adjoints, so it
-runs on `Banded` operators as well as on dense arrays; the delta-kick
-results of banded inputs stay banded.
+runs on `Banded` operators as well as on dense arrays; the results of banded
+inputs stay banded.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Banded, as_operator, require_hermitian, require_square
+from .operators import Banded, as_operator, require_hermitian
 
 TWO_PI = 2.0 * np.pi
 
@@ -51,8 +54,8 @@ class KickedSystem:
         kick = require_hermitian(self.kick, name="kick operator")
         if h0.shape != kick.shape:
             raise ValueError(f"static part {h0.shape} and kick {kick.shape} differ in dimension")
-        if not self.period > 0:
-            raise ValueError(f"kick period must be positive, got {self.period}")
+        if not (np.isfinite(self.period) and self.period > 0):
+            raise ValueError(f"kick period must be finite and positive, got {self.period}")
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "kick", kick)
 
@@ -65,112 +68,39 @@ class KickedSystem:
         return TWO_PI / self.period
 
 
-@dataclass(frozen=True)
-class FourierSeries:
-    """Fourier data of a Hermitian periodic drive: V(t) = V0 + sum_n Vn e^{in w t} + h.c.
+def _orders(n_max: int) -> np.ndarray:
+    """Fourier orders 1..n_max of the truncated comb, as floats."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    return np.arange(1, int(n_max) + 1, dtype=float)
 
-    Only n >= 1 is stored; V_{-n} = Vn^dag.  ``harmonics`` may be None, meaning
-    every coefficient up to n_max equals v0 (the delta-kick comb); that keeps
-    large truncations cheap since no per-n matrices are materialized.
+
+def heff_general(system: KickedSystem, n_max: int):
+    """Second-order effective Hamiltonian with its Fourier sums truncated at n_max.
+
+    With V = kick/T, w = 2 pi/T and s_p = sum_{n<=N} n^-p:
+
+    H0 + V + (s1/w) [V, V^dag]
+       + (s2/2w^2) ([[V, H0], V^dag] + h.c.)
+       + (s1^2/3w^2) ([V,[V,V^dag]] - 2[V,[V^dag,V]] + h.c.)
+
+    Only scalar sums depend on N, so truncations as large as 10^6 stay cheap;
+    s2 -> zeta(2) recovers `heff_delta_kicked`.
     """
-
-    v0: Banded | np.ndarray
-    harmonics: tuple | None
-    n_max: int
-
-    def __post_init__(self):
-        v0 = require_hermitian(self.v0, name="zeroth Fourier coefficient")
-        object.__setattr__(self, "v0", v0)
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if self.harmonics is not None:
-            harmonics = tuple(np.asarray(h) for h in self.harmonics)
-            if len(harmonics) != self.n_max:
-                raise ValueError(f"expected {self.n_max} harmonics, got {len(harmonics)}")
-            for h in harmonics:
-                if require_square(h, name="Fourier coefficient").shape != v0.shape:
-                    raise ValueError("all Fourier coefficients must share the v0 dimension")
-            object.__setattr__(self, "harmonics", harmonics)
-
-    @property
-    def constant(self) -> bool:
-        return self.harmonics is None
-
-    def coefficient(self, n: int):
-        """V_n for any integer n; zero once |n| exceeds the truncation."""
-        if n == 0:
-            return self.v0
-        if self.constant:
-            return self.v0 if abs(n) <= self.n_max else np.zeros_like(self.v0)
-        if abs(n) > self.n_max:
-            return np.zeros_like(self.v0)
-        vn = self.harmonics[abs(n) - 1]
-        return vn if n > 0 else _dagger(vn)
-
-
-def kick_fourier_coefficients(kick, period: float, n_max: int) -> FourierSeries:
-    """Fourier series of kick * sum_n delta(t - n*period): every coefficient is
-    kick/period, whose Hermiticity `FourierSeries` checks."""
-    if period <= 0:
-        raise ValueError(f"kick period must be positive, got {period}")
-    return FourierSeries(v0=as_operator(kick) / period, harmonics=None, n_max=int(n_max))
-
-
-def _inverse_power_sum(n_max: int, power: int) -> float:
-    """Partial sum of 1/n^power up to n_max, evaluated term by term."""
-    n = np.arange(1, n_max + 1, dtype=float)
-    return float(np.sum(1.0 / n**power))
-
-
-def heff_general(h0, series: FourierSeries, omega: float):
-    """Second-order effective Hamiltonian from truncated Fourier sums.
-
-    H0 + V0 + (1/w) sum_n [Vn, V-n]/n
-       + (1/2w^2) sum_n ([[Vn, H0], V-n] + h.c.)/n^2
-       + (1/3w^2) sum_{n,m} ([Vn,[Vm,V-n-m]] - 2[Vn,[V-m,Vm-n]] + h.c.)/(nm)
-
-    Coefficients beyond the truncation are treated as zero.  When the series
-    has the delta-kick structure (all coefficients equal) the matrix parts of
-    each sum are common factors and only the scalar 1/n tails are accumulated,
-    so truncations as large as 10^6 stay cheap.
-    """
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    h0 = require_hermitian(h0, name="static part")
-    if h0.shape != series.v0.shape:
-        raise ValueError(f"static part {h0.shape} and drive {series.v0.shape} differ in dimension")
-
-    result = h0 + series.v0
-    if series.constant:
-        v = series.v0
-        s1 = _inverse_power_sum(series.n_max, 1)
-        s2 = _inverse_power_sum(series.n_max, 2)
-        result = result + (s1 / omega) * commutator(v, _dagger(v))
-        bracket = commutator(commutator(v, h0), _dagger(v))
-        result = result + (s2 / (2.0 * omega**2)) * (bracket + _dagger(bracket))
-        # Both nested double-sum brackets pair identical coefficients, so they
-        # vanish identically; keep the evaluation explicit all the same.
-        nested = commutator(v, commutator(v, _dagger(v))) - 2.0 * commutator(v, commutator(_dagger(v), v))
-        result = result + (s1 * s1 / (3.0 * omega**2)) * (nested + _dagger(nested))
-        return result
-
-    for n in range(1, series.n_max + 1):
-        vn = series.coefficient(n)
-        vmn = series.coefficient(-n)
-        result = result + commutator(vn, vmn) / (omega * n)
-        bracket = commutator(commutator(vn, h0), vmn)
-        result = result + (bracket + _dagger(bracket)) / (2.0 * omega**2 * n**2)
-    for n in range(1, series.n_max + 1):
-        vn = series.coefficient(n)
-        for m in range(1, series.n_max + 1):
-            nested = commutator(vn, commutator(series.coefficient(m), series.coefficient(-n - m)))
-            nested = nested - 2.0 * commutator(vn, commutator(series.coefficient(-m), series.coefficient(m - n)))
-            result = result + (nested + _dagger(nested)) / (3.0 * omega**2 * n * m)
-    return result
-
-
-# zeta(2): closed-form value of the delta-kick 1/n^2 sum.
-_ZETA2 = np.pi**2 / 6.0
+    n = _orders(n_max)
+    omega = system.omega
+    h0 = system.h0
+    v = system.kick / system.period
+    s1 = float(np.sum(1.0 / n))
+    s2 = float(np.sum(1.0 / n**2))
+    result = h0 + v
+    result = result + (s1 / omega) * commutator(v, _dagger(v))
+    bracket = commutator(commutator(v, h0), _dagger(v))
+    result = result + (s2 / (2.0 * omega**2)) * (bracket + _dagger(bracket))
+    # Both nested brackets pair identical coefficients, so they vanish
+    # identically; keep the evaluation explicit all the same.
+    nested = commutator(v, commutator(v, _dagger(v))) - 2.0 * commutator(v, commutator(_dagger(v), v))
+    return result + (s1 * s1 / (3.0 * omega**2)) * (nested + _dagger(nested))
 
 
 def heff_delta_kicked(system: KickedSystem):
@@ -184,51 +114,27 @@ def heff_delta_kicked(system: KickedSystem):
     return require_hermitian(heff, name="effective Hamiltonian")
 
 
-def micromotion_kick(system: KickedSystem, series: FourierSeries, t: float, order: int = 2):
+def micromotion_kick(system: KickedSystem, n_max: int, t: float, order: int = 2):
     """Periodic micromotion generator F(t) at first or second order in 1/omega.
 
-    F is Hermitian (exp(iF) is the unitary kick transformation), is T-periodic
-    and averages to zero over one period.  The time argument is reduced modulo
-    the period.
+    With V = kick/T, theta = w (t mod T) and sums over n <= n_max:
+
+    F = (2/w) sum sin(n theta)/n V  -  (2i/w^2) sum cos(n theta)/n^2 [V, H0 + V]
+
+    the second term at order 2 only.  F is Hermitian (exp(iF) is the unitary
+    kick transformation), is T-periodic and averages to zero over one period.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    if system.dim != series.v0.shape[0]:
-        raise ValueError("system and Fourier series differ in dimension")
+    n = _orders(n_max)
     omega = system.omega
     theta = omega * (t % system.period)
-    n = np.arange(1, series.n_max + 1, dtype=float)
-
-    if series.constant:
-        v = series.v0
-        result = (2.0 / omega) * float(np.sum(np.sin(n * theta) / n)) * v
-        if order == 2:
-            bracket = commutator(v, system.h0 + series.v0)  # anti-Hermitian
-            weight = float(np.sum(np.cos(n * theta) / n**2))
-            result = result + (weight / omega**2) * (-2.0j) * bracket
-            # Nested commutators of equal coefficients vanish; nothing to add
-            # from the double sums for a delta-kick drive.
-        return result
-
-    result = np.zeros_like(series.v0)
-    for k in range(1, series.n_max + 1):
-        vk = series.coefficient(k)
-        result = result + (-1j / (omega * k)) * (vk * np.exp(1j * k * theta) - _dagger(vk) * np.exp(-1j * k * theta))
-    if order == 1:
-        return result
-    static = system.h0 + series.v0
-    for k in range(1, series.n_max + 1):
-        bracket = commutator(series.coefficient(k), static)
-        phase = np.exp(1j * k * theta)
-        result = result + (-1j / (omega**2 * k**2)) * (bracket * phase - _dagger(bracket) * phase.conjugate())
-    for k in range(1, series.n_max + 1):
-        vk = series.coefficient(k)
-        for m in range(1, series.n_max + 1):
-            pair = commutator(vk, series.coefficient(m))
-            phase = np.exp(1j * (k + m) * theta)
-            result = result + (-1j / (2.0 * omega**2 * k * (k + m))) * (pair * phase - _dagger(pair) * phase.conjugate())
-            if m != k:
-                pair = commutator(vk, series.coefficient(-m))
-                phase = np.exp(1j * (k - m) * theta)
-                result = result + (-1j / (2.0 * omega**2 * k * (k - m))) * (pair * phase - _dagger(pair) * phase.conjugate())
+    v = system.kick / system.period
+    result = (2.0 / omega) * float(np.sum(np.sin(n * theta) / n)) * v
+    if order == 2:
+        bracket = commutator(v, system.h0 + v)  # anti-Hermitian
+        weight = float(np.sum(np.cos(n * theta) / n**2))
+        result = result + (weight / omega**2) * (-2.0j) * bracket
+        # Nested commutators of equal coefficients vanish; nothing to add
+        # from the double sums for a delta-kick drive.
     return result

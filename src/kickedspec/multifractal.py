@@ -28,7 +28,7 @@ or within 1e-12 and longer.  A column whose centred sum of squares is at most
 1e-24 (absolute) is a constant fit: slope 0, R^2 1.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -226,11 +226,6 @@ def default_scale_grid(n_values: int) -> np.ndarray:
     cap = max(n_values // 4, 64)
     grid = np.unique(np.round(np.geomspace(16, cap, 32)).astype(int))
     return grid
-
-
-def generalized_dimensions(spectrum: ScalingSpectrum) -> ScalingSpectrum:
-    """Fill D_q = tau_q / (1 - q), skipping q = 1 with a flag."""
-    return replace(spectrum, dq=_dimensions(spectrum.q_grid, spectrum.tau), skipped_q=_skipped_q(spectrum.q_grid))
 
 
 def tau_spectrum(values, q_grid=None, scale_grid=None) -> ScalingSpectrum:

@@ -3,7 +3,7 @@ eigensolver dispatch chosen from an operator's band structure.
 
 Contracts are checked where an operator enters, not where it is built.  The
 public entry points that accept a caller's matrix check it: `eigensolve`,
-`effective.KickedSystem`, `effective.FourierSeries`, `effective.heff_general`,
+`effective.KickedSystem` (the one input of the delta-kick layer),
 `floquet.unitary_from_hermitian` and `floquet.quasienergy_spectrum`.  The
 builders in `su2` and `harper` assemble their operators Hermitian by
 construction from validated scalars and check nothing; every path from them

@@ -16,7 +16,7 @@ import pytest
 
 import kickedspec as ks
 from conftest import cantor_points, cascade_points, cascade_tau_analytic
-from kickedspec.effective import heff_delta_kicked, heff_general, kick_fourier_coefficients
+from kickedspec.effective import heff_delta_kicked, heff_general
 from kickedspec.floquet import dkt_effective_hamiltonian, dkt_floquet, effective_vs_floquet_error
 from kickedspec.harper import CLOSED_FORM, HarperParams, kicked_harper_effective, harper_hamiltonian, kicked_harper_system
 from kickedspec.multifractal import partition_moment, box_probabilities
@@ -168,16 +168,14 @@ def test_criterion_5_oracle_equivalence():
     sz = np.diag([1.0, -1.0]).astype(complex)
     period = 0.1
     system = ks.KickedSystem(h0=sz, kick=sx, period=period)
-    series = kick_fourier_coefficients(sx, period, 10**6)
-    general = heff_general(sz, series, system.omega)
+    general = heff_general(system, 10**6)
     closed = heff_delta_kicked(system)
     rel = float(np.max(np.abs(general - closed)) / np.max(np.abs(closed)))
     ok &= rel <= 1e-6
     details.append(f"2x2 rel={rel:.2e}")
     # Harper chain, L=50
     system = kicked_harper_system(HarperParams(length=50, sigma=GOLDEN))
-    series = kick_fourier_coefficients(system.kick, system.period, 10**6)
-    general = heff_general(system.h0, series, system.omega)
+    general = heff_general(system, 10**6)
     closed = heff_delta_kicked(system)
     rel = float(np.max(np.abs(general - closed)) / np.max(np.abs(closed)))
     ok &= rel <= 1e-6

@@ -207,6 +207,36 @@ def test_config_keys_parse_as_flags(command, tmp_path):
         assert parse_outcome([command, "--config", str(config)]) == expected
 
 
+def test_negative_values_after_a_flag():
+    # argparse alone takes '-1e-3' after a flag for an option on some Python versions
+    for argv in (["spectrum", "--system", "dkt", "--j", "4", "--eta", "-1e-3"],
+                 ["spectrum", "--system", "harper-static", "--length", "30", "--sigma", "-.5e-1"],
+                 ["butterfly", "--system", "dkt", "--j", "4", "--xi-sweep", "-1:1:0.5"]):
+        spaced = parse_outcome(argv)
+        assert isinstance(spaced, dict), spaced
+        assert spaced == parse_outcome([*argv[:-2], f"{argv[-2]}={argv[-1]}"])
+    assert parse_outcome(["spectrum", "--system", "dkt", "--j", "4", "--eta", "-1e-3"])["eta"] == -1e-3
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["spectrum", "--system", "dkt", "--eta", "--j", "4"])
+    assert exc.value.code == 2
+
+
+NUMERIC_OPTIONS = ("j", "length", "alpha", "alpha-over", "eta", "eta-over-j", "xi", "sigma", "period", "epsilon",
+                   "xi-sweep", "sigma-sweep", "q-grid", "scale-grid", "bins", "alpha-ladder")
+
+
+@pytest.mark.parametrize("name", NUMERIC_OPTIONS)
+def test_bad_number_error_names_its_flag(name, tmp_path, capsys):
+    command = next(c for c in sorted(COMMAND_OPTIONS) if name in COMMAND_OPTIONS[c])
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"{name} = x\n")
+    for argv in ([command, f"--{name}", "x"], [command, "--config", str(config)]):
+        assert run_cli(argv, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --{name}: ") and err.count("\n") == 1, err
+    assert not any(p != config for p in tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------

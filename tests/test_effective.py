@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from kickedspec.effective import (
-    FourierSeries,
-    KickedSystem,
-    commutator,
-    heff_delta_kicked,
-    heff_general,
-    kick_fourier_coefficients,
-    micromotion_kick,
-)
-from kickedspec.operators import hermiticity_defect, max_abs
+from kickedspec import GOLDEN_RATIO
+from kickedspec.effective import KickedSystem, commutator, heff_delta_kicked, heff_general, micromotion_kick
+from kickedspec.floquet import dkt_kicked_system
+from kickedspec.operators import Banded, hermiticity_defect, max_abs
 from kickedspec.su2 import spin_operators
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -54,19 +48,11 @@ def test_kicked_system_validation():
 
 
 def test_kick_fourier_coefficients_comb():
-    series = kick_fourier_coefficients(np.eye(2), period=2.0, n_max=8)
-    assert np.allclose(series.v0, np.eye(2) / 2.0)
-    for n in (1, 5, 8, -3):
-        assert np.allclose(series.coefficient(n), np.eye(2) / 2.0)
-    assert np.allclose(series.coefficient(9), 0.0)
-    zero = kick_fourier_coefficients(np.zeros((3, 3)), period=1.0, n_max=4)
-    assert max_abs(zero.v0) == 0.0
-
-
-def test_fourier_series_conjugate_pairing():
-    vn = [np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)]
-    series = FourierSeries(v0=np.zeros((2, 2)), harmonics=vn, n_max=1)
-    assert np.allclose(series.coefficient(-1), vn[0].conj().T)
+    # with h0 = 0 every bracket vanishes and heff_general is the comb coefficient kick/T
+    comb = heff_general(KickedSystem(h0=np.zeros((2, 2)), kick=np.eye(2), period=2.0), n_max=8)
+    assert np.allclose(comb, np.eye(2) / 2.0)
+    zero = heff_general(KickedSystem(h0=np.zeros((3, 3)), kick=np.zeros((3, 3)), period=1.0), n_max=4)
+    assert max_abs(zero) == 0.0
 
 
 def test_heff_delta_commuting_kick():
@@ -115,18 +101,20 @@ def test_heff_delta_affine_in_static_part():
 def test_heff_general_commuting_case_is_average():
     h0 = np.diag([1.0, -1.0, 0.5])
     kick = np.diag([0.2, 0.4, -0.1])
-    series = kick_fourier_coefficients(kick, period=0.5, n_max=64)
-    out = heff_general(h0, series, omega=2.0 * np.pi / 0.5)
+    out = heff_general(KickedSystem(h0=h0, kick=kick, period=0.5), n_max=64)
     assert np.allclose(out, h0 + kick / 0.5)
 
 
-def test_heff_general_matches_closed_form_2x2():
-    period = 0.1
-    system = KickedSystem(h0=SZ, kick=SX, period=period)
-    series = kick_fourier_coefficients(SX, period=period, n_max=10**6)
-    general = heff_general(SZ, series, omega=system.omega)
+@pytest.mark.parametrize("system", [
+    pytest.param(KickedSystem(h0=SZ, kick=SX, period=0.1), id="2x2"),
+    # the paper's headline operator: complex bandwidth-3 DKT H_eff, j = 10, eta/j golden
+    pytest.param(dkt_kicked_system(0.1, GOLDEN_RATIO * 10, 10), id="dkt-banded"),
+])
+def test_heff_general_matches_closed_form(system):
+    general = heff_general(system, n_max=10**6)
     closed = heff_delta_kicked(system)
     assert max_abs(general - closed) <= 1e-6 * max_abs(closed)
+    assert isinstance(general, Banded) == isinstance(system.h0, Banded)
 
 
 def test_heff_general_hand_evaluated_partial_sum():
@@ -137,51 +125,15 @@ def test_heff_general_hand_evaluated_partial_sum():
     omega = 2.0 * np.pi / period
     s2 = np.sum(1.0 / np.arange(1.0, n_max + 1) ** 2)
     expected = SZ + SX / period + (s2 / omega**2 / period**2) * (-4.0) * SZ
-    series = kick_fourier_coefficients(SX, period=period, n_max=n_max)
-    assert np.allclose(heff_general(SZ, series, omega), expected, atol=1e-13)
-
-
-def test_heff_general_explicit_list_matches_direct_loop():
-    # independent brute-force evaluation of the full formula on a small
-    # non-constant harmonic list
-    rng = np.random.default_rng(7)
-    dim, n_max, omega = 3, 3, 5.0
-    h0 = random_hermitian(dim, seed=11)
-    v0 = random_hermitian(dim, seed=12)
-    harmonics = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(n_max)]
-    series = FourierSeries(v0=v0, harmonics=harmonics, n_max=n_max)
-
-    def coef(k):
-        if k == 0:
-            return v0
-        if abs(k) > n_max:
-            return np.zeros((dim, dim), dtype=complex)
-        return harmonics[k - 1] if k > 0 else harmonics[-k - 1].conj().T
-
-    def comm(a, b):
-        return a @ b - b @ a
-
-    expected = h0 + v0
-    for n in range(1, n_max + 1):
-        expected = expected + comm(coef(n), coef(-n)) / (omega * n)
-        bracket = comm(comm(coef(n), h0), coef(-n))
-        expected = expected + (bracket + bracket.conj().T) / (2.0 * omega**2 * n**2)
-        for m in range(1, n_max + 1):
-            nested = comm(coef(n), comm(coef(m), coef(-n - m))) - 2.0 * comm(coef(n), comm(coef(-m), coef(m - n)))
-            expected = expected + (nested + nested.conj().T) / (3.0 * omega**2 * n * m)
-
-    assert np.allclose(heff_general(h0, series, omega), expected, atol=1e-12)
-    # the first-order term must be nonzero here (harmonics are not Hermitian)
-    first_order = sum(comm(coef(n), coef(-n)) / (omega * n) for n in range(1, n_max + 1))
-    assert max_abs(first_order) > 1e-3
+    system = KickedSystem(h0=SZ, kick=SX, period=period)
+    assert np.allclose(heff_general(system, n_max=n_max), expected, atol=1e-13)
 
 
 def test_heff_general_first_order_vanishes_for_comb():
     kick = random_hermitian(3, seed=21)
-    series = kick_fourier_coefficients(kick, period=1.0, n_max=32)
     h0 = np.zeros((3, 3))
     # with h0 = 0 every second-order bracket vanishes too: result is v0 exactly
-    out = heff_general(h0, series, omega=2.0 * np.pi)
+    out = heff_general(KickedSystem(h0=h0, kick=kick, period=1.0), n_max=32)
     assert max_abs(out - kick) <= 1e-14 * max_abs(kick)
 
 
@@ -191,8 +143,7 @@ def test_heff_general_converges_monotonically():
     previous = None
     gaps = []
     for n_max in (16, 32, 64, 128, 256):
-        series = kick_fourier_coefficients(system.kick, period, n_max)
-        current = heff_general(system.h0, series, system.omega)
+        current = heff_general(system, n_max)
         if previous is not None:
             gaps.append(max_abs(current - previous))
         previous = current
@@ -200,19 +151,19 @@ def test_heff_general_converges_monotonically():
 
 
 def test_heff_general_validation():
-    series = kick_fourier_coefficients(SX, 1.0, 4)
-    with pytest.raises(ValueError, match="omega"):
-        heff_general(SZ, series, omega=0.0)
+    with pytest.raises(ValueError, match="period"):
+        heff_general(KickedSystem(h0=SZ, kick=SX, period=np.inf), 4)  # omega = 0
     with pytest.raises(ValueError, match="dimension"):
-        heff_general(np.eye(3), series, omega=1.0)
+        heff_general(KickedSystem(h0=np.eye(3), kick=SX, period=1.0), 4)
+    with pytest.raises(ValueError, match="n_max"):
+        heff_general(KickedSystem(h0=SZ, kick=SX, period=1.0), 0)
 
 
 def test_heff_outputs_hermitian():
     system = KickedSystem(h0=random_hermitian(6, seed=41), kick=random_hermitian(6, seed=42), period=0.2)
     heff = heff_delta_kicked(system)
     assert hermiticity_defect(heff) <= 1e-12
-    series = kick_fourier_coefficients(system.kick, system.period, 128)
-    general = heff_general(system.h0, series, system.omega)
+    general = heff_general(system, 128)
     assert hermiticity_defect(general) <= 1e-10
 
 
@@ -226,29 +177,26 @@ def _dkt_like_system(seed=51, period=0.4, dim=3):
 
 def test_micromotion_zero_kick():
     system = KickedSystem(h0=random_hermitian(3, seed=61), kick=np.zeros((3, 3)), period=1.0)
-    series = kick_fourier_coefficients(system.kick, 1.0, 256)
-    assert max_abs(micromotion_kick(system, series, 0.37)) == 0.0
+    assert max_abs(micromotion_kick(system, 256, 0.37)) == 0.0
 
 
 def test_micromotion_periodicity():
     system = _dkt_like_system()
-    series = kick_fourier_coefficients(system.kick, system.period, 512)
     t = 0.123
-    f0 = micromotion_kick(system, series, t)
+    f0 = micromotion_kick(system, 512, t)
     for shift in (1, 3):
-        assert max_abs(micromotion_kick(system, series, t + shift * system.period) - f0) <= 1e-12 * max(max_abs(f0), 1.0)
+        assert max_abs(micromotion_kick(system, 512, t + shift * system.period) - f0) <= 1e-12 * max(max_abs(f0), 1.0)
 
 
 def test_micromotion_is_hermitian_with_zero_average():
     # exp(iF) must be unitary, so F is Hermitian; its one-period average vanishes
     system = _dkt_like_system(seed=71)
-    series = kick_fourier_coefficients(system.kick, system.period, 512)
     samples = 4099  # odd and above the truncation: uniform midpoint rule kills every harmonic
     ts = (np.arange(samples) + 0.5) * system.period / samples
     mean = np.zeros_like(system.h0)
     norm = 0.0
     for t in ts:
-        f = micromotion_kick(system, series, float(t))
+        f = micromotion_kick(system, 512, float(t))
         assert hermiticity_defect(f) <= 1e-10
         mean += f
         norm = max(norm, max_abs(f))
@@ -259,32 +207,15 @@ def test_micromotion_first_order_sawtooth_partial_sum():
     # first order, delta kicks: F(t) = (2/w) sum sin(n w t)/n * V/T
     system = _dkt_like_system(seed=81, period=1.0)
     n_max = 64
-    series = kick_fourier_coefficients(system.kick, system.period, n_max)
     for t in (0.25, 0.5, 0.9):
         theta = system.omega * t
         weight = (2.0 / system.omega) * np.sum(np.sin(np.arange(1, n_max + 1) * theta) / np.arange(1, n_max + 1))
         expected = weight * system.kick / system.period
-        got = micromotion_kick(system, series, t, order=1)
+        got = micromotion_kick(system, n_max, t, order=1)
         assert np.allclose(got, expected, atol=1e-12)
-
-
-def test_micromotion_general_list_matches_constant_comb():
-    # an explicit list of identical harmonics must agree with the compact comb
-    system = _dkt_like_system(seed=91, period=0.8)
-    n_max = 24
-    comb = kick_fourier_coefficients(system.kick, system.period, n_max)
-    explicit = FourierSeries(v0=system.kick / system.period,
-                             harmonics=[system.kick / system.period] * n_max,
-                             n_max=n_max)
-    for order in (1, 2):
-        for t in (0.1, 0.61):
-            a = micromotion_kick(system, comb, t, order=order)
-            b = micromotion_kick(system, explicit, t, order=order)
-            assert np.allclose(a, b, atol=1e-12)
 
 
 def test_micromotion_rejects_bad_order():
     system = _dkt_like_system()
-    series = kick_fourier_coefficients(system.kick, system.period, 16)
     with pytest.raises(ValueError, match="order"):
-        micromotion_kick(system, series, 0.1, order=3)
+        micromotion_kick(system, 16, 0.1, order=3)
