@@ -3,7 +3,9 @@ Floquet comparison, and the Harper closed-form/general diff.
 
 Each option is declared once, in OPTIONS, with the converter that turns its
 text into the final value; argparse applies it, and a bad value exits 2 with
-one ``error:`` line that names the flag.  A value that starts with ``-`` and
+one ``error:`` line that names the flag; argparse's own errors (a missing
+value, an unknown flag) are one ``error:`` line too.  Flags are written in
+full: argparse takes no abbreviations.  A value that starts with ``-`` and
 a digit or ``.`` (``--eta -1e-3``, ``--xi-sweep -1:1:0.5``) is the flag's
 value, not an option.  A ``--config`` file holds ``key = value`` lines whose
 keys are exactly the command's flags.  Its entries are read as flags placed
@@ -220,13 +222,24 @@ def _attach_negative_values(argv: list) -> list:
     return joined
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own errors (a flag without its value, an unknown flag)
+    raise ConfigError, so they print one ``error:`` line like every other
+    configuration error; subparsers are built from this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kickedspec",
-                                     description="Effective Hamiltonians of kicked systems and multifractal spectral analysis")
+    parser = _Parser(prog="kickedspec",
+                     description="Effective Hamiltonians of kicked systems and multifractal spectral analysis")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, names in COMMAND_OPTIONS.items():
-        # an option not given stays out of the namespace, so RunConfig supplies its default
-        p = sub.add_parser(command, argument_default=argparse.SUPPRESS)
+        # an option not given stays out of the namespace, so RunConfig supplies
+        # its default; a flag is written in full, so a negative value after an
+        # abbreviation cannot be taken for an option
+        p = sub.add_parser(command, argument_default=argparse.SUPPRESS, allow_abbrev=False)
         p.add_argument("--config", help="flat key = value file whose keys are this command's flags; flags override it")
         for name in names:
             convert, help_text = OPTIONS[name]

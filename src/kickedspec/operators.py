@@ -240,7 +240,8 @@ def eigensolve(op: Banded, vectors: bool = False):
     `vectors` also its eigenvectors as columns, by a solver picked from the
     operator's structure:
 
-    - real with bandwidth <= 1: LAPACK's tridiagonal MRRR driver;
+    - real with bandwidth <= 1: scipy's tridiagonal solver, whose default
+      driver for the whole spectrum is LAPACK's divide and conquer ``?stevd``;
     - otherwise, eigenvalues only: the banded Hermitian driver on the lower band;
     - otherwise, with eigenvectors: dense ``eigh``, which is faster than the
       banded vector drivers on the complex bandwidth-3 kicked-top H_eff.

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -77,7 +78,7 @@ def test_parse_config_rejects_fixed_plus_sweep():
         parse_config(["butterfly", "--system", "dkt", "--j", "4",
                       "--xi", "0.3", "--xi-sweep", "0:1:0.5"])
     # fixed-parameter commands do not even expose sweep flags
-    with pytest.raises(SystemExit):
+    with pytest.raises(ConfigError, match="unrecognized arguments: --xi-sweep 0:1:0.5$"):
         parse_config(["spectrum", "--system", "dkt", "--j", "4", "--xi-sweep", "0:1:0.5"])
     # and reject sweep keys arriving through a config file
     with pytest.raises(ConfigError, match="unknown config keys"):
@@ -143,9 +144,8 @@ def test_config_file_switch(value, expected, tmp_path):
 
 @pytest.mark.parametrize("command", ["butterfly", "spectrum", "floquet-compare", "harper-diff"])
 def test_full_scale_is_an_eigenstates_flag(command, tmp_path):
-    with pytest.raises(SystemExit) as exit_info:
+    with pytest.raises(ConfigError, match="unrecognized arguments: --full-scale$"):
         parse_config([command, "--full-scale"])
-    assert exit_info.value.code == 2
     config = tmp_path / "run.cfg"
     config.write_text("full-scale = 1\n")
     with pytest.raises(ConfigError, match=f"unknown config keys for {command}: full-scale$"):
@@ -216,9 +216,30 @@ def test_negative_values_after_a_flag():
         assert isinstance(spaced, dict), spaced
         assert spaced == parse_outcome([*argv[:-2], f"{argv[-2]}={argv[-1]}"])
     assert parse_outcome(["spectrum", "--system", "dkt", "--j", "4", "--eta", "-1e-3"])["eta"] == -1e-3
-    with pytest.raises(SystemExit) as exc:
+    with pytest.raises(ConfigError, match="argument --eta: expected one argument"):
         parse_config(["spectrum", "--system", "dkt", "--eta", "--j", "4"])
-    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--system", "dkt", "--eta", "--j", "4"], "argument --eta: expected one argument"),
+    (["spectrum", "--system", "dkt", "--j", "4", "--eta", "1", "--mystery", "2"],
+     "unrecognized arguments: --mystery 2"),
+], ids=["missing-value", "unknown-flag"])
+def test_argparse_errors_are_one_line(argv, message, tmp_path, capsys):
+    assert run_cli(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n", err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["1e-3", "-1e-3"])
+def test_flags_are_written_in_full(value, tmp_path, capsys):
+    # an abbreviation is an unknown flag, whatever the sign of its value
+    chain = ["spectrum", "--system", "harper-static", "--length", "30"]
+    assert run_cli([*chain, "--sig", value], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unrecognized arguments: --sig {value}\n", err
+    assert run_cli([*chain, "--sigma", "-1e-3"], tmp_path) == 0
 
 
 NUMERIC_OPTIONS = ("j", "length", "alpha", "alpha-over", "eta", "eta-over-j", "xi", "sigma", "period", "epsilon",
@@ -385,6 +406,29 @@ def test_floquet_compare_ladder(tmp_path):
     errors = report["results"]["errors"]
     assert errors[0] > errors[1] > errors[2]
     assert report["results"]["decay_ratios"][-1] >= 4.0
+
+
+BENCHMARK_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _benchmark_workloads():
+    """The benchmark's workload definitions, loaded from their file without
+    putting the benchmark directory on the import path."""
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", BENCHMARK_DIR / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_benchmark_floquet_ladder_matches_its_reference(seed, tmp_path):
+    # the benchmark's full-size floquet-ladder run (j = 200, six rungs) for
+    # each modulation, held to the benchmark's own reference and tolerances
+    workloads = _benchmark_workloads()
+    workload = workloads.WORKLOADS["floquet-ladder"]
+    configs = json.loads((BENCHMARK_DIR / "reference" / "floquet-ladder.json").read_text())["configs"]
+    assert run_cli(workload.argv(seed), tmp_path) == 0
+    assert workloads._floquet_check(workload.extract(tmp_path), configs[str(workloads.config_index(seed))]) == []
 
 
 def test_floquet_compare_requires_three_alphas(tmp_path):

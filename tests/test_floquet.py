@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import dense_oracle as dense
-from kickedspec import GOLDEN_RATIO
+from kickedspec import GOLDEN_RATIO, floquet
 from kickedspec.floquet import (
+    _chiral_energies,
     _ladder_gauge,
-    _ladder_rung,
+    _ladder_quasienergies,
     _twist_gauge,
     dkt_effective_hamiltonian,
     dkt_floquet,
@@ -284,13 +285,39 @@ def test_quasienergy_spectrum_keeps_the_unitarity_tolerance():
     assert circular_distance(quasienergy_spectrum(unitary), dense.quasienergies(unitary)) <= 1e-10
 
 
-@pytest.mark.parametrize("modulation", sorted(MODULATIONS))
-@pytest.mark.parametrize("alpha", [0.04, 0.01])
-def test_ladder_quasienergies_match_dense_oracle(modulation, alpha):
+@pytest.mark.parametrize("j, alpha, modulation", [
+    pytest.param(j, alpha, modulation, id=f"{alpha}-{modulation}" if j == 200 else f"j{j}-{alpha}-{modulation}")
+    for j in (200, 10.5, 0.5) for alpha in (0.01, 0.04) for modulation in sorted(MODULATIONS)])
+def test_ladder_quasienergies_match_dense_oracle(j, alpha, modulation):
     # a j = 200 rung in the Jx eigenbasis puts Cayley eigenvalues up to ~500
     # on the first cut, where the inverse's rounding would reach the
-    # quasienergies through a solve that reads one triangle of H_c
-    spin = SpinLabel(200)
+    # quasienergies through a solve that reads one triangle of H_c; j = 10.5
+    # has an even dimension and j = 0.5 two 1x1 parity blocks
+    spin = SpinLabel(j)
     eta = MODULATIONS[modulation] * spin.j
-    got = quasienergy_spectrum(_ladder_rung(_ladder_gauge(spin, eta), spin, alpha))
+    got = _ladder_quasienergies(_ladder_gauge(spin, eta), spin, alpha)
     assert circular_distance(got, dense.quasienergies(dense.dkt_floquet(alpha, eta, spin.j))) <= 1e-12
+
+
+def test_ladder_gauge_rejects_a_twist_that_breaks_parity(monkeypatch):
+    # random phases do not commute with the flip m -> -m, so A couples the
+    # even and odd Jx eigenvectors and the blocks would drop that coupling
+    rng = np.random.default_rng(7)
+    monkeypatch.setattr(floquet, "_twist_gauge", lambda spin, eta: np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, spin.dim)))
+    with pytest.raises(ValueError, match="parity blocks by"):
+        effective_vs_floquet_errors([0.04], GOLDEN_RATIO * 10, 10)
+
+
+@pytest.mark.parametrize("alpha", [0.04, 0.00125])
+@pytest.mark.parametrize("j", [0.5, 1, 1.5, 10, 10.5, 200])
+def test_chiral_energies_match_dense_eigvalsh(j, alpha):
+    heff = dkt_effective_hamiltonian(alpha, GOLDEN_RATIO * j, j)
+    assert all(k % 2 for k in heff.bands)
+    want = np.linalg.eigvalsh(heff.to_dense())
+    assert np.max(np.abs(_chiral_energies(heff) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_chiral_energies_reject_a_stored_even_diagonal():
+    heff = dkt_effective_hamiltonian(0.04, GOLDEN_RATIO * 10, 10) + 0.1 * spin_operators(10).jz
+    with pytest.raises(ValueError, match=r"odd diagonals only, got diagonals \[0\]"):
+        _chiral_energies(heff)
