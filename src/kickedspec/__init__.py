@@ -29,13 +29,13 @@ from .harper import (
 from .multifractal import (
     BoxMeasure,
     EigenvectorProfile,
+    EigenvectorTable,
     ScalingSpectrum,
     analyze_eigenvectors,
     box_probabilities,
     eigenvector_tau,
     ensemble_statistics,
     participation_ratio,
-    spectral_histogram,
     tau_spectrum,
 )
 from .operators import Banded, eigensolve
@@ -61,6 +61,7 @@ __all__ = [
     "CLOSED_FORM",
     "CosineCoupling",
     "EigenvectorProfile",
+    "EigenvectorTable",
     "GENERAL",
     "GOLDEN_RATIO",
     "HarperParams",
@@ -93,7 +94,6 @@ __all__ = [
     "participation_ratio",
     "phase_operator",
     "quasienergy_spectrum",
-    "spectral_histogram",
     "spin_operators",
     "tau_spectrum",
     "unitary_from_hermitian",

@@ -460,21 +460,25 @@ def cmd_spectrum(cfg: RunConfig) -> Path:
     return csv_path
 
 
+def _squared_moduli(vectors: np.ndarray) -> np.ndarray:
+    """|v|^2 elementwise: in the buffer of real vectors, which it overwrites,
+    and in one real array for complex ones."""
+    weights = np.abs(vectors) if np.iscomplexobj(vectors) else np.abs(vectors, out=vectors)
+    return np.square(weights, out=weights)
+
+
 def cmd_eigenstates(cfg: RunConfig) -> Path:
     """Analyze the full eigenbasis: PR, D_bar_2, D_bar_5, mu_bar per state."""
-    _, vectors = eigensolve(_hamiltonian(cfg), vectors=True)
-    weights = np.abs(vectors) ** 2
-    profiles = analyze_eigenvectors(weights, q_grid=cfg.q_grid, partition_grid=cfg.scale_grid)
-    rows = [(idx, p.pr, p.d2, p.d5, p.mu_bar) for idx, p in enumerate(profiles)]
-    csv_path = cfg.out_dir / "eigenstates.csv"
-    write_csv(csv_path, ("index", "pr", "d2", "d5", "mu"), rows)
-
-    stats = ensemble_statistics(profiles, n_bins=cfg.bins)
+    weights = _squared_moduli(eigensolve(_hamiltonian(cfg), vectors=True)[1])
+    table = analyze_eigenvectors(weights, q_grid=cfg.q_grid, partition_grid=cfg.scale_grid)
     report = {
         "config": _config_echo(cfg),
-        "partition_grid": profiles[0].partition_grid.tolist(),
-        "statistics": stats,
+        "partition_grid": table.partition_grid.tolist(),
+        "statistics": ensemble_statistics(table, n_bins=cfg.bins),
     }
+    columns = (table.pr.tolist(), table.d2.tolist(), table.d5.tolist(), table.mu_bar.tolist())
+    csv_path = cfg.out_dir / "eigenstates.csv"
+    write_csv(csv_path, ("index", "pr", "d2", "d5", "mu"), zip(range(len(table)), *columns))
     write_json(cfg.out_dir / "eigenstates_report.json", report)
     return csv_path
 

@@ -21,11 +21,11 @@ of the per-q fits over the q in [2, 8].  Short windows latched onto a lucky
 stretch of the wobble otherwise make tau_q estimates irreproducible between
 nearly identical spectra.
 
-One window search serves spectra, eigenvector profiles, the information
-dimension and the mu slopes.  Windows are scanned shortest first; a window
-replaces the best so far only if its mean R^2 is higher by more than 1e-12,
-or within 1e-12 and longer.  A column whose centred sum of squares is at most
-1e-24 (absolute) is a constant fit: slope 0, R^2 1.
+One window search serves spectra, eigenvector tables and the mu slopes.
+Windows are scanned shortest first; a window replaces the best so far only
+if its mean R^2 is higher by more than 1e-12, or within 1e-12 and longer.
+A column whose centred sum of squares is at most 1e-24 (absolute) is a
+constant fit: slope 0, R^2 1.
 """
 
 from dataclasses import dataclass
@@ -36,6 +36,8 @@ DEFAULT_Q_GRID = tuple(0.5 * k for k in range(21) if k != 2)  # 0, 0.5, 1.5, ...
 MU_FIT_RANGE = (2.0, 8.0)
 MIN_FIT_POINTS = 5
 _Q_ONE_TOL = 1e-9
+_MAX_HALF_STEPS = 20  # p^q by repeated multiplication up to q = 10: at most ~20 roundings
+_PR_BLOCK = 256  # states per block of squared weights in the participation ratio
 
 
 @dataclass(frozen=True)
@@ -94,10 +96,27 @@ def _counts(grid, min_scales: int, max_count=None) -> np.ndarray:
 
 def _moments(parts, q_grid) -> np.ndarray:
     """Z_q of a cells x states table, shape (n_q, n_states): the sum of p^q
-    over occupied cells (p > 0); Z_0 is the number of occupied cells."""
+    over occupied cells (p > 0); Z_0 is the number of occupied cells.
+
+    When every q is a multiple of 1/2 up to 10 (DEFAULT_Q_GRID is), p^q is
+    sqrt(p)^(2q), built by one multiplication per half step while q is
+    visited in ascending order; any other grid takes one `**` per q.
+    """
     cells = np.where(parts > 0.0, parts, 0.0)
-    return np.array([np.count_nonzero(cells, axis=0) if q == 0 else np.sum(cells**q, axis=0)
-                     for q in q_grid], dtype=float)
+    z = np.empty((len(q_grid), cells.shape[1]))
+    half_steps = 2.0 * np.asarray(q_grid, dtype=float)
+    if np.all(half_steps == np.round(half_steps)) and half_steps.max() <= _MAX_HALF_STEPS:
+        root = np.sqrt(cells, out=cells)
+        power, done = np.ones_like(root), 0
+        for i in np.argsort(half_steps, kind="stable"):
+            for _ in range(done, int(half_steps[i])):
+                np.multiply(power, root, out=power)
+            done = int(half_steps[i])
+            z[i] = np.count_nonzero(root, axis=0) if done == 0 else np.sum(power, axis=0)
+        return z
+    for i, q in enumerate(q_grid):
+        z[i] = np.count_nonzero(cells, axis=0) if q == 0 else np.sum(cells**q, axis=0)
+    return z
 
 
 def partition_moment(probabilities, q: float) -> float:
@@ -214,7 +233,7 @@ class ScalingSpectrum:
     @property
     def d2(self) -> float:
         """D_2, NaN if q = 2 is not on the grid."""
-        return _value_at_q(self.q_grid, self.dq, 2.0)
+        return float(_at_q(self.q_grid, self.dq, 2.0))
 
 
 def default_scale_grid(n_values: int) -> np.ndarray:
@@ -253,32 +272,15 @@ def tau_spectrum(values, q_grid=None, scale_grid=None) -> ScalingSpectrum:
     )
 
 
-def information_dimension(values, scale_grid=None) -> float:
-    """D_1 from the entropy scaling sum(p log p) ~ -D_1 log N."""
-    values = np.asarray(values, dtype=float).ravel()
-    scale_grid = _counts(default_scale_grid(values.size) if scale_grid is None else scale_grid, 4)
-    log_n = np.log(scale_grid.astype(float))
-    entropy = np.empty((scale_grid.size, 1, 1))
-    for i, n_bins in enumerate(scale_grid):
-        probs = box_probabilities(values, int(n_bins)).probabilities
-        occupied = probs[probs > 0.0]
-        entropy[i, 0, 0] = float(np.sum(occupied * np.log(occupied)))
-    slope = _shared_window_fit(log_n, entropy, [True])[0]
-    return -float(slope[0, 0])
-
-
 # ---------------------------------------------------------------------------
-# Eigenvector profiles
+# Eigenvector tables
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class EigenvectorProfile:
-    """Component weights |c_m|^2 with localization and scaling diagnostics.
+    """Localization and scaling diagnostics of one eigenvector: one column of
+    an `EigenvectorTable`."""
 
-    `weights` is a column view into the analyzed weight matrix, not a copy.
-    """
-
-    weights: np.ndarray
     pr: float
     q_grid: np.ndarray
     tau_bar: np.ndarray
@@ -289,16 +291,59 @@ class EigenvectorProfile:
 
     @property
     def d2(self) -> float:
-        return _value_at_q(self.q_grid, self.d_bar, 2.0)
+        return float(_at_q(self.q_grid, self.d_bar, 2.0))
 
     @property
     def d5(self) -> float:
-        return _value_at_q(self.q_grid, self.d_bar, 5.0)
+        return float(_at_q(self.q_grid, self.d_bar, 5.0))
 
 
-def _value_at_q(q_grid, values, q: float) -> float:
+@dataclass(frozen=True)
+class EigenvectorTable:
+    """Localization and scaling diagnostics of many eigenvectors, as arrays.
+
+    pr and mu_bar have shape (n_states,); tau_bar, d_bar and fit_r2 have
+    shape (n_q, n_states), one row per entry of q_grid.  `len(table)` is the
+    number of states and `table[s]` builds state s's `EigenvectorProfile`.
+    """
+
+    pr: np.ndarray
+    q_grid: np.ndarray
+    tau_bar: np.ndarray
+    d_bar: np.ndarray
+    mu_bar: np.ndarray
+    fit_r2: np.ndarray
+    partition_grid: np.ndarray
+
+    def __len__(self) -> int:
+        return self.pr.size
+
+    def __getitem__(self, s: int) -> EigenvectorProfile:
+        return EigenvectorProfile(
+            pr=float(self.pr[s]),
+            q_grid=self.q_grid,
+            tau_bar=self.tau_bar[:, s].copy(),
+            d_bar=self.d_bar[:, s].copy(),
+            mu_bar=float(self.mu_bar[s]),
+            fit_r2=self.fit_r2[:, s].copy(),
+            partition_grid=self.partition_grid,
+        )
+
+    @property
+    def d2(self) -> np.ndarray:
+        """D_bar_2 of every state, NaN if q = 2 is not on the grid."""
+        return _at_q(self.q_grid, self.d_bar, 2.0)
+
+    @property
+    def d5(self) -> np.ndarray:
+        """D_bar_5 of every state, NaN if q = 5 is not on the grid."""
+        return _at_q(self.q_grid, self.d_bar, 5.0)
+
+
+def _at_q(q_grid, values, q: float):
+    """The row of values (shape (n_q, ...)) at q on the grid, NaN where q is absent."""
     idx = np.nonzero(np.abs(np.asarray(q_grid) - q) <= 1e-9)[0]
-    return float(values[idx[0]]) if idx.size else float("nan")
+    return values[idx[0]] if idx.size else np.full(values.shape[1:], np.nan)
 
 
 def _require_normalized(weights) -> np.ndarray:
@@ -343,8 +388,8 @@ def _partition_starts(dim: int, n_parts: int) -> np.ndarray:
     return starts
 
 
-def analyze_eigenvectors(weight_columns, q_grid=None, partition_grid=None) -> list:
-    """EigenvectorProfile for every column of a (dim x n_states) weight matrix.
+def analyze_eigenvectors(weight_columns, q_grid=None, partition_grid=None) -> EigenvectorTable:
+    """EigenvectorTable of the columns of a (dim x n_states) weight matrix.
 
     Weights are grouped into M contiguous positional partitions for each M in
     partition_grid, and sum(p~^q) is regressed against log M inside each
@@ -362,23 +407,15 @@ def analyze_eigenvectors(weight_columns, q_grid=None, partition_grid=None) -> li
     # Column-major, whatever layout came in: reduceat along axis 0 is several
     # times faster on it, and every sum below then runs in one order.
     columns = np.asfortranarray(weights)
-    pr = 1.0 / np.sum(columns**2, axis=0)
+    # squared weights a block of states at a time, never a dim x n_states copy;
+    # each column still sums in one pass, so PR does not depend on the block
+    pr = np.empty(n_states)
+    for s in range(0, n_states, _PR_BLOCK):
+        pr[s:s + _PR_BLOCK] = 1.0 / np.sum(np.square(columns[:, s:s + _PR_BLOCK]), axis=0)
     measures = (np.add.reduceat(columns, _partition_starts(dim, int(m)), axis=0) for m in partition_grid)
     tau_bar, fit_r2, _, _, d_bar, mu_bar = _scaling_fit(partition_grid, measures, q_grid)
-
-    return [
-        EigenvectorProfile(
-            weights=columns[:, s],
-            pr=float(pr[s]),
-            q_grid=q_grid,
-            tau_bar=tau_bar[:, s].copy(),
-            d_bar=d_bar[:, s].copy(),
-            mu_bar=float(mu_bar[s]),
-            fit_r2=fit_r2[:, s].copy(),
-            partition_grid=partition_grid,
-        )
-        for s in range(n_states)
-    ]
+    return EigenvectorTable(pr=pr, q_grid=q_grid, tau_bar=tau_bar, d_bar=d_bar, mu_bar=mu_bar,
+                            fit_r2=fit_r2, partition_grid=partition_grid)
 
 
 def eigenvector_tau(weights, q_grid=None, partition_grid=None) -> EigenvectorProfile:
@@ -388,11 +425,15 @@ def eigenvector_tau(weights, q_grid=None, partition_grid=None) -> EigenvectorPro
 
 
 # ---------------------------------------------------------------------------
-# Ensembles and histograms
+# Ensembles
 # ---------------------------------------------------------------------------
 
-def _histogram_summary(values, n_bins: int, thresholds=()) -> dict:
+def _histogram_summary(values, n_bins: int, thresholds=()):
+    """Summary of one column, None if the column is undefined (all NaN: its q
+    is not on the grid, or too few q lie in the mu-fit range)."""
     values = np.asarray(values, dtype=float)
+    if np.all(np.isnan(values)):
+        return None
     counts, edges = np.histogram(values, bins=n_bins)
     total = max(values.size, 1)
     return {
@@ -404,32 +445,18 @@ def _histogram_summary(values, n_bins: int, thresholds=()) -> dict:
     }
 
 
-def ensemble_statistics(profiles, n_bins: int = 50,
+def ensemble_statistics(table: EigenvectorTable, n_bins: int = 50,
                         pr_thresholds=(20.0,), d_thresholds=(0.05,), mu_thresholds=()) -> dict:
-    """Normalized histograms and summary statistics of D_bar_2, D_bar_5, mu_bar, PR."""
-    if not profiles:
-        raise ValueError("need at least one eigenvector profile")
+    """Normalized histograms and summary statistics of D_bar_2, D_bar_5, mu_bar, PR.
+
+    A column that is undefined on the table's q grid is reported as None.
+    """
+    if len(table) == 0:
+        raise ValueError("need at least one eigenvector")
     return {
-        "count": len(profiles),
-        "pr": _histogram_summary([p.pr for p in profiles], n_bins, pr_thresholds),
-        "d2": _histogram_summary([p.d2 for p in profiles], n_bins, d_thresholds),
-        "d5": _histogram_summary([p.d5 for p in profiles], n_bins, d_thresholds),
-        "mu": _histogram_summary([p.mu_bar for p in profiles], n_bins, mu_thresholds),
+        "count": len(table),
+        "pr": _histogram_summary(table.pr, n_bins, pr_thresholds),
+        "d2": _histogram_summary(table.d2, n_bins, d_thresholds),
+        "d5": _histogram_summary(table.d5, n_bins, d_thresholds),
+        "mu": _histogram_summary(table.mu_bar, n_bins, mu_thresholds),
     }
-
-
-def spectral_histogram(values, n_bins: int, window=None) -> dict:
-    """Density histogram of values over an optional sub-interval."""
-    values = np.asarray(values, dtype=float).ravel()
-    if window is not None:
-        lo, hi = float(window[0]), float(window[1])
-        values = values[(values >= lo) & (values <= hi)]
-        if values.size == 0:
-            raise ValueError(f"no values inside window ({lo}, {hi})")
-        rng = (lo, hi)
-    else:
-        if values.size == 0:
-            raise ValueError("no values to histogram")
-        rng = (float(values.min()), float(values.max()))
-    density, edges = np.histogram(values, bins=n_bins, range=rng, density=True)
-    return {"bin_edges": edges.tolist(), "density": density.tolist()}

@@ -69,15 +69,14 @@ def test_criterion_1_full_scale():
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def dkt_1000_profiles():
+def dkt_1000_table():
     j = 1000
     _, vectors = eigensolve(dkt_effective_hamiltonian(1.0 / j, GOLDEN * j, j), vectors=True)
     return ks.analyze_eigenvectors(np.abs(vectors) ** 2)
 
 
-def test_criterion_2_localization_fractions(dkt_1000_profiles):
-    pr = np.array([p.pr for p in dkt_1000_profiles])
-    d2 = np.array([p.d2 for p in dkt_1000_profiles])
+def test_criterion_2_localization_fractions(dkt_1000_table):
+    pr, d2 = dkt_1000_table.pr, dkt_1000_table.d2
     assert pr.size == 2001
     frac_pr = float(np.mean(pr < 20.0))
     frac_d2 = float(np.mean(d2 < 0.05))

@@ -373,6 +373,21 @@ def test_spectrum_report_d2_null_without_q_two(tmp_path):
     assert report["results"]["d2"] is None
 
 
+@pytest.mark.parametrize("q_grid, null_columns", [
+    ("0,3,4", {"d2", "d5"}),  # neither q = 2 nor q = 5 on the grid
+    ("0,2,9,10", {"d5", "mu"}),  # one q in [2, 8]: no mu slope
+])
+def test_eigenstates_report_null_columns_off_the_q_grid(q_grid, null_columns, tmp_path):
+    assert run_cli(["eigenstates", "--system", "harper-static", "--length", "64", "--sigma", "golden",
+                    "--q-grid", q_grid], tmp_path) == 0
+    stats = json.loads((tmp_path / "eigenstates_report.json").read_text())["statistics"]
+    assert {key for key in ("pr", "d2", "d5", "mu") if stats[key] is None} == null_columns
+    header, rows = read_csv(tmp_path / "eigenstates.csv")
+    assert len(rows) == stats["count"] == 64
+    for key in null_columns:
+        assert {row[header.index(key)] for row in rows} == {"nan"}
+
+
 def test_eigenstates_two_level_toy(tmp_path):
     assert run_cli(["eigenstates", "--system", "dkt", "--j", "0.5", "--alpha", "0.3",
                     "--eta", "1.0", "--scale-grid", "2", "--bins", "5"], tmp_path) == 0

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,18 +12,22 @@ from kickedspec.multifractal import (
     default_scale_grid,
     eigenvector_tau,
     ensemble_statistics,
-    information_dimension,
     participation_ratio,
     partition_moment,
-    spectral_histogram,
     tau_spectrum,
 )
-from kickedspec.multifractal import _shared_window_fit
+from kickedspec.multifractal import DEFAULT_Q_GRID, _moments, _shared_window_fit
 
 
 def dq_at(spectrum, q):
     idx = np.nonzero(np.abs(spectrum.q_grid - q) <= 1e-9)[0][0]
     return spectrum.dq[idx]
+
+
+def dirichlet_weights(dim, n_states, concentration, seed):
+    """Column-major dim x n_states weights, each column a Dirichlet sample."""
+    rng = np.random.default_rng(seed)
+    return rng.dirichlet(np.full(dim, concentration), size=n_states).T
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +154,6 @@ def test_degenerate_scale_grid_rejected(scale_grid, message):
     values = np.linspace(0, 1, 4096)
     with pytest.raises(ValueError, match=message):
         tau_spectrum(values, scale_grid=scale_grid)
-    with pytest.raises(ValueError, match=message):
-        information_dimension(values, scale_grid=scale_grid)
 
 
 @pytest.mark.parametrize("partition_grid, message", [
@@ -206,14 +209,43 @@ def test_zq_monotonicity_invariants():
     assert all(a > b for a, b in zip(moments, moments[1:]))
 
 
+def reference_moments(parts, q_grid):
+    """Z_q by one `**` per q: the plain definition."""
+    cells = np.where(parts > 0.0, parts, 0.0)
+    return np.array([np.count_nonzero(cells, axis=0) if q == 0 else np.sum(cells**q, axis=0)
+                     for q in q_grid], dtype=float)
+
+
+def moment_tables(cascade_weights):
+    """cells x states tables: a cascade, Dirichlet weights, and weights with
+    empty (zero or slightly negative) cells and one empty state."""
+    dirichlet = dirichlet_weights(300, 40, 0.3, seed=7)
+    sparse = dirichlet.copy()
+    sparse[::3] = 0.0
+    sparse[1::7] = -1e-13
+    sparse[:, 5] = 0.0
+    return [cascade_weights.reshape(-1, 1), cascade_weights.reshape(64, 64), dirichlet, sparse]
+
+
+def test_incremental_moments_match_powers(cascade12):
+    q_grid = np.asarray(DEFAULT_Q_GRID + (0.5, 4.0))  # unsorted and repeated entries too
+    for parts in moment_tables(cascade12[0]):
+        got, want = _moments(parts, q_grid), reference_moments(parts, q_grid)
+        np.testing.assert_array_equal(got[q_grid == 0], want[q_grid == 0])  # Z_0 counts exactly
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("q_grid", [(0.3, 2.0, 2.25), (2.0, 10.5)])
+def test_moments_off_the_half_step_grid_use_powers(cascade12, q_grid):
+    # not all multiples of 1/2, or beyond q = 10: one `**` per q, bitwise
+    for parts in moment_tables(cascade12[0]):
+        np.testing.assert_array_equal(_moments(parts, q_grid), reference_moments(parts, q_grid))
+
+
 def test_dq_ordering_on_cascade():
     points = cascade_points(p=0.3, depth=12, n_points=2**20)
     spectrum = tau_spectrum(points, q_grid=[2.0, 5.0], scale_grid=[16, 32, 64, 128, 256, 512])
     assert dq_at(spectrum, 2.0) >= dq_at(spectrum, 5.0) - 0.02
-
-
-def test_information_dimension_uniform():
-    assert information_dimension(np.linspace(0, 1, 2**16)) == pytest.approx(1.0, abs=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +430,20 @@ def test_analyze_eigenvectors_matches_single():
     rng = np.random.default_rng(17)
     weights = rng.random((200, 3))
     weights /= weights.sum(axis=0)
-    profiles = analyze_eigenvectors(weights)
+    table = analyze_eigenvectors(weights)
+    assert len(table) == 3
     for col in range(3):
-        single = eigenvector_tau(weights[:, col])
-        assert np.allclose(single.tau_bar, profiles[col].tau_bar)
-        assert single.pr == pytest.approx(profiles[col].pr)
+        single, profile = eigenvector_tau(weights[:, col]), table[col]
+        assert profile.partition_grid is table.partition_grid
+        assert profile.pr == single.pr
+        for name in ("tau_bar", "d_bar", "fit_r2"):
+            np.testing.assert_allclose(getattr(profile, name), getattr(single, name), rtol=1e-12, atol=1e-12)
+        assert profile.mu_bar == pytest.approx(single.mu_bar, rel=1e-12, abs=1e-12)
+    # the d2 / d5 columns are the per-state values
+    assert table.d2.tolist() == [table[col].d2 for col in range(3)]
+    assert table.d5.tolist() == [table[col].d5 for col in range(3)]
+    with pytest.raises(IndexError):
+        table[3]
 
 
 def test_analyze_eigenvectors_layout_independent_without_copies():
@@ -412,11 +453,26 @@ def test_analyze_eigenvectors_layout_independent_without_copies():
     by_rows = analyze_eigenvectors(np.ascontiguousarray(weights))
     columns = np.asfortranarray(weights)
     by_columns = analyze_eigenvectors(columns)
-    for a, b in zip(by_rows, by_columns):
-        np.testing.assert_array_equal(a.tau_bar, b.tau_bar)
-        assert a.pr == b.pr and a.mu_bar == b.mu_bar
-    # a column-major input is analyzed in place: profiles hold views of it
-    assert all(np.shares_memory(p.weights, columns) for p in by_columns)
+    for name in ("pr", "tau_bar", "d_bar", "mu_bar", "fit_r2"):
+        np.testing.assert_array_equal(getattr(by_rows, name), getattr(by_columns, name))
+
+
+def peak_allocation(func, *args) -> int:
+    """Peak bytes allocated (as traced by tracemalloc) while func(*args) runs."""
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_analyze_eigenvectors_allocates_no_weight_sized_temporary():
+    # a column-major input is analyzed in place: no copy of the weights and
+    # no squared or clipped dim x n_states table
+    weights = dirichlet_weights(1024, 1024, 0.5, seed=31)
+    assert weights.flags.f_contiguous
+    assert peak_allocation(analyze_eigenvectors, weights) < 0.75 * weights.nbytes
 
 
 def test_default_partition_grid_powers_of_two():
@@ -441,14 +497,14 @@ def test_uneven_partitions_cover_all_components():
 
 
 # ---------------------------------------------------------------------------
-# ensembles and histograms
+# ensembles
 # ---------------------------------------------------------------------------
 
 def test_ensemble_statistics_delta_peaked():
     w = np.zeros(128)
     w[5] = 1.0
-    profiles = analyze_eigenvectors(np.tile(w[:, None], (1, 7)))
-    stats = ensemble_statistics(profiles, n_bins=10)
+    table = analyze_eigenvectors(np.tile(w[:, None], (1, 7)))
+    stats = ensemble_statistics(table, n_bins=10)
     assert stats["count"] == 7
     assert stats["pr"]["mean"] == pytest.approx(1.0)
     assert stats["pr"]["variance"] == pytest.approx(0.0)
@@ -461,29 +517,3 @@ def test_ensemble_statistics_requires_profiles():
     with pytest.raises(ValueError, match="at least one"):
         ensemble_statistics([])
 
-
-def test_spectral_histogram_flat_and_windowed():
-    values = np.linspace(0.0, 1.0, 10001)
-    table = spectral_histogram(values, 20)
-    assert np.allclose(table["density"], 1.0, atol=0.05)
-    zoom = spectral_histogram(values, 10, window=(0.25, 0.5))
-    assert np.allclose(zoom["density"], 4.0, atol=0.2)
-    with pytest.raises(ValueError, match="window"):
-        spectral_histogram(values, 10, window=(2.0, 3.0))
-
-
-def test_spectral_histogram_zero_in_gap():
-    values = np.concatenate([np.linspace(0, 1, 500), np.linspace(3, 4, 500)])
-    table = spectral_histogram(values, 40)
-    edges = np.asarray(table["bin_edges"])
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    in_gap = (centers > 1.2) & (centers < 2.8)
-    assert np.allclose(np.asarray(table["density"])[in_gap], 0.0)
-
-
-def test_spectral_histogram_deterministic():
-    values = np.linalg.eigvalsh(np.diag(2.0 * np.cos(2 * np.pi * 0.618 * np.arange(1, 201)))
-                                + np.diag(np.ones(199), 1) + np.diag(np.ones(199), -1))
-    a = spectral_histogram(values, 64)
-    b = spectral_histogram(values, 64)
-    assert a == b
