@@ -36,7 +36,6 @@ from .su2 import SpinLabel, family_params, general_su2_hamiltonian
 
 SU2_CASES = ("a", "b", "c", "d", "e", "f")
 SYSTEMS = ("dkt",) + tuple(f"su2-{c}" for c in SU2_CASES) + ("harper-static", "harper-kicked")
-FULL_SCALE_DIM = 2101  # larger eigenvector tables (eigenstates) require --full-scale
 MAX_SWEEP_POINTS = 100_000  # each point is one eigensolve
 
 _EXIT_CONFIG = 2
@@ -99,7 +98,7 @@ def _checked(convert, accept, message: str):
     return checked
 
 
-# flag -> (converter of its text, help); a switch has no converter
+# flag -> (converter of its text, help)
 OPTIONS = {
     "system": (_checked(str, lambda s: s in SYSTEMS, f"unknown system {{!r}}; expected one of {', '.join(SYSTEMS)}"),
                f"one of {', '.join(SYSTEMS)}"),
@@ -120,7 +119,6 @@ OPTIONS = {
     "q-grid": (_list(parse_scalar), "comma-separated moment orders"),
     "scale-grid": (_list(_integer), "comma-separated bin or partition counts"),
     "bins": (_checked(_integer, lambda n: n >= 1, "bins must be positive, got {}"), "histogram bin count"),
-    "full-scale": (None, f"allow eigenstates above dimension {FULL_SCALE_DIM}"),
     "alpha-ladder": (_checked(_list(parse_scalar), lambda a: len(a) >= 3, "alpha ladder needs at least 3 values"),
                      "comma-separated alpha values, largest first"),
     "out-dir": (Path, "output directory for emitted files"),
@@ -130,7 +128,7 @@ _SYSTEM_OPTIONS = ("system", "j", "length", "alpha", "alpha-over", "eta", "eta-o
 COMMAND_OPTIONS = {command: (*names, "out-dir") for command, names in {
     "butterfly": (*_SYSTEM_OPTIONS, "xi-sweep", "sigma-sweep", "harper-mode"),
     "spectrum": (*_SYSTEM_OPTIONS, "q-grid", "scale-grid", "harper-mode"),
-    "eigenstates": (*_SYSTEM_OPTIONS, "q-grid", "scale-grid", "bins", "harper-mode", "full-scale"),
+    "eigenstates": (*_SYSTEM_OPTIONS, "q-grid", "scale-grid", "bins", "harper-mode"),
     "floquet-compare": ("j", "eta", "eta-over-j", "xi", "period", "alpha-ladder"),
     "harper-diff": ("length", "sigma", "alpha", "period"),
 }.items()}
@@ -162,13 +160,7 @@ def _config_flags(path: str, command: str) -> list:
     unknown = sorted(set(entries) - set(COMMAND_OPTIONS[command]))
     if unknown:
         raise ConfigError(f"unknown config keys for {command}: {', '.join(unknown)}")
-    flags = []
-    for key, value in entries.items():
-        if OPTIONS[key][0] is not None:
-            flags.append(f"--{key}={value}")
-        elif value.lower() not in ("0", "false", "no"):  # a switch is set by any other value
-            flags.append(f"--{key}")
-    return flags
+    return [f"--{key}={value}" for key, value in entries.items()]
 
 
 @dataclass
@@ -188,7 +180,6 @@ class RunConfig:
     harper_mode: str = CLOSED_FORM
     alpha_ladder: tuple = ()
     bins: int = 50
-    full_scale: bool = False
     out_dir: Path = field(default_factory=lambda: Path("."))
 
 
@@ -204,7 +195,7 @@ def _named(flag: str, convert):
 
 # a value that argparse would take for an option: '-' then a digit or '.'
 _NEGATIVE_VALUE = re.compile(r"-[\d.]")
-_VALUE_FLAGS = frozenset(f"--{name}" for name, (convert, _) in OPTIONS.items() if convert is not None)
+_VALUE_FLAGS = frozenset(f"--{name}" for name in OPTIONS)
 
 
 def _attach_negative_values(argv: list) -> list:
@@ -243,10 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value file whose keys are this command's flags; flags override it")
         for name in names:
             convert, help_text = OPTIONS[name]
-            if convert is None:
-                p.add_argument(f"--{name}", action="store_true", help=help_text)
-            else:
-                p.add_argument(f"--{name}", type=_named(f"--{name}", convert), help=help_text, metavar="V")
+            p.add_argument(f"--{name}", type=_named(f"--{name}", convert), help=help_text, metavar="V")
     return parser
 
 
@@ -332,12 +320,11 @@ def parse_config(argv) -> RunConfig:
         cfg.alpha = values.get("alpha", 1.0)
         if command != "butterfly" and cfg.sigma is None:
             raise ConfigError(f"{command} requires a fixed sigma")
-        dim = cfg.length
     else:
         cfg.length = cfg.sigma = None  # chain parameters, unused by a spin
         if cfg.j is None:
             raise ConfigError(f"system {cfg.system} requires --j")
-        dim = _spin(cfg.j).dim
+        _spin(cfg.j)
         cfg.alpha = _resolve_alpha(values, cfg.j)
         if cfg.alpha is None:
             cfg.alpha = 1.0 / cfg.j if cfg.j > 0 else 1.0  # butterfly-sweep default
@@ -346,10 +333,6 @@ def parse_config(argv) -> RunConfig:
             raise ConfigError(f"{command} requires a fixed eta (or eta-over-j / xi)")
         if cfg.system == "su2-e" and cfg.epsilon is None:
             raise ConfigError("system su2-e requires --epsilon (coupling ratio b = epsilon*alpha)")
-
-    # the eigenstates table holds dim x dim eigenvectors (a dense eigh for dkt)
-    if command == "eigenstates" and dim > FULL_SCALE_DIM and not cfg.full_scale:
-        raise ConfigError(f"dimension {dim} exceeds {FULL_SCALE_DIM}; pass --full-scale for heavy runs")
     return cfg
 
 
@@ -394,7 +377,7 @@ def write_csv(path: Path, header, rows) -> None:
 
 def write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -446,7 +429,7 @@ def cmd_spectrum(cfg: RunConfig) -> Path:
         "results": {
             "n_values": int(values.size),
             "d2": None if np.isnan(spectrum.d2) else spectrum.d2,
-            "mu": float(spectrum.mu),
+            "mu": None if np.isnan(spectrum.mu) else float(spectrum.mu),
             "scale_grid": spectrum.scale_grid.tolist(),
             "q_grid": q.tolist(),
             "tau": spectrum.tau.tolist(),

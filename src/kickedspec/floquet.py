@@ -1,11 +1,12 @@
 """Exact one-period evolution operators, quasienergies, and validation
 against the effective-Hamiltonian pipeline.
 
-This is the independent check route: it uses numpy alone and never the
-effective Hamiltonian.  Four facts make the exact side of a ladder of kick
-strengths cost one real eigendecomposition, plus per kick strength two
-half-size rounds of complex matrix product, inverse and Hermitian eigenvalue
-solve; each effective spectrum is one half-size singular value solve.
+This is the independent check route: the exact side uses numpy alone and
+never the effective Hamiltonian, and `effective_vs_floquet_errors` compares
+it with the H_eff spectrum that `operators.hermitian_eigh` solves.  Four
+facts make the exact side of a ladder of kick strengths cost one real
+eigendecomposition, plus per kick strength two half-size rounds of complex
+matrix product, inverse and Hermitian eigenvalue solve.
 
 - Twist gauge.  The double kicked top's static generator is a diagonal phase
   gauge of Jx: ``dkt_static_part(1, eta, j) = P Jx P^dag`` with
@@ -23,8 +24,6 @@ solve; each effective spectrum is one half-size singular value solve.
   that of the eigenvector index.  So A couples even indices to even and odd
   to odd only (to 1e-15 at j = 10, 1e-13 at j = 1000), and U has the union
   of the spectra of conj(A_b) D_b A_b D_b over the two blocks b.
-- Chiral H_eff.  The kicked top's H_eff stores odd diagonals only, so its
-  eigenvalues are +-sigma(H[0::2, 1::2]) and zeros.
 - Cayley quasienergies.  For W = exp(i theta) U, the Hermitian part of
   H_c = i(1 - W)(1 + W)^-1 has eigenvalues lambda = -tan((E - theta)/2), so
   E = theta - 2 arctan(lambda) comes from a Hermitian solve instead of a
@@ -43,7 +42,7 @@ solve; each effective spectrum is one half-size singular value solve.
 import numpy as np
 
 from .effective import KickedSystem, heff_delta_kicked
-from .operators import Banded, max_abs, require_hermitian, require_unitary
+from .operators import Banded, hermitian_eigh, max_abs, require_hermitian, require_unitary
 from .su2 import SpinLabel, _as_spin, dkt_static_part, phase_diagonal, spin_operators
 
 TWO_PI = 2.0 * np.pi
@@ -195,15 +194,6 @@ def _ladder_quasienergies(blocks: tuple, spin: SpinLabel, alpha: float) -> np.nd
                                    for parity, block in enumerate(blocks)]))
 
 
-def _chiral_energies(ham: Banded) -> np.ndarray:
-    """Sorted eigenvalues of a Hermitian operator with odd diagonals only."""
-    even = sorted(k for k in ham.bands if k % 2 == 0)
-    if even:
-        raise ValueError(f"chiral solve needs odd diagonals only, got diagonals {even}")
-    sigma = np.linalg.svd(ham.to_dense()[0::2, 1::2], compute_uv=False)
-    return np.sort(np.concatenate((-sigma, np.zeros(ham.dim - 2 * sigma.size), sigma)))
-
-
 def effective_vs_floquet_errors(alphas, eta: float, j, period: float = 1.0) -> list:
     """Largest gap between folded effective energies and exact quasienergies,
     one per kick strength.
@@ -216,8 +206,8 @@ def effective_vs_floquet_errors(alphas, eta: float, j, period: float = 1.0) -> l
     spin = _as_spin(j)
     # every H_eff is solved before the Floquet blocks exist, so that its
     # temporaries never add to theirs
-    folded = [np.sort(fold_phases(_chiral_energies(
-        heff_delta_kicked(dkt_kicked_system(alpha, eta, spin, period))) * period))
+    folded = [np.sort(fold_phases(hermitian_eigh(
+        heff_delta_kicked(dkt_kicked_system(alpha, eta, spin, period)).to_dense()) * period))
         for alpha in alphas]
     blocks = _ladder_gauge(spin, eta)
     return [float(np.max(np.abs(effective - _ladder_quasienergies(blocks, spin, alpha))))

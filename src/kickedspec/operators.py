@@ -9,7 +9,8 @@ builders in `su2` and `harper` assemble their operators Hermitian by
 construction from validated scalars and check nothing; every path from them
 to a solver or an exponential passes one of those entry points.  The one
 check on a built result is `effective.heff_delta_kicked`'s, because its
-products can overflow even when its inputs passed.
+products can overflow even when its inputs passed.  `hermitian_eigh` checks
+nothing: `eigensolve` and the Floquet comparison hand it checked operators.
 """
 
 import numbers
@@ -18,6 +19,7 @@ import numpy as np
 
 HERMITICITY_RTOL = 1e-12
 UNITARITY_ATOL = 1e-10
+_SQRT_HALF = np.sqrt(0.5)
 
 
 def _first_row(offset: int) -> int:
@@ -235,6 +237,70 @@ def require_unitary(mat, name: str = "operator") -> np.ndarray:
     return mat
 
 
+def _chiral_or_eigh(block: np.ndarray, vectors: bool):
+    """`hermitian_eigh` of one block.  A block with no even-even and no odd-odd
+    entries is [[0, C], [C^dag, 0]] on its even and odd indices, so the SVD
+    C = U diag(s) V^dag gives the eigenpairs +-s with eigenvectors
+    (u, +-v)/sqrt(2), and the columns of U past s are zero modes (u, 0)."""
+    if block[0::2, 0::2].any() or block[1::2, 1::2].any():
+        return np.linalg.eigh(block) if vectors else np.linalg.eigvalsh(block)
+    svd = np.linalg.svd(block[0::2, 1::2], compute_uv=vectors)
+    sigma, dim = svd.S if vectors else svd, block.shape[0]
+    pairs = sigma.size
+    # singular values come descending, so -s is ascending and +s reversed
+    values = np.concatenate((-sigma, np.zeros(dim - 2 * pairs), sigma[::-1]))
+    if not vectors:
+        return values
+    left, right = svd.U[:, :pairs] * _SQRT_HALF, svd.Vh.conj().T * _SQRT_HALF
+    vecs = np.zeros((dim, dim), dtype=left.dtype)
+    vecs[0::2, :pairs], vecs[1::2, :pairs] = left, -right
+    vecs[0::2, pairs:dim - pairs] = svd.U[:, pairs:]
+    vecs[0::2, dim - pairs:], vecs[1::2, dim - pairs:] = left[:, ::-1], right[:, ::-1]
+    return values, vecs
+
+
+def hermitian_eigh(mat: np.ndarray, vectors: bool = False):
+    """Ascending eigenvalues of a dense Hermitian matrix, and with `vectors`
+    its eigenvectors as columns in the same order, by its exact symmetries.
+
+    A matrix equal to its index reversal R splits into parity blocks in the
+    basis (e_i +- e_{n-1-i})/sqrt(2), the middle index in the even block, so
+    each eigenvector has R-parity +-1.  The kicked-top H_eff commutes with R,
+    its spin flip m -> -m (Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987)),
+    and its mirror pairs are degenerate to rounding: a solve of the whole
+    matrix would return rounding-dependent mixtures of them.  It stores odd
+    diagonals only, so at integer spin both blocks are chiral.  Other blocks
+    go to numpy's ``eigh`` or ``eigvalsh``.
+    """
+    dim, half = mat.shape[0], mat.shape[0] // 2
+    if not half or not np.array_equal(mat, mat[::-1, ::-1]):
+        return _chiral_or_eigh(mat, vectors)
+    cross = mat[:half, ::-1][:, :half]  # H[i, n-1-k]
+    even = mat[:dim - half, :dim - half].astype(np.result_type(mat.dtype, float))
+    even[:half, :half] += cross
+    even[half:, :half] *= np.sqrt(2.0)  # the middle index, when dim is odd
+    even[:half, half:] *= np.sqrt(2.0)
+    odd = mat[:half, :half] - cross
+    # a caller's temporary dense matrix is freed here, before the eigenvectors exist
+    del mat, cross
+    even, odd = _chiral_or_eigh(even, vectors), _chiral_or_eigh(odd, vectors)
+    if not vectors:
+        return np.sort(np.concatenate((even, odd)))
+    values = np.concatenate((even[0], odd[0]))
+    order = np.argsort(values, kind="stable")
+    column = np.argsort(order)  # output column of each block eigenvector
+    out = np.zeros((dim, dim), dtype=np.result_type(even[1], odd[1]))
+    if dim % 2:
+        out[half, column[:dim - half]] = even[1][half]
+    for cols, vecs, mirror in ((column[:dim - half], even[1], 1.0), (column[dim - half:], odd[1], -1.0)):
+        top = vecs[:half]
+        top *= _SQRT_HALF
+        out[:half, cols] = top
+        top *= mirror
+        out[::-1][:half, cols] = top
+    return values[order], out
+
+
 def eigensolve(op: Banded, vectors: bool = False):
     """Ascending eigenvalues of a Hermitian `Banded` operator, and with
     `vectors` also its eigenvectors as columns, by a solver picked from the
@@ -243,8 +309,8 @@ def eigensolve(op: Banded, vectors: bool = False):
     - real with bandwidth <= 1: scipy's tridiagonal solver, whose default
       driver for the whole spectrum is LAPACK's divide and conquer ``?stevd``;
     - otherwise, eigenvalues only: the banded Hermitian driver on the lower band;
-    - otherwise, with eigenvectors: dense ``eigh``, which is faster than the
-      banded vector drivers on the complex bandwidth-3 kicked-top H_eff.
+    - otherwise, with eigenvectors: `hermitian_eigh` on the dense matrix,
+      which returns the kicked-top H_eff's with definite spin-flip parity.
 
     scipy is imported here only: loading it costs more than a small Floquet
     run, which never needs it.
@@ -252,7 +318,7 @@ def eigensolve(op: Banded, vectors: bool = False):
     op = require_hermitian(op)
     tridiagonal = op.bandwidth <= 1 and op.is_real
     if vectors and not tridiagonal:
-        return np.linalg.eigh(op.to_dense())
+        return hermitian_eigh(op.to_dense(), vectors=True)
     import scipy.linalg
 
     if tridiagonal:

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 import dense_oracle as dense
 from kickedspec.floquet import dkt_effective_hamiltonian
 from kickedspec.harper import HarperParams, harper_hamiltonian, kicked_harper_effective
-from kickedspec.operators import Banded, eigensolve, hermiticity_defect
-from kickedspec.su2 import family_params, general_su2_hamiltonian
+from kickedspec import GOLDEN_RATIO
+from kickedspec.operators import Banded, eigensolve, hermitian_eigh, hermiticity_defect
+from kickedspec.su2 import family_params, general_su2_hamiltonian, spin_operators
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -109,3 +110,73 @@ def test_eigensolve_periodic_ring():
 def test_eigensolve_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         eigensolve(Banded(3, {1: np.ones(2)}))
+
+
+def assert_eigenpairs(mat, values, vectors, want):
+    """Eigenvalues with and without vectors against `want` to 1e-12
+    relative, residual within 1e-12 * ||H|| and orthonormal columns to 1e-12."""
+    scale = np.linalg.norm(mat, 2)
+    for got in (values, hermitian_eigh(mat)):
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+    assert np.max(np.abs(mat @ vectors - vectors * values), initial=0.0) <= 1e-12 * scale
+    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(len(values))), initial=0.0) <= 1e-12
+
+
+def random_hermitian(dim, seed):
+    rng = np.random.default_rng(seed)
+    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return mat + mat.conj().T
+
+
+@pytest.mark.parametrize("j", [0.5, 1, 1.5, 10, 10.5, 200, 200.5])
+def test_eigensolve_dkt_eigenvectors_match_dense_oracle(j):
+    eta = GOLDEN_RATIO * j
+    want = np.linalg.eigvalsh(dense.dkt_heff(1.0 / j, eta, j))
+    op = dkt_effective_hamiltonian(1.0 / j, eta, j)
+    values, vectors = eigensolve(op, vectors=True)
+    assert_eigenpairs(op.to_dense(), values, vectors, want)
+
+
+@pytest.mark.parametrize("j", [10.5, 200])
+def test_dkt_eigenvectors_have_spin_flip_parity(j):
+    # the H_eff commutes with the index reversal R (m -> -m); its mirror
+    # pairs are degenerate to rounding, so only an R-adapted solve returns
+    # states of definite parity
+    _, vectors = eigensolve(dkt_effective_hamiltonian(1.0 / j, GOLDEN_RATIO * j, j), vectors=True)
+    parity = np.sum(vectors.conj() * vectors[::-1], axis=0)
+    assert np.max(np.abs(np.abs(parity) - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 6, 7, 9, 10])
+@pytest.mark.parametrize("mirrored", [False, True], ids=["chiral", "chiral-and-mirrored"])
+def test_chiral_solve_with_zero_modes(dim, mirrored):
+    # odd sizes have one more even index than odd ones, so a zero mode
+    # (u, 0) beside the pairs +-s; a mirrored odd size puts it in the even
+    # parity block
+    mat = random_hermitian(dim, dim)
+    if mirrored:
+        mat = mat + mat[::-1, ::-1]
+    mat[0::2, 0::2] = mat[1::2, 1::2] = 0.0
+    values, vectors = hermitian_eigh(mat, vectors=True)
+    assert_eigenpairs(mat, values, vectors, np.linalg.eigvalsh(mat))
+    zero_modes = np.abs(values) <= 1e-12 * np.linalg.norm(mat, 2)
+    assert np.count_nonzero(zero_modes) == dim % 2
+    assert not np.any(vectors[1::2][:, zero_modes])
+
+
+def dkt_plus_jz():
+    # Jz breaks both the chirality and the spin-flip symmetry of the H_eff
+    return (dkt_effective_hamiltonian(0.04, GOLDEN_RATIO * 10, 10) + 0.1 * spin_operators(10).jz).to_dense()
+
+
+@pytest.mark.parametrize("build", [lambda: random_hermitian(1, 11), lambda: random_hermitian(4, 14),
+                                   lambda: random_hermitian(7, 17), dkt_plus_jz],
+                         ids=["random-1", "random-4", "random-7", "dkt-plus-jz"])
+def test_hermitian_eigh_without_symmetry_is_plain_eigh(build, monkeypatch):
+    mat = build()
+    want_values, want_vectors = np.linalg.eigh(mat)
+    monkeypatch.setattr(np.linalg, "svd", None)
+    values, vectors = hermitian_eigh(mat, vectors=True)
+    np.testing.assert_array_equal(values, want_values)
+    np.testing.assert_array_equal(vectors, want_vectors)
+    np.testing.assert_array_equal(hermitian_eigh(mat), np.linalg.eigvalsh(mat))

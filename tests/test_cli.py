@@ -10,7 +10,7 @@ import pytest
 
 import kickedspec
 from kickedspec import GOLDEN_RATIO
-from kickedspec.cli import COMMAND_OPTIONS, ConfigError, main, parse_config, parse_scalar, parse_sweep
+from kickedspec.cli import COMMAND_OPTIONS, ConfigError, main, parse_config, parse_scalar, parse_sweep, write_json
 from kickedspec.floquet import dkt_effective_hamiltonian, fold_phases
 from kickedspec.harper import HarperParams, harper_hamiltonian, kicked_harper_effective
 from kickedspec.operators import eigensolve
@@ -94,15 +94,10 @@ def test_parse_config_rejects_wrong_sweep_axis():
         parse_config(["butterfly", "--system", "dkt", "--j", "4", "--sigma-sweep", "0:1:0.5"])
 
 
-def test_parse_config_full_scale_gate():
-    # only the eigenvector table is gated; a banded spectrum at j=2500 is cheap
-    with pytest.raises(ConfigError, match="full-scale"):
-        parse_config(["eigenstates", "--system", "dkt", "--j", "2500", "--eta-over-j", "golden"])
-    cfg = parse_config(["eigenstates", "--system", "dkt", "--j", "2500",
-                        "--eta-over-j", "golden", "--full-scale"])
-    assert cfg.full_scale
-    cfg = parse_config(["spectrum", "--system", "dkt", "--j", "2500", "--eta-over-j", "golden"])
-    assert not cfg.full_scale
+def test_parse_config_accepts_full_scale_eigenstates():
+    # the symmetry-adapted eigenvector solve needs no size guard at the paper's j = 2500
+    cfg = parse_config(["eigenstates", "--system", "dkt", "--j", "2500", "--eta-over-j", "golden"])
+    assert (cfg.command, cfg.j, cfg.eta) == ("eigenstates", 2500.0, GOLDEN_RATIO * 2500)
 
 
 def test_config_file_merging_and_strictness(tmp_path):
@@ -135,15 +130,8 @@ def test_flags_override_the_config_file(tmp_path):
         parse_config(["eigenstates", "--config", str(config), "--sigma", "golden"])
 
 
-@pytest.mark.parametrize("value, expected", [("1", True), ("yes", True), ("0", False), ("no", False), ("False", False)])
-def test_config_file_switch(value, expected, tmp_path):
-    config = tmp_path / "run.cfg"
-    config.write_text(f"system = dkt\nj = 2\neta = 1\nfull_scale = {value}\n")
-    assert parse_config(["eigenstates", "--config", str(config)]).full_scale is expected
-
-
-@pytest.mark.parametrize("command", ["butterfly", "spectrum", "floquet-compare", "harper-diff"])
-def test_full_scale_is_an_eigenstates_flag(command, tmp_path):
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_full_scale_is_an_unknown_flag(command, tmp_path):
     with pytest.raises(ConfigError, match="unrecognized arguments: --full-scale$"):
         parse_config([command, "--full-scale"])
     config = tmp_path / "run.cfg"
@@ -183,7 +171,7 @@ OPTION_RUNS = {
         {"system": "harper-static", "sigma": "0.3", "sigma-sweep": "0:1:0.5"},
     ],
     "spectrum": SYSTEM_RUNS,
-    "eigenstates": [*SYSTEM_RUNS, {"system": "dkt", "j": "1100", "eta": "1", "bins": "7", "full-scale": "1"}],
+    "eigenstates": [*SYSTEM_RUNS, {"system": "dkt", "j": "1100", "eta": "1", "bins": "7"}],
     "floquet-compare": [
         {"j": "10", "eta-over-j": "golden", "alpha-ladder": "0.04,0.02,0.01", "period": "0.5"},
         {"j": "4", "eta": "1", "alpha-ladder": "0.1,0.05,0.02", "out-dir": "out"},
@@ -199,7 +187,7 @@ def test_config_keys_parse_as_flags(command, tmp_path):
     for i, run in enumerate(OPTION_RUNS[command]):
         flags = [command]
         for key, value in run.items():
-            flags += [f"--{key}"] if key == "full-scale" else [f"--{key}", value]
+            flags += [f"--{key}", value]
         config = tmp_path / f"{i}.cfg"
         config.write_text("".join(f"{key} = {value}\n" for key, value in run.items()))
         expected = parse_outcome(flags)
@@ -458,6 +446,44 @@ def test_harper_diff_report(tmp_path):
     assert len(bonds) == 39
     assert report["results"]["max_norm"] == pytest.approx(np.max(np.abs(bonds)))
     assert report["results"]["max_diagonal_difference"] == 0.0
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# a run of each command that writes a JSON report, with undefined fits among them
+DKT_50 = ["--system", "dkt", "--j", "50", "--alpha-over", "1", "--eta-over-j", "golden"]
+REPORT_RUNS = {
+    "spectrum": ["spectrum", *DKT_50],
+    "spectrum-q-0,2": ["spectrum", *DKT_50, "--q-grid", "0,2"],
+    "spectrum-q-0,3": ["spectrum", *DKT_50, "--q-grid", "0,3"],
+    "eigenstates": ["eigenstates", "--system", "dkt", "--j", "20", "--alpha-over", "1", "--eta-over-j", "golden"],
+    "eigenstates-q-0,3,4": ["eigenstates", "--system", "harper-static", "--length", "64", "--sigma", "golden",
+                            "--q-grid", "0,3,4"],
+    "floquet-compare": ["floquet-compare", "--j", "10", "--eta-over-j", "golden", "--alpha-ladder", "0.04,0.02,0.01"],
+    "harper-diff": ["harper-diff", "--length", "40", "--sigma", "golden"],
+}
+
+
+@pytest.mark.parametrize("run", sorted(REPORT_RUNS))
+def test_reports_are_strict_json(run, tmp_path):
+    assert run_cli(REPORT_RUNS[run], tmp_path) == 0
+    reports = sorted(tmp_path.glob("*.json"))
+    assert reports
+    for path in reports:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("run", ["spectrum-q-0,2", "spectrum-q-0,3"])
+def test_spectrum_report_mu_null_without_two_q_in_the_slope_range(run, tmp_path):
+    assert run_cli(REPORT_RUNS[run], tmp_path) == 0
+    assert json.loads((tmp_path / "spectrum_report.json").read_text())["results"]["mu"] is None
+
+
+def test_write_json_refuses_nan(tmp_path):
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "report.json", {"mu": float("nan")})
 
 
 # ---------------------------------------------------------------------------

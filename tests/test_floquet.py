@@ -6,7 +6,6 @@ import pytest
 import dense_oracle as dense
 from kickedspec import GOLDEN_RATIO, floquet
 from kickedspec.floquet import (
-    _chiral_energies,
     _ladder_gauge,
     _ladder_quasienergies,
     _twist_gauge,
@@ -19,7 +18,7 @@ from kickedspec.floquet import (
     quasienergy_spectrum,
     unitary_from_hermitian,
 )
-from kickedspec.operators import Banded, max_abs, unitarity_defect
+from kickedspec.operators import Banded, hermitian_eigh, max_abs, unitarity_defect
 from kickedspec.su2 import SpinLabel, dkt_static_part, spin_operators
 
 MODULATIONS = {"golden": GOLDEN_RATIO, "silver": math.sqrt(2.0) - 1.0, "bronze": (math.sqrt(13.0) - 3.0) / 2.0}
@@ -311,13 +310,9 @@ def test_ladder_gauge_rejects_a_twist_that_breaks_parity(monkeypatch):
 @pytest.mark.parametrize("alpha", [0.04, 0.00125])
 @pytest.mark.parametrize("j", [0.5, 1, 1.5, 10, 10.5, 200])
 def test_chiral_energies_match_dense_eigvalsh(j, alpha):
+    # the ladder's effective spectrum: the H_eff stores odd diagonals only
     heff = dkt_effective_hamiltonian(alpha, GOLDEN_RATIO * j, j)
     assert all(k % 2 for k in heff.bands)
     want = np.linalg.eigvalsh(heff.to_dense())
-    assert np.max(np.abs(_chiral_energies(heff) - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(hermitian_eigh(heff.to_dense()) - want)) <= 1e-13 * np.max(np.abs(want))
 
-
-def test_chiral_energies_reject_a_stored_even_diagonal():
-    heff = dkt_effective_hamiltonian(0.04, GOLDEN_RATIO * 10, 10) + 0.1 * spin_operators(10).jz
-    with pytest.raises(ValueError, match=r"odd diagonals only, got diagonals \[0\]"):
-        _chiral_energies(heff)
