@@ -27,15 +27,11 @@ from .harper import (
     kicked_harper_effective,
 )
 from .multifractal import (
-    BoxMeasure,
-    EigenvectorProfile,
     EigenvectorTable,
     ScalingSpectrum,
     analyze_eigenvectors,
     box_probabilities,
-    eigenvector_tau,
     ensemble_statistics,
-    participation_ratio,
     tau_spectrum,
 )
 from .operators import Banded, eigensolve
@@ -57,10 +53,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Banded",
-    "BoxMeasure",
     "CLOSED_FORM",
     "CosineCoupling",
-    "EigenvectorProfile",
     "EigenvectorTable",
     "GENERAL",
     "GOLDEN_RATIO",
@@ -79,7 +73,6 @@ __all__ = [
     "effective_vs_floquet_error",
     "effective_vs_floquet_errors",
     "eigensolve",
-    "eigenvector_tau",
     "ensemble_statistics",
     "family_params",
     "fold_phases",
@@ -91,7 +84,6 @@ __all__ = [
     "hopping_operator",
     "kicked_harper_effective",
     "micromotion_kick",
-    "participation_ratio",
     "phase_operator",
     "quasienergy_spectrum",
     "spin_operators",

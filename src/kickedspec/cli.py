@@ -37,6 +37,7 @@ from .su2 import SpinLabel, family_params, general_su2_hamiltonian
 SU2_CASES = ("a", "b", "c", "d", "e", "f")
 SYSTEMS = ("dkt",) + tuple(f"su2-{c}" for c in SU2_CASES) + ("harper-static", "harper-kicked")
 MAX_SWEEP_POINTS = 100_000  # each point is one eigensolve
+MAX_BINS = 2**20  # histogram and box-counting bins; np.histogram allocates every edge up front
 
 _EXIT_CONFIG = 2
 _EXIT_NUMERICAL = 3
@@ -118,7 +119,8 @@ OPTIONS = {
                              f"harper-mode must be {CLOSED_FORM} or {GENERAL}, got {{!r}}"), "closed-form or general"),
     "q-grid": (_list(parse_scalar), "comma-separated moment orders"),
     "scale-grid": (_list(_integer), "comma-separated bin or partition counts"),
-    "bins": (_checked(_integer, lambda n: n >= 1, "bins must be positive, got {}"), "histogram bin count"),
+    "bins": (_checked(_integer, lambda n: 1 <= n <= MAX_BINS, f"bins must be between 1 and {MAX_BINS}, got {{}}"),
+             "histogram bin count"),
     "alpha-ladder": (_checked(_list(parse_scalar), lambda a: len(a) >= 3, "alpha ladder needs at least 3 values"),
                      "comma-separated alpha values, largest first"),
     "out-dir": (Path, "output directory for emitted files"),
@@ -297,6 +299,8 @@ def parse_config(argv) -> RunConfig:
         cfg.alpha = values.get("alpha", 1.0)
         return cfg
 
+    if command == "spectrum" and cfg.scale_grid and max(cfg.scale_grid) > MAX_BINS:
+        raise ConfigError(f"--scale-grid: bin counts must not exceed {MAX_BINS}, got {max(cfg.scale_grid)}")
     if cfg.system is None:
         raise ConfigError(f"{command} requires --system ({', '.join(SYSTEMS)})")
     is_harper = cfg.system.startswith("harper")

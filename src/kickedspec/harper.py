@@ -27,7 +27,6 @@ class HarperParams:
     sigma: float
     alpha: float = 1.0
     period: float = 1.0
-    periodic: bool = False  # close the chain into a ring (band-structure checks)
 
     def __post_init__(self):
         if self.length < 2:
@@ -46,19 +45,14 @@ def onsite_potential(params: HarperParams) -> np.ndarray:
     return 2.0 * np.cos(2.0 * np.pi * sites * params.sigma)
 
 
-def _bond_matrix(params: HarperParams, bonds, closing: float) -> Banded:
-    """Symmetric hopping with `bonds` on the open-chain bonds; a periodic
-    chain of more than two sites also gets `closing` on the bond (L, 1)."""
-    bands = {1: bonds, -1: bonds}
-    if params.periodic and params.length > 2:
-        corner = np.array([closing])
-        bands[params.length - 1] = bands[1 - params.length] = corner
-    return Banded(params.length, bands)
+def _bond_matrix(params: HarperParams, bonds) -> Banded:
+    """Symmetric hopping with `bonds` on the open-chain bonds."""
+    return Banded(params.length, {1: bonds, -1: bonds})
 
 
 def _hopping_matrix(params: HarperParams) -> Banded:
-    """Unit hopping on open-chain bonds, closing the ring when periodic."""
-    return _bond_matrix(params, np.ones(params.length - 1), 1.0)
+    """Unit hopping on open-chain bonds."""
+    return _bond_matrix(params, np.ones(params.length - 1))
 
 
 def harper_hamiltonian(params: HarperParams) -> Banded:
@@ -70,8 +64,7 @@ def closed_form_correction(params: HarperParams) -> Banded:
     """Hopping correction -(1/6) cos^2(2 pi n sigma) on bond (n, n+1)."""
     sites = np.arange(1, params.length)
     bonds = -np.cos(2.0 * np.pi * sites * params.sigma) ** 2 / 6.0
-    closing = -np.cos(2.0 * np.pi * params.length * params.sigma) ** 2 / 6.0
-    return _bond_matrix(params, bonds, closing)
+    return _bond_matrix(params, bonds)
 
 
 def kicked_harper_system(params: HarperParams) -> KickedSystem:

@@ -38,18 +38,13 @@ MIN_FIT_POINTS = 5
 _Q_ONE_TOL = 1e-9
 _MAX_HALF_STEPS = 20  # p^q by repeated multiplication up to q = 10: at most ~20 roundings
 _PR_BLOCK = 256  # states per block of squared weights in the participation ratio
+# ensemble_statistics: fraction of states below each threshold
+PR_THRESHOLDS = (20.0,)
+D_THRESHOLDS = (0.05,)
+MU_THRESHOLDS = ()
 
 
-@dataclass(frozen=True)
-class BoxMeasure:
-    """Occupation probabilities of equal-width bins spanning the data range."""
-
-    probabilities: np.ndarray
-    n_bins: int
-    bin_width: float
-
-
-def box_probabilities(values, n_bins: int) -> BoxMeasure:
+def box_probabilities(values, n_bins: int) -> np.ndarray:
     """Histogram values into n_bins equal-width bins and normalize to probabilities.
 
     Bins cover [min, max]; the rightmost bin is closed on both sides.
@@ -62,9 +57,8 @@ def box_probabilities(values, n_bins: int) -> BoxMeasure:
     lo, hi = float(values.min()), float(values.max())
     if not hi > lo:
         raise ValueError("degenerate range: all values identical")
-    counts, edges = np.histogram(values, bins=int(n_bins), range=(lo, hi))
-    probs = counts.astype(float) / values.size
-    return BoxMeasure(probabilities=probs, n_bins=int(n_bins), bin_width=float(edges[1] - edges[0]))
+    counts, _ = np.histogram(values, bins=int(n_bins), range=(lo, hi))
+    return counts.astype(float) / values.size
 
 
 def _q_values(q_grid) -> np.ndarray:
@@ -257,7 +251,7 @@ def tau_spectrum(values, q_grid=None, scale_grid=None) -> ScalingSpectrum:
     values = np.asarray(values, dtype=float).ravel()
     q_grid = _q_values(q_grid)
     scale_grid = _counts(default_scale_grid(values.size) if scale_grid is None else scale_grid, 4)
-    boxes = (box_probabilities(values, int(n_bins)).probabilities for n_bins in scale_grid)
+    boxes = (box_probabilities(values, int(n_bins)) for n_bins in scale_grid)
     measures = (probs[probs > 0.0, np.newaxis] for probs in boxes)  # occupied boxes, summed in bin order
     tau, r2, start, stop, dq, mu = _scaling_fit(scale_grid, measures, q_grid)
     return ScalingSpectrum(
@@ -277,34 +271,13 @@ def tau_spectrum(values, q_grid=None, scale_grid=None) -> ScalingSpectrum:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EigenvectorProfile:
-    """Localization and scaling diagnostics of one eigenvector: one column of
-    an `EigenvectorTable`."""
-
-    pr: float
-    q_grid: np.ndarray
-    tau_bar: np.ndarray
-    d_bar: np.ndarray
-    mu_bar: float
-    fit_r2: np.ndarray
-    partition_grid: np.ndarray
-
-    @property
-    def d2(self) -> float:
-        return float(_at_q(self.q_grid, self.d_bar, 2.0))
-
-    @property
-    def d5(self) -> float:
-        return float(_at_q(self.q_grid, self.d_bar, 5.0))
-
-
-@dataclass(frozen=True)
 class EigenvectorTable:
     """Localization and scaling diagnostics of many eigenvectors, as arrays.
 
     pr and mu_bar have shape (n_states,); tau_bar, d_bar and fit_r2 have
     shape (n_q, n_states), one row per entry of q_grid.  `len(table)` is the
-    number of states and `table[s]` builds state s's `EigenvectorProfile`.
+    number of states, and `table[s]` is the one-state table of state s
+    (column s of every array, the same q_grid and partition_grid).
     """
 
     pr: np.ndarray
@@ -318,16 +291,12 @@ class EigenvectorTable:
     def __len__(self) -> int:
         return self.pr.size
 
-    def __getitem__(self, s: int) -> EigenvectorProfile:
-        return EigenvectorProfile(
-            pr=float(self.pr[s]),
-            q_grid=self.q_grid,
-            tau_bar=self.tau_bar[:, s].copy(),
-            d_bar=self.d_bar[:, s].copy(),
-            mu_bar=float(self.mu_bar[s]),
-            fit_r2=self.fit_r2[:, s].copy(),
-            partition_grid=self.partition_grid,
-        )
+    def __getitem__(self, s: int) -> "EigenvectorTable":
+        s = range(len(self))[s]  # negative indices count from the end; IndexError past it
+        column = slice(s, s + 1)
+        return EigenvectorTable(pr=self.pr[column], q_grid=self.q_grid, tau_bar=self.tau_bar[:, column],
+                                d_bar=self.d_bar[:, column], mu_bar=self.mu_bar[column],
+                                fit_r2=self.fit_r2[:, column], partition_grid=self.partition_grid)
 
     @property
     def d2(self) -> np.ndarray:
@@ -344,23 +313,6 @@ def _at_q(q_grid, values, q: float):
     """The row of values (shape (n_q, ...)) at q on the grid, NaN where q is absent."""
     idx = np.nonzero(np.abs(np.asarray(q_grid) - q) <= 1e-9)[0]
     return values[idx[0]] if idx.size else np.full(values.shape[1:], np.nan)
-
-
-def _require_normalized(weights) -> np.ndarray:
-    weights = np.asarray(weights, dtype=float)
-    # written so that NaN fails: every comparison with NaN is False
-    if not np.all(weights >= -1e-12):
-        raise ValueError("weights must be non-negative")
-    sums = weights.sum(axis=0)
-    if not np.all(np.abs(sums - 1.0) <= 1e-8):
-        raise ValueError("weights must sum to 1 per state")
-    return weights
-
-
-def participation_ratio(weights) -> float:
-    """1 / sum(w^2): the effective number of supporting basis states."""
-    weights = _require_normalized(np.asarray(weights, dtype=float).ravel())
-    return float(1.0 / np.sum(weights**2))
 
 
 def default_partition_grid(dim: int) -> np.ndarray:
@@ -389,12 +341,15 @@ def _partition_starts(dim: int, n_parts: int) -> np.ndarray:
 
 
 def analyze_eigenvectors(weight_columns, q_grid=None, partition_grid=None) -> EigenvectorTable:
-    """EigenvectorTable of the columns of a (dim x n_states) weight matrix.
+    """EigenvectorTable of the columns of a (dim x n_states) weight matrix; a
+    single weight vector of shape (dim,) gives a one-state table.
 
-    Weights are grouped into M contiguous positional partitions for each M in
-    partition_grid, and sum(p~^q) is regressed against log M inside each
-    state's shared linear region, giving tau_bar_q = (1-q) D_bar_q, so
-    D_bar_2 = -tau_bar_2 and D_bar_5 = -tau_bar_5/4.
+    Each column must be non-negative and sum to 1; its PR is 1 / sum(w^2),
+    the effective number of supporting basis states.  Weights are grouped
+    into M contiguous positional partitions for each M in partition_grid,
+    and sum(p~^q) is regressed against log M inside each state's shared
+    linear region, giving tau_bar_q = (1-q) D_bar_q, so D_bar_2 = -tau_bar_2
+    and D_bar_5 = -tau_bar_5/4.
     """
     weights = np.asarray(weight_columns, dtype=float)
     if weights.ndim == 1:
@@ -402,7 +357,11 @@ def analyze_eigenvectors(weight_columns, q_grid=None, partition_grid=None) -> Ei
     dim, n_states = weights.shape
     q_grid = _q_values(q_grid)
     partition_grid = _counts(default_partition_grid(dim) if partition_grid is None else partition_grid, 1, dim)
-    _require_normalized(weights)
+    # written so that NaN fails: every comparison with NaN is False
+    if not np.all(weights >= -1e-12):
+        raise ValueError("weights must be non-negative")
+    if not np.all(np.abs(weights.sum(axis=0) - 1.0) <= 1e-8):
+        raise ValueError("weights must sum to 1 per state")
 
     # Column-major, whatever layout came in: reduceat along axis 0 is several
     # times faster on it, and every sum below then runs in one order.
@@ -418,35 +377,27 @@ def analyze_eigenvectors(weight_columns, q_grid=None, partition_grid=None) -> Ei
                             fit_r2=fit_r2, partition_grid=partition_grid)
 
 
-def eigenvector_tau(weights, q_grid=None, partition_grid=None) -> EigenvectorProfile:
-    """Scaling profile of a single normalized weight vector."""
-    return analyze_eigenvectors(np.asarray(weights, dtype=float).reshape(-1, 1),
-                                q_grid=q_grid, partition_grid=partition_grid)[0]
-
-
 # ---------------------------------------------------------------------------
 # Ensembles
 # ---------------------------------------------------------------------------
 
-def _histogram_summary(values, n_bins: int, thresholds=()):
+def _histogram_summary(values, n_bins: int, thresholds):
     """Summary of one column, None if the column is undefined (all NaN: its q
     is not on the grid, or too few q lie in the mu-fit range)."""
     values = np.asarray(values, dtype=float)
     if np.all(np.isnan(values)):
         return None
     counts, edges = np.histogram(values, bins=n_bins)
-    total = max(values.size, 1)
     return {
         "mean": float(values.mean()),
         "variance": float(values.var()),
-        "histogram": (counts / total).tolist(),
+        "histogram": (counts / values.size).tolist(),
         "bin_edges": edges.tolist(),
         "fraction_below": {str(t): float(np.mean(values < t)) for t in thresholds},
     }
 
 
-def ensemble_statistics(table: EigenvectorTable, n_bins: int = 50,
-                        pr_thresholds=(20.0,), d_thresholds=(0.05,), mu_thresholds=()) -> dict:
+def ensemble_statistics(table: EigenvectorTable, n_bins: int = 50) -> dict:
     """Normalized histograms and summary statistics of D_bar_2, D_bar_5, mu_bar, PR.
 
     A column that is undefined on the table's q grid is reported as None.
@@ -455,8 +406,8 @@ def ensemble_statistics(table: EigenvectorTable, n_bins: int = 50,
         raise ValueError("need at least one eigenvector")
     return {
         "count": len(table),
-        "pr": _histogram_summary(table.pr, n_bins, pr_thresholds),
-        "d2": _histogram_summary(table.d2, n_bins, d_thresholds),
-        "d5": _histogram_summary(table.d5, n_bins, d_thresholds),
-        "mu": _histogram_summary(table.mu_bar, n_bins, mu_thresholds),
+        "pr": _histogram_summary(table.pr, n_bins, PR_THRESHOLDS),
+        "d2": _histogram_summary(table.d2, n_bins, D_THRESHOLDS),
+        "d5": _histogram_summary(table.d5, n_bins, D_THRESHOLDS),
+        "mu": _histogram_summary(table.mu_bar, n_bins, MU_THRESHOLDS),
     }

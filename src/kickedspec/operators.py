@@ -244,17 +244,20 @@ def _chiral_or_eigh(block: np.ndarray, vectors: bool):
     (u, +-v)/sqrt(2), and the columns of U past s are zero modes (u, 0)."""
     if block[0::2, 0::2].any() or block[1::2, 1::2].any():
         return np.linalg.eigh(block) if vectors else np.linalg.eigvalsh(block)
-    svd = np.linalg.svd(block[0::2, 1::2], compute_uv=vectors)
-    sigma, dim = svd.S if vectors else svd, block.shape[0]
+    coupling, dim = block[0::2, 1::2], block.shape[0]
+    if vectors:
+        u, sigma, vh = np.linalg.svd(coupling)
+    else:
+        sigma = np.linalg.svd(coupling, compute_uv=False)
     pairs = sigma.size
     # singular values come descending, so -s is ascending and +s reversed
     values = np.concatenate((-sigma, np.zeros(dim - 2 * pairs), sigma[::-1]))
     if not vectors:
         return values
-    left, right = svd.U[:, :pairs] * _SQRT_HALF, svd.Vh.conj().T * _SQRT_HALF
+    left, right = u[:, :pairs] * _SQRT_HALF, vh.conj().T * _SQRT_HALF
     vecs = np.zeros((dim, dim), dtype=left.dtype)
     vecs[0::2, :pairs], vecs[1::2, :pairs] = left, -right
-    vecs[0::2, pairs:dim - pairs] = svd.U[:, pairs:]
+    vecs[0::2, pairs:dim - pairs] = u[:, pairs:]
     vecs[0::2, dim - pairs:], vecs[1::2, dim - pairs:] = left[:, ::-1], right[:, ::-1]
     return values, vecs
 

@@ -273,7 +273,7 @@ def test_criterion_8_structural_invariants():
     ok &= float(np.max(np.abs(base.tau - moved.tau))) <= 1e-10
     notes.append("affine invariance")
 
-    probs = box_probabilities(values, 64).probabilities
+    probs = box_probabilities(values, 64)
     moments = [partition_moment(probs, q) for q in np.linspace(0.0, 9.0, 19)]
     ok &= all(a > b for a, b in zip(moments, moments[1:]))
     ok &= partition_moment(probs, 1.0) == pytest.approx(1.0, abs=1e-12)

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 
 import kickedspec
 from kickedspec import GOLDEN_RATIO
-from kickedspec.cli import COMMAND_OPTIONS, ConfigError, main, parse_config, parse_scalar, parse_sweep, write_json
+from kickedspec.cli import (COMMAND_OPTIONS, MAX_BINS, ConfigError, main, parse_config, parse_scalar, parse_sweep,
+                             write_json)
 from kickedspec.floquet import dkt_effective_hamiltonian, fold_phases
 from kickedspec.harper import HarperParams, harper_hamiltonian, kicked_harper_effective
 from kickedspec.operators import eigensolve
@@ -490,15 +492,15 @@ def test_write_json_refuses_nan(tmp_path):
 # exit codes as a subprocess (the documented contract)
 # ---------------------------------------------------------------------------
 
-def run_python(args):
+def run_python(args, **kwargs):
     # the child imports the same kickedspec as this process, installed or not
     src = str(Path(kickedspec.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, **kwargs)
 
 
-def run_module(args):
-    return run_python(["-m", "kickedspec.cli", *args])
+def run_module(args, **kwargs):
+    return run_python(["-m", "kickedspec.cli", *args], **kwargs)
 
 
 def test_exit_code_zero_on_success(tmp_path):
@@ -610,6 +612,25 @@ def test_nonpositive_bins_is_config_error(bins, tmp_path):
                        "--bins", bins, "--out-dir", str(tmp_path)])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+def _limit_address_space():
+    # 3 GB: enough to run, too little for a runaway allocation to reach the host's memory
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+
+@pytest.mark.parametrize("args", [
+    ["eigenstates", "--system", "harper-static", "--length", "64", "--sigma", "golden", "--bins", "1073741824"],
+    ["spectrum", "--system", "dkt", "--j", "10", "--alpha", "0.1", "--eta", "1",
+     "--scale-grid", "16,32,64,1073741824"],
+])
+def test_oversized_bin_count_is_config_error(args, tmp_path):
+    # rejected while parsing: np.histogram would allocate 8 GiB of bin edges
+    proc = run_module([*args, "--out-dir", str(tmp_path)], preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert str(MAX_BINS) in proc.stderr
     assert not any(tmp_path.iterdir())
 
 

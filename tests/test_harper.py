@@ -13,7 +13,7 @@ from kickedspec.harper import (
     kicked_harper_system,
     onsite_potential,
 )
-from kickedspec.operators import hermiticity_defect
+from kickedspec.operators import Banded, hermiticity_defect
 
 
 def test_params_validation():
@@ -48,7 +48,8 @@ def test_static_chain_band_count_for_rational_flux(p, q):
     # rational flux p/q: at most q bands, so at most q-1 gaps above threshold;
     # the ring closure keeps open-chain edge modes out of the gaps
     length = 60 * q
-    evals = np.linalg.eigvalsh(harper_hamiltonian(HarperParams(length, p / q, periodic=True)))
+    ring = harper_hamiltonian(HarperParams(length, p / q)) + Banded(length, {length - 1: [1.0], 1 - length: [1.0]})
+    evals = np.linalg.eigvalsh(ring)
     gaps = np.diff(np.sort(evals))
     assert np.count_nonzero(gaps > 0.1) <= q - 1
 
@@ -149,13 +150,3 @@ def test_discrepancy_two_site_hand_case():
     assert report.bonds_general[0] == pytest.approx(general_bond / alpha)
     assert report.bonds_closed_form[0] == pytest.approx(closed_bond)
     assert report.bond_difference[0] == pytest.approx(closed_bond - general_bond / alpha)
-
-
-def test_periodic_flag_closes_the_ring():
-    params = HarperParams(8, 0.37, periodic=True)
-    ham = harper_hamiltonian(params)
-    assert ham[0, -1] == pytest.approx(1.0)
-    assert ham[-1, 0] == pytest.approx(1.0)
-    eff = kicked_harper_effective(params, CLOSED_FORM)
-    closing = -np.cos(2.0 * np.pi * 8 * 0.37) ** 2 / 6.0
-    assert np.real(eff[0, -1]) == pytest.approx(1.0 + closing)

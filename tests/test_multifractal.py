@@ -10,9 +10,7 @@ from kickedspec.multifractal import (
     box_probabilities,
     default_partition_grid,
     default_scale_grid,
-    eigenvector_tau,
     ensemble_statistics,
-    participation_ratio,
     partition_moment,
     tau_spectrum,
 )
@@ -35,20 +33,16 @@ def dirichlet_weights(dim, n_states, concentration, seed):
 # ---------------------------------------------------------------------------
 
 def test_box_probabilities_two_values():
-    measure = box_probabilities([0.0, 1.0], 2)
-    assert np.allclose(measure.probabilities, [0.5, 0.5])
-    assert measure.bin_width == pytest.approx(0.5)
+    assert np.allclose(box_probabilities([0.0, 1.0], 2), [0.5, 0.5])
 
 
 def test_box_probabilities_uniform_grid():
     values = np.linspace(0.0, 1.0, 1000)
-    measure = box_probabilities(values, 10)
-    assert np.allclose(measure.probabilities, 0.1)
+    assert np.allclose(box_probabilities(values, 10), 0.1)
 
 
 def test_box_probabilities_rightmost_bin_closed():
-    measure = box_probabilities([0.0, 0.5, 1.0], 2)
-    assert np.allclose(measure.probabilities, [1.0 / 3.0, 2.0 / 3.0])
+    assert np.allclose(box_probabilities([0.0, 0.5, 1.0], 2), [1.0 / 3.0, 2.0 / 3.0])
 
 
 def test_box_probabilities_validation():
@@ -61,7 +55,7 @@ def test_box_probabilities_validation():
 def test_cantor_occupied_bins_follow_construction():
     values = cantor_points(depth=8)
     for k in (1, 2, 3, 4, 5):
-        probs = box_probabilities(values, 3**k).probabilities
+        probs = box_probabilities(values, 3**k)
         assert np.count_nonzero(probs) == 2**k
 
 
@@ -170,8 +164,8 @@ def test_degenerate_partition_grid_rejected(partition_grid, message):
 
 
 def test_partition_count_equal_to_dimension_accepted():
-    profile = eigenvector_tau(np.full(8, 1.0 / 8), partition_grid=[2, 4, 8])
-    np.testing.assert_allclose(profile.tau_bar, 1.0 - profile.q_grid, atol=1e-12)
+    table = analyze_eigenvectors(np.full(8, 1.0 / 8), partition_grid=[2, 4, 8])
+    np.testing.assert_allclose(table.tau_bar[:, 0], 1.0 - table.q_grid, atol=1e-12)
 
 
 def test_default_scale_grid_dense_and_capped():
@@ -201,7 +195,7 @@ def test_spectrum_d2_uses_the_q_lookup():
 def test_zq_monotonicity_invariants():
     rng = np.random.default_rng(11)
     values = np.sort(rng.normal(size=3000))
-    probs = box_probabilities(values, 64).probabilities
+    probs = box_probabilities(values, 64)
     assert partition_moment(probs, 0.0) == np.count_nonzero(probs)
     assert partition_moment(probs, 1.0) == pytest.approx(1.0, abs=1e-12)
     qs = np.linspace(0.0, 9.0, 19)
@@ -334,36 +328,36 @@ def test_spectrum_and_eigenvector_fits_agree_on_same_table():
     q = [0.0, 1.0, 2.0, 3.0, 5.0, 8.0]
     grid = [2, 4, 8, 16, 32, 64, 128, 256, 512]
     spectrum = tau_spectrum(values, q_grid=q, scale_grid=grid)
-    profile = eigenvector_tau(weights, q_grid=q, partition_grid=grid)
-    np.testing.assert_allclose(profile.tau_bar, spectrum.tau, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(profile.fit_r2, spectrum.fit_r2, rtol=0, atol=1e-12)
-    assert profile.mu_bar == pytest.approx(spectrum.mu, abs=1e-12)
+    table = analyze_eigenvectors(weights, q_grid=q, partition_grid=grid)
+    np.testing.assert_allclose(table.tau_bar[:, 0], spectrum.tau, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(table.fit_r2[:, 0], spectrum.fit_r2, rtol=0, atol=1e-12)
+    assert table.mu_bar[0] == pytest.approx(spectrum.mu, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# participation ratio and eigenvector profiles
+# participation ratio and single eigenvectors
 # ---------------------------------------------------------------------------
 
 def test_participation_ratio_limits():
     basis = np.zeros(50)
     basis[7] = 1.0
-    assert participation_ratio(basis) == pytest.approx(1.0)
-    assert participation_ratio(np.full(64, 1.0 / 64.0)) == pytest.approx(64.0)
+    assert analyze_eigenvectors(basis).pr[0] == pytest.approx(1.0)
+    assert analyze_eigenvectors(np.full(64, 1.0 / 64.0)).pr[0] == pytest.approx(64.0)
     two = np.zeros(10)
     two[2] = two[9] = 0.5
-    assert participation_ratio(two) == pytest.approx(2.0)
+    assert analyze_eigenvectors(two).pr[0] == pytest.approx(2.0)
 
 
 def test_participation_ratio_permutation_invariant():
     rng = np.random.default_rng(3)
     w = rng.random(40)
     w /= w.sum()
-    assert participation_ratio(w) == pytest.approx(participation_ratio(w[::-1]))
+    assert analyze_eigenvectors(w).pr[0] == pytest.approx(analyze_eigenvectors(w[::-1]).pr[0])
 
 
 def test_participation_ratio_rejects_unnormalized():
     with pytest.raises(ValueError, match="sum to 1"):
-        participation_ratio(np.full(10, 0.2))
+        analyze_eigenvectors(np.full(10, 0.2))
 
 
 @pytest.mark.parametrize("weights", [np.full((8, 1), np.nan), np.array([[0.5], [np.nan], [0.25], [0.25]])])
@@ -374,36 +368,37 @@ def test_nan_weights_are_rejected_without_warning(weights):
         with pytest.raises(ValueError, match="weights must"):
             analyze_eigenvectors(weights, partition_grid=[2, 4])
         with pytest.raises(ValueError, match="weights must"):
-            participation_ratio(weights[:, 0])
+            analyze_eigenvectors(weights[:, 0], partition_grid=[2, 4])
 
 
 def test_eigenvector_tau_uniform_weights():
     d = 1024
-    profile = eigenvector_tau(np.full(d, 1.0 / d))
-    assert np.all(np.abs(profile.d_bar[~np.isnan(profile.d_bar)] - 1.0) <= 0.02)
-    assert profile.pr == pytest.approx(d)
+    table = analyze_eigenvectors(np.full(d, 1.0 / d))
+    assert np.all(np.abs(table.d_bar[~np.isnan(table.d_bar)] - 1.0) <= 0.02)
+    assert table.pr[0] == pytest.approx(d)
 
 
 def test_eigenvector_tau_localized_weights():
     d = 1024
     w = np.zeros(d)
     w[100] = 1.0
-    profile = eigenvector_tau(w)
-    assert np.all(np.abs(profile.d_bar[~np.isnan(profile.d_bar)]) <= 0.02)
-    assert abs(profile.mu_bar) <= 0.02
-    assert profile.pr == pytest.approx(1.0)
+    table = analyze_eigenvectors(w)
+    assert np.all(np.abs(table.d_bar[~np.isnan(table.d_bar)]) <= 0.02)
+    assert abs(table.mu_bar[0]) <= 0.02
+    assert table.pr[0] == pytest.approx(1.0)
 
 
 def test_eigenvector_tau_cascade_matches_analytic(cascade12):
     weights, q28, analytic = cascade12
-    profile = eigenvector_tau(weights, q_grid=q28,
-                              partition_grid=[2, 4, 8, 16, 32, 64, 128, 256, 512, 1024])
-    rel = np.abs(profile.tau_bar - analytic) / np.abs(analytic)
+    table = analyze_eigenvectors(weights, q_grid=q28,
+                                 partition_grid=[2, 4, 8, 16, 32, 64, 128, 256, 512, 1024])
+    tau_bar = table.tau_bar[:, 0]
+    rel = np.abs(tau_bar - analytic) / np.abs(analytic)
     assert np.max(rel) <= 0.02
     # anchors: D2 = -tau2, D5 = -tau5/4
-    assert profile.d2 == pytest.approx(-profile.tau_bar[0])
+    assert table.d2[0] == pytest.approx(-tau_bar[0])
     i5 = np.nonzero(np.abs(q28 - 5.0) <= 1e-9)[0][0]
-    assert profile.d5 == pytest.approx(-profile.tau_bar[i5] / 4.0)
+    assert table.d5[0] == pytest.approx(-tau_bar[i5] / 4.0)
 
 
 def test_eigenvector_tau_positional_not_permutation_invariant():
@@ -414,16 +409,16 @@ def test_eigenvector_tau_positional_not_permutation_invariant():
     clustered[:32] = 1.0 / 32.0
     spread = np.zeros(d)
     spread[::32] = 1.0 / 32.0
-    a = eigenvector_tau(clustered)
-    b = eigenvector_tau(spread)
-    assert participation_ratio(clustered) == pytest.approx(participation_ratio(spread))
+    a = analyze_eigenvectors(clustered)
+    b = analyze_eigenvectors(spread)
+    assert a.pr[0] == pytest.approx(b.pr[0])
     i2 = np.nonzero(np.abs(a.q_grid - 2.0) <= 1e-9)[0][0]
-    assert abs(a.tau_bar[i2] - b.tau_bar[i2]) > 0.05
+    assert abs(a.tau_bar[i2, 0] - b.tau_bar[i2, 0]) > 0.05
 
 
 def test_eigenvector_tau_rejects_unnormalized():
     with pytest.raises(ValueError, match="sum to 1"):
-        eigenvector_tau(np.full(16, 0.9 / 16.0))
+        analyze_eigenvectors(np.full(16, 0.9 / 16.0))
 
 
 def test_analyze_eigenvectors_matches_single():
@@ -433,17 +428,20 @@ def test_analyze_eigenvectors_matches_single():
     table = analyze_eigenvectors(weights)
     assert len(table) == 3
     for col in range(3):
-        single, profile = eigenvector_tau(weights[:, col]), table[col]
-        assert profile.partition_grid is table.partition_grid
-        assert profile.pr == single.pr
-        for name in ("tau_bar", "d_bar", "fit_r2"):
-            np.testing.assert_allclose(getattr(profile, name), getattr(single, name), rtol=1e-12, atol=1e-12)
-        assert profile.mu_bar == pytest.approx(single.mu_bar, rel=1e-12, abs=1e-12)
+        single, state = analyze_eigenvectors(weights[:, col]), table[col]
+        assert len(state) == 1
+        assert state.q_grid is table.q_grid
+        assert state.partition_grid is table.partition_grid
+        np.testing.assert_array_equal(state.pr, single.pr)
+        for name in ("tau_bar", "d_bar", "fit_r2", "mu_bar"):
+            np.testing.assert_allclose(getattr(state, name), getattr(single, name), rtol=1e-12, atol=1e-12)
     # the d2 / d5 columns are the per-state values
-    assert table.d2.tolist() == [table[col].d2 for col in range(3)]
-    assert table.d5.tolist() == [table[col].d5 for col in range(3)]
+    assert table.d2.tolist() == [table[col].d2[0] for col in range(3)]
+    assert table.d5.tolist() == [table[col].d5[0] for col in range(3)]
+    for name in ("pr", "tau_bar", "d_bar", "mu_bar", "fit_r2"):
+        np.testing.assert_array_equal(getattr(table[-1], name), getattr(table[2], name))
     with pytest.raises(IndexError):
-        table[3]
+        table[len(table)]
 
 
 def test_analyze_eigenvectors_layout_independent_without_copies():
