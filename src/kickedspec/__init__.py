@@ -36,11 +36,8 @@ from .multifractal import (
 )
 from .operators import Banded, eigensolve
 from .su2 import (
-    CosineCoupling,
     SpinLabel,
-    Su2FamilyParams,
     dkt_static_part,
-    family_params,
     general_su2_hamiltonian,
     hopping_operator,
     phase_operator,
@@ -54,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Banded",
     "CLOSED_FORM",
-    "CosineCoupling",
     "EigenvectorTable",
     "GENERAL",
     "GOLDEN_RATIO",
@@ -62,7 +58,6 @@ __all__ = [
     "KickedSystem",
     "ScalingSpectrum",
     "SpinLabel",
-    "Su2FamilyParams",
     "analyze_eigenvectors",
     "box_probabilities",
     "commutator",
@@ -74,7 +69,6 @@ __all__ = [
     "effective_vs_floquet_errors",
     "eigensolve",
     "ensemble_statistics",
-    "family_params",
     "fold_phases",
     "general_su2_hamiltonian",
     "harper_hamiltonian",

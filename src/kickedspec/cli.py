@@ -10,8 +10,9 @@ a digit or ``.`` (``--eta -1e-3``, ``--xi-sweep -1:1:0.5``) is the flag's
 value, not an option.  A ``--config`` file holds ``key = value`` lines whose
 keys are exactly the command's flags.  Its entries are read as flags placed
 ahead of the command line, so a flag overrides the file.  `parse_config`
-then applies the rules that span options and the system-dependent defaults;
-every other default lives in `RunConfig`.
+then applies the rules that span options, the system-dependent defaults and,
+to a grid given, the analysis's own grid rules; every other default lives in
+`RunConfig`.
 
 All pipelines are deterministic and emit flat CSV (17 significant digits,
 LF, header row) or JSON with a config echo, so every number in a report can
@@ -30,12 +31,11 @@ import numpy as np
 from . import GOLDEN_RATIO
 from .floquet import dkt_effective_hamiltonian, effective_vs_floquet_errors, fold_phases
 from .harper import CLOSED_FORM, GENERAL, HarperParams, harper_hamiltonian, heff_discrepancy_report, kicked_harper_effective
-from .multifractal import analyze_eigenvectors, ensemble_statistics, tau_spectrum
+from .multifractal import _counts, _q_values, analyze_eigenvectors, ensemble_statistics, tau_spectrum
 from .operators import Banded, eigensolve
-from .su2 import SpinLabel, family_params, general_su2_hamiltonian
+from .su2 import FAMILY_CASES, SpinLabel, general_su2_hamiltonian
 
-SU2_CASES = ("a", "b", "c", "d", "e", "f")
-SYSTEMS = ("dkt",) + tuple(f"su2-{c}" for c in SU2_CASES) + ("harper-static", "harper-kicked")
+SYSTEMS = ("dkt",) + tuple(f"su2-{c}" for c in FAMILY_CASES) + ("harper-static", "harper-kicked")
 MAX_SWEEP_POINTS = 100_000  # each point is one eigensolve
 MAX_BINS = 2**20  # histogram and box-counting bins; np.histogram allocates every edge up front
 
@@ -270,6 +270,14 @@ def _spin(j: float) -> SpinLabel:
         raise ConfigError(str(exc)) from exc
 
 
+def _grid_rule(flag: str, check, *args) -> None:
+    """`check(*args)`, its ValueError as a ConfigError that names the flag."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+
+
 def parse_config(argv) -> RunConfig:
     """Parse CLI flags, after the entries of any --config file, into a validated RunConfig."""
     argv = _attach_negative_values(list(argv))
@@ -299,8 +307,6 @@ def parse_config(argv) -> RunConfig:
         cfg.alpha = values.get("alpha", 1.0)
         return cfg
 
-    if command == "spectrum" and cfg.scale_grid and max(cfg.scale_grid) > MAX_BINS:
-        raise ConfigError(f"--scale-grid: bin counts must not exceed {MAX_BINS}, got {max(cfg.scale_grid)}")
     if cfg.system is None:
         raise ConfigError(f"{command} requires --system ({', '.join(SYSTEMS)})")
     is_harper = cfg.system.startswith("harper")
@@ -337,6 +343,16 @@ def parse_config(argv) -> RunConfig:
             raise ConfigError(f"{command} requires a fixed eta (or eta-over-j / xi)")
         if cfg.system == "su2-e" and cfg.epsilon is None:
             raise ConfigError("system su2-e requires --epsilon (coupling ratio b = epsilon*alpha)")
+
+    # a given grid meets the analysis's own rules here, before any solve or output directory
+    if cfg.q_grid is not None:
+        _grid_rule("--q-grid", _q_values, cfg.q_grid)
+    if cfg.scale_grid is not None and command == "spectrum":
+        _grid_rule("--scale-grid", _counts, cfg.scale_grid, 4)
+        if max(cfg.scale_grid) > MAX_BINS:
+            raise ConfigError(f"--scale-grid: bin counts must not exceed {MAX_BINS}, got {max(cfg.scale_grid)}")
+    if cfg.scale_grid is not None and command == "eigenstates":
+        _grid_rule("--scale-grid", _counts, cfg.scale_grid, 1, cfg.length if is_harper else _spin(cfg.j).dim)
     return cfg
 
 
@@ -357,9 +373,7 @@ def _hamiltonian(cfg: RunConfig, sweep_value: float | None = None) -> Banded:
     eta = cfg.eta if sweep_value is None else sweep_value * np.pi * cfg.j
     if cfg.system == "dkt":
         return dkt_effective_hamiltonian(cfg.alpha, eta, cfg.j, cfg.period)
-    case = cfg.system.split("-", 1)[1]
-    params = family_params(case, cfg.alpha, eta, cfg.j, epsilon=cfg.epsilon)
-    return general_su2_hamiltonian(params)
+    return general_su2_hamiltonian(cfg.system.split("-", 1)[1], cfg.alpha, eta, cfg.j, cfg.epsilon)
 
 
 # ---------------------------------------------------------------------------

@@ -171,12 +171,13 @@ def quasienergy_spectrum(unitary) -> np.ndarray:
 
 def _ladder_gauge(spin: SpinLabel, eta: float) -> tuple:
     """Even and odd parity blocks of A = Vx^T P^dag Vx, complex symmetric and
-    unitary; ValueError when A couples them by more than PARITY_ATOL."""
+    unitary; LinAlgError, a numerical failure, when A couples them by more
+    than PARITY_ATOL."""
     vecs = _jx_eigenvectors(spin)
     gauge = vecs.T @ (_twist_gauge(spin, eta).conj()[:, None] * vecs)
     mixing = max_abs(gauge[0::2, 1::2])  # A is symmetric: one off-block suffices
     if not mixing <= PARITY_ATOL:
-        raise ValueError(f"twist gauge mixes the spin-flip parity blocks by {mixing:.3g}")
+        raise np.linalg.LinAlgError(f"twist gauge mixes the spin-flip parity blocks by {mixing:.3g}")
     return gauge[0::2, 0::2].copy(), gauge[1::2, 1::2].copy()
 
 

@@ -7,7 +7,6 @@ dimensionless (hbar = 1).
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -83,79 +82,37 @@ def phase_operator(j, eta: float) -> Banded:
     return Banded.diagonal(phase_diagonal(j, eta))
 
 
-class CosineCoupling(Enum):
-    """Operator multiplying cos of the phase operator in the SU(2) family."""
-
-    JPLUS_HALF = "jplus-half"    # (alpha/2)(Jx + i Jy)
-    JX = "jx"                    # alpha * Jx
-    HALF_IDENTITY = "half-identity"  # identity / 2
-    IDENTITY_ALPHA = "identity-alpha"  # alpha * identity
-
-
-@dataclass(frozen=True)
-class Su2FamilyParams:
-    """Couplings of H = a Jx + b A + [C cos(X) + h.c.] with X = eta(2Jz+1)/2j."""
-
-    a: float
-    b: float
-    c_kind: CosineCoupling
-    alpha: float
-    eta: float
-    j: SpinLabel
-    epsilon: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "j", _as_spin(self.j))
-        if not np.isfinite(self.alpha) or self.alpha == 0.0:
-            raise ValueError("alpha must be finite and nonzero")
-        if not np.isfinite(self.eta):
-            raise ValueError("eta must be finite")
-
-
-# Rows of the six-case family: (label, a/alpha, b/alpha, coupling).  Case "e"
-# additionally needs epsilon (b = epsilon*alpha), which has no default.
+# Rows of the six-case family H = a Jx + b A + [C cos(X) + h.c.]: case ->
+# (a/alpha, b/alpha, C from the spin operators and alpha).  Case "e" has
+# b/alpha = epsilon, which has no default.
 FAMILY_CASES = {
-    "a": (1.0, 0.0, CosineCoupling.JPLUS_HALF),
-    "b": (1.0, 0.0, CosineCoupling.JX),
-    "c": (1.0, 0.0, CosineCoupling.HALF_IDENTITY),
-    "d": (0.0, 1.0, CosineCoupling.JX),
-    "e": (1.0, None, CosineCoupling.IDENTITY_ALPHA),
-    "f": (0.0, 1.0, CosineCoupling.IDENTITY_ALPHA),
+    "a": (1.0, 0.0, lambda ops, alpha: alpha * ops.jplus),  # (alpha/2)(Jx + iJy), real
+    "b": (1.0, 0.0, lambda ops, alpha: alpha * ops.jx),
+    "c": (1.0, 0.0, lambda ops, alpha: Banded.diagonal(np.full(ops.jz.dim, 0.5))),
+    "d": (0.0, 1.0, lambda ops, alpha: alpha * ops.jx),
+    "e": (1.0, None, lambda ops, alpha: Banded.diagonal(np.full(ops.jz.dim, alpha))),
+    "f": (0.0, 1.0, lambda ops, alpha: Banded.diagonal(np.full(ops.jz.dim, alpha))),
 }
 
 
-def family_params(case: str, alpha: float, eta: float, j, epsilon: float | None = None) -> Su2FamilyParams:
-    """Parameters for one of the documented family cases 'a'..'f'."""
+def general_su2_hamiltonian(case: str, alpha: float, eta: float, j, epsilon: float | None = None) -> Banded:
+    """a*Jx + b*A + C cos(X) + (C cos(X))^dag of family case 'a'..'f', with
+    X = eta(2Jz+1)/2j; Hermitian by construction."""
     if case not in FAMILY_CASES:
         raise ValueError(f"unknown family case {case!r}; expected one of {sorted(FAMILY_CASES)}")
-    a_rel, b_rel, kind = FAMILY_CASES[case]
+    a_rel, b_rel, coupling = FAMILY_CASES[case]
     if b_rel is None:
         if epsilon is None:
             raise ValueError("family case 'e' requires an explicit epsilon (b = epsilon*alpha)")
         b_rel = epsilon
-    return Su2FamilyParams(a=a_rel * alpha, b=b_rel * alpha, c_kind=kind,
-                           alpha=alpha, eta=eta, j=_as_spin(j), epsilon=epsilon)
-
-
-def _cosine_coupling_matrix(params: Su2FamilyParams) -> Banded:
-    ops = spin_operators(params.j)
-    if params.c_kind is CosineCoupling.JPLUS_HALF:
-        return params.alpha * ops.jplus  # (alpha/2)(Jx + iJy), real
-    if params.c_kind is CosineCoupling.JX:
-        return params.alpha * ops.jx
-    if params.c_kind is CosineCoupling.HALF_IDENTITY:
-        return Banded.diagonal(np.full(params.j.dim, 0.5))
-    if params.c_kind is CosineCoupling.IDENTITY_ALPHA:
-        return Banded.diagonal(np.full(params.j.dim, params.alpha))
-    raise ValueError(f"unknown cosine coupling {params.c_kind!r}")
-
-
-def general_su2_hamiltonian(params: Su2FamilyParams) -> Banded:
-    """a*Jx + b*A + C cos(X) + (C cos(X))^dag, Hermitian by construction."""
-    ops = spin_operators(params.j)
-    cos_x = Banded.diagonal(np.cos(phase_diagonal(params.j, params.eta)))
-    modulated = _cosine_coupling_matrix(params) @ cos_x
-    ham = params.a * ops.jx + params.b * hopping_operator(params.j)
+    spin = _as_spin(j)
+    if not np.isfinite(alpha) or alpha == 0.0:
+        raise ValueError("alpha must be finite and nonzero")
+    if not np.isfinite(eta):
+        raise ValueError("eta must be finite")
+    ops = spin_operators(spin)
+    modulated = coupling(ops, alpha) @ Banded.diagonal(np.cos(phase_diagonal(spin, eta)))
+    ham = (a_rel * alpha) * ops.jx + (b_rel * alpha) * hopping_operator(spin)
     return ham + modulated + modulated.conj().T
 
 

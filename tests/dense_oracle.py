@@ -10,7 +10,7 @@ exponentials, and its quasienergies come from the nonsymmetric eigensolver.
 import numpy as np
 
 from kickedspec.floquet import fold_phases, unitary_from_hermitian
-from kickedspec.su2 import FAMILY_CASES, CosineCoupling, SpinLabel
+from kickedspec.su2 import SpinLabel
 
 
 def spin_matrices(j):
@@ -33,20 +33,26 @@ def commutator(a, b):
 
 
 def su2_family(case, alpha, eta, j, epsilon=None):
-    """a Jx + b A + C cos(X) + h.c. for family case 'a'..'f'."""
-    a_rel, b_rel, kind = FAMILY_CASES[case]
-    b_rel = epsilon if b_rel is None else b_rel
+    """a Jx + b A + C cos(X) + h.c. for family case 'a'..'f', each row written out."""
     jx, jy, _, _ = spin_matrices(j)
     dim = SpinLabel(j).dim
     hop = np.diag(np.ones(dim - 1), 1) + np.diag(np.ones(dim - 1), -1)
-    coupling = {
-        CosineCoupling.JPLUS_HALF: (alpha / 2.0) * (jx + 1j * jy),
-        CosineCoupling.JX: alpha * jx,
-        CosineCoupling.HALF_IDENTITY: 0.5 * np.eye(dim),
-        CosineCoupling.IDENTITY_ALPHA: alpha * np.eye(dim),
-    }[kind]
+    if case == "a":
+        a, b, coupling = alpha, 0.0, (alpha / 2.0) * (jx + 1j * jy)
+    elif case == "b":
+        a, b, coupling = alpha, 0.0, alpha * jx
+    elif case == "c":
+        a, b, coupling = alpha, 0.0, 0.5 * np.eye(dim)
+    elif case == "d":
+        a, b, coupling = 0.0, alpha, alpha * jx
+    elif case == "e":
+        a, b, coupling = alpha, epsilon * alpha, alpha * np.eye(dim)
+    elif case == "f":
+        a, b, coupling = 0.0, alpha, alpha * np.eye(dim)
+    else:
+        raise ValueError(f"unknown family case {case!r}")
     modulated = coupling @ np.diag(np.cos(_phase(j, eta)))
-    return a_rel * alpha * jx + b_rel * alpha * hop + modulated + modulated.conj().T
+    return a * jx + b * hop + modulated + modulated.conj().T
 
 
 def dkt_parts(alpha, eta, j, period=1.0):

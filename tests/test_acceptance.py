@@ -21,7 +21,7 @@ from kickedspec.floquet import dkt_effective_hamiltonian, dkt_floquet, effective
 from kickedspec.harper import CLOSED_FORM, HarperParams, kicked_harper_effective, harper_hamiltonian, kicked_harper_system
 from kickedspec.multifractal import partition_moment, box_probabilities
 from kickedspec.operators import eigensolve, hermiticity_defect, unitarity_defect
-from kickedspec.su2 import SpinLabel, dkt_static_part, family_params, general_su2_hamiltonian, spin_operators
+from kickedspec.su2 import SpinLabel, dkt_static_part, general_su2_hamiltonian, spin_operators
 
 GOLDEN = ks.GOLDEN_RATIO
 
@@ -94,9 +94,7 @@ def table_slopes():
     j = 1000
     slopes = {}
     for case in "abcdef":
-        params = family_params(case, 1.0 / j, GOLDEN * j, j,
-                               epsilon=(1.0 if case == "e" else None))
-        energies = eigensolve(general_su2_hamiltonian(params))
+        energies = eigensolve(general_su2_hamiltonian(case, 1.0 / j, GOLDEN * j, j, 1.0 if case == "e" else None))
         slopes[case] = ks.tau_spectrum(energies).mu
     return slopes
 
@@ -259,10 +257,10 @@ def test_criterion_8_structural_invariants():
         ok &= unitarity_defect(dkt_floquet(0.7, 1.9, spin)) <= 1e-10
 
         for case in ("a", "f"):
-            ham = general_su2_hamiltonian(family_params(case, 0.4, 2.2, spin))
+            ham = general_su2_hamiltonian(case, 0.4, 2.2, spin)
             ok &= hermiticity_defect(ham) <= 1e-12
             if float(j) == int(j) and j >= 1:
-                shifted = general_su2_hamiltonian(family_params(case, 0.4, 2.2 + 4.0 * np.pi * j, spin))
+                shifted = general_su2_hamiltonian(case, 0.4, 2.2 + 4.0 * np.pi * j, spin)
                 scale = max(float(np.max(np.abs(ham))), 1e-30)
                 ok &= float(np.max(np.abs(ham - shifted))) <= 1e-12 * scale
 

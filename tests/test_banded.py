@@ -11,7 +11,7 @@ from kickedspec.floquet import dkt_effective_hamiltonian
 from kickedspec.harper import HarperParams, harper_hamiltonian, kicked_harper_effective
 from kickedspec import GOLDEN_RATIO
 from kickedspec.operators import Banded, eigensolve, hermitian_eigh, hermiticity_defect
-from kickedspec.su2 import family_params, general_su2_hamiltonian, spin_operators
+from kickedspec.su2 import general_su2_hamiltonian, spin_operators
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -69,7 +69,7 @@ def system_operators(draw):
         return system, dkt_effective_hamiltonian(alpha, eta, j, period), dense.dkt_heff(alpha, eta, j, period)
     case = system[-1]
     epsilon = draw(st.floats(-2.0, 2.0)) if case == "e" else None
-    built = general_su2_hamiltonian(family_params(case, alpha, eta, j, epsilon=epsilon))
+    built = general_su2_hamiltonian(case, alpha, eta, j, epsilon)
     return system, built, dense.su2_family(case, alpha, eta, j, epsilon)
 
 

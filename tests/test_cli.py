@@ -16,7 +16,7 @@ from kickedspec.cli import (COMMAND_OPTIONS, MAX_BINS, ConfigError, main, parse_
 from kickedspec.floquet import dkt_effective_hamiltonian, fold_phases
 from kickedspec.harper import HarperParams, harper_hamiltonian, kicked_harper_effective
 from kickedspec.operators import eigensolve
-from kickedspec.su2 import family_params, general_su2_hamiltonian
+from kickedspec.su2 import general_su2_hamiltonian
 
 
 def run_cli(args, tmp_path):
@@ -316,8 +316,7 @@ def library_hamiltonian(name):
         return dkt_effective_hamiltonian(0.2, XI * np.pi * 10.0, 10.0, 0.5)
     if name.startswith("su2-"):
         case = name[-1]
-        params = family_params(case, 0.4, XI * np.pi * 7.5, 7.5, epsilon=0.6 if case == "e" else None)
-        return general_su2_hamiltonian(params)
+        return general_su2_hamiltonian(case, 0.4, XI * np.pi * 7.5, 7.5, 0.6 if case == "e" else None)
     params = HarperParams(30, SIGMA, alpha=0.7, period=1.5)
     if name == "harper-static":
         return harper_hamiltonian(params)
@@ -649,11 +648,16 @@ def test_non_finite_q_grid_is_config_error(command, q_grid, tmp_path, capsys):
     ["spectrum", *HARPER_GOLDEN, "--scale-grid", "16,16,16,16"],
     ["eigenstates", "--system", "harper-static", "--length", "64", "--sigma", "golden",
      "--scale-grid", "2,4,100,200"],
+    ["spectrum", "--system", "dkt", "--j", "10", "--alpha", "0.1", "--eta", "1", "--q-grid=-1,2"],
 ])
 def test_degenerate_count_grid_is_config_error(args, tmp_path):
-    proc = run_module([*args, "--out-dir", str(tmp_path)])
+    # rejected while parsing, by the analysis's own grid rules: no solve runs
+    # and the output directory is never made
+    out_dir = tmp_path / "out"
+    proc = run_module([*args, "--out-dir", str(out_dir)])
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("args, dim", [
@@ -685,6 +689,17 @@ def test_failed_cayley_solve_exits_three(tmp_path, monkeypatch, capsys):
 
     # both branch cuts fail, so the quasienergy solve gives up
     monkeypatch.setattr(np.linalg, "inv", singular)
+    assert run_cli(["floquet-compare", "--j", "10", "--eta-over-j", "golden",
+                    "--alpha-ladder", "0.04,0.02,0.01"], tmp_path) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "floquet_compare.json").exists()
+
+
+def test_parity_mixing_twist_exits_three(tmp_path, monkeypatch, capsys):
+    # a twist that breaks the spin-flip parity is a numerical failure, not a
+    # configuration error
+    rng = np.random.default_rng(7)
+    monkeypatch.setattr(kickedspec.floquet, "_twist_gauge", lambda spin, eta: np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, spin.dim)))
     assert run_cli(["floquet-compare", "--j", "10", "--eta-over-j", "golden",
                     "--alpha-ladder", "0.04,0.02,0.01"], tmp_path) == 3
     assert "numerical failure" in capsys.readouterr().err

@@ -1,7 +1,10 @@
-"""The README's library example runs as written, so it names only live API."""
+"""The README's examples run as written, so they name only live API and flags."""
 
 import re
+import shlex
 from pathlib import Path
+
+from kickedspec.cli import parse_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +15,12 @@ def test_readme_library_example_runs():
     namespace = {}
     exec(compile(block, f"{README}:library-overview", "exec"), namespace)
     assert len(namespace["table"]) == namespace["stats"]["count"]
+
+
+def test_readme_cli_examples_parse():
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("kickedspec ")]
+    assert len(commands) == 5
+    for argv in commands:
+        assert parse_config(argv).command == argv[0]

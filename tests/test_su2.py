@@ -3,11 +3,8 @@ import pytest
 
 from kickedspec.operators import hermiticity_defect, max_abs
 from kickedspec.su2 import (
-    CosineCoupling,
     SpinLabel,
-    Su2FamilyParams,
     dkt_static_part,
-    family_params,
     general_su2_hamiltonian,
     hopping_operator,
     phase_operator,
@@ -86,16 +83,15 @@ def test_phase_operator_values():
 
 
 def test_family_zero_couplings_give_zero():
-    params = Su2FamilyParams(a=0.0, b=0.0, c_kind=CosineCoupling.IDENTITY_ALPHA,
-                             alpha=1e-300, eta=0.7, j=SpinLabel(2))
-    # alpha only enters through a, b, C; with C = alpha*1 the matrix is ~alpha
-    ham = general_su2_hamiltonian(params)
+    # alpha only enters through a, b, C; case f has a = 0, b = alpha and
+    # C = alpha*1, so the matrix is ~alpha
+    ham = general_su2_hamiltonian("f", 1e-300, 0.7, 2)
     assert np.max(np.abs(ham)) < 1e-290
 
 
 def test_family_case_f_is_cosine_chain():
     j, alpha, eta = 5, 0.25, 1.3
-    ham = general_su2_hamiltonian(family_params("f", alpha, eta, j))
+    ham = general_su2_hamiltonian("f", alpha, eta, j)
     m = SpinLabel(j).m_values
     diag = 2.0 * alpha * np.cos(eta * (2 * m + 1) / (2 * j))
     assert np.allclose(np.diag(ham), diag)
@@ -106,34 +102,35 @@ def test_family_case_f_is_cosine_chain():
 def test_family_eta_parity_and_periodicity():
     j, alpha = 6, 0.5
     eta = 2.31
-    for case in ("a", "b", "c", "d", "f"):
-        h_plus = general_su2_hamiltonian(family_params(case, alpha, eta, j))
-        h_minus = general_su2_hamiltonian(family_params(case, alpha, -eta, j))
+    for case in "abcdef":
+        epsilon = 0.5 if case == "e" else None
+        h_plus = general_su2_hamiltonian(case, alpha, eta, j, epsilon)
+        h_minus = general_su2_hamiltonian(case, alpha, -eta, j, epsilon)
         assert np.array_equal(h_plus, h_minus)  # cos is even in X
-        h_shift = general_su2_hamiltonian(family_params(case, alpha, eta + 4.0 * np.pi * j, j))
+        h_shift = general_su2_hamiltonian(case, alpha, eta + 4.0 * np.pi * j, j, epsilon)
         assert np.max(np.abs(h_plus - h_shift)) <= 1e-12 * max(np.max(np.abs(h_plus)), 1e-30)
 
 
 def test_family_case_e_requires_epsilon():
     with pytest.raises(ValueError, match="epsilon"):
-        family_params("e", 0.1, 1.0, 4)
-    ham = general_su2_hamiltonian(family_params("e", 0.1, 1.0, 4, epsilon=0.5))
+        general_su2_hamiltonian("e", 0.1, 1.0, 4)
+    ham = general_su2_hamiltonian("e", 0.1, 1.0, 4, epsilon=0.5)
     assert hermiticity_defect(ham) <= 1e-12
 
 
 def test_family_unknown_case_rejected():
     with pytest.raises(ValueError, match="unknown family case"):
-        family_params("g", 1.0, 1.0, 2)
+        general_su2_hamiltonian("g", 1.0, 1.0, 2)
 
 
 def test_family_alpha_validation():
     with pytest.raises(ValueError, match="alpha"):
-        Su2FamilyParams(a=1.0, b=0.0, c_kind=CosineCoupling.JX, alpha=0.0, eta=1.0, j=SpinLabel(1))
+        general_su2_hamiltonian("b", 0.0, 1.0, 1)
 
 
 @pytest.mark.parametrize("case", ["a", "b", "c", "d", "f"])
 def test_family_hermiticity(case):
-    ham = general_su2_hamiltonian(family_params(case, 0.05, 11.4, 30))
+    ham = general_su2_hamiltonian(case, 0.05, 11.4, 30)
     assert hermiticity_defect(ham) <= 1e-12
 
 
