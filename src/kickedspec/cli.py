@@ -104,7 +104,7 @@ OPTIONS = {
     "system": (_checked(str, lambda s: s in SYSTEMS, f"unknown system {{!r}}; expected one of {', '.join(SYSTEMS)}"),
                f"one of {', '.join(SYSTEMS)}"),
     "j": (parse_scalar, "spin quantum number"),
-    "length": (_integer, "Harper chain length"),
+    "length": (_checked(_integer, lambda n: n >= 2, "chain length must be >= 2, got {}"), "Harper chain length"),
     "alpha": (parse_scalar, "coupling alpha"),
     "alpha-over": (parse_scalar, "set alpha = value/j"),
     "eta": (parse_scalar, "phase parameter eta"),
@@ -386,15 +386,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _create(path: Path):
+    """`path` opened for writing, its directory made first: a run that writes
+    no file leaves no directory behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
@@ -535,7 +542,6 @@ def main(argv=None) -> int:
         return _EXIT_CONFIG
 
     try:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
         out = _COMMANDS[cfg.command](cfg)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,10 @@ against the effective-Hamiltonian pipeline.
 
 This is the independent check route: the exact side uses numpy alone and
 never the effective Hamiltonian, and `effective_vs_floquet_errors` compares
-it with the H_eff spectrum that `operators.hermitian_eigh` solves.  Four
+it with the H_eff spectrum that `operators.hermitian_eigh` solves on the
+H_eff's spin-flip parity blocks, built from its stored bands: two
+quarter-size singular value solves at integer spin, one half-size
+Hermitian solve at half-integer spin.  Four
 facts make the exact side of a ladder of kick strengths cost one real
 eigendecomposition, plus per kick strength two half-size rounds of complex
 matrix product, inverse and Hermitian eigenvalue solve.
@@ -207,9 +210,8 @@ def effective_vs_floquet_errors(alphas, eta: float, j, period: float = 1.0) -> l
     spin = _as_spin(j)
     # every H_eff is solved before the Floquet blocks exist, so that its
     # temporaries never add to theirs
-    folded = [np.sort(fold_phases(hermitian_eigh(
-        heff_delta_kicked(dkt_kicked_system(alpha, eta, spin, period)).to_dense()) * period))
-        for alpha in alphas]
+    heffs = (heff_delta_kicked(dkt_kicked_system(alpha, eta, spin, period)) for alpha in alphas)
+    folded = [np.sort(fold_phases(hermitian_eigh(heff) * period)) for heff in heffs]
     blocks = _ladder_gauge(spin, eta)
     return [float(np.max(np.abs(effective - _ladder_quasienergies(blocks, spin, alpha))))
             for alpha, effective in zip(alphas, folded)]

@@ -1,6 +1,13 @@
 """Banded operators, their Hermiticity and unitarity contracts, and the one
 eigensolver dispatch chosen from an operator's band structure.
 
+An operator equal to its index reversal R (the kicked-top H_eff, whose
+spin flip m -> -m is R) is solved on its two half-size parity blocks,
+built from its stored bands by `_parity_solve` for both `eigensolve`'s
+banded eigenvalue driver and `hermitian_eigh`: two block solves, or one
+at half-integer spin, where the sublattice parity maps one block's
+eigenpairs onto the other's.
+
 Contracts are checked where an operator enters, not where it is built.  The
 public entry points that accept a caller's matrix check it: `eigensolve`,
 `effective.KickedSystem` (the one input of the delta-kick layer),
@@ -237,6 +244,67 @@ def require_unitary(mat, name: str = "operator") -> np.ndarray:
     return mat
 
 
+def _reversal_symmetric(op: Banded) -> bool:
+    """Whether `op` commutes exactly with the index reversal R: e_i -> e_{n-1-i}.
+    R maps diagonal k onto diagonal -k reversed, so RHR = H when
+    ``band(k) == band(-k)[::-1]`` for every stored k."""
+    return op.dim > 1 and all(np.array_equal(band, op.band(-k)[::-1]) for k, band in op.bands.items())
+
+
+def _lower_band(op: Banded, size: int) -> np.ndarray:
+    """LAPACK lower band storage of the leading size x size block of `op`:
+    row d holds its diagonal -d."""
+    width = min(op.bandwidth, max(size - 1, 0))
+    lower = np.zeros((width + 1, size), dtype=np.result_type(op.dtype, float))
+    for d in range(width + 1):
+        lower[d, :size - d] = op.band(-d)[:size - d]
+    return lower
+
+
+def _dense_hermitian(lower: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix whose lower band storage is `lower`."""
+    size = lower.shape[1]
+    bands = {d: band[:size - d].conj() for d, band in enumerate(lower)}
+    bands.update({-d: band[:size - d] for d, band in enumerate(lower)})
+    return Banded(size, bands).to_dense()
+
+
+def _parity_solve(op: Banded, solve, vectors: bool) -> tuple:
+    """`solve` applied to the even and odd parity blocks of an R-symmetric
+    operator, each given in lower band storage.
+
+    The blocks are taken in the basis (e_i +- e_{n-1-i})/sqrt(2), i < n // 2,
+    with the middle index e_{n//2} last in the even block when n is odd.
+    Block entry (r, c) is H[r, c] +- H[r, n-1-c]: H's own bands cut to the
+    block size, plus the fold of the mirror images, which is nonzero only in
+    the corner r, c >= n // 2 - bandwidth next to the middle, so each block
+    keeps H's bandwidth.  The middle index couples to each pair by sqrt(2).
+
+    When n is even and only odd diagonals are nonzero, S = diag((-1)^i)
+    anticommutes with H and with R, so it maps the even block's eigenpairs
+    (E, v) onto the odd block's (-E, S v), and the odd block is not solved.
+    """
+    dim, half = op.dim, op.dim // 2
+    even, odd = _lower_band(op, dim - half), _lower_band(op, half)
+    for c in range(max(0, half - op.bandwidth), half):
+        for r in range(c, min(half, c + odd.shape[0])):
+            mirror = op[r, dim - 1 - c]
+            even[r - c, c] += mirror
+            odd[r - c, c] -= mirror
+    if dim % 2:
+        rows = np.arange(1, even.shape[0])
+        even[rows, half - rows] *= np.sqrt(2.0)
+    even = solve(even)
+    if dim % 2 or any(band.any() for k, band in op.bands.items() if k % 2 == 0):
+        return even, solve(odd)
+    if not vectors:
+        return even, -even[::-1]
+    values, vecs = even
+    mapped = vecs[:, ::-1].copy()
+    mapped[1::2] *= -1.0
+    return even, (-values[::-1], mapped)
+
+
 def _chiral_or_eigh(block: np.ndarray, vectors: bool):
     """`hermitian_eigh` of one block.  A block with no even-even and no odd-odd
     entries is [[0, C], [C^dag, 0]] on its even and odd indices, so the SVD
@@ -262,31 +330,26 @@ def _chiral_or_eigh(block: np.ndarray, vectors: bool):
     return values, vecs
 
 
-def hermitian_eigh(mat: np.ndarray, vectors: bool = False):
-    """Ascending eigenvalues of a dense Hermitian matrix, and with `vectors`
-    its eigenvectors as columns in the same order, by its exact symmetries.
+def hermitian_eigh(op: Banded, vectors: bool = False):
+    """Ascending eigenvalues of a Hermitian `Banded` operator, and with
+    `vectors` its eigenvectors as columns in the same order, by its exact
+    symmetries, with numpy alone.
 
-    A matrix equal to its index reversal R splits into parity blocks in the
-    basis (e_i +- e_{n-1-i})/sqrt(2), the middle index in the even block, so
-    each eigenvector has R-parity +-1.  The kicked-top H_eff commutes with R,
-    its spin flip m -> -m (Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987)),
-    and its mirror pairs are degenerate to rounding: a solve of the whole
-    matrix would return rounding-dependent mixtures of them.  It stores odd
-    diagonals only, so at integer spin both blocks are chiral.  Other blocks
-    go to numpy's ``eigh`` or ``eigvalsh``.
+    An operator equal to its index reversal R splits into the two parity
+    blocks of `_parity_solve`, each densified at half size, so each
+    eigenvector has R-parity +-1.  The kicked-top H_eff commutes with R, its
+    spin flip m -> -m (Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987)), and
+    its mirror pairs are degenerate to rounding: a solve of the whole matrix
+    would return rounding-dependent mixtures of them.  It stores odd
+    diagonals only, so at integer spin both blocks are chiral, and at
+    half-integer spin the odd block's eigenpairs follow from the even
+    block's.  Other blocks, and operators without the symmetry, go to
+    numpy's ``eigh`` or ``eigvalsh``.
     """
-    dim, half = mat.shape[0], mat.shape[0] // 2
-    if not half or not np.array_equal(mat, mat[::-1, ::-1]):
-        return _chiral_or_eigh(mat, vectors)
-    cross = mat[:half, ::-1][:, :half]  # H[i, n-1-k]
-    even = mat[:dim - half, :dim - half].astype(np.result_type(mat.dtype, float))
-    even[:half, :half] += cross
-    even[half:, :half] *= np.sqrt(2.0)  # the middle index, when dim is odd
-    even[:half, half:] *= np.sqrt(2.0)
-    odd = mat[:half, :half] - cross
-    # a caller's temporary dense matrix is freed here, before the eigenvectors exist
-    del mat, cross
-    even, odd = _chiral_or_eigh(even, vectors), _chiral_or_eigh(odd, vectors)
+    if not _reversal_symmetric(op):
+        return _chiral_or_eigh(op.to_dense(), vectors)
+    dim, half = op.dim, op.dim // 2
+    even, odd = _parity_solve(op, lambda lower: _chiral_or_eigh(_dense_hermitian(lower), vectors), vectors)
     if not vectors:
         return np.sort(np.concatenate((even, odd)))
     values = np.concatenate((even[0], odd[0]))
@@ -311,9 +374,13 @@ def eigensolve(op: Banded, vectors: bool = False):
 
     - real with bandwidth <= 1: scipy's tridiagonal solver, whose default
       driver for the whole spectrum is LAPACK's divide and conquer ``?stevd``;
-    - otherwise, eigenvalues only: the banded Hermitian driver on the lower band;
-    - otherwise, with eigenvectors: `hermitian_eigh` on the dense matrix,
-      which returns the kicked-top H_eff's with definite spin-flip parity.
+    - otherwise, eigenvalues only: the banded Hermitian driver ``?hbevd`` on
+      the lower band; an operator equal to its index reversal (the kicked-top
+      H_eff) is split into its two half-size parity blocks, of the same
+      bandwidth, and the driver runs once per block, or once at half-integer
+      spin, where the odd block's spectrum is minus the even block's;
+    - otherwise, with eigenvectors: `hermitian_eigh`, which returns the
+      kicked-top H_eff's with definite spin-flip parity.
 
     scipy is imported here only: loading it costs more than a small Floquet
     run, which never needs it.
@@ -321,7 +388,7 @@ def eigensolve(op: Banded, vectors: bool = False):
     op = require_hermitian(op)
     tridiagonal = op.bandwidth <= 1 and op.is_real
     if vectors and not tridiagonal:
-        return hermitian_eigh(op.to_dense(), vectors=True)
+        return hermitian_eigh(op, vectors=True)
     import scipy.linalg
 
     if tridiagonal:
@@ -329,7 +396,10 @@ def eigensolve(op: Banded, vectors: bool = False):
         if vectors:
             return scipy.linalg.eigh_tridiagonal(diagonal, off_diagonal)
         return scipy.linalg.eigvalsh_tridiagonal(diagonal, off_diagonal)
-    lower = np.zeros((op.bandwidth + 1, op.dim), dtype=op.dtype)
-    for k in range(op.bandwidth + 1):
-        lower[k, :op.dim - k] = op.band(-k)
-    return scipy.linalg.eigvals_banded(lower, lower=True)
+
+    def banded(lower):
+        return scipy.linalg.eigvals_banded(lower, lower=True)
+
+    if not _reversal_symmetric(op):
+        return banded(_lower_band(op, op.dim))
+    return np.sort(np.concatenate(_parity_solve(op, banded, vectors=False)))

@@ -112,11 +112,19 @@ def test_eigensolve_rejects_non_hermitian():
         eigensolve(Banded(3, {1: np.ones(2)}))
 
 
-def assert_eigenpairs(mat, values, vectors, want):
-    """Eigenvalues with and without vectors against `want` to 1e-12
-    relative, residual within 1e-12 * ||H|| and orthonormal columns to 1e-12."""
+def as_banded(mat):
+    """A dense matrix as a `Banded` operator that stores every diagonal."""
+    dim = mat.shape[0]
+    return Banded(dim, {k: np.diagonal(mat, k) for k in range(1 - dim, dim)})
+
+
+def assert_eigenpairs(op, values, vectors, want):
+    """Eigenvalues with vectors, without them and from the banded driver
+    against `want` to 1e-12 relative, residual within 1e-12 * ||H|| and
+    orthonormal columns to 1e-12."""
+    mat = op.to_dense()
     scale = np.linalg.norm(mat, 2)
-    for got in (values, hermitian_eigh(mat)):
+    for got in (values, hermitian_eigh(op), eigensolve(op)):
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
     assert np.max(np.abs(mat @ vectors - vectors * values), initial=0.0) <= 1e-12 * scale
     assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(len(values))), initial=0.0) <= 1e-12
@@ -134,7 +142,7 @@ def test_eigensolve_dkt_eigenvectors_match_dense_oracle(j):
     want = np.linalg.eigvalsh(dense.dkt_heff(1.0 / j, eta, j))
     op = dkt_effective_hamiltonian(1.0 / j, eta, j)
     values, vectors = eigensolve(op, vectors=True)
-    assert_eigenpairs(op.to_dense(), values, vectors, want)
+    assert_eigenpairs(op, values, vectors, want)
 
 
 @pytest.mark.parametrize("j", [10.5, 200])
@@ -152,13 +160,15 @@ def test_dkt_eigenvectors_have_spin_flip_parity(j):
 def test_chiral_solve_with_zero_modes(dim, mirrored):
     # odd sizes have one more even index than odd ones, so a zero mode
     # (u, 0) beside the pairs +-s; a mirrored odd size puts it in the even
-    # parity block
+    # parity block, and a mirrored even size has its odd block's eigenpairs
+    # mapped from the even block's
     mat = random_hermitian(dim, dim)
     if mirrored:
         mat = mat + mat[::-1, ::-1]
     mat[0::2, 0::2] = mat[1::2, 1::2] = 0.0
-    values, vectors = hermitian_eigh(mat, vectors=True)
-    assert_eigenpairs(mat, values, vectors, np.linalg.eigvalsh(mat))
+    op = as_banded(mat)
+    values, vectors = hermitian_eigh(op, vectors=True)
+    assert_eigenpairs(op, values, vectors, np.linalg.eigvalsh(mat))
     zero_modes = np.abs(values) <= 1e-12 * np.linalg.norm(mat, 2)
     assert np.count_nonzero(zero_modes) == dim % 2
     assert not np.any(vectors[1::2][:, zero_modes])
@@ -166,17 +176,62 @@ def test_chiral_solve_with_zero_modes(dim, mirrored):
 
 def dkt_plus_jz():
     # Jz breaks both the chirality and the spin-flip symmetry of the H_eff
-    return (dkt_effective_hamiltonian(0.04, GOLDEN_RATIO * 10, 10) + 0.1 * spin_operators(10).jz).to_dense()
+    return dkt_effective_hamiltonian(0.04, GOLDEN_RATIO * 10, 10) + 0.1 * spin_operators(10).jz
 
 
-@pytest.mark.parametrize("build", [lambda: random_hermitian(1, 11), lambda: random_hermitian(4, 14),
-                                   lambda: random_hermitian(7, 17), dkt_plus_jz],
+@pytest.mark.parametrize("build", [lambda: as_banded(random_hermitian(1, 11)),
+                                   lambda: as_banded(random_hermitian(4, 14)),
+                                   lambda: as_banded(random_hermitian(7, 17)), dkt_plus_jz],
                          ids=["random-1", "random-4", "random-7", "dkt-plus-jz"])
 def test_hermitian_eigh_without_symmetry_is_plain_eigh(build, monkeypatch):
-    mat = build()
+    op = build()
+    mat = op.to_dense()
     want_values, want_vectors = np.linalg.eigh(mat)
     monkeypatch.setattr(np.linalg, "svd", None)
-    values, vectors = hermitian_eigh(mat, vectors=True)
+    values, vectors = hermitian_eigh(op, vectors=True)
     np.testing.assert_array_equal(values, want_values)
     np.testing.assert_array_equal(vectors, want_vectors)
-    np.testing.assert_array_equal(hermitian_eigh(mat), np.linalg.eigvalsh(mat))
+    np.testing.assert_array_equal(hermitian_eigh(op), np.linalg.eigvalsh(mat))
+
+
+def count_banded_solves(monkeypatch):
+    """Sizes of the blocks that scipy's banded eigenvalue driver is given from now on."""
+    import scipy.linalg
+
+    calls, solve = [], scipy.linalg.eigvals_banded
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", lambda a_band, **kw: calls.append(a_band.shape[1])
+                        or solve(a_band, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("j", [10, 10.5])
+def test_spin_flip_symmetric_blocks_without_chirality(j, monkeypatch):
+    # Jz^2 keeps the spin flip but fills the main diagonal: the parity blocks
+    # are neither chiral nor, at half-integer spin, paired by the sublattice
+    # parity, so each block gets its own solve
+    alpha, eta = 1.0 / j, GOLDEN_RATIO * j
+    jz = spin_operators(j).jz
+    op = dkt_effective_hamiltonian(alpha, eta, j) + 0.3 * (jz @ jz)
+    oracle = dense.dkt_heff(alpha, eta, j) + 0.3 * dense.spin_matrices(j)[2] @ dense.spin_matrices(j)[2]
+    want = np.linalg.eigvalsh(oracle)
+    calls = count_banded_solves(monkeypatch)
+    assert np.max(np.abs(eigensolve(op) - want)) <= 1e-12 * np.max(np.abs(want))
+    assert len(calls) == 2
+    monkeypatch.setattr(np.linalg, "svd", None)
+    values, vectors = eigensolve(op, vectors=True)
+    assert_eigenpairs(op, values, vectors, want)
+
+
+@pytest.mark.parametrize("j, sizes", [(10, [11, 10]), (10.5, [11]), (1.5, [2])])
+def test_spin_flip_symmetric_spectrum_is_solved_by_blocks(j, sizes, monkeypatch):
+    calls = count_banded_solves(monkeypatch)
+    eigensolve(dkt_effective_hamiltonian(1.0 / j, GOLDEN_RATIO * j, j))
+    assert calls == sizes
+
+
+def test_spectrum_without_spin_flip_symmetry_is_one_banded_solve(monkeypatch):
+    calls = count_banded_solves(monkeypatch)
+    op = dkt_plus_jz()
+    want = np.linalg.eigvalsh(op.to_dense())
+    assert np.max(np.abs(eigensolve(op) - want)) <= 1e-12 * np.max(np.abs(want))
+    assert calls == [op.dim]

@@ -574,6 +574,33 @@ def test_zero_harper_alpha_is_config_error(args, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
+    ["butterfly", "--system", "su2-a", "--j", "10", "--alpha", "0", "--xi-sweep", "0:1:0.5"],
+    ["spectrum", "--system", "su2-a", "--j", "10", "--alpha", "0", "--eta", "1"],
+    ["eigenstates", "--system", "harper-static", "--length", "10", "--sigma", "golden", "--alpha", "0"],
+    ["floquet-compare", "--j", "10", "--eta", "1", "--alpha-ladder", "0.04,0.02,0"],
+    ["harper-diff", "--length", "10", "--sigma", "golden", "--alpha", "0"],
+], ids=lambda args: args[0])
+def test_builder_error_leaves_no_output_directory(args, tmp_path):
+    # the builders reject these after parsing; the directory is made only
+    # when a file is written
+    out_dir = tmp_path / "out"
+    proc = run_module([*args, "--out-dir", str(out_dir)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["eigenstates", "--system", "harper-static", "--length", "1", "--sigma", "golden", "--scale-grid", "2"],
+    ["harper-diff", "--length", "1", "--sigma", "golden"],
+])
+def test_short_chain_is_rejected_while_parsing(args, tmp_path, capsys):
+    assert run_cli(args, tmp_path / "out") == 2
+    assert capsys.readouterr().err == "error: --length: chain length must be >= 2, got 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [
     ["spectrum", "--system", "dkt", "--j", "10", "--alpha", "1e200", "--eta", "1"],
     ["floquet-compare", "--j", "10", "--eta", "1", "--alpha-ladder", "1e200,1e100,1e50"],
     ["harper-diff", "--length", "10", "--sigma", "golden", "--alpha", "1e200"],

@@ -314,5 +314,5 @@ def test_chiral_energies_match_dense_eigvalsh(j, alpha):
     heff = dkt_effective_hamiltonian(alpha, GOLDEN_RATIO * j, j)
     assert all(k % 2 for k in heff.bands)
     want = np.linalg.eigvalsh(heff.to_dense())
-    assert np.max(np.abs(hermitian_eigh(heff.to_dense()) - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(hermitian_eigh(heff) - want)) <= 1e-13 * np.max(np.abs(want))
 
