@@ -21,6 +21,7 @@ be traced back to its inputs.
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field, fields
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import GOLDEN_RATIO
 from .floquet import dkt_effective_hamiltonian, effective_vs_floquet_errors, fold_phases
-from .harper import CLOSED_FORM, GENERAL, HarperParams, harper_hamiltonian, heff_discrepancy_report, kicked_harper_effective
+from .harper import CLOSED_FORM, GENERAL, HarperParams, check_length, harper_hamiltonian, heff_discrepancy_report, kicked_harper_effective
 from .multifractal import _counts, _q_values, analyze_eigenvectors, ensemble_statistics, tau_spectrum
 from .operators import Banded, eigensolve
 from .su2 import FAMILY_CASES, SpinLabel, general_su2_hamiltonian
@@ -104,7 +105,7 @@ OPTIONS = {
     "system": (_checked(str, lambda s: s in SYSTEMS, f"unknown system {{!r}}; expected one of {', '.join(SYSTEMS)}"),
                f"one of {', '.join(SYSTEMS)}"),
     "j": (parse_scalar, "spin quantum number"),
-    "length": (_checked(_integer, lambda n: n >= 2, "chain length must be >= 2, got {}"), "Harper chain length"),
+    "length": (_integer, "Harper chain length"),
     "alpha": (parse_scalar, "coupling alpha"),
     "alpha-over": (parse_scalar, "set alpha = value/j"),
     "eta": (parse_scalar, "phase parameter eta"),
@@ -270,12 +271,25 @@ def _spin(j: float) -> SpinLabel:
         raise ConfigError(str(exc)) from exc
 
 
-def _grid_rule(flag: str, check, *args) -> None:
+def _library_rule(flag: str, check, *args) -> None:
     """`check(*args)`, its ValueError as a ConfigError that names the flag."""
     try:
         check(*args)
     except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}") from exc
+
+
+def _check_out_dir(path: Path) -> None:
+    """ConfigError unless `path` is, or can be made as, a directory that the
+    run can write in.  Nothing is created: the directory is made when the
+    first file is written, after the solve."""
+    existing = path
+    while not existing.exists():
+        existing = existing.parent
+    if not existing.is_dir():
+        raise ConfigError(f"--out-dir: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise ConfigError(f"--out-dir: cannot write in {existing}")
 
 
 def parse_config(argv) -> RunConfig:
@@ -289,6 +303,7 @@ def parse_config(argv) -> RunConfig:
         values = vars(parser.parse_args(argv[:at] + _config_flags(values["config"], command) + argv[at:]))
     known = {f.name for f in fields(RunConfig)}
     cfg = RunConfig(**{k: v for k, v in values.items() if k in known})
+    _check_out_dir(cfg.out_dir)
 
     if command == "floquet-compare":
         if not cfg.alpha_ladder:
@@ -304,6 +319,7 @@ def parse_config(argv) -> RunConfig:
     if command == "harper-diff":
         if cfg.length is None or cfg.sigma is None:
             raise ConfigError("harper-diff requires --length and --sigma")
+        _library_rule("--length", check_length, cfg.length)
         cfg.alpha = values.get("alpha", 1.0)
         return cfg
 
@@ -327,6 +343,7 @@ def parse_config(argv) -> RunConfig:
     if is_harper:
         cfg.j = cfg.eta = cfg.epsilon = None  # SU(2) parameters, unused by a chain
         cfg.length = values.get("length", 2001)
+        _library_rule("--length", check_length, cfg.length)
         cfg.alpha = values.get("alpha", 1.0)
         if command != "butterfly" and cfg.sigma is None:
             raise ConfigError(f"{command} requires a fixed sigma")
@@ -346,13 +363,13 @@ def parse_config(argv) -> RunConfig:
 
     # a given grid meets the analysis's own rules here, before any solve or output directory
     if cfg.q_grid is not None:
-        _grid_rule("--q-grid", _q_values, cfg.q_grid)
+        _library_rule("--q-grid", _q_values, cfg.q_grid)
     if cfg.scale_grid is not None and command == "spectrum":
-        _grid_rule("--scale-grid", _counts, cfg.scale_grid, 4)
+        _library_rule("--scale-grid", _counts, cfg.scale_grid, 4)
         if max(cfg.scale_grid) > MAX_BINS:
             raise ConfigError(f"--scale-grid: bin counts must not exceed {MAX_BINS}, got {max(cfg.scale_grid)}")
     if cfg.scale_grid is not None and command == "eigenstates":
-        _grid_rule("--scale-grid", _counts, cfg.scale_grid, 1, cfg.length if is_harper else _spin(cfg.j).dim)
+        _library_rule("--scale-grid", _counts, cfg.scale_grid, 1, cfg.length if is_harper else _spin(cfg.j).dim)
     return cfg
 
 

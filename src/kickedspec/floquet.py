@@ -5,8 +5,8 @@ This is the independent check route: the exact side uses numpy alone and
 never the effective Hamiltonian, and `effective_vs_floquet_errors` compares
 it with the H_eff spectrum that `operators.hermitian_eigh` solves on the
 H_eff's spin-flip parity blocks, built from its stored bands: two
-quarter-size singular value solves at integer spin, one half-size
-Hermitian solve at half-integer spin.  Four
+quarter-size singular value solves at integer spin, two half-size
+Hermitian solves at half-integer spin.  Four
 facts make the exact side of a ladder of kick strengths cost one real
 eigendecomposition, plus per kick strength two half-size rounds of complex
 matrix product, inverse and Hermitian eigenvalue solve.

@@ -19,6 +19,12 @@ GENERAL = "general"
 _MODES = (CLOSED_FORM, GENERAL)
 
 
+def check_length(length: int) -> None:
+    """Raise unless a chain of `length` sites has a bond."""
+    if length < 2:
+        raise ValueError(f"chain length must be >= 2, got {length}")
+
+
 @dataclass(frozen=True)
 class HarperParams:
     """Chain length, flux/modulation parameter, overall coupling, kick period."""
@@ -29,8 +35,7 @@ class HarperParams:
     period: float = 1.0
 
     def __post_init__(self):
-        if self.length < 2:
-            raise ValueError(f"chain length must be >= 2, got {self.length}")
+        check_length(self.length)
         if not np.isfinite(self.sigma):
             raise ValueError("sigma must be finite")
         if not np.isfinite(self.alpha) or self.alpha == 0.0:

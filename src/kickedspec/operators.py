@@ -4,9 +4,8 @@ eigensolver dispatch chosen from an operator's band structure.
 An operator equal to its index reversal R (the kicked-top H_eff, whose
 spin flip m -> -m is R) is solved on its two half-size parity blocks,
 built from its stored bands by `_parity_solve` for both `eigensolve`'s
-banded eigenvalue driver and `hermitian_eigh`: two block solves, or one
-at half-integer spin, where the sublattice parity maps one block's
-eigenpairs onto the other's.
+banded eigenvalue driver and `hermitian_eigh`: two block solves in place
+of one of the whole operator.
 
 Contracts are checked where an operator enters, not where it is built.  The
 public entry points that accept a caller's matrix check it: `eigensolve`,
@@ -269,9 +268,9 @@ def _dense_hermitian(lower: np.ndarray) -> np.ndarray:
     return Banded(size, bands).to_dense()
 
 
-def _parity_solve(op: Banded, solve, vectors: bool) -> tuple:
-    """`solve` applied to the even and odd parity blocks of an R-symmetric
-    operator, each given in lower band storage.
+def _parity_solve(op: Banded, solve) -> list:
+    """`solve` applied to `op` in lower band storage, or, when `op` equals
+    its index reversal R, to its even and odd parity blocks in that order.
 
     The blocks are taken in the basis (e_i +- e_{n-1-i})/sqrt(2), i < n // 2,
     with the middle index e_{n//2} last in the even block when n is odd.
@@ -279,11 +278,9 @@ def _parity_solve(op: Banded, solve, vectors: bool) -> tuple:
     block size, plus the fold of the mirror images, which is nonzero only in
     the corner r, c >= n // 2 - bandwidth next to the middle, so each block
     keeps H's bandwidth.  The middle index couples to each pair by sqrt(2).
-
-    When n is even and only odd diagonals are nonzero, S = diag((-1)^i)
-    anticommutes with H and with R, so it maps the even block's eigenpairs
-    (E, v) onto the odd block's (-E, S v), and the odd block is not solved.
     """
+    if not _reversal_symmetric(op):
+        return [solve(_lower_band(op, op.dim))]
     dim, half = op.dim, op.dim // 2
     even, odd = _lower_band(op, dim - half), _lower_band(op, half)
     for c in range(max(0, half - op.bandwidth), half):
@@ -294,15 +291,7 @@ def _parity_solve(op: Banded, solve, vectors: bool) -> tuple:
     if dim % 2:
         rows = np.arange(1, even.shape[0])
         even[rows, half - rows] *= np.sqrt(2.0)
-    even = solve(even)
-    if dim % 2 or any(band.any() for k, band in op.bands.items() if k % 2 == 0):
-        return even, solve(odd)
-    if not vectors:
-        return even, -even[::-1]
-    values, vecs = even
-    mapped = vecs[:, ::-1].copy()
-    mapped[1::2] *= -1.0
-    return even, (-values[::-1], mapped)
+    return [solve(even), solve(odd)]
 
 
 def _chiral_or_eigh(block: np.ndarray, vectors: bool):
@@ -341,24 +330,24 @@ def hermitian_eigh(op: Banded, vectors: bool = False):
     spin flip m -> -m (Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987)), and
     its mirror pairs are degenerate to rounding: a solve of the whole matrix
     would return rounding-dependent mixtures of them.  It stores odd
-    diagonals only, so at integer spin both blocks are chiral, and at
-    half-integer spin the odd block's eigenpairs follow from the even
-    block's.  Other blocks, and operators without the symmetry, go to
-    numpy's ``eigh`` or ``eigvalsh``.
+    diagonals only, so at integer spin both blocks are chiral.  Other
+    blocks, and operators without the symmetry, go to numpy's ``eigh`` or
+    ``eigvalsh``, which read the lower triangle only.
     """
-    if not _reversal_symmetric(op):
-        return _chiral_or_eigh(op.to_dense(), vectors)
-    dim, half = op.dim, op.dim // 2
-    even, odd = _parity_solve(op, lambda lower: _chiral_or_eigh(_dense_hermitian(lower), vectors), vectors)
+    blocks = _parity_solve(op, lambda lower: _chiral_or_eigh(_dense_hermitian(lower), vectors))
     if not vectors:
-        return np.sort(np.concatenate((even, odd)))
-    values = np.concatenate((even[0], odd[0]))
+        return np.sort(np.concatenate(blocks))
+    if len(blocks) == 1:
+        return blocks[0]
+    (even_values, even), (odd_values, odd) = blocks
+    dim, half = op.dim, op.dim // 2
+    values = np.concatenate((even_values, odd_values))
     order = np.argsort(values, kind="stable")
     column = np.argsort(order)  # output column of each block eigenvector
-    out = np.zeros((dim, dim), dtype=np.result_type(even[1], odd[1]))
+    out = np.zeros((dim, dim), dtype=np.result_type(even, odd))
     if dim % 2:
-        out[half, column[:dim - half]] = even[1][half]
-    for cols, vecs, mirror in ((column[:dim - half], even[1], 1.0), (column[dim - half:], odd[1], -1.0)):
+        out[half, column[:dim - half]] = even[half]
+    for cols, vecs, mirror in ((column[:dim - half], even, 1.0), (column[dim - half:], odd, -1.0)):
         top = vecs[:half]
         top *= _SQRT_HALF
         out[:half, cols] = top
@@ -377,8 +366,7 @@ def eigensolve(op: Banded, vectors: bool = False):
     - otherwise, eigenvalues only: the banded Hermitian driver ``?hbevd`` on
       the lower band; an operator equal to its index reversal (the kicked-top
       H_eff) is split into its two half-size parity blocks, of the same
-      bandwidth, and the driver runs once per block, or once at half-integer
-      spin, where the odd block's spectrum is minus the even block's;
+      bandwidth, and the driver runs once per block;
     - otherwise, with eigenvectors: `hermitian_eigh`, which returns the
       kicked-top H_eff's with definite spin-flip parity.
 
@@ -397,9 +385,4 @@ def eigensolve(op: Banded, vectors: bool = False):
             return scipy.linalg.eigh_tridiagonal(diagonal, off_diagonal)
         return scipy.linalg.eigvalsh_tridiagonal(diagonal, off_diagonal)
 
-    def banded(lower):
-        return scipy.linalg.eigvals_banded(lower, lower=True)
-
-    if not _reversal_symmetric(op):
-        return banded(_lower_band(op, op.dim))
-    return np.sort(np.concatenate(_parity_solve(op, banded, vectors=False)))
+    return np.sort(np.concatenate(_parity_solve(op, lambda lower: scipy.linalg.eigvals_banded(lower, lower=True))))

@@ -160,8 +160,7 @@ def test_dkt_eigenvectors_have_spin_flip_parity(j):
 def test_chiral_solve_with_zero_modes(dim, mirrored):
     # odd sizes have one more even index than odd ones, so a zero mode
     # (u, 0) beside the pairs +-s; a mirrored odd size puts it in the even
-    # parity block, and a mirrored even size has its odd block's eigenpairs
-    # mapped from the even block's
+    # parity block
     mat = random_hermitian(dim, dim)
     if mirrored:
         mat = mat + mat[::-1, ::-1]
@@ -222,7 +221,7 @@ def test_spin_flip_symmetric_blocks_without_chirality(j, monkeypatch):
     assert_eigenpairs(op, values, vectors, want)
 
 
-@pytest.mark.parametrize("j, sizes", [(10, [11, 10]), (10.5, [11]), (1.5, [2])])
+@pytest.mark.parametrize("j, sizes", [(10, [11, 10]), (10.5, [11, 11]), (1.5, [2, 2])])
 def test_spin_flip_symmetric_spectrum_is_solved_by_blocks(j, sizes, monkeypatch):
     calls = count_banded_solves(monkeypatch)
     eigensolve(dkt_effective_hamiltonian(1.0 / j, GOLDEN_RATIO * j, j))

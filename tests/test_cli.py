@@ -590,6 +590,16 @@ def test_builder_error_leaves_no_output_directory(args, tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "eigenstates"])
+def test_out_dir_under_a_file_is_rejected_before_the_solve(command, tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr("kickedspec.cli.eigensolve", None)  # a solve would raise TypeError
+    args = [command, "--system", "dkt", "--j", "10", "--eta-over-j", "golden"]
+    assert run_cli(args, blocker / "out") == 2
+    assert capsys.readouterr().err == f"error: --out-dir: {blocker} is not a directory\n"
+
+
 @pytest.mark.parametrize("args", [
     ["eigenstates", "--system", "harper-static", "--length", "1", "--sigma", "golden", "--scale-grid", "2"],
     ["harper-diff", "--length", "1", "--sigma", "golden"],
