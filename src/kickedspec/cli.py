@@ -121,7 +121,7 @@ OPTIONS = {
     "q-grid": (_list(parse_scalar), "comma-separated moment orders"),
     "scale-grid": (_list(_integer), "comma-separated bin or partition counts"),
     "bins": (_checked(_integer, lambda n: 1 <= n <= MAX_BINS, f"bins must be between 1 and {MAX_BINS}, got {{}}"),
-             "histogram bin count"),
+             "histogram bin count, at most the number of states"),
     "alpha-ladder": (_checked(_list(parse_scalar), lambda a: len(a) >= 3, "alpha ladder needs at least 3 values"),
                      "comma-separated alpha values, largest first"),
     "out-dir": (Path, "output directory for emitted files"),
@@ -368,8 +368,13 @@ def parse_config(argv) -> RunConfig:
         _library_rule("--scale-grid", _counts, cfg.scale_grid, 4)
         if max(cfg.scale_grid) > MAX_BINS:
             raise ConfigError(f"--scale-grid: bin counts must not exceed {MAX_BINS}, got {max(cfg.scale_grid)}")
-    if cfg.scale_grid is not None and command == "eigenstates":
-        _library_rule("--scale-grid", _counts, cfg.scale_grid, 1, cfg.length if is_harper else _spin(cfg.j).dim)
+    if command == "eigenstates":
+        states = cfg.length if is_harper else _spin(cfg.j).dim
+        if cfg.scale_grid is not None:
+            _library_rule("--scale-grid", _counts, cfg.scale_grid, 1, states)
+        # more bins than states add only empty bins; the default stays as it is
+        if "bins" in values and cfg.bins > states:
+            raise ConfigError(f"--bins: bins must not exceed the number of states {states}, got {cfg.bins}")
     return cfg
 
 

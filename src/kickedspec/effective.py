@@ -11,8 +11,8 @@ after N terms, an independent cross-check of the closed form, and
 exp(iF) the initial/final kick transformation, from the same truncation.
 
 Every formula here is written with matrix products, sums and adjoints, so it
-runs on `Banded` operators as well as on dense arrays; the results of banded
-inputs stay banded.
+runs on two `Banded` operators, whose results stay banded, or on two dense
+arrays; a mixed pair raises TypeError at its first product.
 """
 
 from dataclasses import dataclass
@@ -25,12 +25,18 @@ TWO_PI = 2.0 * np.pi
 
 
 def commutator(a, b):
-    """AB - BA; banded when both operands are `Banded`, else an ndarray."""
+    """AB - BA of two `Banded` operators (banded) or two dense ones (an ndarray)."""
     a = as_operator(a)
     b = as_operator(b)
     if a.shape != b.shape:
         raise ValueError(f"commutator needs equal shapes, got {a.shape} and {b.shape}")
     return a @ b - b @ a
+
+
+def check_period(period: float) -> None:
+    """The kick period's rule: finite and positive."""
+    if not (np.isfinite(period) and period > 0):
+        raise ValueError(f"kick period must be finite and positive, got {period}")
 
 
 def _dagger(a):
@@ -42,7 +48,8 @@ class KickedSystem:
     """Static part h0, kick operator applied once per period, and the period.
 
     The operators are kept as given: `Banded` stays banded, anything else
-    becomes an ndarray.
+    becomes an ndarray, and a mixed pair fails in the first formula that
+    combines them.  The period must be finite and positive.
     """
 
     h0: Banded | np.ndarray
@@ -54,8 +61,7 @@ class KickedSystem:
         kick = require_hermitian(self.kick, name="kick operator")
         if h0.shape != kick.shape:
             raise ValueError(f"static part {h0.shape} and kick {kick.shape} differ in dimension")
-        if not (np.isfinite(self.period) and self.period > 0):
-            raise ValueError(f"kick period must be finite and positive, got {self.period}")
+        check_period(self.period)
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "kick", kick)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effective import KickedSystem, heff_delta_kicked
+from .effective import KickedSystem, check_period, heff_delta_kicked
 from .operators import Banded, max_abs
 
 CLOSED_FORM = "closed-form"
@@ -40,8 +40,7 @@ class HarperParams:
             raise ValueError("sigma must be finite")
         if not np.isfinite(self.alpha) or self.alpha == 0.0:
             raise ValueError("alpha must be finite and nonzero")
-        if self.period <= 0:
-            raise ValueError(f"kick period must be positive, got {self.period}")
+        check_period(self.period)
 
 
 def onsite_potential(params: HarperParams) -> np.ndarray:

@@ -113,12 +113,6 @@ def _moments(parts, q_grid) -> np.ndarray:
     return z
 
 
-def partition_moment(probabilities, q: float) -> float:
-    """Z_q = sum of p^q over occupied bins; Z_0 counts occupied bins."""
-    probs = np.asarray(probabilities, dtype=float).reshape(-1, 1)
-    return float(_moments(probs, _q_values([q]))[0, 0])
-
-
 def _min_window(n_scales: int) -> int:
     return min(max(MIN_FIT_POINTS, -(-n_scales // 2)), n_scales)
 

@@ -39,13 +39,15 @@ class Banded:
     ``bands[k]`` holds diagonal k in ``np.diagonal`` order: M[i, i+k] for
     k >= 0 and M[i-k, i] for k < 0, so it has dim - |k| entries.  Sums,
     scalar multiples, adjoints and products stay banded; a product of
-    operators with b1 and b2 stored diagonals costs O(dim * b1 * b2).  An
-    operation with a dense operand, ``np.asarray(op)`` and any numpy function
-    work on the dense matrix the operator stands for.
+    operators with b1 and b2 stored diagonals costs O(dim * b1 * b2).  They
+    combine with `Banded` operands and scalars only: a dense operand or a
+    numpy ufunc raises TypeError.  ``op.to_dense()`` or ``np.asarray(op)``
+    is the one way to the dense matrix the operator stands for.
     """
 
-    # numpy arrays and scalars defer to the reflected operators below
-    __array_priority__ = 1000.0
+    # no numpy ufunc (arithmetic with an ndarray, np.abs, ...) takes a
+    # `Banded`; ndarray operators return NotImplemented to it in turn
+    __array_ufunc__ = None
     ndim = 2
 
     def __init__(self, dim: int, bands: dict):
@@ -125,21 +127,15 @@ class Banded:
 
     def __add__(self, other):
         if not isinstance(other, Banded):
-            return self.to_dense() + other
+            return NotImplemented
         self._same_dim(other)
         bands = dict(self.bands)
         for k, band in other.bands.items():
             bands[k] = bands[k] + band if k in bands else band
         return Banded(self.dim, bands)
 
-    def __radd__(self, other):
-        return other + self.to_dense()
-
     def __sub__(self, other):
-        return self + (-other) if isinstance(other, Banded) else self.to_dense() - other
-
-    def __rsub__(self, other):
-        return other - self.to_dense()
+        return self + (-other) if isinstance(other, Banded) else NotImplemented
 
     def __neg__(self) -> "Banded":
         return Banded(self.dim, {k: -band for k, band in self.bands.items()})
@@ -147,21 +143,18 @@ class Banded:
     def __mul__(self, other):
         if isinstance(other, numbers.Number):
             return Banded(self.dim, {k: band * other for k, band in self.bands.items()})
-        return self.to_dense() * other
+        return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, numbers.Number):
-            return Banded(self.dim, {k: other * band for k, band in self.bands.items()})
-        return other * self.to_dense()
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, numbers.Number):
             return Banded(self.dim, {k: band / other for k, band in self.bands.items()})
-        return self.to_dense() / other
+        return NotImplemented
 
     def __matmul__(self, other):
         if not isinstance(other, Banded):
-            return self.to_dense() @ other
+            return NotImplemented
         self._same_dim(other)
         n = self.dim
         bands = {}
@@ -179,9 +172,6 @@ class Banded:
                     bands[k] = bands[k].astype(np.result_type(bands[k], term))
                 bands[k][lo - _first_row(k):hi - _first_row(k)] += term
         return Banded(n, bands)
-
-    def __rmatmul__(self, other):
-        return other @ self.to_dense()
 
 
 def as_operator(mat):

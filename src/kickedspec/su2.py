@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .effective import check_period
 from .operators import Banded
 
 
@@ -125,8 +126,7 @@ def dkt_static_part(alpha: float, eta: float, j, period: float = 1.0) -> Banded:
     kicked system (this static part, kick alpha*Jx, period T) reproduces the
     double kicked top stroboscopically.
     """
-    if period <= 0:
-        raise ValueError(f"kick period must be positive, got {period}")
+    check_period(period)
     spin = _as_spin(j)
     phase = Banded.diagonal(np.exp(1j * phase_diagonal(spin, eta)))
     upper = spin_operators(spin).jplus @ phase

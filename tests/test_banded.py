@@ -1,6 +1,8 @@
 """Banded operators against dense matrices: arithmetic, the builders of every
 system against the dense oracle, and the structure-driven eigensolver."""
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,12 +43,21 @@ def test_banded_arithmetic_matches_dense(pair):
     assert a[row, col] == da[row, col]
 
 
-def test_banded_mixed_with_dense_is_dense():
+def test_banded_mixed_with_dense_is_type_error():
     op = Banded(3, {1: np.ones(2), -1: np.ones(2)})
     eye = np.eye(3)
-    for result in (op + eye, eye + op, op @ eye, eye @ op, op * eye):
-        assert isinstance(result, np.ndarray)
-    assert isinstance(np.float64(2.0) * op, Banded)
+    for combine in (operator.add, operator.sub, operator.matmul, operator.mul):
+        with pytest.raises(TypeError):
+            combine(op, eye)
+        with pytest.raises(TypeError):
+            combine(eye, op)
+    with pytest.raises(TypeError):
+        np.abs(op)
+    for scalar in (np.float64(2.0), np.complex128(2.0 - 1.0j)):
+        for result, want in ((scalar * op, scalar * op.to_dense()), (op * scalar, op.to_dense() * scalar),
+                             (op / scalar, op.to_dense() / scalar)):
+            assert isinstance(result, Banded)
+            np.testing.assert_array_equal(result.to_dense(), want)
     np.testing.assert_array_equal(np.asarray(op), op.to_dense())
     with pytest.raises(ValueError, match="entries"):
         Banded(3, {1: np.ones(3)})

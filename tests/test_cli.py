@@ -379,7 +379,7 @@ def test_eigenstates_report_null_columns_off_the_q_grid(q_grid, null_columns, tm
 
 def test_eigenstates_two_level_toy(tmp_path):
     assert run_cli(["eigenstates", "--system", "dkt", "--j", "0.5", "--alpha", "0.3",
-                    "--eta", "1.0", "--scale-grid", "2", "--bins", "5"], tmp_path) == 0
+                    "--eta", "1.0", "--scale-grid", "2", "--bins", "2"], tmp_path) == 0
     header, rows = read_csv(tmp_path / "eigenstates.csv")
     assert header == ["index", "pr", "d2", "d5", "mu"]
     assert len(rows) == 2
@@ -686,6 +686,7 @@ def test_non_finite_q_grid_is_config_error(command, q_grid, tmp_path, capsys):
     ["eigenstates", "--system", "harper-static", "--length", "64", "--sigma", "golden",
      "--scale-grid", "2,4,100,200"],
     ["spectrum", "--system", "dkt", "--j", "10", "--alpha", "0.1", "--eta", "1", "--q-grid=-1,2"],
+    ["eigenstates", "--system", "harper-static", "--length", "64", "--sigma", "golden", "--bins", "65"],
 ])
 def test_degenerate_count_grid_is_config_error(args, tmp_path):
     # rejected while parsing, by the analysis's own grid rules: no solve runs

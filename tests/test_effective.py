@@ -37,8 +37,9 @@ def test_commutator_dimension_mismatch():
 
 
 def test_kicked_system_validation():
-    with pytest.raises(ValueError, match="period"):
-        KickedSystem(h0=SZ, kick=SX, period=0.0)
+    for period in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="period"):
+            KickedSystem(h0=SZ, kick=SX, period=period)
     with pytest.raises(ValueError, match="dimension"):
         KickedSystem(h0=SZ, kick=np.eye(3), period=1.0)
     with pytest.raises(ValueError, match="Hermitian"):

@@ -21,8 +21,9 @@ def test_params_validation():
         HarperParams(length=1, sigma=0.5)
     with pytest.raises(ValueError, match="sigma"):
         HarperParams(length=4, sigma=float("inf"))
-    with pytest.raises(ValueError, match="period"):
-        HarperParams(length=4, sigma=0.5, period=0.0)
+    for period in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="period"):
+            HarperParams(length=4, sigma=0.5, period=period)
     for alpha in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="alpha must be finite and nonzero"):
             HarperParams(length=4, sigma=0.5, alpha=alpha)
@@ -76,7 +77,7 @@ def test_closed_form_differs_only_on_bonds():
 def test_zero_kick_limit_returns_hopping_only():
     params = HarperParams(8, 0.3)
     hop = kicked_harper_system(params).h0
-    system = KickedSystem(h0=hop, kick=np.zeros_like(hop), period=1.0)
+    system = KickedSystem(h0=hop, kick=Banded(hop.dim, {}), period=1.0)
     assert np.allclose(heff_delta_kicked(system), hop)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kickedspec.operators import hermiticity_defect, max_abs
+from kickedspec.operators import Banded, hermiticity_defect, max_abs
 from kickedspec.su2 import (
     SpinLabel,
     dkt_static_part,
@@ -47,10 +47,10 @@ def test_jx_spectrum_is_m_ladder(j):
 def test_su2_algebra(j):
     ops = spin_operators(j)
     comm = ops.jx @ ops.jy - ops.jy @ ops.jx
-    assert np.max(np.abs(comm - 1j * ops.jz)) <= 1e-12 * max(j, 1)
+    assert max_abs(comm - 1j * ops.jz) <= 1e-12 * max(j, 1)
     casimir = ops.jx @ ops.jx + ops.jy @ ops.jy + ops.jz @ ops.jz
     target = j * (j + 1.0)
-    assert np.max(np.abs(casimir - target * np.eye(SpinLabel(j).dim))) <= 1e-10 * target
+    assert max_abs(casimir - target * Banded.diagonal(np.ones(SpinLabel(j).dim))) <= 1e-10 * target
 
 
 def test_su2_algebra_full_resolution():
@@ -86,7 +86,7 @@ def test_family_zero_couplings_give_zero():
     # alpha only enters through a, b, C; case f has a = 0, b = alpha and
     # C = alpha*1, so the matrix is ~alpha
     ham = general_su2_hamiltonian("f", 1e-300, 0.7, 2)
-    assert np.max(np.abs(ham)) < 1e-290
+    assert max_abs(ham) < 1e-290
 
 
 def test_family_case_f_is_cosine_chain():
@@ -108,7 +108,7 @@ def test_family_eta_parity_and_periodicity():
         h_minus = general_su2_hamiltonian(case, alpha, -eta, j, epsilon)
         assert np.array_equal(h_plus, h_minus)  # cos is even in X
         h_shift = general_su2_hamiltonian(case, alpha, eta + 4.0 * np.pi * j, j, epsilon)
-        assert np.max(np.abs(h_plus - h_shift)) <= 1e-12 * max(np.max(np.abs(h_plus)), 1e-30)
+        assert max_abs(h_plus - h_shift) <= 1e-12 * max(max_abs(h_plus), 1e-30)
 
 
 def test_family_case_e_requires_epsilon():
@@ -164,5 +164,6 @@ def test_dkt_static_part_band_structure():
 
 
 def test_dkt_static_part_rejects_bad_period():
-    with pytest.raises(ValueError, match="period"):
-        dkt_static_part(1.0, 1.0, 2, 0.0)
+    for period in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="period"):
+            dkt_static_part(1.0, 1.0, 2, period)
