@@ -6,27 +6,36 @@ never the effective Hamiltonian, and `effective_vs_floquet_errors` compares
 it with the H_eff spectrum that `operators.hermitian_eigh` solves on the
 H_eff's spin-flip parity blocks, built from its stored bands: two
 quarter-size singular value solves at integer spin, two half-size
-Hermitian solves at half-integer spin.  Four
-facts make the exact side of a ladder of kick strengths cost one real
-eigendecomposition, plus per kick strength two half-size rounds of complex
-matrix product, inverse and Hermitian eigenvalue solve.
+Hermitian solves at half-integer spin.  Four facts make the exact side of
+a ladder of kick strengths cost two half-size real eigendecompositions,
+plus per kick strength two half-size rounds of complex matrix product,
+inverse and Hermitian eigenvalue solve; nothing of full dimension is built.
 
 - Twist gauge.  The double kicked top's static generator is a diagonal phase
   gauge of Jx: ``dkt_static_part(1, eta, j) = P Jx P^dag`` with
   P = diag(p), p_0 = 1 and p_{k+1} = p_k exp(i X_k), where X is the phase
   diagonal (P is the Jz^2 twist).  p is built as a running product of unit
   phases; exp(i cumsum X) would drift by about 1e-8 relative at j = 1000.
-- One Jx eigendecomposition.  Jx = Vx diag(m) Vx^T with Vx real and the
-  eigenvalues exactly the magnetic numbers m, so the kick factor is
+- Jx eigenbasis.  Jx = Vx diag(m) Vx^T with Vx real and the eigenvalues
+  exactly the magnetic numbers m, so the kick factor is
   K = exp(-i alpha Jx) = Vx D Vx^T with D = diag(exp(-i alpha m)), and the
   one-period operator is U = exp(-i alpha P Jx P^dag) K = P K P^dag K.  With
-  the complex symmetric unitary A = Vx^T P^dag Vx, built once per ladder,
+  the complex symmetric unitary A = Vx^T P^dag Vx,
   M = conj(A) D A D = Vx^T U Vx has the spectrum of U.
 - Spin-flip parity.  P = exp(i eta Jz^2/2j) up to a phase, and P and Jx
-  both commute with the flip m -> -m, whose parity in the Jx eigenbasis is
-  that of the eigenvector index.  So A couples even indices to even and odd
-  to odd only (to 1e-15 at j = 10, 1e-13 at j = 1000), and U has the union
-  of the spectra of conj(A_b) D_b A_b D_b over the two blocks b.
+  both commute with the flip m -> -m, the index reversal R.  So Jx splits
+  into the two parity blocks of `operators._parity_solve`, in the basis
+  (e_i +- e_{n-1-i})/sqrt(2), of sizes n - n//2 and n//2; each is
+  diagonalized at that size, with eigenvectors Y_b.  In that basis P^dag is
+  diag(q) on each block: q_i = conj(p_i + p_{n-1-i})/2 on the pairs, and
+  conj(p_mid) last in the even block when n is odd.  Pair i of the two
+  blocks is coupled by conj(p_i - p_{n-1-i})/2, which vanishes with
+  P's symmetry, so A couples Jx eigenvectors of equal R-parity only (to
+  1e-15 at j = 10, 1e-13 at j = 1000).  Its blocks A_b = Y_b^T diag(q) Y_b
+  are built once per ladder, and U has the union of the spectra of
+  conj(A_b) D_b A_b D_b over the two blocks b.  The k-th Jx eigenvector has
+  R-parity (-1)^(2j-k): R-even is index-even at integer spin and index-odd
+  at half-integer spin.
 - Cayley quasienergies.  For W = exp(i theta) U, the Hermitian part of
   H_c = i(1 - W)(1 + W)^-1 has eigenvalues lambda = -tan((E - theta)/2), so
   E = theta - 2 arctan(lambda) comes from a Hermitian solve instead of a
@@ -45,7 +54,8 @@ matrix product, inverse and Hermitian eigenvalue solve.
 import numpy as np
 
 from .effective import KickedSystem, heff_delta_kicked
-from .operators import Banded, hermitian_eigh, max_abs, require_hermitian, require_unitary
+from .operators import (Banded, _dense_hermitian, _parity_solve, hermitian_eigh, max_abs, require_hermitian,
+                        require_unitary)
 from .su2 import SpinLabel, _as_spin, dkt_static_part, phase_diagonal, spin_operators
 
 TWO_PI = 2.0 * np.pi
@@ -92,11 +102,6 @@ def _twist_gauge(spin: SpinLabel, eta: float) -> np.ndarray:
     return np.concatenate(([1.0 + 0.0j], np.cumprod(steps)))
 
 
-def _jx_eigenvectors(spin: SpinLabel) -> np.ndarray:
-    """Real orthogonal Vx with Jx = Vx diag(m) Vx^T, m ascending."""
-    return np.linalg.eigh(spin_operators(spin).jx.to_dense())[1]
-
-
 def dkt_floquet(alpha: float, eta: float, j) -> np.ndarray:
     """One-period evolution operator of the double kicked top.
 
@@ -108,7 +113,7 @@ def dkt_floquet(alpha: float, eta: float, j) -> np.ndarray:
         raise ValueError(f"alpha and eta must be finite, got alpha={alpha}, eta={eta}")
     spin = _as_spin(j)
     twist = _twist_gauge(spin, eta)
-    vecs = _jx_eigenvectors(spin)
+    vecs = hermitian_eigh(spin_operators(spin).jx, vectors=True)[1]
     kick = (vecs * np.exp(-1j * alpha * spin.m_values)) @ vecs.T
     return (twist[:, None] * kick * twist.conj()) @ kick
 
@@ -172,16 +177,32 @@ def quasienergy_spectrum(unitary) -> np.ndarray:
     return np.sort(phases)
 
 
+def _real_congruence(left: np.ndarray, diagonal: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left^T diag(diagonal) right for real left and right, by two real products."""
+    out = left.T @ (diagonal.imag[:, None] * right) * 1j
+    out += left.T @ (diagonal.real[:, None] * right)
+    return out
+
+
 def _ladder_gauge(spin: SpinLabel, eta: float) -> tuple:
-    """Even and odd parity blocks of A = Vx^T P^dag Vx, complex symmetric and
-    unitary; LinAlgError, a numerical failure, when A couples them by more
+    """Blocks of A = Vx^T P^dag Vx on the even and on the odd Jx eigenvector
+    indices, complex symmetric and unitary, built from Jx's half-size parity
+    blocks; LinAlgError, a numerical failure, when A couples them by more
     than PARITY_ATOL."""
-    vecs = _jx_eigenvectors(spin)
-    gauge = vecs.T @ (_twist_gauge(spin, eta).conj()[:, None] * vecs)
-    mixing = max_abs(gauge[0::2, 1::2])  # A is symmetric: one off-block suffices
+    (_, even), (_, odd) = _parity_solve(spin_operators(spin).jx,
+                                        lambda lower: np.linalg.eigh(_dense_hermitian(lower)))
+    adjoint, half = _twist_gauge(spin, eta).conj(), spin.dim // 2
+    head, tail = adjoint[:half], adjoint[::-1][:half]
+    # the R-even x R-odd block of A, equal up to signs and a transpose to the
+    # dropped A[0::2, 1::2]
+    mixing = max_abs(_real_congruence(even[:half], (head - tail) / 2.0, odd))
     if not mixing <= PARITY_ATOL:
         raise np.linalg.LinAlgError(f"twist gauge mixes the spin-flip parity blocks by {mixing:.3g}")
-    return gauge[0::2, 0::2].copy(), gauge[1::2, 1::2].copy()
+    pairs = (head + tail) / 2.0
+    blocks = (_real_congruence(even, np.concatenate((pairs, adjoint[half:spin.dim - half])), even),
+              _real_congruence(odd, pairs, odd))
+    # R-even holds the even indices at integer spin (odd dimension)
+    return blocks if spin.dim % 2 else blocks[::-1]
 
 
 def _ladder_rung(block: np.ndarray, m_values: np.ndarray, alpha: float) -> np.ndarray:

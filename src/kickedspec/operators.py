@@ -3,9 +3,9 @@ eigensolver dispatch chosen from an operator's band structure.
 
 An operator equal to its index reversal R (the kicked-top H_eff, whose
 spin flip m -> -m is R) is solved on its two half-size parity blocks,
-built from its stored bands by `_parity_solve` for both `eigensolve`'s
-banded eigenvalue driver and `hermitian_eigh`: two block solves in place
-of one of the whole operator.
+built from its stored bands by `_parity_solve` for `eigensolve`'s banded
+eigenvalue driver, `hermitian_eigh` and the Floquet ladder's Jx: two block
+solves in place of one of the whole operator.
 
 Contracts are checked where an operator enters, not where it is built.  The
 public entry points that accept a caller's matrix check it: `eigensolve`,
@@ -102,6 +102,9 @@ class Banded:
         return out
 
     def __array__(self, dtype=None, copy=None):
+        # numpy >= 2 passes copy; False asks for a view, which no band storage gives
+        if copy is False:
+            raise ValueError("a Banded operator has no dense buffer to share; np.asarray(op) copies it")
         dense = self.to_dense()
         return dense if dtype is None else dense.astype(dtype, copy=False)
 

@@ -63,6 +63,23 @@ def test_banded_mixed_with_dense_is_type_error():
         Banded(3, {1: np.ones(3)})
 
 
+def test_banded_to_array_copies_and_refuses_a_view():
+    op = Banded(3, {0: np.ones(3), 1: 2.0 * np.ones(2)})
+    dense = op.to_dense()
+    for got in (np.asarray(op), np.array(op), op.__array__(copy=True)):
+        np.testing.assert_array_equal(got, dense)
+    cast = np.asarray(op, dtype=complex)
+    assert cast.dtype == complex
+    np.testing.assert_array_equal(cast, dense)
+    # the copy protocol's copy=False; numpy 1.x's asarray takes no copy
+    # argument and never asks for it
+    with pytest.raises(ValueError, match="no dense buffer"):
+        op.__array__(copy=False)
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        with pytest.raises(ValueError, match="no dense buffer"):
+            np.asarray(op, copy=False)
+
+
 @st.composite
 def system_operators(draw):
     """(system, banded build, dense oracle) at dimension <= 501."""

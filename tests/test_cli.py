@@ -744,18 +744,18 @@ def test_parity_mixing_twist_exits_three(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "floquet_compare.json").exists()
 
 
-def test_floquet_compare_decomposes_jx_once(tmp_path, monkeypatch):
-    # one real eigendecomposition of Jx serves every rung, and quasienergies
-    # never go through the nonsymmetric eigensolver
-    calls = {"eigh": 0, "eigvals": 0}
+def test_floquet_compare_diagonalizes_jx_parity_blocks(tmp_path, monkeypatch):
+    # two half-size real eigendecompositions of Jx's parity blocks serve every
+    # rung, and quasienergies never go through the nonsymmetric eigensolver
+    calls = {"eigh": [], "eigvals": []}
     for name in calls:
-        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+        def counted(mat, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name].append((np.shape(mat), np.asarray(mat).dtype.kind))
+            return _original(mat, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     assert run_cli(["floquet-compare", "--j", "10", "--eta-over-j", "golden",
                     "--alpha-ladder", "0.04,0.02,0.01,0.005,0.0025,0.00125"], tmp_path) == 0
-    assert calls == {"eigh": 1, "eigvals": 0}
+    assert calls == {"eigh": [((11, 11), "f"), ((10, 10), "f")], "eigvals": []}
 
 
 def test_floquet_path_does_not_load_scipy(tmp_path):

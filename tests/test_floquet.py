@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -286,12 +287,13 @@ def test_quasienergy_spectrum_keeps_the_unitarity_tolerance():
 
 @pytest.mark.parametrize("j, alpha, modulation", [
     pytest.param(j, alpha, modulation, id=f"{alpha}-{modulation}" if j == 200 else f"j{j}-{alpha}-{modulation}")
-    for j in (200, 10.5, 0.5) for alpha in (0.01, 0.04) for modulation in sorted(MODULATIONS)])
+    for j in (200, 10.5, 2, 1.5, 1, 0.5) for alpha in (0.01, 0.04) for modulation in sorted(MODULATIONS)])
 def test_ladder_quasienergies_match_dense_oracle(j, alpha, modulation):
     # a j = 200 rung in the Jx eigenbasis puts Cayley eigenvalues up to ~500
     # on the first cut, where the inverse's rounding would reach the
     # quasienergies through a solve that reads one triangle of H_c; j = 10.5
-    # has an even dimension and j = 0.5 two 1x1 parity blocks
+    # has an even dimension, j = 2 and 1 a middle index in parity blocks of
+    # sizes 3 + 2 and 2 + 1, j = 1.5 blocks 2 + 2 and j = 0.5 two 1x1 blocks
     spin = SpinLabel(j)
     eta = MODULATIONS[modulation] * spin.j
     got = _ladder_quasienergies(_ladder_gauge(spin, eta), spin, alpha)
@@ -305,6 +307,20 @@ def test_ladder_gauge_rejects_a_twist_that_breaks_parity(monkeypatch):
     monkeypatch.setattr(floquet, "_twist_gauge", lambda spin, eta: np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, spin.dim)))
     with pytest.raises(ValueError, match="parity blocks by"):
         effective_vs_floquet_errors([0.04], GOLDEN_RATIO * 10, 10)
+
+
+@pytest.mark.parametrize("j", [10, 10.5])
+def test_ladder_gauge_reports_the_dense_off_block_mixing(monkeypatch, j):
+    # the value in the message is the largest entry of A[0::2, 1::2] for the
+    # dense A = Vx^T P^dag Vx, which the half-size blocks never build
+    spin = SpinLabel(j)
+    twist = np.exp(1j * np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, spin.dim))
+    monkeypatch.setattr(floquet, "_twist_gauge", lambda spin, eta: twist)
+    vecs = np.linalg.eigh(spin_operators(spin).jx.to_dense())[1]
+    gauge = vecs.T @ (twist.conj()[:, None] * vecs)
+    want = f"parity blocks by {max_abs(gauge[0::2, 1::2]):.3g}"
+    with pytest.raises(np.linalg.LinAlgError, match=re.escape(want) + "$"):
+        _ladder_gauge(spin, GOLDEN_RATIO * spin.j)
 
 
 @pytest.mark.parametrize("alpha", [0.04, 0.00125])
