@@ -6,9 +6,12 @@ never the effective Hamiltonian, and `effective_vs_floquet_errors` compares
 it with the H_eff spectrum that `operators.hermitian_eigh` solves on the
 H_eff's spin-flip parity blocks, built from its stored bands: two
 quarter-size singular value solves at integer spin, two half-size
-Hermitian solves at half-integer spin.  Four facts make the exact side of
+Hermitian solves at half-integer spin.  Five facts make the exact side of
 a ladder of kick strengths cost two half-size real eigendecompositions,
-plus per kick strength two half-size rounds of complex matrix product,
+plus per kick strength and parity block one half-size complex matrix
+product and unitarity check and a first branch cut that takes, at integer
+spin, one half-size LU solve against about half the block's columns and
+one quarter-size singular value solve, or at half-integer spin a half-size
 inverse and Hermitian eigenvalue solve; nothing of full dimension is built.
 
 - Twist gauge.  The double kicked top's static generator is a diagonal phase
@@ -49,13 +52,27 @@ inverse and Hermitian eigenvalue solve; nothing of full dimension is built.
   on an evenly spread spectrum, so a fixed limit would refuse it at large
   dimension.  numpy.linalg.LinAlgError is raised only when 1 + W is
   singular on the moved cut too, or the estimate misses the gap.
+- Chirality.  The pi rotation S = diag((-1)^(j+m)) about z anticommutes
+  with Jx and commutes with P (Haake, Kus & Scharf, Z. Phys. B 65, 381
+  (1987)).  At integer spin it commutes with R too and keeps each parity
+  block, where, reversing Jx's spectrum m -> -m, it is a signed reversal
+  S_b: y_k -> s_k y_{n_b-1-k} of the block's Jx eigenvectors; the signs are
+  read from Y_b once per ladder and checked to be +-1.  S_b A_b S_b = A_b
+  and S_b D_b S_b = conj(D_b), so the rung U'_b = E conj(A_b) D_b A_b E
+  with E = D_b^(1/2), a diagonal similarity of conj(A_b) D_b A_b D_b,
+  satisfies S_b U'_b S_b = U'_b^dag, and its Cayley transform anticommutes
+  with S_b.  So the first cut needs only the block of (1 + U'_b)^-1 that
+  couples S_b's eigenvectors of one sign to those of the other: one solve
+  against the vectors of one sign, whose singular values are the +-lambda.
+  At half-integer spin S swaps the two parity blocks, and the first cut
+  is the general one.
 """
 
 import numpy as np
 
 from .effective import KickedSystem, heff_delta_kicked
-from .operators import (Banded, _dense_hermitian, _parity_solve, hermitian_eigh, max_abs, require_hermitian,
-                        require_unitary)
+from .operators import (UNITARITY_ATOL, Banded, _dense_hermitian, _parity_solve, hermitian_eigh, max_abs,
+                        require_hermitian, require_unitary)
 from .su2 import SpinLabel, _as_spin, dkt_static_part, phase_diagonal, spin_operators
 
 TWO_PI = 2.0 * np.pi
@@ -143,6 +160,43 @@ def _cayley_phases(unitary: np.ndarray, theta: float, limit: float):
     return fold_phases(theta - 2.0 * np.arctan(lam))
 
 
+def _chiral_cayley_phases(unitary: np.ndarray, signs: np.ndarray):
+    """Quasienergies on the first cut of a unitary with S U S = U^dag for the
+    signed reversal S: e_k -> s_k e_{n-1-k}, or None when 1 + U is singular
+    or a Cayley eigenvalue exceeds CAYLEY_MAX in magnitude.
+
+    H_c = i(1 - U)(1 + U)^-1 = 2iX - i with X = (1 + U)^-1 then anticommutes
+    with S, so it couples S's eigenvectors (e_k +- s_k e_{n-1-k})/sqrt(2),
+    k < n // 2, and e_{n//2} of eigenvalue s_{n//2} at odd n, of one sign
+    to the other only, by 2iX.  One solve of 1 + U against the vectors of
+    one sign, with e_{n//2} among them, gives that block of X, and its
+    singular values sigma are H_c's eigenvalues +-sigma, with one zero at
+    odd n.
+    """
+    dim, half = unitary.shape[0], unitary.shape[0] // 2
+    side = signs[half] if dim % 2 else -1.0
+    pairs = np.arange(half)
+    # S's eigenvectors of sign `side`, times sqrt(2), as the right-hand sides
+    columns = np.zeros((dim, dim - half), dtype=complex)
+    columns[pairs, pairs] = 1.0
+    columns[dim - 1 - pairs, pairs] = side * signs[:half]
+    if dim % 2:
+        columns[half, half] = np.sqrt(2.0)
+    shifted = unitary.copy()
+    shifted.flat[::dim + 1] += 1.0
+    try:
+        solved = np.linalg.solve(shifted, columns)
+    except np.linalg.LinAlgError:  # an eigenvalue exactly on the cut
+        return None
+    del shifted
+    # S's eigenvectors of the other sign, times sqrt(2), as rows: 2X there
+    coupling = solved[:half] - (side * signs[:half])[:, None] * solved[::-1][:half]
+    sigma = np.linalg.svd(coupling, compute_uv=False) if half else np.zeros(0)
+    if not np.all(sigma <= CAYLEY_MAX):
+        return None
+    return -2.0 * np.arctan(np.concatenate((sigma, np.zeros(dim - 2 * half), -sigma)))
+
+
 def _cut_in_widest_gap(unitary: np.ndarray):
     """Quasienergy in [0, pi] midway across the widest gap of the spectrum's
     estimate, and the width of that gap.
@@ -159,15 +213,23 @@ def _cut_in_widest_gap(unitary: np.ndarray):
     return 0.5 * (edges[widest] + edges[widest + 1]), float(gaps[widest])
 
 
-def quasienergy_spectrum(unitary) -> np.ndarray:
+def quasienergy_spectrum(unitary, reversal_signs=None) -> np.ndarray:
     """Sorted quasienergies of a unitary, each in (-pi, pi].
 
     A quasienergy E labels the eigenvalue exp(-iE), matching the sign of
-    exp(-i*H_eff*T), so folded effective energies compare directly.  Raises
-    numpy.linalg.LinAlgError when eigenvalues crowd both branch cuts tried.
+    exp(-i*H_eff*T), so folded effective energies compare directly.  With
+    `reversal_signs` s, +-1 and equal to s reversed, the unitary must be
+    chiral, S U S = U^dag, under the signed reversal S: e_k -> s_k e_{n-1-k},
+    and its first cut takes one LU solve and a singular value solve of about
+    a quarter of its size.  Raises ValueError when the unitary breaks either
+    contract, numpy.linalg.LinAlgError when eigenvalues crowd both branch
+    cuts tried.
     """
     unitary = require_unitary(unitary, name="Floquet operator")
-    phases = _cayley_phases(unitary, 0.0, CAYLEY_MAX)
+    if reversal_signs is None:
+        phases = _cayley_phases(unitary, 0.0, CAYLEY_MAX)
+    else:
+        phases = _chiral_cayley_phases(unitary, _require_chiral(unitary, reversal_signs))
     if phases is None:
         cut, gap = _cut_in_widest_gap(unitary)
         phases = _cayley_phases(unitary, cut - np.pi, max(CAYLEY_MAX, 8.0 / gap))
@@ -177,6 +239,25 @@ def quasienergy_spectrum(unitary) -> np.ndarray:
     return np.sort(phases)
 
 
+def _require_chiral(unitary: np.ndarray, reversal_signs) -> np.ndarray:
+    """The signs s as floats, checked to be +-1 and palindromic (S^2 = 1),
+    and S U S = U^dag, whose entries are s_i s_k U[n-1-i, n-1-k], checked to
+    the unitarity tolerance."""
+    signs = np.asarray(reversal_signs, dtype=float)
+    palindromic = signs.shape == unitary.shape[:1] and np.array_equal(signs, signs[::-1])
+    if not (palindromic and np.all(np.abs(signs) == 1.0)):
+        raise ValueError(f"reversal signs must be {unitary.shape[0]} values +-1, equal to their reversal")
+    # conj(S U S) - U^T, by one temporary
+    mirrored = unitary[::-1, ::-1] * signs[:, None]
+    mirrored *= signs
+    np.conjugate(mirrored, out=mirrored)
+    mirrored -= unitary.T
+    defect = max_abs(mirrored)
+    if not defect <= UNITARITY_ATOL:
+        raise ValueError(f"Floquet operator is not chiral under the signed reversal (defect {defect:.3e})")
+    return signs
+
+
 def _real_congruence(left: np.ndarray, diagonal: np.ndarray, right: np.ndarray) -> np.ndarray:
     """left^T diag(diagonal) right for real left and right, by two real products."""
     out = left.T @ (diagonal.imag[:, None] * right) * 1j
@@ -184,11 +265,27 @@ def _real_congruence(left: np.ndarray, diagonal: np.ndarray, right: np.ndarray) 
     return out
 
 
+def _rotation_signs(vecs: np.ndarray) -> np.ndarray:
+    """Signs s with S y_k = s_k y_{n-1-k} on the eigenvectors y_k of one of
+    Jx's parity blocks at integer spin, S the pi rotation diag((-1)^(j+m)),
+    which is diag((-1)^i) in the block's basis; LinAlgError, a numerical
+    failure, when S y_k leaves +-y_{n-1-k} by more than PARITY_ATOL."""
+    rotated = vecs * (1.0 - 2.0 * (np.arange(vecs.shape[0]) % 2))[:, None]
+    signs = np.sign(np.einsum("ik,ik->k", rotated, vecs[:, ::-1]))
+    rotated -= vecs[:, ::-1] * signs
+    defect = max_abs(rotated)
+    if not defect <= PARITY_ATOL:
+        raise np.linalg.LinAlgError(f"the pi rotation leaves the reversed Jx eigenvectors by {defect:.3g}")
+    return signs
+
+
 def _ladder_gauge(spin: SpinLabel, eta: float) -> tuple:
-    """Blocks of A = Vx^T P^dag Vx on the even and on the odd Jx eigenvector
-    indices, complex symmetric and unitary, built from Jx's half-size parity
-    blocks; LinAlgError, a numerical failure, when A couples them by more
-    than PARITY_ATOL."""
+    """Blocks of A = Vx^T P^dag Vx on the R-even and on the R-odd Jx
+    eigenvectors, complex symmetric and unitary, built from Jx's half-size
+    parity blocks, each with the `_rotation_signs` of its eigenvectors at
+    integer spin and None at half-integer spin, where S swaps the blocks;
+    LinAlgError, a numerical failure, when A couples the blocks by more than
+    PARITY_ATOL."""
     (_, even), (_, odd) = _parity_solve(spin_operators(spin).jx,
                                         lambda lower: np.linalg.eigh(_dense_hermitian(lower)))
     adjoint, half = _twist_gauge(spin, eta).conj(), spin.dim // 2
@@ -202,21 +299,36 @@ def _ladder_gauge(spin: SpinLabel, eta: float) -> tuple:
     blocks = (_real_congruence(even, np.concatenate((pairs, adjoint[half:spin.dim - half])), even),
               _real_congruence(odd, pairs, odd))
     # R-even holds the even indices at integer spin (odd dimension)
-    return blocks if spin.dim % 2 else blocks[::-1]
+    if spin.dim % 2:
+        return (blocks[0], _rotation_signs(even)), (blocks[1], _rotation_signs(odd))
+    return (blocks[1], None), (blocks[0], None)
 
 
 def _ladder_rung(block: np.ndarray, m_values: np.ndarray, alpha: float) -> np.ndarray:
-    """conj(A_b) D_b A_b D_b of one parity block, with that block's m values."""
-    phases = np.exp(-1j * alpha * m_values)
-    right = block * phases
-    right *= phases[:, None]
-    return block.conj() @ right
+    """E conj(A_b) D_b A_b E of one parity block, with that block's m values:
+    conj(A_b) D_b A_b D_b under the diagonal similarity by E = D_b^(1/2)."""
+    root = np.exp(-0.5j * alpha * m_values)
+    right = block * root
+    right *= np.exp(-1j * alpha * m_values)[:, None]
+    # conj(A_b) R = conj(A_b conj(R)), without a conjugated copy of A_b
+    np.conjugate(right, out=right)
+    rung = block @ right
+    np.conjugate(rung, out=rung)
+    rung *= root[:, None]
+    return rung
 
 
 def _ladder_quasienergies(blocks: tuple, spin: SpinLabel, alpha: float) -> np.ndarray:
-    """Sorted quasienergies of the one-period operator at alpha, block by block."""
-    return np.sort(np.concatenate([quasienergy_spectrum(_ladder_rung(block, spin.m_values[parity::2], alpha))
-                                   for parity, block in enumerate(blocks)]))
+    """Sorted quasienergies of the one-period operator at alpha, block by
+    block; LinAlgError, a numerical failure, when a block it built breaks
+    the unitarity or the chirality contract."""
+    spectra = []
+    for parity, (block, signs) in enumerate(blocks):
+        try:
+            spectra.append(quasienergy_spectrum(_ladder_rung(block, spin.m_values[parity::2], alpha), signs))
+        except ValueError as exc:
+            raise np.linalg.LinAlgError(str(exc)) from exc
+    return np.sort(np.concatenate(spectra))
 
 
 def effective_vs_floquet_errors(alphas, eta: float, j, period: float = 1.0) -> list:

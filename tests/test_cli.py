@@ -725,11 +725,46 @@ def test_failed_cayley_solve_exits_three(tmp_path, monkeypatch, capsys):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    # both branch cuts fail, so the quasienergy solve gives up
+    # both branch cuts fail, so the quasienergy solve gives up: the first cut
+    # factorizes 1 + W by `solve` at integer spin, every moved cut by `inv`
     monkeypatch.setattr(np.linalg, "inv", singular)
+    monkeypatch.setattr(np.linalg, "solve", singular)
     assert run_cli(["floquet-compare", "--j", "10", "--eta-over-j", "golden",
                     "--alpha-ladder", "0.04,0.02,0.01"], tmp_path) == 3
     assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "floquet_compare.json").exists()
+
+
+def test_failed_chiral_solve_moves_the_cut(tmp_path, monkeypatch):
+    # a singular first cut at integer spin goes straight to the moved cut,
+    # one inverse per block, which gives the same quasienergies
+    argv = ["floquet-compare", "--j", "10", "--eta-over-j", "golden", "--alpha-ladder", "0.04,0.02,0.01"]
+    assert run_cli(argv, tmp_path / "plain") == 0
+    cuts, inversions = [], []
+    cut, inv = kickedspec.floquet._cut_in_widest_gap, np.linalg.inv
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(np.linalg, "inv", lambda mat: inversions.append(1) or inv(mat))
+    monkeypatch.setattr(kickedspec.floquet, "_cut_in_widest_gap", lambda mat: cuts.append(1) or cut(mat))
+    assert run_cli(argv, tmp_path / "moved") == 0
+    errors = [json.loads((tmp_path / d / "floquet_compare.json").read_text())["results"]["errors"]
+              for d in ("plain", "moved")]
+    assert len(cuts) == len(inversions) == 6
+    assert np.max(np.abs(np.subtract(*errors))) <= 1e-12 * np.pi
+
+
+def test_non_unitary_ladder_block_exits_three(tmp_path, monkeypatch, capsys):
+    # the ladder builds its blocks unitary, so a block that is not is a
+    # numerical failure, not a configuration error
+    twist = kickedspec.floquet._twist_gauge
+    monkeypatch.setattr(kickedspec.floquet, "_twist_gauge", lambda spin, eta: 1.01 * twist(spin, eta))
+    assert run_cli(["floquet-compare", "--j", "10", "--eta-over-j", "golden",
+                    "--alpha-ladder", "0.04,0.02,0.01"], tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: Floquet operator is not unitary"), err
     assert not (tmp_path / "floquet_compare.json").exists()
 
 
@@ -746,16 +781,36 @@ def test_parity_mixing_twist_exits_three(tmp_path, monkeypatch, capsys):
 
 def test_floquet_compare_diagonalizes_jx_parity_blocks(tmp_path, monkeypatch):
     # two half-size real eigendecompositions of Jx's parity blocks serve every
-    # rung, and quasienergies never go through the nonsymmetric eigensolver
-    calls = {"eigh": [], "eigvals": []}
-    for name in calls:
+    # rung, and quasienergies never go through the nonsymmetric eigensolver.
+    # At integer spin each rung's first cut is one solve against the
+    # eigenvectors of one sign of the pi rotation S and one singular value
+    # solve of S's off-diagonal block; at half-integer spin, where S swaps
+    # the parity blocks, it is an inverse and a Hermitian solve
+    names = ("eigh", "eigvals", "eigvalsh", "inv", "solve", "svd")
+    ladder = ["--eta-over-j", "golden", "--alpha-ladder", "0.04,0.02,0.01,0.005,0.0025,0.00125"]
+    calls = {}
+    for name in names:
         def counted(mat, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
             calls[_name].append((np.shape(mat), np.asarray(mat).dtype.kind))
             return _original(mat, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    assert run_cli(["floquet-compare", "--j", "10", "--eta-over-j", "golden",
-                    "--alpha-ladder", "0.04,0.02,0.01,0.005,0.0025,0.00125"], tmp_path) == 0
-    assert calls == {"eigh": [((11, 11), "f"), ((10, 10), "f")], "eigvals": []}
+
+    calls.update({name: [] for name in names})
+    assert run_cli(["floquet-compare", "--j", "10", *ladder], tmp_path / "integer") == 0
+    assert {name: calls[name] for name in ("eigh", "eigvals")} == {
+        "eigh": [((11, 11), "f"), ((10, 10), "f")], "eigvals": []}
+    # the H_eff's two chiral blocks per kick strength, then the ladder's S blocks
+    heff_svd, ladder_svd = calls["svd"][:12], calls["svd"][12:]
+    assert heff_svd == [((6, 5), "c"), ((5, 5), "c")] * 6
+    assert ladder_svd == [((5, 6), "c"), ((5, 5), "c")] * 6
+    assert calls["solve"] == [((11, 11), "c"), ((10, 10), "c")] * 6
+    assert calls["inv"] == [] and calls["eigvalsh"] == []
+
+    calls.update({name: [] for name in names})
+    assert run_cli(["floquet-compare", "--j", "10.5", *ladder], tmp_path / "half-integer") == 0
+    assert calls["eigh"] == [((11, 11), "f"), ((11, 11), "f")]
+    assert calls["inv"] == [((11, 11), "c")] * 12
+    assert calls["solve"] == [] and calls["svd"] == [] and calls["eigvals"] == []
 
 
 def test_floquet_path_does_not_load_scipy(tmp_path):

@@ -9,6 +9,7 @@ from kickedspec import GOLDEN_RATIO, floquet
 from kickedspec.floquet import (
     _ladder_gauge,
     _ladder_quasienergies,
+    _ladder_rung,
     _twist_gauge,
     dkt_effective_hamiltonian,
     dkt_floquet,
@@ -332,3 +333,99 @@ def test_chiral_energies_match_dense_eigvalsh(j, alpha):
     want = np.linalg.eigvalsh(heff.to_dense())
     assert np.max(np.abs(hermitian_eigh(heff) - want)) <= 1e-13 * np.max(np.abs(want))
 
+
+
+def signed_reversal(signs):
+    """The matrix of S: e_k -> s_k e_{n-1-k}."""
+    dim = len(signs)
+    mat = np.zeros((dim, dim))
+    mat[dim - 1 - np.arange(dim), np.arange(dim)] = signs
+    return mat
+
+
+@pytest.mark.parametrize("j", [1, 2, 10, 200])
+def test_ladder_blocks_are_chiral_under_the_pi_rotation(j):
+    # S = diag((-1)^(j+m)) anticommutes with Jx and commutes with the twist,
+    # so on each parity block's Jx eigenvectors it is a signed reversal S_b
+    # with S_b U'_b S_b = U'_b^dag for the rung U'_b
+    spin = SpinLabel(j)
+    for modulation in sorted(MODULATIONS):
+        for parity, (block, signs) in enumerate(_ladder_gauge(spin, MODULATIONS[modulation] * j)):
+            rotation = signed_reversal(signs)
+            for alpha in (0.04, 0.00125):
+                rung = _ladder_rung(block, spin.m_values[parity::2], alpha)
+                assert max_abs(rotation @ rung @ rotation - rung.conj().T) <= 1e-13
+
+
+@pytest.mark.parametrize("j", [1.5, 10.5])
+def test_pi_rotation_swaps_the_parity_blocks_at_half_integer_spin(j):
+    # S maps the k-th Jx eigenvector onto +-the (n-1-k)-th, which has the
+    # other spin-flip parity when n is even, so the ladder has no chirality
+    spin = SpinLabel(j)
+    vecs = np.linalg.eigh(spin_operators(spin).jx.to_dense())[1]
+    rotated = (-1.0) ** np.arange(spin.dim)[:, None] * vecs
+    assert np.allclose(np.abs(np.sum(rotated * vecs[:, ::-1], axis=0)), 1.0, rtol=0.0, atol=1e-13)
+    flip_parity = np.sum(vecs[::-1] * vecs, axis=0)
+    assert np.allclose(flip_parity, -flip_parity[::-1], rtol=0.0, atol=1e-13)
+    assert [signs for _, signs in _ladder_gauge(spin, GOLDEN_RATIO * spin.j)] == [None, None]
+
+
+def chiral_unitary(signs, seed, top=None):
+    """exp(-iH) for a random Hermitian H with S H S = -H, so S U S = U^dag;
+    H is scaled to the largest eigenvalue `top` when it is given."""
+    rotation = signed_reversal(signs)
+    ham = random_hermitian(len(signs), seed)
+    ham = (ham - rotation @ ham @ rotation) / 2.0
+    if top is not None:
+        ham *= top / np.max(np.linalg.eigvalsh(ham))
+    return unitary_from_hermitian(ham, 1.0)
+
+
+@pytest.mark.parametrize("signs, top, moved", [
+    ([1.0, -1.0, 1.0, 1.0, -1.0, 1.0], None, False),
+    ([-1.0, 1.0, -1.0, 1.0, -1.0], None, False),
+    ([1.0, 1.0, 1.0, 1.0, 1.0], np.pi - 1e-9, True),
+    ([1.0, -1.0, -1.0, 1.0], np.pi, True),
+], ids=["even-dim", "odd-dim", "near-minus-one", "minus-one"])
+def test_quasienergy_spectrum_of_a_chiral_unitary(signs, top, moved, monkeypatch):
+    # one solve and a singular value solve on the first cut; a crowded first
+    # cut goes straight to the moved cut, one inverse
+    unitary = chiral_unitary(signs, seed=len(signs), top=top)
+    calls = {"solve": 0, "inv": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    got = quasienergy_spectrum(unitary, reversal_signs=signs)
+    assert calls == {"solve": 1, "inv": int(moved)}
+    assert np.all(np.diff(got) >= 0) and np.all(got > -np.pi) and np.all(got <= np.pi)
+    assert circular_distance(got, dense.quasienergies(unitary)) <= 1e-12
+
+
+def test_quasienergy_spectrum_checks_the_chirality_contract():
+    signs = [1.0, -1.0, 1.0, 1.0, -1.0, 1.0]
+    unitary = chiral_unitary(signs, seed=3)
+    for bad in ([1.0, -1.0, 1.0], [1.0, -1.0, 1.0, 1.0, -1.0, 0.5], [1.0, -1.0, 1.0, 1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="reversal signs must be 6 values"):
+            quasienergy_spectrum(unitary, reversal_signs=bad)
+    with pytest.raises(ValueError, match="not chiral under the signed reversal"):
+        quasienergy_spectrum(random_unitary(6, seed=3), reversal_signs=signs)
+    with pytest.raises(ValueError, match="not unitary"):
+        quasienergy_spectrum(1.01 * unitary, reversal_signs=signs)
+
+
+def test_ladder_gauge_rejects_eigenvectors_the_pi_rotation_does_not_reverse(monkeypatch):
+    # mixing two eigenvectors of one parity block keeps the blocks apart but
+    # breaks S y_k = +-y_{n-1-k}, which the chiral first cut relies on
+    eigh = np.linalg.eigh
+
+    def mixed(mat):
+        values, vecs = eigh(mat)
+        turn = np.array([[np.cos(1e-6), -np.sin(1e-6)], [np.sin(1e-6), np.cos(1e-6)]])
+        vecs[:, :2] = vecs[:, :2] @ turn
+        return values, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", mixed)
+    with pytest.raises(np.linalg.LinAlgError, match="pi rotation leaves the reversed Jx eigenvectors by"):
+        _ladder_gauge(SpinLabel(10), GOLDEN_RATIO * 10)
