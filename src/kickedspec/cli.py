@@ -10,8 +10,9 @@ a digit or ``.`` (``--eta -1e-3``, ``--xi-sweep -1:1:0.5``) is the flag's
 value, not an option.  A ``--config`` file holds ``key = value`` lines whose
 keys are exactly the command's flags.  Its entries are read as flags placed
 ahead of the command line, so a flag overrides the file.  `parse_config`
-then applies the rules that span options, the system-dependent defaults and,
-to a grid given, the analysis's own grid rules; every other default lives in
+then applies the rules that span options (a system refuses the options its
+Hamiltonian does not read), the system-dependent defaults and, to a grid
+given, the analysis's own grid rules; every other default lives in
 `RunConfig`.
 
 All pipelines are deterministic and emit flat CSV (17 significant digits,
@@ -25,6 +26,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -186,14 +188,13 @@ class RunConfig:
     out_dir: Path = field(default_factory=lambda: Path("."))
 
 
-def _named(flag: str, convert):
-    """`convert` with its ConfigError prefixed by the flag, since argparse does not name it."""
-    def named(text):
-        try:
-            return convert(text)
-        except ConfigError as exc:
-            raise ConfigError(f"{flag}: {exc}") from exc
-    return named
+def _flagged(flag: str, rule, *args):
+    """`rule(*args)`, its ConfigError or ValueError re-raised as a ConfigError
+    that names the flag, since neither argparse nor a library rule does."""
+    try:
+        return rule(*args)
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
 
 
 # a value that argparse would take for an option: '-' then a digit or '.'
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value file whose keys are this command's flags; flags override it")
         for name in names:
             convert, help_text = OPTIONS[name]
-            p.add_argument(f"--{name}", type=_named(f"--{name}", convert), help=help_text, metavar="V")
+            p.add_argument(f"--{name}", type=partial(_flagged, f"--{name}", convert), help=help_text, metavar="V")
     return parser
 
 
@@ -271,12 +272,15 @@ def _spin(j: float) -> SpinLabel:
         raise ConfigError(str(exc)) from exc
 
 
-def _library_rule(flag: str, check, *args) -> None:
-    """`check(*args)`, its ValueError as a ConfigError that names the flag."""
-    try:
-        check(*args)
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from exc
+# option -> the systems whose Hamiltonian reads it, where not every system does
+_READERS = {"alpha": ("dkt", *(f"su2-{c}" for c in FAMILY_CASES), f"harper-kicked --harper-mode {GENERAL}"),
+            "period": ("dkt", f"harper-kicked --harper-mode {GENERAL}"), "epsilon": ("su2-e",)}
+
+
+def _require_reader(name: str, system: str) -> None:
+    """ConfigError unless `system` reads option `name`; the echo would name a value it never used."""
+    if system not in _READERS[name]:
+        raise ConfigError(f"{system} does not read it (read by {', '.join(_READERS[name])})")
 
 
 def _check_out_dir(path: Path) -> None:
@@ -319,13 +323,17 @@ def parse_config(argv) -> RunConfig:
     if command == "harper-diff":
         if cfg.length is None or cfg.sigma is None:
             raise ConfigError("harper-diff requires --length and --sigma")
-        _library_rule("--length", check_length, cfg.length)
+        _flagged("--length", check_length, cfg.length)
         cfg.alpha = values.get("alpha", 1.0)
         return cfg
 
     if cfg.system is None:
         raise ConfigError(f"{command} requires --system ({', '.join(SYSTEMS)})")
     is_harper = cfg.system.startswith("harper")
+    system = f"{cfg.system} --harper-mode {cfg.harper_mode}" if cfg.system == "harper-kicked" else cfg.system
+    for name in _READERS:
+        if name in values:
+            _flagged(f"--{name}", _require_reader, name, system)
 
     if command == "butterfly":
         sweeps = [k for k in ("xi_sweep", "sigma_sweep") if k in values]
@@ -343,7 +351,7 @@ def parse_config(argv) -> RunConfig:
     if is_harper:
         cfg.j = cfg.eta = cfg.epsilon = None  # SU(2) parameters, unused by a chain
         cfg.length = values.get("length", 2001)
-        _library_rule("--length", check_length, cfg.length)
+        _flagged("--length", check_length, cfg.length)
         cfg.alpha = values.get("alpha", 1.0)
         if command != "butterfly" and cfg.sigma is None:
             raise ConfigError(f"{command} requires a fixed sigma")
@@ -363,15 +371,15 @@ def parse_config(argv) -> RunConfig:
 
     # a given grid meets the analysis's own rules here, before any solve or output directory
     if cfg.q_grid is not None:
-        _library_rule("--q-grid", _q_values, cfg.q_grid)
+        _flagged("--q-grid", _q_values, cfg.q_grid)
     if cfg.scale_grid is not None and command == "spectrum":
-        _library_rule("--scale-grid", _counts, cfg.scale_grid, 4)
+        _flagged("--scale-grid", _counts, cfg.scale_grid, 4)
         if max(cfg.scale_grid) > MAX_BINS:
             raise ConfigError(f"--scale-grid: bin counts must not exceed {MAX_BINS}, got {max(cfg.scale_grid)}")
     if command == "eigenstates":
         states = cfg.length if is_harper else _spin(cfg.j).dim
         if cfg.scale_grid is not None:
-            _library_rule("--scale-grid", _counts, cfg.scale_grid, 1, states)
+            _flagged("--scale-grid", _counts, cfg.scale_grid, 1, states)
         # more bins than states add only empty bins; the default stays as it is
         if "bins" in values and cfg.bins > states:
             raise ConfigError(f"--bins: bins must not exceed the number of states {states}, got {cfg.bins}")

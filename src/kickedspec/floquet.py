@@ -7,11 +7,11 @@ it with the H_eff spectrum that `operators.hermitian_eigh` solves on the
 H_eff's spin-flip parity blocks, built from its stored bands: two
 quarter-size singular value solves at integer spin, two half-size
 Hermitian solves at half-integer spin.  Five facts make the exact side of
-a ladder of kick strengths cost two half-size real eigendecompositions,
-plus per kick strength and parity block one half-size complex matrix
-product and unitarity check and a first branch cut that takes, at integer
-spin, one half-size LU solve against about half the block's columns and
-one quarter-size singular value solve, or at half-integer spin a half-size
+a ladder of kick strengths cost two half-size real eigendecompositions and
+unitarity checks, plus per kick strength and parity block one half-size
+complex matrix product and a first branch cut that takes, at integer spin,
+one half-size LU solve against about half the block's columns and one
+quarter-size singular value solve, or at half-integer spin a half-size
 inverse and Hermitian eigenvalue solve; nothing of full dimension is built.
 
 - Twist gauge.  The double kicked top's static generator is a diagonal phase
@@ -35,8 +35,9 @@ inverse and Hermitian eigenvalue solve; nothing of full dimension is built.
   blocks is coupled by conj(p_i - p_{n-1-i})/2, which vanishes with
   P's symmetry, so A couples Jx eigenvectors of equal R-parity only (to
   1e-15 at j = 10, 1e-13 at j = 1000).  Its blocks A_b = Y_b^T diag(q) Y_b
-  are built once per ladder, and U has the union of the spectra of
-  conj(A_b) D_b A_b D_b over the two blocks b.  The k-th Jx eigenvector has
+  are built and checked unitary once per ladder, and U has the union of
+  the spectra of conj(A_b) D_b A_b D_b, unitary with A_b, over the two
+  blocks b.  The k-th Jx eigenvector has
   R-parity (-1)^(2j-k): R-even is index-even at integer spin and index-odd
   at half-integer spin.
 - Cayley quasienergies.  For W = exp(i theta) U, the Hermitian part of
@@ -57,22 +58,22 @@ inverse and Hermitian eigenvalue solve; nothing of full dimension is built.
   (1987)).  At integer spin it commutes with R too and keeps each parity
   block, where, reversing Jx's spectrum m -> -m, it is a signed reversal
   S_b: y_k -> s_k y_{n_b-1-k} of the block's Jx eigenvectors; the signs are
-  read from Y_b once per ladder and checked to be +-1.  S_b A_b S_b = A_b
+  read from Y_b and checked once per ladder.  S_b A_b S_b = A_b
   and S_b D_b S_b = conj(D_b), so the rung U'_b = E conj(A_b) D_b A_b E
   with E = D_b^(1/2), a diagonal similarity of conj(A_b) D_b A_b D_b,
-  satisfies S_b U'_b S_b = U'_b^dag, and its Cayley transform anticommutes
-  with S_b.  So the first cut needs only the block of (1 + U'_b)^-1 that
-  couples S_b's eigenvectors of one sign to those of the other: one solve
-  against the vectors of one sign, whose singular values are the +-lambda.
-  At half-integer spin S swaps the two parity blocks, and the first cut
-  is the general one.
+  satisfies S_b U'_b S_b = U'_b^dag unchecked, and its Cayley transform
+  anticommutes with S_b.  So the first cut needs only the block of
+  (1 + U'_b)^-1 that couples S_b's eigenvectors of one sign to those of
+  the other: one solve against the vectors of one sign, whose singular
+  values are the +-lambda.  At half-integer spin S swaps the two parity
+  blocks, and the first cut is the general one.
 """
 
 import numpy as np
 
 from .effective import KickedSystem, heff_delta_kicked
 from .operators import (UNITARITY_ATOL, Banded, _dense_hermitian, _parity_solve, hermitian_eigh, max_abs,
-                        require_hermitian, require_unitary)
+                        require_hermitian, require_unitary, unitarity_defect)
 from .su2 import SpinLabel, _as_spin, dkt_static_part, phase_diagonal, spin_operators
 
 TWO_PI = 2.0 * np.pi
@@ -213,23 +214,10 @@ def _cut_in_widest_gap(unitary: np.ndarray):
     return 0.5 * (edges[widest] + edges[widest + 1]), float(gaps[widest])
 
 
-def quasienergy_spectrum(unitary, reversal_signs=None) -> np.ndarray:
-    """Sorted quasienergies of a unitary, each in (-pi, pi].
-
-    A quasienergy E labels the eigenvalue exp(-iE), matching the sign of
-    exp(-i*H_eff*T), so folded effective energies compare directly.  With
-    `reversal_signs` s, +-1 and equal to s reversed, the unitary must be
-    chiral, S U S = U^dag, under the signed reversal S: e_k -> s_k e_{n-1-k},
-    and its first cut takes one LU solve and a singular value solve of about
-    a quarter of its size.  Raises ValueError when the unitary breaks either
-    contract, numpy.linalg.LinAlgError when eigenvalues crowd both branch
-    cuts tried.
-    """
-    unitary = require_unitary(unitary, name="Floquet operator")
-    if reversal_signs is None:
-        phases = _cayley_phases(unitary, 0.0, CAYLEY_MAX)
-    else:
-        phases = _chiral_cayley_phases(unitary, _require_chiral(unitary, reversal_signs))
+def _or_moved_cut(unitary: np.ndarray, phases) -> np.ndarray:
+    """`phases` from the first branch cut, sorted, or, when that cut was
+    crowded (None), the sorted quasienergies on the cut moved once into the
+    widest gap; LinAlgError when eigenvalues crowd that cut too."""
     if phases is None:
         cut, gap = _cut_in_widest_gap(unitary)
         phases = _cayley_phases(unitary, cut - np.pi, max(CAYLEY_MAX, 8.0 / gap))
@@ -239,23 +227,16 @@ def quasienergy_spectrum(unitary, reversal_signs=None) -> np.ndarray:
     return np.sort(phases)
 
 
-def _require_chiral(unitary: np.ndarray, reversal_signs) -> np.ndarray:
-    """The signs s as floats, checked to be +-1 and palindromic (S^2 = 1),
-    and S U S = U^dag, whose entries are s_i s_k U[n-1-i, n-1-k], checked to
-    the unitarity tolerance."""
-    signs = np.asarray(reversal_signs, dtype=float)
-    palindromic = signs.shape == unitary.shape[:1] and np.array_equal(signs, signs[::-1])
-    if not (palindromic and np.all(np.abs(signs) == 1.0)):
-        raise ValueError(f"reversal signs must be {unitary.shape[0]} values +-1, equal to their reversal")
-    # conj(S U S) - U^T, by one temporary
-    mirrored = unitary[::-1, ::-1] * signs[:, None]
-    mirrored *= signs
-    np.conjugate(mirrored, out=mirrored)
-    mirrored -= unitary.T
-    defect = max_abs(mirrored)
-    if not defect <= UNITARITY_ATOL:
-        raise ValueError(f"Floquet operator is not chiral under the signed reversal (defect {defect:.3e})")
-    return signs
+def quasienergy_spectrum(unitary) -> np.ndarray:
+    """Sorted quasienergies of a unitary, each in (-pi, pi].
+
+    A quasienergy E labels the eigenvalue exp(-iE), matching the sign of
+    exp(-i*H_eff*T), so folded effective energies compare directly.  Raises
+    ValueError when the matrix is not unitary, numpy.linalg.LinAlgError when
+    eigenvalues crowd both branch cuts tried.
+    """
+    unitary = require_unitary(unitary, name="Floquet operator")
+    return _or_moved_cut(unitary, _cayley_phases(unitary, 0.0, CAYLEY_MAX))
 
 
 def _real_congruence(left: np.ndarray, diagonal: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -283,9 +264,10 @@ def _ladder_gauge(spin: SpinLabel, eta: float) -> tuple:
     """Blocks of A = Vx^T P^dag Vx on the R-even and on the R-odd Jx
     eigenvectors, complex symmetric and unitary, built from Jx's half-size
     parity blocks, each with the `_rotation_signs` of its eigenvectors at
-    integer spin and None at half-integer spin, where S swaps the blocks;
-    LinAlgError, a numerical failure, when A couples the blocks by more than
-    PARITY_ATOL."""
+    integer spin and None at half-integer spin, where S swaps the blocks.
+    Its checks hold for every rung built from the blocks: LinAlgError, a
+    numerical failure, when A couples the blocks by more than PARITY_ATOL or
+    a block's unitarity defect exceeds UNITARITY_ATOL."""
     (_, even), (_, odd) = _parity_solve(spin_operators(spin).jx,
                                         lambda lower: np.linalg.eigh(_dense_hermitian(lower)))
     adjoint, half = _twist_gauge(spin, eta).conj(), spin.dim // 2
@@ -298,6 +280,10 @@ def _ladder_gauge(spin: SpinLabel, eta: float) -> tuple:
     pairs = (head + tail) / 2.0
     blocks = (_real_congruence(even, np.concatenate((pairs, adjoint[half:spin.dim - half])), even),
               _real_congruence(odd, pairs, odd))
+    for block in blocks:
+        defect = unitarity_defect(block)
+        if not defect <= UNITARITY_ATOL:
+            raise np.linalg.LinAlgError(f"Floquet operator is not unitary (defect {defect:.3e} of a gauge block)")
     # R-even holds the even indices at integer spin (odd dimension)
     if spin.dim % 2:
         return (blocks[0], _rotation_signs(even)), (blocks[1], _rotation_signs(odd))
@@ -320,14 +306,13 @@ def _ladder_rung(block: np.ndarray, m_values: np.ndarray, alpha: float) -> np.nd
 
 def _ladder_quasienergies(blocks: tuple, spin: SpinLabel, alpha: float) -> np.ndarray:
     """Sorted quasienergies of the one-period operator at alpha, block by
-    block; LinAlgError, a numerical failure, when a block it built breaks
-    the unitarity or the chirality contract."""
+    block: each rung, whose contracts `_ladder_gauge` checked, goes straight
+    to its first cut, the chiral one when the block has signs."""
     spectra = []
     for parity, (block, signs) in enumerate(blocks):
-        try:
-            spectra.append(quasienergy_spectrum(_ladder_rung(block, spin.m_values[parity::2], alpha), signs))
-        except ValueError as exc:
-            raise np.linalg.LinAlgError(str(exc)) from exc
+        rung = _ladder_rung(block, spin.m_values[parity::2], alpha)
+        first = _cayley_phases(rung, 0.0, CAYLEY_MAX) if signs is None else _chiral_cayley_phases(rung, signs)
+        spectra.append(_or_moved_cut(rung, first))
     return np.sort(np.concatenate(spectra))
 
 

@@ -153,8 +153,8 @@ def parse_outcome(argv):
 
 SYSTEM_RUNS = [
     {"system": "dkt", "j": "10", "alpha-over": "1", "eta-over-j": "golden", "q-grid": "0,2,,4",
-     "scale-grid": "2,4,8,16"},
-    {"system": "su2-e", "j": "5", "alpha": "0.3", "eta": "1.5", "epsilon": "0.6", "period": "2"},
+     "scale-grid": "2,4,8,16", "period": "2"},
+    {"system": "su2-e", "j": "5", "alpha": "0.3", "eta": "1.5", "epsilon": "0.6"},
     {"system": "su2-b", "j": "5", "xi": "0.3"},
     {"system": "harper-kicked", "length": "100", "sigma": "golden", "alpha": "0.5", "harper-mode": "general",
      "out-dir": "out"},
@@ -297,7 +297,9 @@ def test_butterfly_harper_sigma_reflection(tmp_path):
 
 XI, SIGMA = 0.3, 0.3
 SU2_ARGS = ["--j", "7.5", "--alpha", "0.4"]
-HARPER_ARGS = ["--length", "30", "--alpha", "0.7", "--period", "1.5"]
+# alpha and the period reach the general kicked chain only
+HARPER_ARGS = ["--length", "30"]
+GENERAL_HARPER_ARGS = [*HARPER_ARGS, "--alpha", "0.7", "--period", "1.5"]
 
 # every CLI system with its arguments, harper-kicked once per mode
 BUTTERFLY_SYSTEMS = {
@@ -305,8 +307,8 @@ BUTTERFLY_SYSTEMS = {
     **{f"su2-{case}": ["--system", f"su2-{case}", *SU2_ARGS] for case in "abcdf"},
     "su2-e": ["--system", "su2-e", *SU2_ARGS, "--epsilon", "0.6"],
     "harper-static": ["--system", "harper-static", *HARPER_ARGS],
-    **{f"harper-kicked-{mode}": ["--system", "harper-kicked", *HARPER_ARGS, "--harper-mode", mode]
-       for mode in ("closed-form", "general")},
+    "harper-kicked-closed-form": ["--system", "harper-kicked", *HARPER_ARGS, "--harper-mode", "closed-form"],
+    "harper-kicked-general": ["--system", "harper-kicked", *GENERAL_HARPER_ARGS, "--harper-mode", "general"],
 }
 
 
@@ -317,10 +319,11 @@ def library_hamiltonian(name):
     if name.startswith("su2-"):
         case = name[-1]
         return general_su2_hamiltonian(case, 0.4, XI * np.pi * 7.5, 7.5, 0.6 if case == "e" else None)
-    params = HarperParams(30, SIGMA, alpha=0.7, period=1.5)
     if name == "harper-static":
-        return harper_hamiltonian(params)
-    return kicked_harper_effective(params, name.removeprefix("harper-kicked-"))
+        return harper_hamiltonian(HarperParams(30, SIGMA))
+    if name == "harper-kicked-closed-form":
+        return kicked_harper_effective(HarperParams(30, SIGMA), "closed-form")
+    return kicked_harper_effective(HarperParams(30, SIGMA, alpha=0.7, period=1.5), "general")
 
 
 @pytest.mark.parametrize("name", sorted(BUTTERFLY_SYSTEMS))
@@ -576,7 +579,8 @@ def test_zero_harper_alpha_is_config_error(args, tmp_path, capsys):
 @pytest.mark.parametrize("args", [
     ["butterfly", "--system", "su2-a", "--j", "10", "--alpha", "0", "--xi-sweep", "0:1:0.5"],
     ["spectrum", "--system", "su2-a", "--j", "10", "--alpha", "0", "--eta", "1"],
-    ["eigenstates", "--system", "harper-static", "--length", "10", "--sigma", "golden", "--alpha", "0"],
+    ["eigenstates", "--system", "harper-kicked", "--harper-mode", "general", "--length", "10", "--sigma", "golden",
+     "--alpha", "0"],
     ["floquet-compare", "--j", "10", "--eta", "1", "--alpha-ladder", "0.04,0.02,0"],
     ["harper-diff", "--length", "10", "--sigma", "golden", "--alpha", "0"],
 ], ids=lambda args: args[0])
@@ -588,6 +592,30 @@ def test_builder_error_leaves_no_output_directory(args, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["spectrum", "--system", "su2-b", "--j", "20", "--eta-over-j", "golden", "--period", "2.5"], "period"),
+    (["spectrum", "--system", "su2-b", "--j", "20", "--eta-over-j", "golden", "--epsilon", "0.6"], "epsilon"),
+    (["eigenstates", "--system", "dkt", "--j", "10", "--eta", "1", "--epsilon", "0.6"], "epsilon"),
+    (["spectrum", "--system", "harper-static", "--length", "30", "--sigma", "golden", "--alpha", "0.5"], "alpha"),
+    (["spectrum", "--system", "harper-static", "--length", "30", "--sigma", "golden", "--period", "2.5"], "period"),
+    (["butterfly", "--system", "harper-kicked", "--length", "30", "--sigma-sweep", "0:1:0.5", "--alpha", "0.5"],
+     "alpha"),
+    (["spectrum", "--system", "harper-kicked", "--length", "30", "--sigma", "golden", "--period", "2.5"], "period"),
+    (["spectrum", "--system", "harper-kicked", "--harper-mode", "general", "--length", "30", "--sigma", "golden",
+      "--epsilon", "0.6"], "epsilon"),
+], ids=lambda value: value if isinstance(value, str) else value[2])
+def test_option_the_system_does_not_read_is_config_error(args, flag, tmp_path, capsys):
+    # the config echo would name a value that never reached the Hamiltonian
+    config = tmp_path / "run.cfg"
+    at = args.index(f"--{flag}")
+    config.write_text(f"{flag} = {args[at + 1]}\n")
+    for argv in (args, [*args[:at], *args[at + 2:], "--config", str(config)]):
+        assert run_cli(argv, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --{flag}: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["spectrum", "eigenstates"])
@@ -811,6 +839,27 @@ def test_floquet_compare_diagonalizes_jx_parity_blocks(tmp_path, monkeypatch):
     assert calls["eigh"] == [((11, 11), "f"), ((11, 11), "f")]
     assert calls["inv"] == [((11, 11), "c")] * 12
     assert calls["solve"] == [] and calls["svd"] == [] and calls["eigvals"] == []
+
+
+@pytest.mark.parametrize("ladder", ["0.04,0.02,0.01", "0.04,0.02,0.01,0.005,0.0025,0.00125"],
+                         ids=["three-rungs", "six-rungs"])
+@pytest.mark.parametrize("j, sizes", [("10", [(11, 11), (10, 10)]), ("10.5", [(11, 11), (11, 11)])],
+                         ids=["j10", "j10.5"])
+def test_floquet_compare_checks_unitarity_once_per_gauge_block(j, sizes, ladder, tmp_path, monkeypatch):
+    # every rung is unitary when its gauge block is, so a ladder of any
+    # length checks the two blocks and no rung
+    checked = []
+    defect = kickedspec.operators.unitarity_defect
+
+    def counted(mat):
+        checked.append(np.shape(mat))
+        return defect(mat)
+
+    monkeypatch.setattr(kickedspec.operators, "unitarity_defect", counted)
+    monkeypatch.setattr(kickedspec.floquet, "unitarity_defect", counted, raising=False)
+    argv = ["floquet-compare", "--j", j, "--eta-over-j", "golden", "--alpha-ladder", ladder]
+    assert run_cli(argv, tmp_path) == 0
+    assert checked == sizes
 
 
 def test_floquet_path_does_not_load_scipy(tmp_path):

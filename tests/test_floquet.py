@@ -7,9 +7,11 @@ import pytest
 import dense_oracle as dense
 from kickedspec import GOLDEN_RATIO, floquet
 from kickedspec.floquet import (
+    _chiral_cayley_phases,
     _ladder_gauge,
     _ladder_quasienergies,
     _ladder_rung,
+    _or_moved_cut,
     _twist_gauge,
     dkt_effective_hamiltonian,
     dkt_floquet,
@@ -388,8 +390,9 @@ def chiral_unitary(signs, seed, top=None):
     ([1.0, -1.0, -1.0, 1.0], np.pi, True),
 ], ids=["even-dim", "odd-dim", "near-minus-one", "minus-one"])
 def test_quasienergy_spectrum_of_a_chiral_unitary(signs, top, moved, monkeypatch):
-    # one solve and a singular value solve on the first cut; a crowded first
-    # cut goes straight to the moved cut, one inverse
+    # one solve and a singular value solve on the chiral first cut, which the
+    # ladder takes for its integer-spin rungs; a crowded first cut goes
+    # straight to the moved cut, one inverse
     unitary = chiral_unitary(signs, seed=len(signs), top=top)
     calls = {"solve": 0, "inv": 0}
     for name in calls:
@@ -397,22 +400,10 @@ def test_quasienergy_spectrum_of_a_chiral_unitary(signs, top, moved, monkeypatch
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(np.linalg, name, counted)
-    got = quasienergy_spectrum(unitary, reversal_signs=signs)
+    got = _or_moved_cut(unitary, _chiral_cayley_phases(unitary, np.array(signs)))
     assert calls == {"solve": 1, "inv": int(moved)}
     assert np.all(np.diff(got) >= 0) and np.all(got > -np.pi) and np.all(got <= np.pi)
     assert circular_distance(got, dense.quasienergies(unitary)) <= 1e-12
-
-
-def test_quasienergy_spectrum_checks_the_chirality_contract():
-    signs = [1.0, -1.0, 1.0, 1.0, -1.0, 1.0]
-    unitary = chiral_unitary(signs, seed=3)
-    for bad in ([1.0, -1.0, 1.0], [1.0, -1.0, 1.0, 1.0, -1.0, 0.5], [1.0, -1.0, 1.0, 1.0, 1.0, 1.0]):
-        with pytest.raises(ValueError, match="reversal signs must be 6 values"):
-            quasienergy_spectrum(unitary, reversal_signs=bad)
-    with pytest.raises(ValueError, match="not chiral under the signed reversal"):
-        quasienergy_spectrum(random_unitary(6, seed=3), reversal_signs=signs)
-    with pytest.raises(ValueError, match="not unitary"):
-        quasienergy_spectrum(1.01 * unitary, reversal_signs=signs)
 
 
 def test_ladder_gauge_rejects_eigenvectors_the_pi_rotation_does_not_reverse(monkeypatch):
