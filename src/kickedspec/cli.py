@@ -10,10 +10,10 @@ a digit or ``.`` (``--eta -1e-3``, ``--xi-sweep -1:1:0.5``) is the flag's
 value, not an option.  A ``--config`` file holds ``key = value`` lines whose
 keys are exactly the command's flags.  Its entries are read as flags placed
 ahead of the command line, so a flag overrides the file.  `parse_config`
-then applies the rules that span options (a system refuses the options its
-Hamiltonian does not read), the system-dependent defaults and, to a grid
-given, the analysis's own grid rules; every other default lives in
-`RunConfig`.
+then applies the rules that span options (a system refuses the flags of the
+parameters its Hamiltonian does not read, `_READS`), the system-dependent
+defaults and, to a grid given, the analysis's own grid rules; every other
+default lives in `RunConfig`.
 
 All pipelines are deterministic and emit flat CSV (17 significant digits,
 LF, header row) or JSON with a config echo, so every number in a report can
@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import GOLDEN_RATIO
+from .effective import check_period
 from .floquet import dkt_effective_hamiltonian, effective_vs_floquet_errors, fold_phases
 from .harper import CLOSED_FORM, GENERAL, HarperParams, check_length, harper_hamiltonian, heff_discrepancy_report, kicked_harper_effective
 from .multifractal import _counts, _q_values, analyze_eigenvectors, ensemble_statistics, tau_spectrum
@@ -102,6 +103,12 @@ def _checked(convert, accept, message: str):
     return checked
 
 
+def _period(text: str) -> float:
+    period = parse_scalar(text)
+    check_period(period)
+    return period
+
+
 # flag -> (converter of its text, help)
 OPTIONS = {
     "system": (_checked(str, lambda s: s in SYSTEMS, f"unknown system {{!r}}; expected one of {', '.join(SYSTEMS)}"),
@@ -114,7 +121,7 @@ OPTIONS = {
     "eta-over-j": (parse_scalar, "set eta = value*j ('golden' accepted)"),
     "xi": (parse_scalar, "set eta = value*pi*j"),
     "sigma": (parse_scalar, "Harper modulation ('golden' accepted)"),
-    "period": (_checked(parse_scalar, lambda t: t > 0, "period must be positive, got {}"), "kick period T"),
+    "period": (_period, "kick period T"),
     "epsilon": (parse_scalar, "family case 'e' coupling ratio"),
     "xi-sweep": (parse_sweep, "xi sweep start:stop:step"),
     "sigma-sweep": (parse_sweep, "sigma sweep start:stop:step"),
@@ -242,27 +249,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_eta(values: dict, spin: float) -> float | None:
-    given = [k for k in ("eta", "eta_over_j", "xi") if k in values]
+def _over_spin(value: float, j: float) -> float:
+    if not j:
+        raise ConfigError("requires j > 0")
+    return value / j
+
+
+# flag -> (the parameter it sets, that parameter from the flag's value and j), where the flag is not named after it
+_SPELLINGS = {"alpha_over": ("alpha", _over_spin), "eta_over_j": ("eta", lambda v, j: v * j),
+              "xi": ("eta", lambda v, j: v * np.pi * j)}
+
+
+def _spelled(values: dict, name: str, j: float | None) -> float | None:
+    """Parameter `name` from the one of its flags given, or None if none is."""
+    given = [k for k in (name, *(k for k, (p, _) in _SPELLINGS.items() if p == name)) if k in values]
     if len(given) > 1:
-        raise ConfigError(f"give only one of eta, eta-over-j, xi (got {', '.join(given).replace('_', '-')})")
-    if not given:
-        return None
-    if given[0] == "eta":
-        return values["eta"]
-    if given[0] == "eta_over_j":
-        return values["eta_over_j"] * spin
-    return values["xi"] * np.pi * spin
-
-
-def _resolve_alpha(values: dict, spin: float) -> float | None:
-    if "alpha_over" not in values:
-        return values.get("alpha")
-    if "alpha" in values:
-        raise ConfigError("give only one of alpha, alpha-over")
-    if not spin:
-        raise ConfigError("alpha-over requires j > 0")
-    return values["alpha_over"] / spin
+        raise ConfigError(f"give only one of --{', --'.join(given).replace('_', '-')}")
+    if not given or given[0] == name:
+        return values.get(name)
+    return _flagged(f"--{given[0].replace('_', '-')}", _SPELLINGS[given[0]][1], values[given[0]], j)
 
 
 def _spin(j: float) -> SpinLabel:
@@ -272,15 +277,14 @@ def _spin(j: float) -> SpinLabel:
         raise ConfigError(str(exc)) from exc
 
 
-# option -> the systems whose Hamiltonian reads it, where not every system does
-_READERS = {"alpha": ("dkt", *(f"su2-{c}" for c in FAMILY_CASES), f"harper-kicked --harper-mode {GENERAL}"),
-            "period": ("dkt", f"harper-kicked --harper-mode {GENERAL}"), "epsilon": ("su2-e",)}
-
-
-def _require_reader(name: str, system: str) -> None:
-    """ConfigError unless `system` reads option `name`; the echo would name a value it never used."""
-    if system not in _READERS[name]:
-        raise ConfigError(f"{system} does not read it (read by {', '.join(_READERS[name])})")
+# system -> the parameters its Hamiltonian reads, harper-kicked once per --harper-mode
+_SPIN = ("j", "alpha", "eta")
+_READS = {"dkt": (*_SPIN, "period"),
+          **{f"su2-{c}": (*_SPIN, "epsilon") if c == "e" else _SPIN for c in FAMILY_CASES},
+          "harper-static": ("length", "sigma"),
+          f"harper-kicked --harper-mode {CLOSED_FORM}": ("length", "sigma", "harper_mode"),
+          f"harper-kicked --harper-mode {GENERAL}": ("length", "sigma", "harper_mode", "alpha", "period")}
+_PARAMETERS = {name for reads in _READS.values() for name in reads}
 
 
 def _check_out_dir(path: Path) -> None:
@@ -315,7 +319,7 @@ def parse_config(argv) -> RunConfig:
         if cfg.j is None:
             raise ConfigError("floquet-compare requires --j")
         _spin(cfg.j)
-        cfg.eta = _resolve_eta(values, cfg.j)
+        cfg.eta = _spelled(values, "eta", cfg.j)
         if cfg.eta is None:
             raise ConfigError("floquet-compare requires eta (or eta-over-j / xi)")
         return cfg
@@ -330,11 +334,6 @@ def parse_config(argv) -> RunConfig:
     if cfg.system is None:
         raise ConfigError(f"{command} requires --system ({', '.join(SYSTEMS)})")
     is_harper = cfg.system.startswith("harper")
-    system = f"{cfg.system} --harper-mode {cfg.harper_mode}" if cfg.system == "harper-kicked" else cfg.system
-    for name in _READERS:
-        if name in values:
-            _flagged(f"--{name}", _require_reader, name, system)
-
     if command == "butterfly":
         sweeps = [k for k in ("xi_sweep", "sigma_sweep") if k in values]
         if len(sweeps) != 1:
@@ -348,26 +347,34 @@ def parse_config(argv) -> RunConfig:
             raise ConfigError("give either a fixed sigma or a sweep, not both")
         cfg.sweep = values[sweeps[0]]
 
+    system = f"{cfg.system} --harper-mode {cfg.harper_mode}" if cfg.system == "harper-kicked" else cfg.system
+    reads = set(_READS[system])
+    for key in values:
+        needs = {_SPELLINGS[key][0], "j"} if key in _SPELLINGS else {key}  # a spelling reads j too
+        if needs <= _PARAMETERS and not needs <= reads:
+            readers = ", ".join(name for name, names in _READS.items() if needs <= set(names))
+            raise ConfigError(f"--{key.replace('_', '-')}: {system} does not read it (read by {readers})")
+    for name in _PARAMETERS - reads:
+        setattr(cfg, name, None)
+
     if is_harper:
-        cfg.j = cfg.eta = cfg.epsilon = None  # SU(2) parameters, unused by a chain
         cfg.length = values.get("length", 2001)
         _flagged("--length", check_length, cfg.length)
-        cfg.alpha = values.get("alpha", 1.0)
         if command != "butterfly" and cfg.sigma is None:
             raise ConfigError(f"{command} requires a fixed sigma")
     else:
-        cfg.length = cfg.sigma = None  # chain parameters, unused by a spin
         if cfg.j is None:
             raise ConfigError(f"system {cfg.system} requires --j")
         _spin(cfg.j)
-        cfg.alpha = _resolve_alpha(values, cfg.j)
-        if cfg.alpha is None:
-            cfg.alpha = 1.0 / cfg.j if cfg.j > 0 else 1.0  # butterfly-sweep default
-        cfg.eta = _resolve_eta(values, cfg.j)
+        cfg.eta = _spelled(values, "eta", cfg.j)
         if command != "butterfly" and cfg.eta is None:
             raise ConfigError(f"{command} requires a fixed eta (or eta-over-j / xi)")
         if cfg.system == "su2-e" and cfg.epsilon is None:
             raise ConfigError("system su2-e requires --epsilon (coupling ratio b = epsilon*alpha)")
+    if "alpha" in reads:
+        cfg.alpha = _spelled(values, "alpha", cfg.j)
+        if cfg.alpha is None:
+            cfg.alpha = 1.0 / cfg.j if cfg.j else 1.0  # 1/j on a spin (the butterfly sweep's), 1 on a chain
 
     # a given grid meets the analysis's own rules here, before any solve or output directory
     if cfg.q_grid is not None:
@@ -396,7 +403,8 @@ def _hamiltonian(cfg: RunConfig, sweep_value: float | None = None) -> Banded:
     systems, sigma for the Harper chains."""
     if cfg.system.startswith("harper"):
         sigma = cfg.sigma if sweep_value is None else sweep_value
-        params = HarperParams(length=cfg.length, sigma=sigma, alpha=cfg.alpha, period=cfg.period)
+        read = {name: getattr(cfg, name) for name in ("alpha", "period") if getattr(cfg, name) is not None}
+        params = HarperParams(length=cfg.length, sigma=sigma, **read)  # HarperParams' defaults for the rest
         if cfg.system == "harper-static":
             return harper_hamiltonian(params)
         return kicked_harper_effective(params, cfg.harper_mode)
@@ -437,19 +445,11 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    echo = {"command": cfg.command, "system": cfg.system}
-    for name in ("j", "length", "alpha", "eta", "sigma", "period", "epsilon"):
-        value = getattr(cfg, name)
-        if value is not None:
-            echo[name] = value
+    """The run's inputs in RunConfig's order; a parameter the system does not read is None, and left out."""
+    echo = {name: value for name, value in vars(cfg).items()
+            if value is not None and name not in ("alpha_ladder", "bins", "out_dir")}
     if cfg.sweep is not None:
         echo["sweep"] = {"start": float(cfg.sweep[0]), "stop": float(cfg.sweep[-1]), "points": int(cfg.sweep.size)}
-    if cfg.q_grid is not None:
-        echo["q_grid"] = list(cfg.q_grid)
-    if cfg.scale_grid is not None:
-        echo["scale_grid"] = list(cfg.scale_grid)
-    if cfg.system is not None and cfg.system.startswith("harper"):
-        echo["harper_mode"] = cfg.harper_mode
     return echo
 
 

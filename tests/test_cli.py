@@ -11,8 +11,8 @@ import pytest
 
 import kickedspec
 from kickedspec import GOLDEN_RATIO
-from kickedspec.cli import (COMMAND_OPTIONS, MAX_BINS, ConfigError, main, parse_config, parse_scalar, parse_sweep,
-                             write_json)
+from kickedspec.cli import (COMMAND_OPTIONS, MAX_BINS, SYSTEMS, ConfigError, RunConfig, _config_echo, _hamiltonian,
+                             main, parse_config, parse_scalar, parse_sweep, write_json)
 from kickedspec.floquet import dkt_effective_hamiltonian, fold_phases
 from kickedspec.harper import HarperParams, harper_hamiltonian, kicked_harper_effective
 from kickedspec.operators import eigensolve
@@ -345,9 +345,9 @@ def test_spectrum_report_is_self_describing(tmp_path):
     header, rows = read_csv(tmp_path / "tau.csv")
     assert header == ["q", "tau", "d_q", "r2"]
     assert len(rows) == len(report["results"]["q_grid"])
-    # config echo and fit windows make the report self-describing
-    assert report["config"] == {"command": "spectrum", "system": "harper-static", "length": 2001, "alpha": 1.0,
-                                "sigma": GOLDEN_RATIO, "period": 1.0, "harper_mode": "closed-form"}
+    # config echo and fit windows make the report self-describing; the static chain reads no alpha, period or mode
+    assert report["config"] == {"command": "spectrum", "system": "harper-static", "length": 2001,
+                                "sigma": GOLDEN_RATIO}
     assert len(report["results"]["fit_windows"]) == len(rows)
 
 
@@ -605,6 +605,17 @@ def test_builder_error_leaves_no_output_directory(args, tmp_path):
     (["spectrum", "--system", "harper-kicked", "--length", "30", "--sigma", "golden", "--period", "2.5"], "period"),
     (["spectrum", "--system", "harper-kicked", "--harper-mode", "general", "--length", "30", "--sigma", "golden",
       "--epsilon", "0.6"], "epsilon"),
+    # alpha = value/j needs a j, which a chain has not
+    (["spectrum", "--system", "harper-kicked", "--harper-mode", "general", "--length", "30", "--sigma", "golden",
+      "--alpha-over", "2"], "alpha-over"),
+    (["spectrum", "--system", "harper-static", "--length", "30", "--sigma", "golden", "--j", "10"], "j"),
+    (["eigenstates", "--system", "harper-kicked", "--length", "30", "--sigma", "golden", "--eta", "1"], "eta"),
+    (["butterfly", "--system", "harper-static", "--length", "30", "--sigma-sweep", "0:1:0.5", "--xi", "0.3"], "xi"),
+    (["spectrum", "--system", "dkt", "--j", "10", "--eta", "1", "--length", "30"], "length"),
+    (["eigenstates", "--system", "su2-a", "--j", "10", "--eta", "1", "--sigma", "0.3"], "sigma"),
+    (["spectrum", "--system", "su2-c", "--j", "10", "--eta", "1", "--harper-mode", "general"], "harper-mode"),
+    (["spectrum", "--system", "harper-static", "--length", "30", "--sigma", "golden", "--harper-mode", "general"],
+     "harper-mode"),
 ], ids=lambda value: value if isinstance(value, str) else value[2])
 def test_option_the_system_does_not_read_is_config_error(args, flag, tmp_path, capsys):
     # the config echo would name a value that never reached the Hamiltonian
@@ -615,6 +626,82 @@ def test_option_the_system_does_not_read_is_config_error(args, flag, tmp_path, c
         assert run_cli(argv, tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: --{flag}: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
+
+# every CLI system, harper-kicked once per mode, by the flags that select it
+SYSTEM_FLAGS = {**{system: ["--system", system] for system in SYSTEMS if system != "harper-kicked"},
+                **{f"harper-kicked-{mode}": ["--system", "harper-kicked", "--harper-mode", mode]
+                   for mode in ("closed-form", "general")}}
+# each system flag -> the RunConfig fields its value is made from (alpha = value/j, eta = value*j, eta = value*pi*j)
+FLAG_FIELDS = {"j": ("j",), "length": ("length",), "alpha": ("alpha",), "alpha-over": ("alpha", "j"), "eta": ("eta",),
+               "eta-over-j": ("eta", "j"), "xi": ("eta", "j"), "sigma": ("sigma",), "period": ("period",),
+               "epsilon": ("epsilon",), "harper-mode": ("harper_mode",)}
+# two values of each field, the first of them valid on every system
+FIELD_VALUES = {"j": (3.0, 4.0), "length": (12, 13), "alpha": (0.3, 0.4), "eta": (0.7, 0.9), "sigma": (0.3, 0.35),
+                "period": (0.9, 1.3), "epsilon": (0.6, 0.8), "harper_mode": ("closed-form", "general")}
+
+
+def fields_read(name):
+    """The RunConfig fields whose value changes the operator that `_hamiltonian` builds for system `name`,
+    with every field set."""
+    system = SYSTEM_FLAGS[name][1]
+    base = {field: values[0] for field, values in FIELD_VALUES.items()}
+    if system == "harper-kicked":
+        base["harper_mode"] = SYSTEM_FLAGS[name][3]
+
+    def build(**changed):
+        return np.asarray(_hamiltonian(RunConfig("spectrum", system, **{**base, **changed})))
+
+    operator = build()
+    read = set()
+    for field, values in FIELD_VALUES.items():
+        other = build(**{field: next(v for v in values if v != base[field])})
+        if other.shape != operator.shape or not np.array_equal(other, operator):
+            read.add(field)
+    return read
+
+
+def required_flags(name):
+    """The fewest flags with which `spectrum` runs system `name`."""
+    if "harper" in name:
+        return {"length": "12", "sigma": "0.3"}
+    return {"j": "3", "eta": "0.7", **({"epsilon": "0.6"} if name == "su2-e" else {})}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEM_FLAGS))
+def test_a_system_takes_exactly_the_flags_its_hamiltonian_reads(name):
+    # the builders are the oracle: a flag is taken exactly when its value reaches the operator
+    assert set(FLAG_FIELDS) == set(COMMAND_OPTIONS["spectrum"]) - {"system", "q-grid", "scale-grid", "out-dir"}
+    read = fields_read(name)
+    for flag, made_from in FLAG_FIELDS.items():
+        flags = required_flags(name)
+        if "eta" in made_from:
+            flags.pop("eta", None)
+        flags[flag] = {"j": "3", "length": "12", "harper-mode": "general"}.get(flag, "0.5")
+        argv = ["spectrum", *SYSTEM_FLAGS[name], *(f"--{key}={value}" for key, value in flags.items())]
+        outcome = parse_outcome(argv)
+        if set(made_from) <= read:
+            assert isinstance(outcome, dict), (argv, outcome)
+        else:
+            assert isinstance(outcome, str), argv
+            assert outcome.startswith(f"--{flag}: {SYSTEM_FLAGS[name][1]}") and "does not read it" in outcome, outcome
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEM_FLAGS))
+def test_config_echo_names_exactly_the_parameters_the_system_reads(name):
+    flags = (f"--{key}={value}" for key, value in required_flags(name).items())
+    echo = _config_echo(parse_config(["spectrum", *SYSTEM_FLAGS[name], *flags]))
+    assert set(echo) - {"command", "system"} == fields_read(name)
+
+
+@pytest.mark.parametrize("period", ["0", "-1", "nan", "inf"])
+def test_nonpositive_or_non_finite_period_is_config_error(period, tmp_path, capsys):
+    for args in (["spectrum", "--system", "dkt", "--j", "10", "--eta", "1"],
+                 ["floquet-compare", "--j", "10", "--eta", "1", "--alpha-ladder", "0.04,0.02,0.01"]):
+        assert run_cli([*args, "--period", period], tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --period: ") and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
 
 
