@@ -8,11 +8,11 @@ H_eff's spin-flip parity blocks, built from its stored bands: two
 quarter-size singular value solves at integer spin, two half-size
 Hermitian solves at half-integer spin.  Five facts make the exact side of
 a ladder of kick strengths cost two half-size real eigendecompositions and
-unitarity checks, plus per kick strength and parity block one half-size
-complex matrix product and a first branch cut that takes, at integer spin,
-one half-size LU solve against about half the block's columns and one
-quarter-size singular value solve, or at half-integer spin a half-size
-inverse and Hermitian eigenvalue solve; nothing of full dimension is built.
+unitarity checks, then per kick strength and parity block a first branch
+cut: at integer spin a quarter-size LU solve and singular value solve of
+blocks formed elementwise, at half-integer spin a half-size complex matrix
+product, inverse and Hermitian eigenvalue solve.  Nothing of full
+dimension is built.
 
 - Twist gauge.  The double kicked top's static generator is a diagonal phase
   gauge of Jx: ``dkt_static_part(1, eta, j) = P Jx P^dag`` with
@@ -58,15 +58,21 @@ inverse and Hermitian eigenvalue solve; nothing of full dimension is built.
   (1987)).  At integer spin it commutes with R too and keeps each parity
   block, where, reversing Jx's spectrum m -> -m, it is a signed reversal
   S_b: y_k -> s_k y_{n_b-1-k} of the block's Jx eigenvectors; the signs are
-  read from Y_b and checked once per ladder.  S_b A_b S_b = A_b
-  and S_b D_b S_b = conj(D_b), so the rung U'_b = E conj(A_b) D_b A_b E
-  with E = D_b^(1/2), a diagonal similarity of conj(A_b) D_b A_b D_b,
-  satisfies S_b U'_b S_b = U'_b^dag unchecked, and its Cayley transform
-  anticommutes with S_b.  So the first cut needs only the block of
-  (1 + U'_b)^-1 that couples S_b's eigenvectors of one sign to those of
-  the other: one solve against the vectors of one sign, whose singular
-  values are the +-lambda.  At half-integer spin S swaps the two parity
-  blocks, and the first cut is the general one.
+  read from Y_b and checked once per ladder.  S_b A_b S_b = A_b, so A_b is
+  the direct sum of its sectors A_a and A_b' on S_b's eigenvectors of the
+  two signs, a without the middle index.  With E = diag(exp(i phi)),
+  phi = -alpha m_b/2, the rung U' = E conj(A_b) D_b A_b E, similar to
+  conj(A_b) D_b A_b D_b, is K G for the unitaries G = E A_b E and
+  K = E conj(A_b) E, so 1 + U' = K F with the elementwise product
+  F = K^dag + G = A_b o [2 cos(phi_i + phi_j)].  S_b E S_b = conj(E), so F
+  commutes with S_b, and the Cayley transform's block from sign b to sign a
+  is 2i G_aa^-1 (K^dag)_ab, whose singular values are the +-lambda.  In
+  S_b's eigenbasis E = [[C, iS], [iS, C]] (C = cos(phi), S = sin(phi) on
+  the pairs, 1 and 0 at the middle), so G_aa = C A_a C - S A_b' S and
+  (K^dag)_ab = -i(C A_a S + S A_b' C): one quarter-size solve.  By the CS
+  decomposition of the unitary G (Golub & Van Loan, Matrix Computations,
+  2.5.4), 1 + U' is singular exactly when G_aa is.  At half-integer spin S
+  swaps the two parity blocks, and the first cut is the general one.
 """
 
 import numpy as np
@@ -161,43 +167,6 @@ def _cayley_phases(unitary: np.ndarray, theta: float, limit: float):
     return fold_phases(theta - 2.0 * np.arctan(lam))
 
 
-def _chiral_cayley_phases(unitary: np.ndarray, signs: np.ndarray):
-    """Quasienergies on the first cut of a unitary with S U S = U^dag for the
-    signed reversal S: e_k -> s_k e_{n-1-k}, or None when 1 + U is singular
-    or a Cayley eigenvalue exceeds CAYLEY_MAX in magnitude.
-
-    H_c = i(1 - U)(1 + U)^-1 = 2iX - i with X = (1 + U)^-1 then anticommutes
-    with S, so it couples S's eigenvectors (e_k +- s_k e_{n-1-k})/sqrt(2),
-    k < n // 2, and e_{n//2} of eigenvalue s_{n//2} at odd n, of one sign
-    to the other only, by 2iX.  One solve of 1 + U against the vectors of
-    one sign, with e_{n//2} among them, gives that block of X, and its
-    singular values sigma are H_c's eigenvalues +-sigma, with one zero at
-    odd n.
-    """
-    dim, half = unitary.shape[0], unitary.shape[0] // 2
-    side = signs[half] if dim % 2 else -1.0
-    pairs = np.arange(half)
-    # S's eigenvectors of sign `side`, times sqrt(2), as the right-hand sides
-    columns = np.zeros((dim, dim - half), dtype=complex)
-    columns[pairs, pairs] = 1.0
-    columns[dim - 1 - pairs, pairs] = side * signs[:half]
-    if dim % 2:
-        columns[half, half] = np.sqrt(2.0)
-    shifted = unitary.copy()
-    shifted.flat[::dim + 1] += 1.0
-    try:
-        solved = np.linalg.solve(shifted, columns)
-    except np.linalg.LinAlgError:  # an eigenvalue exactly on the cut
-        return None
-    del shifted
-    # S's eigenvectors of the other sign, times sqrt(2), as rows: 2X there
-    coupling = solved[:half] - (side * signs[:half])[:, None] * solved[::-1][:half]
-    sigma = np.linalg.svd(coupling, compute_uv=False) if half else np.zeros(0)
-    if not np.all(sigma <= CAYLEY_MAX):
-        return None
-    return -2.0 * np.arctan(np.concatenate((sigma, np.zeros(dim - 2 * half), -sigma)))
-
-
 def _cut_in_widest_gap(unitary: np.ndarray):
     """Quasienergy in [0, pi] midway across the widest gap of the spectrum's
     estimate, and the width of that gap.
@@ -260,11 +229,30 @@ def _rotation_signs(vecs: np.ndarray) -> np.ndarray:
     return signs
 
 
+def _rotation_sectors(block: np.ndarray, signs: np.ndarray) -> tuple:
+    """Sectors of A_b on S_b's eigenvectors (e_k + t s_k e_{n-1-k})/sqrt(2),
+    k < n // 2, of sign t: first the sign without e_{n//2}, then the other,
+    with e_{n//2} last at odd n; each entry averages the two of A_b's four
+    quadrants that S_b maps onto each other."""
+    dim, half = block.shape[0], block.shape[0] // 2
+    side = signs[half] if dim % 2 else -1.0
+    pair = signs[:half]
+    base = (block[:half, :half] + np.outer(pair, pair) * block[::-1, ::-1][:half, :half]) / 2.0
+    cross = block[:half, ::-1][:, :half] * pair
+    mix = (cross + cross.T) / 2.0
+    outer = np.empty((dim - half, dim - half), dtype=complex)
+    outer[:half, :half] = base + side * mix
+    if dim % 2:
+        outer[:half, half] = outer[half, :half] = (block[:half, half] + side * pair * block[:half:-1, half]) / 2 ** 0.5
+        outer[half, half] = block[half, half]
+    return base - side * mix, outer
+
+
 def _ladder_gauge(spin: SpinLabel, eta: float) -> tuple:
     """Blocks of A = Vx^T P^dag Vx on the R-even and on the R-odd Jx
     eigenvectors, complex symmetric and unitary, built from Jx's half-size
-    parity blocks, each with the `_rotation_signs` of its eigenvectors at
-    integer spin and None at half-integer spin, where S swaps the blocks.
+    parity blocks, each with its `_rotation_sectors` at integer spin and None
+    at half-integer spin, where S swaps the blocks.
     Its checks hold for every rung built from the blocks: LinAlgError, a
     numerical failure, when A couples the blocks by more than PARITY_ATOL or
     a block's unitarity defect exceeds UNITARITY_ATOL."""
@@ -286,7 +274,8 @@ def _ladder_gauge(spin: SpinLabel, eta: float) -> tuple:
             raise np.linalg.LinAlgError(f"Floquet operator is not unitary (defect {defect:.3e} of a gauge block)")
     # R-even holds the even indices at integer spin (odd dimension)
     if spin.dim % 2:
-        return (blocks[0], _rotation_signs(even)), (blocks[1], _rotation_signs(odd))
+        return ((blocks[0], _rotation_sectors(blocks[0], _rotation_signs(even))),
+                (blocks[1], _rotation_sectors(blocks[1], _rotation_signs(odd))))
     return (blocks[1], None), (blocks[0], None)
 
 
@@ -304,15 +293,42 @@ def _ladder_rung(block: np.ndarray, m_values: np.ndarray, alpha: float) -> np.nd
     return rung
 
 
+def _sector_cayley_phases(sectors: tuple, m_values: np.ndarray, alpha: float):
+    """Quasienergies on the first cut of a rung from its gauge block's
+    `_rotation_sectors`, or None when G_aa is singular or a Cayley eigenvalue
+    exceeds CAYLEY_MAX in magnitude; the coupling block drops its factor -i."""
+    inner, outer = sectors
+    half = inner.shape[0]
+    if not half:  # one index, where m = 0 and the rung is 1
+        return np.zeros(1)
+    angles = -0.5 * alpha * m_values[:outer.shape[0]]
+    cos, sin = np.cos(angles), np.sin(angles)
+    gauge = cos[:half, None] * inner * cos[:half]
+    gauge -= sin[:half, None] * outer[:half, :half] * sin[:half]
+    coupling = sin[:half, None] * outer[:half] * cos
+    coupling[:, :half] += cos[:half, None] * inner * sin[:half]
+    try:
+        solved = np.linalg.solve(gauge, coupling)
+    except np.linalg.LinAlgError:  # an eigenvalue exactly on the cut
+        return None
+    sigma = np.linalg.svd(solved, compute_uv=False)
+    if not np.all(sigma <= CAYLEY_MAX):
+        return None
+    return -2.0 * np.arctan(np.concatenate((sigma, np.zeros(outer.shape[0] - half), -sigma)))
+
+
 def _ladder_quasienergies(blocks: tuple, spin: SpinLabel, alpha: float) -> np.ndarray:
     """Sorted quasienergies of the one-period operator at alpha, block by
-    block: each rung, whose contracts `_ladder_gauge` checked, goes straight
-    to its first cut, the chiral one when the block has signs."""
+    block, whose contracts `_ladder_gauge` checked; a block with sectors
+    builds its rung only when their first cut is crowded."""
     spectra = []
-    for parity, (block, signs) in enumerate(blocks):
-        rung = _ladder_rung(block, spin.m_values[parity::2], alpha)
-        first = _cayley_phases(rung, 0.0, CAYLEY_MAX) if signs is None else _chiral_cayley_phases(rung, signs)
-        spectra.append(_or_moved_cut(rung, first))
+    for parity, (block, sectors) in enumerate(blocks):
+        m_values = spin.m_values[parity::2]
+        phases = None if sectors is None else _sector_cayley_phases(sectors, m_values, alpha)
+        if phases is None:
+            rung = _ladder_rung(block, m_values, alpha)
+            phases = _or_moved_cut(rung, _cayley_phases(rung, 0.0, CAYLEY_MAX) if sectors is None else None)
+        spectra.append(phases)
     return np.sort(np.concatenate(spectra))
 
 

@@ -415,6 +415,22 @@ def test_floquet_compare_ladder(tmp_path):
     assert report["results"]["decay_ratios"][-1] >= 4.0
 
 
+@pytest.mark.parametrize("j", ["10", "10.5", "50"])
+def test_floquet_compare_errors_are_even_in_eta(j, tmp_path):
+    # eta -> -eta conjugates both H_eff and the Floquet operator, and both
+    # spectra are symmetric under E -> -E by the pi rotation (Haake, Kus &
+    # Scharf, Z. Phys. B 65, 381 (1987)), so the errors agree.  Integer spin
+    # takes the sector cut, half-integer spin the general one; the largest
+    # difference measured, at j = 10.5, is one unit in the last place of pi
+    errors = []
+    for sign in ("", "-"):
+        argv = ["floquet-compare", "--j", j, "--eta-over-j", sign + repr(GOLDEN_RATIO),
+                "--alpha-ladder", "0.04,0.02,0.01,0.005,0.0025,0.00125"]
+        assert run_cli(argv, tmp_path / f"eta{sign}") == 0
+        errors.append(json.loads((tmp_path / f"eta{sign}" / "floquet_compare.json").read_text())["results"]["errors"])
+    assert np.max(np.abs(np.subtract(*errors))) <= 8.0 * np.spacing(np.pi)
+
+
 BENCHMARK_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -897,10 +913,10 @@ def test_parity_mixing_twist_exits_three(tmp_path, monkeypatch, capsys):
 def test_floquet_compare_diagonalizes_jx_parity_blocks(tmp_path, monkeypatch):
     # two half-size real eigendecompositions of Jx's parity blocks serve every
     # rung, and quasienergies never go through the nonsymmetric eigensolver.
-    # At integer spin each rung's first cut is one solve against the
-    # eigenvectors of one sign of the pi rotation S and one singular value
-    # solve of S's off-diagonal block; at half-integer spin, where S swaps
-    # the parity blocks, it is an inverse and a Hermitian solve
+    # At integer spin each rung's first cut is one quarter-size solve on a
+    # sector of the pi rotation S and one singular value solve of S's
+    # off-diagonal block; at half-integer spin, where S swaps the parity
+    # blocks, it is an inverse and a Hermitian solve
     names = ("eigh", "eigvals", "eigvalsh", "inv", "solve", "svd")
     ladder = ["--eta-over-j", "golden", "--alpha-ladder", "0.04,0.02,0.01,0.005,0.0025,0.00125"]
     calls = {}
@@ -918,7 +934,7 @@ def test_floquet_compare_diagonalizes_jx_parity_blocks(tmp_path, monkeypatch):
     heff_svd, ladder_svd = calls["svd"][:12], calls["svd"][12:]
     assert heff_svd == [((6, 5), "c"), ((5, 5), "c")] * 6
     assert ladder_svd == [((5, 6), "c"), ((5, 5), "c")] * 6
-    assert calls["solve"] == [((11, 11), "c"), ((10, 10), "c")] * 6
+    assert calls["solve"] == [((5, 5), "c"), ((5, 5), "c")] * 6
     assert calls["inv"] == [] and calls["eigvalsh"] == []
 
     calls.update({name: [] for name in names})

@@ -7,11 +7,10 @@ import pytest
 import dense_oracle as dense
 from kickedspec import GOLDEN_RATIO, floquet
 from kickedspec.floquet import (
-    _chiral_cayley_phases,
     _ladder_gauge,
     _ladder_quasienergies,
-    _ladder_rung,
-    _or_moved_cut,
+    _rotation_sectors,
+    _sector_cayley_phases,
     _twist_gauge,
     dkt_effective_hamiltonian,
     dkt_floquet,
@@ -349,14 +348,17 @@ def signed_reversal(signs):
 def test_ladder_blocks_are_chiral_under_the_pi_rotation(j):
     # S = diag((-1)^(j+m)) anticommutes with Jx and commutes with the twist,
     # so on each parity block's Jx eigenvectors it is a signed reversal S_b
-    # with S_b U'_b S_b = U'_b^dag for the rung U'_b
+    # with S_b A_b S_b = A_b: in S_b's eigenbasis A_b is the direct sum of
+    # its two sectors, each complex symmetric and unitary, whose spectra
+    # make up A_b's
     spin = SpinLabel(j)
     for modulation in sorted(MODULATIONS):
-        for parity, (block, signs) in enumerate(_ladder_gauge(spin, MODULATIONS[modulation] * j)):
-            rotation = signed_reversal(signs)
-            for alpha in (0.04, 0.00125):
-                rung = _ladder_rung(block, spin.m_values[parity::2], alpha)
-                assert max_abs(rotation @ rung @ rotation - rung.conj().T) <= 1e-13
+        for block, sectors in _ladder_gauge(spin, MODULATIONS[modulation] * j):
+            assert [len(sector) for sector in sectors] == [len(block) // 2, len(block) - len(block) // 2]
+            for sector in sectors:
+                assert unitarity_defect(sector) <= 1e-13 and max_abs(sector - sector.T) <= 1e-13
+            union = np.concatenate([np.linalg.eigvals(sector) for sector in sectors])
+            assert circular_distance(np.angle(union), np.angle(np.linalg.eigvals(block))) <= 1e-12
 
 
 @pytest.mark.parametrize("j", [1.5, 10.5])
@@ -372,38 +374,61 @@ def test_pi_rotation_swaps_the_parity_blocks_at_half_integer_spin(j):
     assert [signs for _, signs in _ladder_gauge(spin, GOLDEN_RATIO * spin.j)] == [None, None]
 
 
-def chiral_unitary(signs, seed, top=None):
-    """exp(-iH) for a random Hermitian H with S H S = -H, so S U S = U^dag;
-    H is scaled to the largest eigenvalue `top` when it is given."""
+def rotation_symmetric_gauge(signs, seed, pair_phase=None):
+    """Complex symmetric unitary A = exp(iH), H real symmetric with S H S = H
+    for the signed reversal S, so S A S = A.  With `pair_phase` theta, A is
+    exp(i theta) on e_0 and e_{n-1} and couples them to nothing, so the rung
+    E conj(A) D A E has the quasienergies +-2 alpha m_0 there."""
     rotation = signed_reversal(signs)
-    ham = random_hermitian(len(signs), seed)
-    ham = (ham - rotation @ ham @ rotation) / 2.0
-    if top is not None:
-        ham *= top / np.max(np.linalg.eigvalsh(ham))
-    return unitary_from_hermitian(ham, 1.0)
+    ham = np.random.default_rng(seed).normal(size=(len(signs), len(signs)))
+    ham = ham + ham.T
+    ham = (ham + rotation @ ham @ rotation) / 2.0
+    if pair_phase is None:
+        return unitary_from_hermitian(ham, -1.0)
+    gauge = np.zeros(ham.shape, dtype=complex)
+    gauge[1:-1, 1:-1] = unitary_from_hermitian(ham[1:-1, 1:-1], -1.0)
+    gauge[0, 0] = gauge[-1, -1] = np.exp(1j * pair_phase)
+    return gauge
 
 
-@pytest.mark.parametrize("signs, top, moved", [
-    ([1.0, -1.0, 1.0, 1.0, -1.0, 1.0], None, False),
-    ([-1.0, 1.0, -1.0, 1.0, -1.0], None, False),
-    ([1.0, 1.0, 1.0, 1.0, 1.0], np.pi - 1e-9, True),
-    ([1.0, -1.0, -1.0, 1.0], np.pi, True),
+@pytest.mark.parametrize("signs, pair_phase, kick, moved", [
+    ([1.0, -1.0, 1.0, 1.0, -1.0, 1.0], None, 0.3, False),
+    ([-1.0, 1.0, -1.0, 1.0, -1.0], None, 0.3, False),
+    ([1.0, 1.0, 1.0, 1.0, 1.0], 0.7, np.pi - 1e-9, True),
+    ([1.0, -1.0, -1.0, 1.0], 0.7, np.pi, True),
 ], ids=["even-dim", "odd-dim", "near-minus-one", "minus-one"])
-def test_quasienergy_spectrum_of_a_chiral_unitary(signs, top, moved, monkeypatch):
-    # one solve and a singular value solve on the chiral first cut, which the
-    # ladder takes for its integer-spin rungs; a crowded first cut goes
-    # straight to the moved cut, one inverse
-    unitary = chiral_unitary(signs, seed=len(signs), top=top)
-    calls = {"solve": 0, "inv": 0}
+def test_gauge_cut_of_a_rotation_symmetric_block(signs, pair_phase, kick, moved, monkeypatch):
+    # one quarter-size solve and a singular value solve on the sector cut,
+    # which the ladder takes for its integer-spin rungs; an eigenvalue within
+    # 1e-9 of -1, or at -1, where G_aa is singular, sends the rung to the
+    # moved cut, one inverse.  kick = 2 alpha |m_0| is that eigenvalue's
+    # quasienergy when the block has a pair phase
+    dim = len(signs)
+    spin = SpinLabel(dim - 1)  # m_values[0::2] = -(n-1), ..., n-1
+    m_values = spin.m_values[0::2]
+    alpha = kick / (2.0 * (dim - 1))
+    block = rotation_symmetric_gauge(signs, seed=dim, pair_phase=pair_phase)
+    sectors = _rotation_sectors(block, np.array(signs))
+    calls = {"solve": [], "inv": []}
     for name in calls:
-        def counted(*args, _name=name, _original=getattr(np.linalg, name)):
-            calls[_name] += 1
-            return _original(*args)
+        def counted(mat, *args, _name=name, _original=getattr(np.linalg, name)):
+            calls[_name].append(np.shape(mat))
+            return _original(mat, *args)
         monkeypatch.setattr(np.linalg, name, counted)
-    got = _or_moved_cut(unitary, _chiral_cayley_phases(unitary, np.array(signs)))
-    assert calls == {"solve": 1, "inv": int(moved)}
+    got = _ladder_quasienergies(((block, sectors),), spin, alpha)
+    assert calls == {"solve": [(dim // 2, dim // 2)], "inv": [(dim, dim)] * moved}
+    root = np.exp(-0.5j * alpha * m_values)
+    rung = root[:, None] * (block.conj() @ (np.exp(-1j * alpha * m_values)[:, None] * block)) * root
     assert np.all(np.diff(got) >= 0) and np.all(got > -np.pi) and np.all(got <= np.pi)
-    assert circular_distance(got, dense.quasienergies(unitary)) <= 1e-12
+    assert circular_distance(got, dense.quasienergies(rung)) <= 1e-12
+
+
+def test_crowded_benchmark_rungs_refuse_the_sector_cut():
+    # silver at j = 200 puts an eigenvalue of both blocks of the alpha = 0.02
+    # rung close enough to -1 that the first cut is refused
+    spin = SpinLabel(200)
+    for parity, (_, sectors) in enumerate(_ladder_gauge(spin, MODULATIONS["silver"] * 200)):
+        assert _sector_cayley_phases(sectors, spin.m_values[parity::2], 0.02) is None
 
 
 def test_ladder_gauge_rejects_eigenvectors_the_pi_rotation_does_not_reverse(monkeypatch):
