@@ -37,7 +37,7 @@ from .floquet import dkt_effective_hamiltonian, effective_vs_floquet_errors, fol
 from .harper import CLOSED_FORM, GENERAL, HarperParams, check_length, harper_hamiltonian, heff_discrepancy_report, kicked_harper_effective
 from .multifractal import _counts, _q_values, analyze_eigenvectors, ensemble_statistics, tau_spectrum
 from .operators import Banded, eigensolve
-from .su2 import FAMILY_CASES, SpinLabel, general_su2_hamiltonian
+from .su2 import FAMILY_CASES, SpinLabel, check_phase_spin, general_su2_hamiltonian
 
 SYSTEMS = ("dkt",) + tuple(f"su2-{c}" for c in FAMILY_CASES) + ("harper-static", "harper-kicked")
 MAX_SWEEP_POINTS = 100_000  # each point is one eigensolve
@@ -141,7 +141,7 @@ COMMAND_OPTIONS = {command: (*names, "out-dir") for command, names in {
     "butterfly": (*_SYSTEM_OPTIONS, "xi-sweep", "sigma-sweep", "harper-mode"),
     "spectrum": (*_SYSTEM_OPTIONS, "q-grid", "scale-grid", "harper-mode"),
     "eigenstates": (*_SYSTEM_OPTIONS, "q-grid", "scale-grid", "bins", "harper-mode"),
-    "floquet-compare": ("j", "eta", "eta-over-j", "xi", "period", "alpha-ladder"),
+    "floquet-compare": ("j", "eta", "eta-over-j", "xi", "alpha-ladder"),
     "harper-diff": ("length", "sigma", "alpha", "period"),
 }.items()}
 
@@ -249,14 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _over_spin(value: float, j: float) -> float:
-    if not j:
-        raise ConfigError("requires j > 0")
-    return value / j
-
-
 # flag -> (the parameter it sets, that parameter from the flag's value and j), where the flag is not named after it
-_SPELLINGS = {"alpha_over": ("alpha", _over_spin), "eta_over_j": ("eta", lambda v, j: v * j),
+_SPELLINGS = {"alpha_over": ("alpha", lambda v, j: v / j), "eta_over_j": ("eta", lambda v, j: v * j),
               "xi": ("eta", lambda v, j: v * np.pi * j)}
 
 
@@ -270,16 +264,9 @@ def _spelled(values: dict, name: str, j: float | None) -> float | None:
     return _flagged(f"--{given[0].replace('_', '-')}", _SPELLINGS[given[0]][1], values[given[0]], j)
 
 
-def _spin(j: float) -> SpinLabel:
-    try:
-        return SpinLabel(j)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 # system -> the parameters its Hamiltonian reads, harper-kicked once per --harper-mode
 _SPIN = ("j", "alpha", "eta")
-_READS = {"dkt": (*_SPIN, "period"),
+_READS = {"dkt": _SPIN,
           **{f"su2-{c}": (*_SPIN, "epsilon") if c == "e" else _SPIN for c in FAMILY_CASES},
           "harper-static": ("length", "sigma"),
           f"harper-kicked --harper-mode {CLOSED_FORM}": ("length", "sigma", "harper_mode"),
@@ -318,7 +305,7 @@ def parse_config(argv) -> RunConfig:
             raise ConfigError("floquet-compare requires --alpha-ladder")
         if cfg.j is None:
             raise ConfigError("floquet-compare requires --j")
-        _spin(cfg.j)
+        _flagged("--j", check_phase_spin, cfg.j)
         cfg.eta = _spelled(values, "eta", cfg.j)
         if cfg.eta is None:
             raise ConfigError("floquet-compare requires eta (or eta-over-j / xi)")
@@ -365,7 +352,7 @@ def parse_config(argv) -> RunConfig:
     else:
         if cfg.j is None:
             raise ConfigError(f"system {cfg.system} requires --j")
-        _spin(cfg.j)
+        _flagged("--j", check_phase_spin, cfg.j)
         cfg.eta = _spelled(values, "eta", cfg.j)
         if command != "butterfly" and cfg.eta is None:
             raise ConfigError(f"{command} requires a fixed eta (or eta-over-j / xi)")
@@ -384,7 +371,7 @@ def parse_config(argv) -> RunConfig:
         if max(cfg.scale_grid) > MAX_BINS:
             raise ConfigError(f"--scale-grid: bin counts must not exceed {MAX_BINS}, got {max(cfg.scale_grid)}")
     if command == "eigenstates":
-        states = cfg.length if is_harper else _spin(cfg.j).dim
+        states = cfg.length if is_harper else SpinLabel(cfg.j).dim
         if cfg.scale_grid is not None:
             _flagged("--scale-grid", _counts, cfg.scale_grid, 1, states)
         # more bins than states add only empty bins; the default stays as it is
@@ -410,7 +397,7 @@ def _hamiltonian(cfg: RunConfig, sweep_value: float | None = None) -> Banded:
         return kicked_harper_effective(params, cfg.harper_mode)
     eta = cfg.eta if sweep_value is None else sweep_value * np.pi * cfg.j
     if cfg.system == "dkt":
-        return dkt_effective_hamiltonian(cfg.alpha, eta, cfg.j, cfg.period)
+        return dkt_effective_hamiltonian(cfg.alpha, eta, cfg.j)
     return general_su2_hamiltonian(cfg.system.split("-", 1)[1], cfg.alpha, eta, cfg.j, cfg.epsilon)
 
 
@@ -463,7 +450,7 @@ def cmd_butterfly(cfg: RunConfig) -> Path:
     for value in cfg.sweep.tolist():
         energies = eigensolve(_hamiltonian(cfg, value))
         if cfg.system == "dkt":
-            energies = np.sort(fold_phases(energies * cfg.period))
+            energies = np.sort(fold_phases(energies))
         rows.extend((value, idx, energy) for idx, energy in enumerate(energies))
     out = cfg.out_dir / "butterfly.csv"
     write_csv(out, ("sweep_value", "index", "energy"), rows)
@@ -523,11 +510,10 @@ def cmd_eigenstates(cfg: RunConfig) -> Path:
 
 def cmd_floquet_compare(cfg: RunConfig) -> Path:
     """Effective-vs-exact quasienergy error along a ladder of kick strengths."""
-    errors = effective_vs_floquet_errors(cfg.alpha_ladder, cfg.eta, cfg.j, cfg.period)
+    errors = effective_vs_floquet_errors(cfg.alpha_ladder, cfg.eta, cfg.j)
     ratios = [errors[i] / errors[i + 1] if errors[i + 1] > 0 else None for i in range(len(errors) - 1)]
     report = {
-        "config": {"command": cfg.command, "j": cfg.j, "eta": cfg.eta, "period": cfg.period,
-                   "alpha_ladder": list(cfg.alpha_ladder)},
+        "config": {"command": cfg.command, "j": cfg.j, "eta": cfg.eta, "alpha_ladder": list(cfg.alpha_ladder)},
         "results": {"errors": errors, "decay_ratios": ratios},
     }
     out = cfg.out_dir / "floquet_compare.json"

@@ -10,26 +10,23 @@ after N terms, an independent cross-check of the closed form, and
 `micromotion_kick` gives the periodic micromotion generator F(t), with
 exp(iF) the initial/final kick transformation, from the same truncation.
 
-Every formula here is written with matrix products, sums and adjoints, so it
-runs on two `Banded` operators, whose results stay banded, or on two dense
-arrays; a mixed pair raises TypeError at its first product.
+Every operand is a `Banded` operator, and every formula here is written with
+its products, sums and adjoints, so every result stays banded.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Banded, as_operator, require_hermitian
+from .operators import Banded, require_hermitian
 
 TWO_PI = 2.0 * np.pi
 
 
-def commutator(a, b):
-    """AB - BA of two `Banded` operators (banded) or two dense ones (an ndarray)."""
-    a = as_operator(a)
-    b = as_operator(b)
-    if a.shape != b.shape:
-        raise ValueError(f"commutator needs equal shapes, got {a.shape} and {b.shape}")
+def commutator(a: Banded, b: Banded) -> Banded:
+    """AB - BA of two `Banded` operators of one dimension."""
+    if not (isinstance(a, Banded) and isinstance(b, Banded)):
+        raise TypeError(f"commutator takes two Banded operators, got {type(a).__name__} and {type(b).__name__}")
     return a @ b - b @ a
 
 
@@ -47,27 +44,24 @@ def _dagger(a):
 class KickedSystem:
     """Static part h0, kick operator applied once per period, and the period.
 
-    The operators are kept as given: `Banded` stays banded, anything else
-    becomes an ndarray, and a mixed pair fails in the first formula that
-    combines them.  The period must be finite and positive.
+    Both operators are Hermitian `Banded` operators of one dimension, and the
+    period is finite and positive.
     """
 
-    h0: Banded | np.ndarray
-    kick: Banded | np.ndarray
+    h0: Banded
+    kick: Banded
     period: float
 
     def __post_init__(self):
-        h0 = require_hermitian(self.h0, name="static part")
-        kick = require_hermitian(self.kick, name="kick operator")
-        if h0.shape != kick.shape:
-            raise ValueError(f"static part {h0.shape} and kick {kick.shape} differ in dimension")
+        require_hermitian(self.h0, name="static part")
+        require_hermitian(self.kick, name="kick operator")
+        if self.h0.dim != self.kick.dim:
+            raise ValueError(f"static part {self.h0.shape} and kick {self.kick.shape} differ in dimension")
         check_period(self.period)
-        object.__setattr__(self, "h0", h0)
-        object.__setattr__(self, "kick", kick)
 
     @property
     def dim(self) -> int:
-        return self.h0.shape[0]
+        return self.h0.dim
 
     @property
     def omega(self) -> float:

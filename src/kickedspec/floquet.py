@@ -91,10 +91,10 @@ CAYLEY_MAX = 1e3
 PARITY_ATOL = 1e-10
 
 
-def unitary_from_hermitian(ham, scale: float) -> np.ndarray:
-    """exp(-i*scale*H) through the eigendecomposition of Hermitian H."""
-    ham = np.asarray(require_hermitian(ham, name="generator"))
-    evals, vecs = np.linalg.eigh(ham)
+def unitary_from_hermitian(ham: Banded, scale: float) -> np.ndarray:
+    """exp(-i*scale*H), dense, through the eigendecomposition of a Hermitian
+    `Banded` H."""
+    evals, vecs = np.linalg.eigh(require_hermitian(ham, name="generator").to_dense())
     return (vecs * np.exp(-1j * scale * evals)) @ vecs.conj().T
 
 
@@ -104,20 +104,21 @@ def fold_phases(values) -> np.ndarray:
     return np.where(folded <= -np.pi, folded + TWO_PI, folded)
 
 
-def dkt_kicked_system(alpha: float, eta: float, j, period: float = 1.0) -> KickedSystem:
+def dkt_kicked_system(alpha: float, eta: float, j) -> KickedSystem:
     """Single-kicked system equivalent to the double kicked top: kick alpha*Jx
-    once per period on top of the phase-modulated static part."""
+    once per unit period on top of the phase-modulated static part.  Its
+    H_eff has no period to depend on (`su2.dkt_static_part`)."""
     if not np.isfinite(alpha) or alpha == 0.0:
         raise ValueError("alpha must be finite and nonzero")
     spin = _as_spin(j)
-    h0 = dkt_static_part(alpha, eta, spin, period)
+    h0 = dkt_static_part(alpha, eta, spin)
     kick = alpha * spin_operators(spin).jx
-    return KickedSystem(h0=h0, kick=kick, period=period)
+    return KickedSystem(h0=h0, kick=kick, period=1.0)
 
 
-def dkt_effective_hamiltonian(alpha: float, eta: float, j, period: float = 1.0) -> Banded:
+def dkt_effective_hamiltonian(alpha: float, eta: float, j) -> Banded:
     """Closed-form effective Hamiltonian of the double kicked top (bandwidth 3)."""
-    return heff_delta_kicked(dkt_kicked_system(alpha, eta, j, period))
+    return heff_delta_kicked(dkt_kicked_system(alpha, eta, j))
 
 
 def _twist_gauge(spin: SpinLabel, eta: float) -> np.ndarray:
@@ -332,25 +333,26 @@ def _ladder_quasienergies(blocks: tuple, spin: SpinLabel, alpha: float) -> np.nd
     return np.sort(np.concatenate(spectra))
 
 
-def effective_vs_floquet_errors(alphas, eta: float, j, period: float = 1.0) -> list:
+def effective_vs_floquet_errors(alphas, eta: float, j) -> list:
     """Largest gap between folded effective energies and exact quasienergies,
     one per kick strength.
 
-    Both spectra of a kick strength are sorted after folding E*T into
-    (-pi, pi] and compared pairwise.  The exact operator does not depend on
-    the period, since T*h0 = alpha * dkt_static_part(1, eta, j).
+    Both spectra of a kick strength are sorted after folding E into
+    (-pi, pi] and compared pairwise.  Neither depends on a kick period: the
+    one-period operator is exp(-i alpha G) exp(-i alpha Jx) with
+    G = dkt_static_part(1, eta, j), and T*H_eff has no T in it.
     """
     alphas = list(alphas)
     spin = _as_spin(j)
     # every H_eff is solved before the Floquet blocks exist, so that its
     # temporaries never add to theirs
-    heffs = (heff_delta_kicked(dkt_kicked_system(alpha, eta, spin, period)) for alpha in alphas)
-    folded = [np.sort(fold_phases(hermitian_eigh(heff) * period)) for heff in heffs]
+    heffs = (heff_delta_kicked(dkt_kicked_system(alpha, eta, spin)) for alpha in alphas)
+    folded = [np.sort(fold_phases(hermitian_eigh(heff))) for heff in heffs]
     blocks = _ladder_gauge(spin, eta)
     return [float(np.max(np.abs(effective - _ladder_quasienergies(blocks, spin, alpha))))
             for alpha, effective in zip(alphas, folded)]
 
 
-def effective_vs_floquet_error(alpha: float, eta: float, j, period: float = 1.0) -> float:
+def effective_vs_floquet_error(alpha: float, eta: float, j) -> float:
     """`effective_vs_floquet_errors` at one kick strength."""
-    return effective_vs_floquet_errors([alpha], eta, j, period)[0]
+    return effective_vs_floquet_errors([alpha], eta, j)[0]

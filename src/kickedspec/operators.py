@@ -7,11 +7,14 @@ built from its stored bands by `_parity_solve` for `eigensolve`'s banded
 eigenvalue driver, `hermitian_eigh` and the Floquet ladder's Jx: two block
 solves in place of one of the whole operator.
 
-Contracts are checked where an operator enters, not where it is built.  The
-public entry points that accept a caller's matrix check it: `eigensolve`,
-`effective.KickedSystem` (the one input of the delta-kick layer),
-`floquet.unitary_from_hermitian` and `floquet.quasienergy_spectrum`.  The
-builders in `su2` and `harper` assemble their operators Hermitian by
+Every Hamiltonian is a `Banded` operator; dense arrays are left for
+unitaries.  Contracts are checked where an operator enters, not where it is
+built.  The public entry points that accept a caller's Hamiltonian take a
+`Banded` one, and `require_hermitian` refuses anything else with a
+TypeError: `eigensolve`, `effective.KickedSystem` (the one input of the
+delta-kick layer) and `floquet.unitary_from_hermitian`.  The one dense entry
+is `floquet.quasienergy_spectrum`, whose unitary `require_unitary` checks.
+The builders in `su2` and `harper` assemble their operators Hermitian by
 construction from validated scalars and check nothing; every path from them
 to a solver or an exponential passes one of those entry points.  The one
 check on a built result is `effective.heff_delta_kicked`'s, because its
@@ -50,7 +53,6 @@ class Banded:
     # no numpy ufunc (arithmetic with an ndarray, np.abs, ...) takes a
     # `Banded`; ndarray operators return NotImplemented to it in turn
     __array_ufunc__ = None
-    ndim = 2
 
     def __init__(self, dim: int, bands: dict):
         self.dim = int(dim)
@@ -179,16 +181,11 @@ class Banded:
         return Banded(n, bands)
 
 
-def as_operator(mat):
-    """A `Banded` operator as it is, anything else as an ndarray."""
-    return mat if isinstance(mat, Banded) else np.asarray(mat)
-
-
 def max_abs(mat) -> float:
-    """Largest entry magnitude (max norm)."""
-    mat = as_operator(mat)
+    """Largest entry magnitude (max norm) of a `Banded` operator or an array."""
     if isinstance(mat, Banded):
         return max((max_abs(band) for band in mat.bands.values()), default=0.0)
+    mat = np.asarray(mat)
     return float(np.max(np.abs(mat))) if mat.size else 0.0
 
 
@@ -198,7 +195,6 @@ def hermiticity_defect(mat) -> float:
     Runs on the stored diagonals of a `Banded` operator.  Non-finite entries
     give a NaN or infinite defect without a floating-point warning.
     """
-    mat = as_operator(mat)
     with np.errstate(invalid="ignore"):
         scale = max_abs(mat)
         if scale == 0.0:
@@ -206,20 +202,15 @@ def hermiticity_defect(mat) -> float:
         return max_abs(mat - mat.conj().T) / scale
 
 
-def require_square(mat, name: str = "operator"):
-    mat = as_operator(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
-    return mat
-
-
-def require_hermitian(mat, name: str = "operator"):
-    """Return mat (`Banded` or ndarray), raising if it fails the Hermiticity contract."""
-    mat = require_square(mat, name)
-    defect = hermiticity_defect(mat)
+def require_hermitian(op: Banded, name: str = "operator") -> Banded:
+    """Return `op`, raising TypeError unless it is a `Banded` operator and
+    ValueError if it fails the Hermiticity contract."""
+    if not isinstance(op, Banded):
+        raise TypeError(f"{name} must be a Banded operator, got {type(op).__name__}")
+    defect = hermiticity_defect(op)
     if not defect <= HERMITICITY_RTOL:
         raise ValueError(f"{name} is not Hermitian (relative defect {defect:.3e})")
-    return mat
+    return op
 
 
 def unitarity_defect(mat) -> float:
@@ -231,7 +222,11 @@ def unitarity_defect(mat) -> float:
 
 
 def require_unitary(mat, name: str = "operator") -> np.ndarray:
-    mat = np.asarray(require_square(mat, name))
+    """`mat` as an ndarray, raising ValueError unless it is a square matrix
+    that passes the unitarity contract."""
+    mat = np.asarray(mat)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
     defect = unitarity_defect(mat)
     if not defect <= UNITARITY_ATOL:
         raise ValueError(f"{name} is not unitary (defect {defect:.3e})")

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effective import check_period
 from .operators import Banded
 
 
@@ -70,11 +69,18 @@ def hopping_operator(j) -> Banded:
     return Banded(spin.dim, {1: ones, -1: ones})
 
 
-def phase_diagonal(j, eta: float) -> np.ndarray:
-    """Diagonal entries eta*(2m+1)/(2j) of the phase operator, ascending in m."""
+def check_phase_spin(j) -> SpinLabel:
+    """The spin of a phase operator, whose phases divide by 2j: a valid
+    label with j > 0."""
     spin = _as_spin(j)
     if spin.j == 0:
         raise ValueError("phase operator requires j > 0")
+    return spin
+
+
+def phase_diagonal(j, eta: float) -> np.ndarray:
+    """Diagonal entries eta*(2m+1)/(2j) of the phase operator, ascending in m."""
+    spin = check_phase_spin(j)
     return eta * (2.0 * spin.m_values + 1.0) / (2.0 * spin.j)
 
 
@@ -117,17 +123,18 @@ def general_su2_hamiltonian(case: str, alpha: float, eta: float, j, epsilon: flo
     return ham + modulated + modulated.conj().T
 
 
-def dkt_static_part(alpha: float, eta: float, j, period: float = 1.0) -> Banded:
+def dkt_static_part(alpha: float, eta: float, j) -> Banded:
     """Static part of the kicked system equivalent to the double kicked top.
 
-    Returns (alpha/T) Jplus exp(iX) + h.c. with X = eta(2Jz+1)/2j; nonzero
-    entries sit only on the first off-diagonals.  T times this generator is
-    the first exponent of the exact one-period evolution operator, so the
-    kicked system (this static part, kick alpha*Jx, period T) reproduces the
-    double kicked top stroboscopically.
+    Returns alpha Jplus exp(iX) + h.c. with X = eta(2Jz+1)/2j; nonzero
+    entries sit only on the first off-diagonals.  This generator is the first
+    exponent of the exact one-period evolution operator, so the kicked system
+    (this static part, kick alpha*Jx, period 1) reproduces the double kicked
+    top stroboscopically.  A period T would scale the static part by 1/T and
+    leave T*H_eff = alpha G + alpha Jx + (alpha^3/24) [[Jx, G], Jx],
+    G = dkt_static_part(1, eta, j), as it is, so the kicked top has none.
     """
-    check_period(period)
     spin = _as_spin(j)
     phase = Banded.diagonal(np.exp(1j * phase_diagonal(spin, eta)))
     upper = spin_operators(spin).jplus @ phase
-    return (alpha / period) * (upper + upper.conj().T)
+    return alpha * (upper + upper.conj().T)

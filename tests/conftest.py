@@ -1,7 +1,23 @@
-"""Shared oracles: deterministic multifractal reference measures."""
+"""Shared oracles: deterministic multifractal reference measures, and dense
+test matrices as `Banded` operators."""
 
 import numpy as np
 import pytest
+
+from kickedspec.operators import Banded
+
+
+def as_banded(mat):
+    """A dense matrix as a `Banded` operator that stores every diagonal."""
+    dim = mat.shape[0]
+    return Banded(dim, {k: np.diagonal(mat, k) for k in range(1 - dim, dim)})
+
+
+def random_hermitian(dim, seed):
+    """Dense Hermitian matrix with normal complex entries, halved."""
+    rng = np.random.default_rng(seed)
+    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (mat + mat.conj().T) / 2.0
 
 
 def binomial_cascade_weights(p: float, depth: int) -> np.ndarray:

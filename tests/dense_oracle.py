@@ -4,12 +4,12 @@ Each Hamiltonian is assembled here as a dense complex matrix with ordinary
 matrix products, straight from its defining formula, so the banded builders
 in kickedspec can be checked against an independent route at small sizes.
 The Floquet operator of the double kicked top is the product of two dense
-exponentials, and its quasienergies come from the nonsymmetric eigensolver.
+exponentials, each from numpy's `eigh`, and its quasienergies come from the
+nonsymmetric eigensolver.  Nothing here calls kickedspec's Floquet code.
 """
 
 import numpy as np
 
-from kickedspec.floquet import fold_phases, unitary_from_hermitian
 from kickedspec.su2 import SpinLabel
 
 
@@ -55,37 +55,49 @@ def su2_family(case, alpha, eta, j, epsilon=None):
     return a * jx + b * hop + modulated + modulated.conj().T
 
 
-def dkt_parts(alpha, eta, j, period=1.0):
-    """Static part (alpha/T)(Jplus e^{iX} + h.c.) and kick alpha*Jx of the double kicked top."""
+def dkt_parts(alpha, eta, j):
+    """Static part alpha(Jplus e^{iX} + h.c.) and kick alpha*Jx of the double kicked top, period 1."""
     jx, _, _, raising = spin_matrices(j)
     upper = (raising / 2.0) @ np.diag(np.exp(1j * _phase(j, eta)))
-    return (alpha / period) * (upper + upper.conj().T), alpha * jx
+    return alpha * (upper + upper.conj().T), alpha * jx
 
 
-def dkt_heff(alpha, eta, j, period=1.0):
-    """h0 + kick/T + [[kick, h0], kick]/24 of the double kicked top."""
-    h0, kick = dkt_parts(alpha, eta, j, period)
-    return h0 + kick / period + commutator(commutator(kick, h0), kick) / 24.0
+def dkt_heff(alpha, eta, j):
+    """h0 + kick + [[kick, h0], kick]/24 of the double kicked top."""
+    h0, kick = dkt_parts(alpha, eta, j)
+    return h0 + kick + commutator(commutator(kick, h0), kick) / 24.0
 
 
-def dkt_floquet(alpha, eta, j, period=1.0):
-    """exp(-i T h0) exp(-i kick), each factor from its own dense eigendecomposition."""
-    h0, kick = dkt_parts(alpha, eta, j, period)
-    return unitary_from_hermitian(h0, period) @ unitary_from_hermitian(kick, 1.0)
+def exponential(ham):
+    """exp(-i H) of a dense Hermitian H from its eigendecomposition."""
+    values, vectors = np.linalg.eigh(ham)
+    return (vectors * np.exp(-1j * values)) @ vectors.conj().T
+
+
+def dkt_floquet(alpha, eta, j):
+    """exp(-i h0) exp(-i kick), each factor from its own dense eigendecomposition."""
+    h0, kick = dkt_parts(alpha, eta, j)
+    return exponential(h0) @ exponential(kick)
+
+
+def _phases(eigenvalues):
+    """E in (-pi, pi] of unit eigenvalues exp(-iE)."""
+    phases = -np.angle(eigenvalues)
+    return np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
 
 
 def quasienergies(unitary):
     """Sorted -angle of the eigenvalues from the nonsymmetric solver, in (-pi, pi]."""
-    phases = -np.angle(np.linalg.eigvals(unitary))
-    return np.sort(np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases))
+    return np.sort(_phases(np.linalg.eigvals(unitary)))
 
 
-def dkt_floquet_errors(alphas, eta, j, period=1.0):
-    """Largest gap between the folded dense H_eff spectrum and the quasienergies, per alpha."""
+def dkt_floquet_errors(alphas, eta, j):
+    """Largest gap between the folded dense H_eff spectrum and the quasienergies, per alpha;
+    an energy E folds as the phase of exp(-iE)."""
     errors = []
     for alpha in alphas:
-        folded = np.sort(fold_phases(np.linalg.eigvalsh(dkt_heff(alpha, eta, j, period)) * period))
-        errors.append(float(np.max(np.abs(folded - quasienergies(dkt_floquet(alpha, eta, j, period))))))
+        folded = np.sort(_phases(np.exp(-1j * np.linalg.eigvalsh(dkt_heff(alpha, eta, j)))))
+        errors.append(float(np.max(np.abs(folded - quasienergies(dkt_floquet(alpha, eta, j))))))
     return errors
 
 

@@ -160,9 +160,9 @@ def test_criterion_4_effective_slope(harper_spectra):
 def test_criterion_5_oracle_equivalence():
     details = []
     ok = True
-    # 2x2 hand case
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sz = np.diag([1.0, -1.0]).astype(complex)
+    # 2x2 hand case, Pauli operators as Banded ones
+    sx = ks.Banded(2, {1: np.ones(1, dtype=complex), -1: np.ones(1, dtype=complex)})
+    sz = ks.Banded.diagonal(np.array([1.0, -1.0], dtype=complex))
     period = 0.1
     system = ks.KickedSystem(h0=sz, kick=sx, period=period)
     general = heff_general(system, 10**6)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dense
+from conftest import as_banded
 from kickedspec.floquet import dkt_effective_hamiltonian
 from kickedspec.harper import HarperParams, harper_hamiltonian, kicked_harper_effective
 from kickedspec import GOLDEN_RATIO
@@ -94,7 +95,7 @@ def system_operators(draw):
         return system, built, dense.harper(length, sigma, alpha, period, kind)
     j, eta = draw(st.integers(1, 500)) / 2.0, draw(st.floats(-50.0, 50.0))
     if system == "dkt":
-        return system, dkt_effective_hamiltonian(alpha, eta, j, period), dense.dkt_heff(alpha, eta, j, period)
+        return system, dkt_effective_hamiltonian(alpha, eta, j), dense.dkt_heff(alpha, eta, j)
     case = system[-1]
     epsilon = draw(st.floats(-2.0, 2.0)) if case == "e" else None
     built = general_su2_hamiltonian(case, alpha, eta, j, epsilon)
@@ -138,12 +139,6 @@ def test_eigensolve_periodic_ring():
 def test_eigensolve_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         eigensolve(Banded(3, {1: np.ones(2)}))
-
-
-def as_banded(mat):
-    """A dense matrix as a `Banded` operator that stores every diagonal."""
-    dim = mat.shape[0]
-    return Banded(dim, {k: np.diagonal(mat, k) for k in range(1 - dim, dim)})
 
 
 def assert_eigenpairs(op, values, vectors, want):

@@ -153,19 +153,19 @@ def parse_outcome(argv):
 
 SYSTEM_RUNS = [
     {"system": "dkt", "j": "10", "alpha-over": "1", "eta-over-j": "golden", "q-grid": "0,2,,4",
-     "scale-grid": "2,4,8,16", "period": "2"},
+     "scale-grid": "2,4,8,16"},
     {"system": "su2-e", "j": "5", "alpha": "0.3", "eta": "1.5", "epsilon": "0.6"},
     {"system": "su2-b", "j": "5", "xi": "0.3"},
     {"system": "harper-kicked", "length": "100", "sigma": "golden", "alpha": "0.5", "harper-mode": "general",
-     "out-dir": "out"},
+     "period": "2", "out-dir": "out"},
 ]
 # runs that together give every option of each command
 OPTION_RUNS = {
     "butterfly": [
-        {"system": "dkt", "j": "4", "alpha": "0.25", "xi-sweep": "0:1:0.5", "period": "0.5", "out-dir": "out"},
+        {"system": "dkt", "j": "4", "alpha": "0.25", "xi-sweep": "0:1:0.5", "out-dir": "out"},
         {"system": "su2-e", "j": "3.5", "alpha-over": "2", "epsilon": "0.6", "xi-sweep": "0.5:0.5:1"},
         {"system": "harper-kicked", "length": "30", "alpha": "0.7", "sigma-sweep": "0:1:0.25",
-         "harper-mode": "general"},
+         "harper-mode": "general", "period": "0.5"},
         # a fixed value on the swept axis fails either way
         {"system": "dkt", "j": "4", "eta": "1", "xi-sweep": "0:1:0.5"},
         {"system": "dkt", "j": "4", "eta-over-j": "golden", "xi-sweep": "0:1:0.5"},
@@ -175,7 +175,7 @@ OPTION_RUNS = {
     "spectrum": SYSTEM_RUNS,
     "eigenstates": [*SYSTEM_RUNS, {"system": "dkt", "j": "1100", "eta": "1", "bins": "7"}],
     "floquet-compare": [
-        {"j": "10", "eta-over-j": "golden", "alpha-ladder": "0.04,0.02,0.01", "period": "0.5"},
+        {"j": "10", "eta-over-j": "golden", "alpha-ladder": "0.04,0.02,0.01"},
         {"j": "4", "eta": "1", "alpha-ladder": "0.1,0.05,0.02", "out-dir": "out"},
         {"j": "4", "xi": "0.2", "alpha-ladder": "0.1,,0.05,0.02"},
     ],
@@ -303,7 +303,7 @@ GENERAL_HARPER_ARGS = [*HARPER_ARGS, "--alpha", "0.7", "--period", "1.5"]
 
 # every CLI system with its arguments, harper-kicked once per mode
 BUTTERFLY_SYSTEMS = {
-    "dkt": ["--system", "dkt", "--j", "10", "--alpha", "0.2", "--period", "0.5"],
+    "dkt": ["--system", "dkt", "--j", "10", "--alpha", "0.2"],
     **{f"su2-{case}": ["--system", f"su2-{case}", *SU2_ARGS] for case in "abcdf"},
     "su2-e": ["--system", "su2-e", *SU2_ARGS, "--epsilon", "0.6"],
     "harper-static": ["--system", "harper-static", *HARPER_ARGS],
@@ -315,7 +315,7 @@ BUTTERFLY_SYSTEMS = {
 def library_hamiltonian(name):
     """The Hamiltonian of BUTTERFLY_SYSTEMS[name] from the library, at xi = XI or sigma = SIGMA."""
     if name == "dkt":
-        return dkt_effective_hamiltonian(0.2, XI * np.pi * 10.0, 10.0, 0.5)
+        return dkt_effective_hamiltonian(0.2, XI * np.pi * 10.0, 10.0)
     if name.startswith("su2-"):
         case = name[-1]
         return general_su2_hamiltonian(case, 0.4, XI * np.pi * 7.5, 7.5, 0.6 if case == "e" else None)
@@ -334,7 +334,7 @@ def test_butterfly_column_matches_library_build(name, tmp_path):
     column = np.array([float(r[2]) for r in rows])
     expected = eigensolve(library_hamiltonian(name))
     if name == "dkt":
-        expected = np.sort(fold_phases(expected * 0.5))
+        expected = np.sort(fold_phases(expected))
     np.testing.assert_array_equal(column, expected)
 
 
@@ -713,12 +713,57 @@ def test_config_echo_names_exactly_the_parameters_the_system_reads(name):
 
 @pytest.mark.parametrize("period", ["0", "-1", "nan", "inf"])
 def test_nonpositive_or_non_finite_period_is_config_error(period, tmp_path, capsys):
-    for args in (["spectrum", "--system", "dkt", "--j", "10", "--eta", "1"],
-                 ["floquet-compare", "--j", "10", "--eta", "1", "--alpha-ladder", "0.04,0.02,0.01"]):
+    # the two runs that read a period, where it sets the onsite-to-hopping ratio
+    for args in (["spectrum", "--system", "harper-kicked", "--harper-mode", "general", "--length", "30",
+                  "--sigma", "golden"],
+                 ["harper-diff", "--length", "30", "--sigma", "golden"]):
         assert run_cli([*args, "--period", period], tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --period: ") and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
+
+
+DKT_PERIOD_REFUSED = "--period: dkt does not read it (read by harper-kicked --harper-mode general)"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["spectrum", "--system", "dkt", "--j", "10", "--eta", "1"], DKT_PERIOD_REFUSED),
+    (["eigenstates", "--system", "dkt", "--j", "10", "--eta", "1"], DKT_PERIOD_REFUSED),
+    (["butterfly", "--system", "dkt", "--j", "10", "--xi-sweep", "0:1:0.5"], DKT_PERIOD_REFUSED),
+    (["floquet-compare", "--j", "10", "--eta", "1", "--alpha-ladder", "0.04,0.02,0.01"],
+     "unrecognized arguments: --period 2"),
+], ids=["spectrum", "eigenstates", "butterfly", "floquet-compare"])
+def test_the_kicked_top_takes_no_period(args, message, tmp_path, capsys):
+    # with h0 = (alpha/T) G and kick alpha Jx, T*H_eff = alpha G + alpha Jx +
+    # (alpha^3/24)[[Jx, G], Jx] has no T in it, nor has the one-period operator
+    assert run_cli([*args, "--period", "2"], tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# a run of every spin system, and of each command on the kicked top, at j = 0
+ZERO_SPIN_RUNS = {
+    **{f"spectrum-{system}": ["spectrum", "--system", system, "--j", "0", "--alpha", "1", "--eta", "1",
+                              *(["--epsilon", "0.6"] if system == "su2-e" else [])]
+       for system in SYSTEMS if not system.startswith("harper")},
+    "eigenstates-dkt": ["eigenstates", "--system", "dkt", "--j", "0", "--eta", "1"],
+    "butterfly-dkt": ["butterfly", "--system", "dkt", "--j", "0", "--xi-sweep", "0:1:0.5"],
+    "butterfly-su2-a": ["butterfly", "--system", "su2-a", "--j", "0", "--alpha-over", "1", "--xi-sweep", "0:1:0.5"],
+    "floquet-compare": ["floquet-compare", "--j", "0", "--eta", "1", "--alpha-ladder", "0.04,0.02,0.01"],
+}
+
+
+@pytest.mark.parametrize("run", sorted(ZERO_SPIN_RUNS))
+def test_zero_spin_is_rejected_while_parsing(run, tmp_path, capsys, monkeypatch):
+    # every spin Hamiltonian divides its phases by 2j; no build or solve may run
+    def never(*args, **kwargs):
+        raise AssertionError("a run with j = 0 reached the solver")
+
+    monkeypatch.setattr("kickedspec.cli.eigensolve", never)
+    monkeypatch.setattr("kickedspec.cli.effective_vs_floquet_errors", never)
+    assert run_cli(ZERO_SPIN_RUNS[run], tmp_path / "out") == 2
+    assert capsys.readouterr().err == "error: --j: phase operator requires j > 0\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["spectrum", "eigenstates"])

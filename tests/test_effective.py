@@ -1,20 +1,27 @@
 import numpy as np
 import pytest
 
+from conftest import as_banded, random_hermitian
 from kickedspec import GOLDEN_RATIO
 from kickedspec.effective import KickedSystem, commutator, heff_delta_kicked, heff_general, micromotion_kick
 from kickedspec.floquet import dkt_kicked_system
 from kickedspec.operators import Banded, hermiticity_defect, max_abs
 from kickedspec.su2 import spin_operators
 
-SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+SX = as_banded(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+SZ = as_banded(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
 
 
-def random_hermitian(dim, seed):
-    rng = np.random.default_rng(seed)
-    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (mat + mat.conj().T) / 2.0
+def diagonal(*values):
+    return Banded.diagonal(np.array(values))
+
+
+def zero(dim):
+    return Banded(dim, {})
+
+
+def random_banded(dim, seed):
+    return as_banded(random_hermitian(dim, seed))
 
 
 def test_commutator_su2():
@@ -23,17 +30,33 @@ def test_commutator_su2():
 
 
 def test_commutator_self_is_zero():
-    mat = random_hermitian(5, seed=1)
+    mat = random_banded(5, seed=1)
     assert np.allclose(commutator(mat, mat), 0.0)
 
 
 def test_commutator_hand_case():
-    assert np.allclose(commutator(np.diag([1.0, 2.0]), SX), [[0.0, -1.0], [1.0, 0.0]])
+    assert np.allclose(commutator(diagonal(1.0, 2.0), SX), [[0.0, -1.0], [1.0, 0.0]])
 
 
 def test_commutator_dimension_mismatch():
-    with pytest.raises(ValueError, match="equal shapes"):
-        commutator(np.eye(2), np.eye(3))
+    with pytest.raises(ValueError, match="dimension 2 and 3 do not combine"):
+        commutator(diagonal(1.0, 1.0), diagonal(1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("dense", ["first", "second", "both"])
+def test_commutator_refuses_a_dense_operand(dense):
+    a = SX.to_dense() if dense in ("first", "both") else SX
+    b = SZ.to_dense() if dense in ("second", "both") else SZ
+    with pytest.raises(TypeError, match="two Banded operators"):
+        commutator(a, b)
+
+
+@pytest.mark.parametrize("dense", ["h0", "kick"])
+def test_kicked_system_refuses_a_dense_operand(dense):
+    operands = {"h0": SZ, "kick": SX}
+    operands[dense] = operands[dense].to_dense()
+    with pytest.raises(TypeError, match="must be a Banded operator, got ndarray"):
+        KickedSystem(**operands, period=1.0)
 
 
 def test_kicked_system_validation():
@@ -41,30 +64,29 @@ def test_kicked_system_validation():
         with pytest.raises(ValueError, match="period"):
             KickedSystem(h0=SZ, kick=SX, period=period)
     with pytest.raises(ValueError, match="dimension"):
-        KickedSystem(h0=SZ, kick=np.eye(3), period=1.0)
+        KickedSystem(h0=SZ, kick=diagonal(1.0, 1.0, 1.0), period=1.0)
     with pytest.raises(ValueError, match="Hermitian"):
-        KickedSystem(h0=np.array([[0.0, 1.0], [0.0, 0.0]]), kick=SX, period=1.0)
+        KickedSystem(h0=Banded(2, {1: [1.0]}), kick=SX, period=1.0)
     system = KickedSystem(h0=SZ, kick=SX, period=0.5)
     assert system.omega * system.period == pytest.approx(2.0 * np.pi, abs=1e-14)
 
 
 def test_kick_fourier_coefficients_comb():
     # with h0 = 0 every bracket vanishes and heff_general is the comb coefficient kick/T
-    comb = heff_general(KickedSystem(h0=np.zeros((2, 2)), kick=np.eye(2), period=2.0), n_max=8)
+    comb = heff_general(KickedSystem(h0=zero(2), kick=diagonal(1.0, 1.0), period=2.0), n_max=8)
     assert np.allclose(comb, np.eye(2) / 2.0)
-    zero = heff_general(KickedSystem(h0=np.zeros((3, 3)), kick=np.zeros((3, 3)), period=1.0), n_max=4)
-    assert max_abs(zero) == 0.0
+    assert max_abs(heff_general(KickedSystem(h0=zero(3), kick=zero(3), period=1.0), n_max=4)) == 0.0
 
 
 def test_heff_delta_commuting_kick():
     # kick commutes with the static part: no correction survives
-    system = KickedSystem(h0=np.diag([1.0, 2.0]), kick=np.diag([0.3, 0.7]), period=0.25)
+    system = KickedSystem(h0=diagonal(1.0, 2.0), kick=diagonal(0.3, 0.7), period=0.25)
     assert np.allclose(heff_delta_kicked(system), np.diag([1.0 + 1.2, 2.0 + 2.8]))
 
 
 def test_heff_delta_zero_kick():
-    h0 = random_hermitian(4, seed=2)
-    system = KickedSystem(h0=h0, kick=np.zeros((4, 4)), period=1.0)
+    h0 = random_banded(4, seed=2)
+    system = KickedSystem(h0=h0, kick=zero(4), period=1.0)
     assert np.allclose(heff_delta_kicked(system), h0)
 
 
@@ -74,7 +96,7 @@ def test_heff_delta_tridiagonal_bond_correction():
     onsite = np.array([0.9, -0.4, 2.2, 0.1])
     hop = np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1)
     kick = np.diag(onsite)
-    system = KickedSystem(h0=hop.astype(complex), kick=kick.astype(complex), period=1.0)
+    system = KickedSystem(h0=as_banded(hop.astype(complex)), kick=as_banded(kick.astype(complex)), period=1.0)
     heff = heff_delta_kicked(system)
 
     brute = kick @ hop - hop @ kick
@@ -86,22 +108,22 @@ def test_heff_delta_tridiagonal_bond_correction():
 
 
 def test_heff_delta_affine_in_static_part():
-    kick = random_hermitian(4, seed=3)
-    h_a = random_hermitian(4, seed=4)
-    h_b = random_hermitian(4, seed=5)
+    kick = random_banded(4, seed=3)
+    h_a = random_banded(4, seed=4)
+    h_b = random_banded(4, seed=5)
     t = 0.7
 
     def heff(h0):
         return heff_delta_kicked(KickedSystem(h0=h0, kick=kick, period=t))
 
     lhs = heff(h_a + 2.0 * h_b)
-    rhs = heff(h_a) + 2.0 * (heff(h_b) - heff(np.zeros((4, 4))))
+    rhs = heff(h_a) + 2.0 * (heff(h_b) - heff(zero(4)))
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_heff_general_commuting_case_is_average():
-    h0 = np.diag([1.0, -1.0, 0.5])
-    kick = np.diag([0.2, 0.4, -0.1])
+    h0 = diagonal(1.0, -1.0, 0.5)
+    kick = diagonal(0.2, 0.4, -0.1)
     out = heff_general(KickedSystem(h0=h0, kick=kick, period=0.5), n_max=64)
     assert np.allclose(out, h0 + kick / 0.5)
 
@@ -115,7 +137,7 @@ def test_heff_general_matches_closed_form(system):
     general = heff_general(system, n_max=10**6)
     closed = heff_delta_kicked(system)
     assert max_abs(general - closed) <= 1e-6 * max_abs(closed)
-    assert isinstance(general, Banded) == isinstance(system.h0, Banded)
+    assert isinstance(general, Banded)
 
 
 def test_heff_general_hand_evaluated_partial_sum():
@@ -131,8 +153,8 @@ def test_heff_general_hand_evaluated_partial_sum():
 
 
 def test_heff_general_first_order_vanishes_for_comb():
-    kick = random_hermitian(3, seed=21)
-    h0 = np.zeros((3, 3))
+    kick = random_banded(3, seed=21)
+    h0 = zero(3)
     # with h0 = 0 every second-order bracket vanishes too: result is v0 exactly
     out = heff_general(KickedSystem(h0=h0, kick=kick, period=1.0), n_max=32)
     assert max_abs(out - kick) <= 1e-14 * max_abs(kick)
@@ -140,7 +162,7 @@ def test_heff_general_first_order_vanishes_for_comb():
 
 def test_heff_general_converges_monotonically():
     period = 0.3
-    system = KickedSystem(h0=random_hermitian(3, seed=31), kick=random_hermitian(3, seed=32), period=period)
+    system = KickedSystem(h0=random_banded(3, seed=31), kick=random_banded(3, seed=32), period=period)
     previous = None
     gaps = []
     for n_max in (16, 32, 64, 128, 256):
@@ -155,13 +177,13 @@ def test_heff_general_validation():
     with pytest.raises(ValueError, match="period"):
         heff_general(KickedSystem(h0=SZ, kick=SX, period=np.inf), 4)  # omega = 0
     with pytest.raises(ValueError, match="dimension"):
-        heff_general(KickedSystem(h0=np.eye(3), kick=SX, period=1.0), 4)
+        heff_general(KickedSystem(h0=diagonal(1.0, 1.0, 1.0), kick=SX, period=1.0), 4)
     with pytest.raises(ValueError, match="n_max"):
         heff_general(KickedSystem(h0=SZ, kick=SX, period=1.0), 0)
 
 
 def test_heff_outputs_hermitian():
-    system = KickedSystem(h0=random_hermitian(6, seed=41), kick=random_hermitian(6, seed=42), period=0.2)
+    system = KickedSystem(h0=random_banded(6, seed=41), kick=random_banded(6, seed=42), period=0.2)
     heff = heff_delta_kicked(system)
     assert hermiticity_defect(heff) <= 1e-12
     general = heff_general(system, 128)
@@ -173,11 +195,11 @@ def test_heff_outputs_hermitian():
 # ---------------------------------------------------------------------------
 
 def _dkt_like_system(seed=51, period=0.4, dim=3):
-    return KickedSystem(h0=random_hermitian(dim, seed=seed), kick=random_hermitian(dim, seed=seed + 1), period=period)
+    return KickedSystem(h0=random_banded(dim, seed=seed), kick=random_banded(dim, seed=seed + 1), period=period)
 
 
 def test_micromotion_zero_kick():
-    system = KickedSystem(h0=random_hermitian(3, seed=61), kick=np.zeros((3, 3)), period=1.0)
+    system = KickedSystem(h0=random_banded(3, seed=61), kick=zero(3), period=1.0)
     assert max_abs(micromotion_kick(system, 256, 0.37)) == 0.0
 
 
@@ -194,12 +216,12 @@ def test_micromotion_is_hermitian_with_zero_average():
     system = _dkt_like_system(seed=71)
     samples = 4099  # odd and above the truncation: uniform midpoint rule kills every harmonic
     ts = (np.arange(samples) + 0.5) * system.period / samples
-    mean = np.zeros_like(system.h0)
+    mean = zero(system.dim)
     norm = 0.0
     for t in ts:
         f = micromotion_kick(system, 512, float(t))
         assert hermiticity_defect(f) <= 1e-10
-        mean += f
+        mean = mean + f
         norm = max(norm, max_abs(f))
     assert max_abs(mean / samples) <= 1e-6 * norm
 

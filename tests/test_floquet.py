@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dense_oracle as dense
+from conftest import as_banded, random_hermitian
 from kickedspec import GOLDEN_RATIO, floquet
 from kickedspec.floquet import (
     _ladder_gauge,
@@ -28,12 +29,6 @@ MODULATIONS = {"golden": GOLDEN_RATIO, "silver": math.sqrt(2.0) - 1.0, "bronze":
 LADDER = (0.04, 0.02, 0.01, 0.005, 0.0025, 0.00125)
 
 
-def random_hermitian(dim, seed):
-    rng = np.random.default_rng(seed)
-    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (mat + mat.conj().T) / 2.0
-
-
 def random_unitary(dim, seed):
     rng = np.random.default_rng(seed)
     mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -54,12 +49,12 @@ def circular_distance(a, b):
 
 
 def test_unitary_from_hermitian_identity_at_zero():
-    h = random_hermitian(4, seed=1)
+    h = as_banded(random_hermitian(4, seed=1))
     assert np.allclose(unitary_from_hermitian(h, 0.0), np.eye(4))
 
 
 def test_unitary_from_hermitian_diagonal():
-    u = unitary_from_hermitian(np.diag([1.5, -0.5]), 2.0)
+    u = unitary_from_hermitian(Banded.diagonal([1.5, -0.5]), 2.0)
     assert np.allclose(u, np.diag([np.exp(-3.0j), np.exp(1.0j)]))
 
 
@@ -72,13 +67,21 @@ def test_unitary_from_hermitian_spin_half_rotation():
 
 @pytest.mark.parametrize("dim", [2, 5, 17])
 def test_unitary_from_hermitian_is_unitary(dim):
-    u = unitary_from_hermitian(random_hermitian(dim, seed=dim), 0.83)
+    ham = random_hermitian(dim, seed=dim)
+    u = unitary_from_hermitian(as_banded(ham), 0.83)
     assert unitarity_defect(u) <= 1e-10
+    # densified before numpy's eigh, so bit for bit the dense oracle's exponential
+    np.testing.assert_array_equal(unitary_from_hermitian(as_banded(ham), 1.0), dense.exponential(ham))
 
 
 def test_unitary_from_hermitian_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
-        unitary_from_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+        unitary_from_hermitian(Banded(2, {1: [1.0]}), 1.0)
+
+
+def test_unitary_from_hermitian_refuses_a_dense_generator():
+    with pytest.raises(TypeError, match="generator must be a Banded operator, got ndarray"):
+        unitary_from_hermitian(random_hermitian(3, seed=3), 1.0)
 
 
 def test_fold_phases_range_and_boundary():
@@ -156,17 +159,18 @@ def test_quasienergy_spectrum_rejects_non_unitary():
 def test_quasienergy_roundtrip_through_exponential():
     h = random_hermitian(6, seed=12)
     period = 0.9
-    phases = quasienergy_spectrum(unitary_from_hermitian(h, period))
+    phases = quasienergy_spectrum(unitary_from_hermitian(as_banded(h), period))
     expected = np.sort(fold_phases(np.linalg.eigvalsh(h) * period))
     assert np.max(np.abs(phases - expected)) <= 1e-10
 
 
 def test_dkt_system_consistency_with_floquet():
-    # the Floquet operator factors as exp(-i T H0) exp(-i kick); rebuilding it
-    # from the kicked-system pieces must agree exactly
-    alpha, eta, j, period = 0.11, 3.3, 5, 0.7
-    system = dkt_kicked_system(alpha, eta, j, period)
-    rebuilt = unitary_from_hermitian(system.h0, period) @ unitary_from_hermitian(system.kick, 1.0)
+    # the Floquet operator factors as exp(-i H0) exp(-i kick) at the kicked
+    # system's unit period; rebuilding it from the pieces must agree exactly
+    alpha, eta, j = 0.11, 3.3, 5
+    system = dkt_kicked_system(alpha, eta, j)
+    assert system.period == 1.0
+    rebuilt = unitary_from_hermitian(system.h0, 1.0) @ unitary_from_hermitian(system.kick, 1.0)
     assert np.allclose(rebuilt, dkt_floquet(alpha, eta, j), atol=1e-12)
 
 
@@ -192,16 +196,15 @@ def test_effective_hamiltonian_matches_kicked_system():
                        heff_delta_kicked(dkt_kicked_system(alpha, eta, j)))
 
 
-@pytest.mark.parametrize("j, period, ladder", [(10, 1.0, LADDER), (10, 0.7, LADDER), (200, 1.0, LADDER[:3])],
-                         ids=["j10", "j10-period0.7", "j200-three-rungs"])
+@pytest.mark.parametrize("j, ladder", [(10, LADDER), (200, LADDER[:3])], ids=["j10", "j200-three-rungs"])
 @pytest.mark.parametrize("modulation", sorted(MODULATIONS))
-def test_ladder_errors_match_dense_oracle(j, period, ladder, modulation):
+def test_ladder_errors_match_dense_oracle(j, ladder, modulation):
     # the benchmark's ladder, cut to its three largest kicks at j = 200, where
     # (silver, 0.02) crowds the first branch cut; the oracle multiplies two
     # dense exponentials and takes quasienergies from the nonsymmetric solver
     eta = MODULATIONS[modulation] * j
-    got = effective_vs_floquet_errors(ladder, eta, j, period)
-    want = dense.dkt_floquet_errors(ladder, eta, j, period)
+    got = effective_vs_floquet_errors(ladder, eta, j)
+    want = dense.dkt_floquet_errors(ladder, eta, j)
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
 
@@ -384,9 +387,9 @@ def rotation_symmetric_gauge(signs, seed, pair_phase=None):
     ham = ham + ham.T
     ham = (ham + rotation @ ham @ rotation) / 2.0
     if pair_phase is None:
-        return unitary_from_hermitian(ham, -1.0)
+        return unitary_from_hermitian(as_banded(ham), -1.0)
     gauge = np.zeros(ham.shape, dtype=complex)
-    gauge[1:-1, 1:-1] = unitary_from_hermitian(ham[1:-1, 1:-1], -1.0)
+    gauge[1:-1, 1:-1] = unitary_from_hermitian(as_banded(ham[1:-1, 1:-1]), -1.0)
     gauge[0, 0] = gauge[-1, -1] = np.exp(1j * pair_phase)
     return gauge
 

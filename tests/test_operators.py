@@ -3,18 +3,30 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import as_banded
 from kickedspec.operators import Banded, max_abs, require_hermitian, require_unitary, unitarity_defect
 
 
 def test_contracts_accept_valid_operators():
-    herm = np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -3.0]])
-    assert require_hermitian(herm) is not None
+    herm = as_banded(np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -3.0]]))
+    assert require_hermitian(herm) is herm
     assert require_unitary(np.array([[0.0, 1.0j], [1.0j, 0.0]])) is not None
+
+
+def test_require_hermitian_refuses_a_dense_matrix():
+    # a Hermitian ndarray is refused for its type, before any defect is computed
+    with pytest.raises(TypeError, match="generator must be a Banded operator, got ndarray"):
+        require_hermitian(np.eye(2), name="generator")
+
+
+def test_require_unitary_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match=r"must be a square matrix, got shape \(2, 3\)"):
+        require_unitary(np.eye(2, 3))
 
 
 def test_require_hermitian_rejects_nan():
     with pytest.raises(ValueError, match="not Hermitian"):
-        require_hermitian(np.full((3, 3), np.nan))
+        require_hermitian(as_banded(np.full((3, 3), np.nan)))
 
 
 def test_require_unitary_rejects_nan():
@@ -22,7 +34,7 @@ def test_require_unitary_rejects_nan():
         require_unitary(np.full((3, 3), np.nan))
 
 
-@pytest.mark.parametrize("mat", [np.full((3, 3), np.inf), Banded.diagonal(np.full(3, np.inf))])
+@pytest.mark.parametrize("mat", [as_banded(np.full((3, 3), np.inf)), Banded.diagonal(np.full(3, np.inf))])
 def test_require_hermitian_rejects_inf_without_warning(mat):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

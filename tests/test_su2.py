@@ -135,9 +135,9 @@ def test_family_hermiticity(case):
 
 
 def test_dkt_static_part_eta_zero_is_jx():
-    alpha, period, j = 2.0, 0.5, 5
-    ham = dkt_static_part(alpha, 0.0, j, period)
-    assert np.allclose(ham, (alpha / period) * spin_operators(j).jx)
+    alpha, j = 2.0, 5
+    ham = dkt_static_part(alpha, 0.0, j)
+    assert np.allclose(ham, alpha * spin_operators(j).jx)
 
 
 def test_dkt_static_part_alpha_zero():
@@ -146,12 +146,12 @@ def test_dkt_static_part_alpha_zero():
 
 def test_dkt_static_part_hand_case():
     # j=1/2, eta=pi*j: X = diag(0, pi), so exp(iX) = diag(1, -1) and the
-    # ladder entry is sqrt(1)/2; the (alpha/T) prefactor leaves |entry| = 1/2.
-    ham = dkt_static_part(1.0, np.pi / 2.0, 0.5, 1.0)
+    # ladder entry is sqrt(1)/2; the alpha prefactor leaves |entry| = 1/2.
+    ham = dkt_static_part(1.0, np.pi / 2.0, 0.5)
     assert np.allclose(ham, [[0.0, 0.5], [0.5, 0.0]])
     # generic eta: single off-diagonal with phase exp(i eta (2m+1)/2j) at m=-1/2
     eta = 0.77
-    ham = dkt_static_part(1.0, eta, 0.5, 1.0)
+    ham = dkt_static_part(1.0, eta, 0.5)
     assert ham[1, 0] == pytest.approx(0.5 * np.exp(1j * 0.0))
     assert np.count_nonzero(ham) == 2
 
@@ -162,8 +162,3 @@ def test_dkt_static_part_band_structure():
     assert np.allclose(np.diag(ham, k=2), 0.0)
     assert hermiticity_defect(ham) <= 1e-12
 
-
-def test_dkt_static_part_rejects_bad_period():
-    for period in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="period"):
-            dkt_static_part(1.0, 1.0, 2, period)
