@@ -8,11 +8,13 @@ H_eff's spin-flip parity blocks, built from its stored bands: two
 quarter-size singular value solves at integer spin, two half-size
 Hermitian solves at half-integer spin.  Five facts make the exact side of
 a ladder of kick strengths cost two half-size real eigendecompositions and
-unitarity checks, then per kick strength and parity block a first branch
-cut: at integer spin a quarter-size LU solve and singular value solve of
-blocks formed elementwise, at half-integer spin a half-size complex matrix
-product, inverse and Hermitian eigenvalue solve.  Nothing of full
-dimension is built.
+a unitarity check per gauge block (two at integer spin, one at
+half-integer spin), then per kick strength one LU solve and one singular
+value solve of blocks formed elementwise: per parity block at quarter
+size at integer spin, once at half size at half-integer spin.  A rung
+whose eigenvalues crowd that branch cut takes two more singular value
+solves of the same blocks instead, on no cut.  Nothing of full dimension
+is built.
 
 - Twist gauge.  The double kicked top's static generator is a diagonal phase
   gauge of Jx: ``dkt_static_part(1, eta, j) = P Jx P^dag`` with
@@ -34,10 +36,10 @@ dimension is built.
   conj(p_mid) last in the even block when n is odd.  Pair i of the two
   blocks is coupled by conj(p_i - p_{n-1-i})/2, which vanishes with
   P's symmetry, so A couples Jx eigenvectors of equal R-parity only (to
-  1e-15 at j = 10, 1e-13 at j = 1000).  Its blocks A_b = Y_b^T diag(q) Y_b
-  are built and checked unitary once per ladder, and U has the union of
-  the spectra of conj(A_b) D_b A_b D_b, unitary with A_b, over the two
-  blocks b.  The k-th Jx eigenvector has
+  1e-15 at j = 10, 1e-13 at j = 1000).  U has the union of the spectra of
+  conj(A_b) D_b A_b D_b, unitary with its block A_b = Y_b^T diag(q) Y_b,
+  over the two blocks b; the blocks the ladder needs (Chirality) are built
+  and checked unitary once per ladder.  The k-th Jx eigenvector has
   R-parity (-1)^(2j-k): R-even is index-even at integer spin and index-odd
   at half-integer spin.
 - Cayley quasienergies.  For W = exp(i theta) U, the Hermitian part of
@@ -45,7 +47,8 @@ dimension is built.
   E = theta - 2 arctan(lambda) comes from a Hermitian solve instead of a
   nonsymmetric one.  The branch cut sits at E = theta + pi.  The first cut
   is theta = 0.  When 1 + W is singular or max|lambda| exceeds CAYLEY_MAX,
-  an eigenvalue crowds the cut, and the cut moves once into the middle of
+  an eigenvalue crowds the cut.  For a general unitary
+  (`quasienergy_spectrum`) the cut then moves once into the middle of
   the widest gap of the spectrum's estimate from the Hermitian part of U,
   whose eigenvalues cos(E) need no cut.  No eigenvalue lies closer to that
   cut than half the gap g, so max|lambda| is about 4/g or less there; that
@@ -71,8 +74,18 @@ dimension is built.
   the pairs, 1 and 0 at the middle), so G_aa = C A_a C - S A_b' S and
   (K^dag)_ab = -i(C A_a S + S A_b' C): one quarter-size solve.  By the CS
   decomposition of the unitary G (Golub & Van Loan, Matrix Computations,
-  2.5.4), 1 + U' is singular exactly when G_aa is.  At half-integer spin S
-  swaps the two parity blocks, and the first cut is the general one.
+  2.5.4), G_aa = U diag(cos theta) V^dag and G_ab = U [diag(sin theta), 0]
+  W^dag with theta in [0, pi/2], so lambda = +-tan theta, E = -+2 theta,
+  and 1 + U' is singular exactly when G_aa is.  When the first cut is
+  crowded, theta = arctan2(sin theta, cos theta) from the singular values
+  of G_ab and G_aa, paired in opposite orders, gives the rung's
+  quasienergies with no branch cut; it fails only when a singular value
+  solve does not converge.  At half-integer spin S maps each parity block
+  onto the other, the k-th R-odd Jx eigenvector y_k onto +-the
+  (n_b-1-k)-th R-even one (checked once per ladder like S_b), so A's R-even
+  block is the signed reversal of the R-odd A_o.  The two blocks then make
+  one chiral block, with the R-odd m values, on whose S eigenvectors
+  (y_k +- S y_k)/sqrt(2) both sectors are A_o: the same cut at half size.
 """
 
 import numpy as np
@@ -184,19 +197,6 @@ def _cut_in_widest_gap(unitary: np.ndarray):
     return 0.5 * (edges[widest] + edges[widest + 1]), float(gaps[widest])
 
 
-def _or_moved_cut(unitary: np.ndarray, phases) -> np.ndarray:
-    """`phases` from the first branch cut, sorted, or, when that cut was
-    crowded (None), the sorted quasienergies on the cut moved once into the
-    widest gap; LinAlgError when eigenvalues crowd that cut too."""
-    if phases is None:
-        cut, gap = _cut_in_widest_gap(unitary)
-        phases = _cayley_phases(unitary, cut - np.pi, max(CAYLEY_MAX, 8.0 / gap))
-        if phases is None:
-            raise np.linalg.LinAlgError(
-                f"quasienergies: eigenvalues crowd the Cayley branch cuts at E = pi and E = {cut:.6g}")
-    return np.sort(phases)
-
-
 def quasienergy_spectrum(unitary) -> np.ndarray:
     """Sorted quasienergies of a unitary, each in (-pi, pi].
 
@@ -206,7 +206,14 @@ def quasienergy_spectrum(unitary) -> np.ndarray:
     eigenvalues crowd both branch cuts tried.
     """
     unitary = require_unitary(unitary, name="Floquet operator")
-    return _or_moved_cut(unitary, _cayley_phases(unitary, 0.0, CAYLEY_MAX))
+    phases = _cayley_phases(unitary, 0.0, CAYLEY_MAX)
+    if phases is None:
+        cut, gap = _cut_in_widest_gap(unitary)
+        phases = _cayley_phases(unitary, cut - np.pi, max(CAYLEY_MAX, 8.0 / gap))
+        if phases is None:
+            raise np.linalg.LinAlgError(
+                f"quasienergies: eigenvalues crowd the Cayley branch cuts at E = pi and E = {cut:.6g}")
+    return np.sort(phases)
 
 
 def _real_congruence(left: np.ndarray, diagonal: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -216,14 +223,16 @@ def _real_congruence(left: np.ndarray, diagonal: np.ndarray, right: np.ndarray) 
     return out
 
 
-def _rotation_signs(vecs: np.ndarray) -> np.ndarray:
-    """Signs s with S y_k = s_k y_{n-1-k} on the eigenvectors y_k of one of
-    Jx's parity blocks at integer spin, S the pi rotation diag((-1)^(j+m)),
-    which is diag((-1)^i) in the block's basis; LinAlgError, a numerical
-    failure, when S y_k leaves +-y_{n-1-k} by more than PARITY_ATOL."""
+def _rotation_signs(vecs: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """Signs s with S y_k = s_k z_{n-1-k} on the eigenvectors y_k of one of
+    Jx's parity blocks and z_k of the block S maps it onto, S the pi rotation
+    diag((-1)^(j+m)), which is diag((-1)^i) between the blocks' bases;
+    LinAlgError, a numerical failure, when S y_k leaves +-z_{n-1-k} by more
+    than PARITY_ATOL."""
     rotated = vecs * (1.0 - 2.0 * (np.arange(vecs.shape[0]) % 2))[:, None]
-    signs = np.sign(np.einsum("ik,ik->k", rotated, vecs[:, ::-1]))
-    rotated -= vecs[:, ::-1] * signs
+    reversed_image = image[:, ::-1]
+    signs = np.sign(np.einsum("ik,ik->k", rotated, reversed_image))
+    rotated -= reversed_image * signs
     defect = max_abs(rotated)
     if not defect <= PARITY_ATOL:
         raise np.linalg.LinAlgError(f"the pi rotation leaves the reversed Jx eigenvectors by {defect:.3g}")
@@ -250,13 +259,13 @@ def _rotation_sectors(block: np.ndarray, signs: np.ndarray) -> tuple:
 
 
 def _ladder_gauge(spin: SpinLabel, eta: float) -> tuple:
-    """Blocks of A = Vx^T P^dag Vx on the R-even and on the R-odd Jx
-    eigenvectors, complex symmetric and unitary, built from Jx's half-size
-    parity blocks, each with its `_rotation_sectors` at integer spin and None
-    at half-integer spin, where S swaps the blocks.
-    Its checks hold for every rung built from the blocks: LinAlgError, a
-    numerical failure, when A couples the blocks by more than PARITY_ATOL or
-    a block's unitarity defect exceeds UNITARITY_ATOL."""
+    """Sectors of A = Vx^T P^dag Vx per chiral block, built from Jx's
+    half-size parity blocks: each block's `_rotation_sectors` at integer
+    spin, and (A_o, A_o) of the R-odd block at half-integer spin.
+    Its checks hold for every rung built from the sectors: LinAlgError, a
+    numerical failure, when A couples the blocks by more than PARITY_ATOL,
+    S leaves a reversal of Jx eigenvectors or a gauge block's unitarity
+    defect exceeds UNITARITY_ATOL."""
     (_, even), (_, odd) = _parity_solve(spin_operators(spin).jx,
                                         lambda lower: np.linalg.eigh(_dense_hermitian(lower)))
     adjoint, half = _twist_gauge(spin, eta).conj(), spin.dim // 2
@@ -267,37 +276,29 @@ def _ladder_gauge(spin: SpinLabel, eta: float) -> tuple:
     if not mixing <= PARITY_ATOL:
         raise np.linalg.LinAlgError(f"twist gauge mixes the spin-flip parity blocks by {mixing:.3g}")
     pairs = (head + tail) / 2.0
-    blocks = (_real_congruence(even, np.concatenate((pairs, adjoint[half:spin.dim - half])), even),
-              _real_congruence(odd, pairs, odd))
-    for block in blocks:
+    # R-even holds the even indices at integer spin (odd dimension), and the
+    # ladder pairs the k-th chiral block with spin.m_values[k::2]
+    if spin.dim % 2:
+        chiral = ((even, even, np.concatenate((pairs, adjoint[half:spin.dim - half]))), (odd, odd, pairs))
+    else:
+        chiral = ((odd, even, pairs),)
+    sectors = []
+    for vecs, image, diagonal in chiral:
+        signs = _rotation_signs(vecs, image)
+        block = _real_congruence(vecs, diagonal, vecs)
         defect = unitarity_defect(block)
         if not defect <= UNITARITY_ATOL:
             raise np.linalg.LinAlgError(f"Floquet operator is not unitary (defect {defect:.3e} of a gauge block)")
-    # R-even holds the even indices at integer spin (odd dimension)
-    if spin.dim % 2:
-        return ((blocks[0], _rotation_sectors(blocks[0], _rotation_signs(even))),
-                (blocks[1], _rotation_sectors(blocks[1], _rotation_signs(odd))))
-    return (blocks[1], None), (blocks[0], None)
+        sectors.append(_rotation_sectors(block, signs) if spin.dim % 2 else (block, block))
+    return tuple(sectors)
 
 
-def _ladder_rung(block: np.ndarray, m_values: np.ndarray, alpha: float) -> np.ndarray:
-    """E conj(A_b) D_b A_b E of one parity block, with that block's m values:
-    conj(A_b) D_b A_b D_b under the diagonal similarity by E = D_b^(1/2)."""
-    root = np.exp(-0.5j * alpha * m_values)
-    right = block * root
-    right *= np.exp(-1j * alpha * m_values)[:, None]
-    # conj(A_b) R = conj(A_b conj(R)), without a conjugated copy of A_b
-    np.conjugate(right, out=right)
-    rung = block @ right
-    np.conjugate(rung, out=rung)
-    rung *= root[:, None]
-    return rung
-
-
-def _sector_cayley_phases(sectors: tuple, m_values: np.ndarray, alpha: float):
-    """Quasienergies on the first cut of a rung from its gauge block's
-    `_rotation_sectors`, or None when G_aa is singular or a Cayley eigenvalue
-    exceeds CAYLEY_MAX in magnitude; the coupling block drops its factor -i."""
+def _sector_cayley_phases(sectors: tuple, m_values: np.ndarray, alpha: float) -> np.ndarray:
+    """Quasienergies of a rung from the sectors of its chiral block, with the
+    m values of the block's Jx eigenvectors y_k, k < the outer sector's size:
+    on the first Cayley cut, or, when G_aa is singular or a Cayley eigenvalue
+    exceeds CAYLEY_MAX in magnitude, as +-2 theta from the CS decomposition
+    of G, which has no branch cut.  The coupling block drops its factor -i."""
     inner, outer = sectors
     half = inner.shape[0]
     if not half:  # one index, where m = 0 and the rung is 1
@@ -308,29 +309,23 @@ def _sector_cayley_phases(sectors: tuple, m_values: np.ndarray, alpha: float):
     gauge -= sin[:half, None] * outer[:half, :half] * sin[:half]
     coupling = sin[:half, None] * outer[:half] * cos
     coupling[:, :half] += cos[:half, None] * inner * sin[:half]
+    zeros = np.zeros(outer.shape[0] - half)
     try:
-        solved = np.linalg.solve(gauge, coupling)
-    except np.linalg.LinAlgError:  # an eigenvalue exactly on the cut
-        return None
-    sigma = np.linalg.svd(solved, compute_uv=False)
-    if not np.all(sigma <= CAYLEY_MAX):
-        return None
-    return -2.0 * np.arctan(np.concatenate((sigma, np.zeros(outer.shape[0] - half), -sigma)))
+        sigma = np.linalg.svd(np.linalg.solve(gauge, coupling), compute_uv=False)
+    except np.linalg.LinAlgError:  # an eigenvalue exactly on the cut, or no convergence
+        sigma = None
+    if sigma is not None and np.all(sigma <= CAYLEY_MAX):
+        return -2.0 * np.arctan(np.concatenate((sigma, zeros, -sigma)))
+    # the CS angles: G_aa's and G_ab's singular values pair in opposite orders
+    theta = np.arctan2(np.linalg.svd(coupling, compute_uv=False)[::-1], np.linalg.svd(gauge, compute_uv=False))
+    return fold_phases(2.0 * np.concatenate((theta, zeros, -theta)))
 
 
-def _ladder_quasienergies(blocks: tuple, spin: SpinLabel, alpha: float) -> np.ndarray:
-    """Sorted quasienergies of the one-period operator at alpha, block by
-    block, whose contracts `_ladder_gauge` checked; a block with sectors
-    builds its rung only when their first cut is crowded."""
-    spectra = []
-    for parity, (block, sectors) in enumerate(blocks):
-        m_values = spin.m_values[parity::2]
-        phases = None if sectors is None else _sector_cayley_phases(sectors, m_values, alpha)
-        if phases is None:
-            rung = _ladder_rung(block, m_values, alpha)
-            phases = _or_moved_cut(rung, _cayley_phases(rung, 0.0, CAYLEY_MAX) if sectors is None else None)
-        spectra.append(phases)
-    return np.sort(np.concatenate(spectra))
+def _ladder_quasienergies(gauge: tuple, spin: SpinLabel, alpha: float) -> np.ndarray:
+    """Sorted quasienergies of the one-period operator at alpha from the
+    `_ladder_gauge` sectors, whose contracts it checked."""
+    return np.sort(np.concatenate([_sector_cayley_phases(sectors, spin.m_values[parity::2], alpha)
+                                   for parity, sectors in enumerate(gauge)]))
 
 
 def effective_vs_floquet_errors(alphas, eta: float, j) -> list:
@@ -348,8 +343,8 @@ def effective_vs_floquet_errors(alphas, eta: float, j) -> list:
     # temporaries never add to theirs
     heffs = (heff_delta_kicked(dkt_kicked_system(alpha, eta, spin)) for alpha in alphas)
     folded = [np.sort(fold_phases(hermitian_eigh(heff))) for heff in heffs]
-    blocks = _ladder_gauge(spin, eta)
-    return [float(np.max(np.abs(effective - _ladder_quasienergies(blocks, spin, alpha))))
+    gauge = _ladder_gauge(spin, eta)
+    return [float(np.max(np.abs(effective - _ladder_quasienergies(gauge, spin, alpha))))
             for alpha, effective in zip(alphas, folded)]
 
 

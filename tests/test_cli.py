@@ -898,22 +898,23 @@ def test_exit_code_three_on_numerical_failure(tmp_path, monkeypatch):
 
 
 def test_failed_cayley_solve_exits_three(tmp_path, monkeypatch, capsys):
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("Singular matrix")
+    def unconverged(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
 
-    # both branch cuts fail, so the quasienergy solve gives up: the first cut
-    # factorizes 1 + W by `solve` at integer spin, every moved cut by `inv`
-    monkeypatch.setattr(np.linalg, "inv", singular)
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    assert run_cli(["floquet-compare", "--j", "10", "--eta-over-j", "golden",
+    # every route of the ladder ends in singular value solves, so the
+    # quasienergy solve gives up; at half-integer spin the H_eff takes
+    # Hermitian solves, so the failure is the ladder's
+    monkeypatch.setattr(np.linalg, "svd", unconverged)
+    assert run_cli(["floquet-compare", "--j", "10.5", "--eta-over-j", "golden",
                     "--alpha-ladder", "0.04,0.02,0.01"], tmp_path) == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not (tmp_path / "floquet_compare.json").exists()
 
 
-def test_failed_chiral_solve_moves_the_cut(tmp_path, monkeypatch):
-    # a singular first cut at integer spin goes straight to the moved cut,
-    # one inverse per block, which gives the same quasienergies
+def test_failed_chiral_solve_takes_the_cs_angles(tmp_path, monkeypatch):
+    # a singular first cut at integer spin takes the CS angles of its rung,
+    # with no inverse and no search for a gap, and gives the same
+    # quasienergies
     argv = ["floquet-compare", "--j", "10", "--eta-over-j", "golden", "--alpha-ladder", "0.04,0.02,0.01"]
     assert run_cli(argv, tmp_path / "plain") == 0
     cuts, inversions = [], []
@@ -925,10 +926,10 @@ def test_failed_chiral_solve_moves_the_cut(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", singular)
     monkeypatch.setattr(np.linalg, "inv", lambda mat: inversions.append(1) or inv(mat))
     monkeypatch.setattr(kickedspec.floquet, "_cut_in_widest_gap", lambda mat: cuts.append(1) or cut(mat))
-    assert run_cli(argv, tmp_path / "moved") == 0
+    assert run_cli(argv, tmp_path / "cs") == 0
     errors = [json.loads((tmp_path / d / "floquet_compare.json").read_text())["results"]["errors"]
-              for d in ("plain", "moved")]
-    assert len(cuts) == len(inversions) == 6
+              for d in ("plain", "cs")]
+    assert len(cuts) == len(inversions) == 0
     assert np.max(np.abs(np.subtract(*errors))) <= 1e-12 * np.pi
 
 
@@ -958,10 +959,10 @@ def test_parity_mixing_twist_exits_three(tmp_path, monkeypatch, capsys):
 def test_floquet_compare_diagonalizes_jx_parity_blocks(tmp_path, monkeypatch):
     # two half-size real eigendecompositions of Jx's parity blocks serve every
     # rung, and quasienergies never go through the nonsymmetric eigensolver.
-    # At integer spin each rung's first cut is one quarter-size solve on a
-    # sector of the pi rotation S and one singular value solve of S's
-    # off-diagonal block; at half-integer spin, where S swaps the parity
-    # blocks, it is an inverse and a Hermitian solve
+    # Each rung's first cut is one solve on a sector of the pi rotation S
+    # and one singular value solve of S's off-diagonal block: per parity
+    # block at integer spin, quarter-size, and at half-integer spin, where S
+    # swaps the parity blocks, once on the two, half-size
     names = ("eigh", "eigvals", "eigvalsh", "inv", "solve", "svd")
     ladder = ["--eta-over-j", "golden", "--alpha-ladder", "0.04,0.02,0.01,0.005,0.0025,0.00125"]
     calls = {}
@@ -985,17 +986,20 @@ def test_floquet_compare_diagonalizes_jx_parity_blocks(tmp_path, monkeypatch):
     calls.update({name: [] for name in names})
     assert run_cli(["floquet-compare", "--j", "10.5", *ladder], tmp_path / "half-integer") == 0
     assert calls["eigh"] == [((11, 11), "f"), ((11, 11), "f")]
-    assert calls["inv"] == [((11, 11), "c")] * 12
-    assert calls["solve"] == [] and calls["svd"] == [] and calls["eigvals"] == []
+    # the H_eff's two Hermitian blocks per kick strength
+    assert calls["eigvalsh"] == [((11, 11), "c")] * 12
+    assert calls["solve"] == calls["svd"] == [((11, 11), "c")] * 6
+    assert calls["inv"] == [] and calls["eigvals"] == []
 
 
 @pytest.mark.parametrize("ladder", ["0.04,0.02,0.01", "0.04,0.02,0.01,0.005,0.0025,0.00125"],
                          ids=["three-rungs", "six-rungs"])
-@pytest.mark.parametrize("j, sizes", [("10", [(11, 11), (10, 10)]), ("10.5", [(11, 11), (11, 11)])],
+@pytest.mark.parametrize("j, sizes", [("10", [(11, 11), (10, 10)]), ("10.5", [(11, 11)])],
                          ids=["j10", "j10.5"])
 def test_floquet_compare_checks_unitarity_once_per_gauge_block(j, sizes, ladder, tmp_path, monkeypatch):
     # every rung is unitary when its gauge block is, so a ladder of any
-    # length checks the two blocks and no rung
+    # length checks its gauge blocks, two at integer spin and one at
+    # half-integer spin, and no rung
     checked = []
     defect = kickedspec.operators.unitarity_defect
 

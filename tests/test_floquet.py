@@ -292,13 +292,13 @@ def test_quasienergy_spectrum_keeps_the_unitarity_tolerance():
 
 @pytest.mark.parametrize("j, alpha, modulation", [
     pytest.param(j, alpha, modulation, id=f"{alpha}-{modulation}" if j == 200 else f"j{j}-{alpha}-{modulation}")
-    for j in (200, 10.5, 2, 1.5, 1, 0.5) for alpha in (0.01, 0.04) for modulation in sorted(MODULATIONS)])
+    for j in (200, 200.5, 10.5, 2, 1.5, 1, 0.5) for alpha in (0.01, 0.04) for modulation in sorted(MODULATIONS)])
 def test_ladder_quasienergies_match_dense_oracle(j, alpha, modulation):
     # a j = 200 rung in the Jx eigenbasis puts Cayley eigenvalues up to ~500
-    # on the first cut, where the inverse's rounding would reach the
-    # quasienergies through a solve that reads one triangle of H_c; j = 10.5
-    # has an even dimension, j = 2 and 1 a middle index in parity blocks of
-    # sizes 3 + 2 and 2 + 1, j = 1.5 blocks 2 + 2 and j = 0.5 two 1x1 blocks
+    # on the first cut; j = 200.5 and 10.5 have an even dimension, where the
+    # two parity blocks make one chiral block, j = 2 and 1 a middle index in
+    # parity blocks of sizes 3 + 2 and 2 + 1, j = 1.5 blocks 2 + 2 and
+    # j = 0.5 two 1x1 blocks
     spin = SpinLabel(j)
     eta = MODULATIONS[modulation] * spin.j
     got = _ladder_quasienergies(_ladder_gauge(spin, eta), spin, alpha)
@@ -347,16 +347,26 @@ def signed_reversal(signs):
     return mat
 
 
+def dense_gauge(spin, eta):
+    """A = Vx^T P^dag Vx from numpy's eigh of the dense Jx, whose k-th
+    eigenvector has R-parity (-1)^(2j-k)."""
+    vecs = np.linalg.eigh(spin_operators(spin).jx.to_dense())[1]
+    return vecs.T @ (_twist_gauge(spin, eta).conj()[:, None] * vecs)
+
+
 @pytest.mark.parametrize("j", [1, 2, 10, 200])
 def test_ladder_blocks_are_chiral_under_the_pi_rotation(j):
     # S = diag((-1)^(j+m)) anticommutes with Jx and commutes with the twist,
     # so on each parity block's Jx eigenvectors it is a signed reversal S_b
     # with S_b A_b S_b = A_b: in S_b's eigenbasis A_b is the direct sum of
     # its two sectors, each complex symmetric and unitary, whose spectra
-    # make up A_b's
+    # make up A_b's (R-even is index-even at integer spin)
     spin = SpinLabel(j)
     for modulation in sorted(MODULATIONS):
-        for block, sectors in _ladder_gauge(spin, MODULATIONS[modulation] * j):
+        eta = MODULATIONS[modulation] * j
+        gauge = dense_gauge(spin, eta)
+        for parity, sectors in enumerate(_ladder_gauge(spin, eta)):
+            block = gauge[parity::2, parity::2]
             assert [len(sector) for sector in sectors] == [len(block) // 2, len(block) - len(block) // 2]
             for sector in sectors:
                 assert unitarity_defect(sector) <= 1e-13 and max_abs(sector - sector.T) <= 1e-13
@@ -367,14 +377,29 @@ def test_ladder_blocks_are_chiral_under_the_pi_rotation(j):
 @pytest.mark.parametrize("j", [1.5, 10.5])
 def test_pi_rotation_swaps_the_parity_blocks_at_half_integer_spin(j):
     # S maps the k-th Jx eigenvector onto +-the (n-1-k)-th, which has the
-    # other spin-flip parity when n is even, so the ladder has no chirality
+    # other spin-flip parity when n is even, so the two parity blocks make
+    # one chiral block: its two sectors are one R-odd gauge block, whose
+    # spectrum is that of each parity block of A
     spin = SpinLabel(j)
     vecs = np.linalg.eigh(spin_operators(spin).jx.to_dense())[1]
     rotated = (-1.0) ** np.arange(spin.dim)[:, None] * vecs
     assert np.allclose(np.abs(np.sum(rotated * vecs[:, ::-1], axis=0)), 1.0, rtol=0.0, atol=1e-13)
     flip_parity = np.sum(vecs[::-1] * vecs, axis=0)
     assert np.allclose(flip_parity, -flip_parity[::-1], rtol=0.0, atol=1e-13)
-    assert [signs for _, signs in _ladder_gauge(spin, GOLDEN_RATIO * spin.j)] == [None, None]
+    eta = GOLDEN_RATIO * spin.j
+    [(inner, outer)] = _ladder_gauge(spin, eta)
+    assert inner is outer and inner.shape == (spin.dim // 2, spin.dim // 2)
+    assert unitarity_defect(inner) <= 1e-13 and max_abs(inner - inner.T) <= 1e-13
+    gauge = dense_gauge(spin, eta)
+    for parity in (0, 1):
+        assert circular_distance(np.angle(np.linalg.eigvals(inner)),
+                                 np.angle(np.linalg.eigvals(gauge[parity::2, parity::2]))) <= 1e-12
+
+
+def dense_rung(block, m_values, alpha):
+    """E conj(A_b) D_b A_b E of a gauge block, E = D_b^(1/2), by dense products."""
+    root = np.exp(-0.5j * alpha * m_values)
+    return root[:, None] * (block.conj() @ (np.exp(-1j * alpha * m_values)[:, None] * block)) * root
 
 
 def rotation_symmetric_gauge(signs, seed, pair_phase=None):
@@ -394,49 +419,64 @@ def rotation_symmetric_gauge(signs, seed, pair_phase=None):
     return gauge
 
 
-@pytest.mark.parametrize("signs, pair_phase, kick, moved", [
+@pytest.mark.parametrize("signs, pair_phase, kick, crowded", [
     ([1.0, -1.0, 1.0, 1.0, -1.0, 1.0], None, 0.3, False),
     ([-1.0, 1.0, -1.0, 1.0, -1.0], None, 0.3, False),
     ([1.0, 1.0, 1.0, 1.0, 1.0], 0.7, np.pi - 1e-9, True),
     ([1.0, -1.0, -1.0, 1.0], 0.7, np.pi, True),
 ], ids=["even-dim", "odd-dim", "near-minus-one", "minus-one"])
-def test_gauge_cut_of_a_rotation_symmetric_block(signs, pair_phase, kick, moved, monkeypatch):
-    # one quarter-size solve and a singular value solve on the sector cut,
-    # which the ladder takes for its integer-spin rungs; an eigenvalue within
-    # 1e-9 of -1, or at -1, where G_aa is singular, sends the rung to the
-    # moved cut, one inverse.  kick = 2 alpha |m_0| is that eigenvalue's
-    # quasienergy when the block has a pair phase
+def test_gauge_cut_of_a_rotation_symmetric_block(signs, pair_phase, kick, crowded, monkeypatch):
+    # one quarter-size solve and a singular value solve on the sector cut;
+    # an eigenvalue within 1e-9 of -1, or at -1, puts a Cayley eigenvalue
+    # beyond CAYLEY_MAX (G_aa's LU sees cos(pi/4)^2 - sin(pi/4)^2 = 2e-16,
+    # not zero), and the rung takes the CS angles from two more singular
+    # value solves, of G_aa and of the coupling block.  kick = 2 alpha |m_0|
+    # is that eigenvalue's quasienergy when the block has a pair phase
     dim = len(signs)
     spin = SpinLabel(dim - 1)  # m_values[0::2] = -(n-1), ..., n-1
     m_values = spin.m_values[0::2]
     alpha = kick / (2.0 * (dim - 1))
     block = rotation_symmetric_gauge(signs, seed=dim, pair_phase=pair_phase)
     sectors = _rotation_sectors(block, np.array(signs))
-    calls = {"solve": [], "inv": []}
+    calls = {"solve": [], "inv": [], "svd": []}
     for name in calls:
-        def counted(mat, *args, _name=name, _original=getattr(np.linalg, name)):
+        def counted(mat, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
             calls[_name].append(np.shape(mat))
-            return _original(mat, *args)
+            return _original(mat, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    got = _ladder_quasienergies(((block, sectors),), spin, alpha)
-    assert calls == {"solve": [(dim // 2, dim // 2)], "inv": [(dim, dim)] * moved}
-    root = np.exp(-0.5j * alpha * m_values)
-    rung = root[:, None] * (block.conj() @ (np.exp(-1j * alpha * m_values)[:, None] * block)) * root
+    got = _ladder_quasienergies((sectors,), spin, alpha)
+    quarter, outer = (dim // 2, dim // 2), (dim // 2, dim - dim // 2)
+    assert calls == {"solve": [quarter], "inv": [], "svd": [outer] + [outer, quarter] * crowded}
     assert np.all(np.diff(got) >= 0) and np.all(got > -np.pi) and np.all(got <= np.pi)
-    assert circular_distance(got, dense.quasienergies(rung)) <= 1e-12
+    assert circular_distance(got, dense.quasienergies(dense_rung(block, m_values, alpha))) <= 1e-12
+    if kick == np.pi:  # the pair's eigenvalue -1, twice, on no branch cut
+        assert list(got[-2:]) == [np.pi, np.pi]
 
 
-def test_crowded_benchmark_rungs_refuse_the_sector_cut():
+def test_crowded_benchmark_rungs_refuse_the_sector_cut(monkeypatch):
     # silver at j = 200 puts an eigenvalue of both blocks of the alpha = 0.02
-    # rung close enough to -1 that the first cut is refused
-    spin = SpinLabel(200)
-    for parity, (_, sectors) in enumerate(_ladder_gauge(spin, MODULATIONS["silver"] * 200)):
-        assert _sector_cayley_phases(sectors, spin.m_values[parity::2], 0.02) is None
+    # rung close enough to -1 that the first cut is refused: each block makes
+    # the first cut's singular value solve and the CS pair
+    spin, eta = SpinLabel(200), MODULATIONS["silver"] * 200
+    gauge = dense_gauge(spin, eta)
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda mat, **kwargs: shapes.append(mat.shape) or svd(mat, **kwargs))
+    for parity, sectors in enumerate(_ladder_gauge(spin, eta)):
+        shapes.clear()
+        m_values = spin.m_values[parity::2]
+        got = np.sort(_sector_cayley_phases(sectors, m_values, 0.02))
+        inner, outer = sectors
+        assert shapes == [(len(inner), len(outer))] * 2 + [(len(inner), len(inner))]
+        rung = dense_rung(gauge[parity::2, parity::2], m_values, 0.02)
+        assert circular_distance(got, dense.quasienergies(rung)) <= 1e-13
 
 
 def test_ladder_gauge_rejects_eigenvectors_the_pi_rotation_does_not_reverse(monkeypatch):
     # mixing two eigenvectors of one parity block keeps the blocks apart but
-    # breaks S y_k = +-y_{n-1-k}, which the chiral first cut relies on
+    # breaks S y_k = +-z_{n-1-k}, with z the eigenvectors of the same block
+    # at integer spin and of the other block at half-integer spin, which the
+    # chiral first cut relies on
     eigh = np.linalg.eigh
 
     def mixed(mat):
@@ -446,5 +486,6 @@ def test_ladder_gauge_rejects_eigenvectors_the_pi_rotation_does_not_reverse(monk
         return values, vecs
 
     monkeypatch.setattr(np.linalg, "eigh", mixed)
-    with pytest.raises(np.linalg.LinAlgError, match="pi rotation leaves the reversed Jx eigenvectors by"):
-        _ladder_gauge(SpinLabel(10), GOLDEN_RATIO * 10)
+    for j in (10, 10.5):
+        with pytest.raises(np.linalg.LinAlgError, match="pi rotation leaves the reversed Jx eigenvectors by"):
+            _ladder_gauge(SpinLabel(j), GOLDEN_RATIO * j)
