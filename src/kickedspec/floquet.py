@@ -8,13 +8,13 @@ H_eff's spin-flip parity blocks, built from its stored bands: two
 quarter-size singular value solves at integer spin, two half-size
 Hermitian solves at half-integer spin.  Five facts make the exact side of
 a ladder of kick strengths cost two half-size real eigendecompositions and
-a unitarity check per gauge block (two at integer spin, one at
-half-integer spin), then per kick strength one LU solve and one singular
-value solve of blocks formed elementwise: per parity block at quarter
-size at integer spin, once at half size at half-integer spin.  A rung
-whose eigenvalues crowd that branch cut takes two more singular value
-solves of the same blocks instead, on no cut.  Nothing of full dimension
-is built.
+a unitarity check per gauge sector (four quarter-size at integer spin,
+one half-size at half-integer spin), then per kick strength one LU solve
+and one singular value solve of blocks formed elementwise: per parity
+block at quarter size at integer spin, once at half size at half-integer
+spin.  A rung whose eigenvalues crowd that branch cut takes two more
+singular value solves of the same blocks instead, on no cut.  Nothing of
+full dimension is built.
 
 - Twist gauge.  The double kicked top's static generator is a diagonal phase
   gauge of Jx: ``dkt_static_part(1, eta, j) = P Jx P^dag`` with
@@ -35,13 +35,14 @@ is built.
   diag(q) on each block: q_i = conj(p_i + p_{n-1-i})/2 on the pairs, and
   conj(p_mid) last in the even block when n is odd.  Pair i of the two
   blocks is coupled by conj(p_i - p_{n-1-i})/2, which vanishes with
-  P's symmetry, so A couples Jx eigenvectors of equal R-parity only (to
-  1e-15 at j = 10, 1e-13 at j = 1000).  U has the union of the spectra of
-  conj(A_b) D_b A_b D_b, unitary with its block A_b = Y_b^T diag(q) Y_b,
-  over the two blocks b; the blocks the ladder needs (Chirality) are built
-  and checked unitary once per ladder.  The k-th Jx eigenvector has
-  R-parity (-1)^(2j-k): R-even is index-even at integer spin and index-odd
-  at half-integer spin.
+  P's symmetry, so A couples Jx eigenvectors of equal R-parity only: the
+  dropped coupling, that diagonal between orthonormal Jx eigenvectors, has
+  no entry above max|p_i - p_{n-1-i}|/2 (1e-15 at j = 1000).  U has
+  the union of the spectra of conj(A_b) D_b A_b D_b, unitary with its
+  block A_b = Y_b^T diag(q) Y_b, over the two blocks b; the sectors the
+  ladder needs (Chirality) are built and checked unitary once per ladder.
+  The k-th Jx eigenvector has R-parity (-1)^(2j-k): R-even is index-even
+  at integer spin and index-odd at half-integer spin.
 - Cayley quasienergies.  For W = exp(i theta) U, the Hermitian part of
   H_c = i(1 - W)(1 + W)^-1 has eigenvalues lambda = -tan((E - theta)/2), so
   E = theta - 2 arctan(lambda) comes from a Hermitian solve instead of a
@@ -63,7 +64,11 @@ is built.
   S_b: y_k -> s_k y_{n_b-1-k} of the block's Jx eigenvectors; the signs are
   read from Y_b and checked once per ladder.  S_b A_b S_b = A_b, so A_b is
   the direct sum of its sectors A_a and A_b' on S_b's eigenvectors of the
-  two signs, a without the middle index.  With E = diag(exp(i phi)),
+  two signs, a without the middle index: (y_k + t s_k y_{n_b-1-k})/sqrt(2)
+  of sign t, and the middle y_k in the sector of its sign.  S is
+  diag((-1)^i) in the block's basis, so these vanish (to PARITY_ATOL) off
+  the rows of their sign, and each sector is a quarter-size congruence on
+  those rows.  With E = diag(exp(i phi)),
   phi = -alpha m_b/2, the rung U' = E conj(A_b) D_b A_b E, similar to
   conj(A_b) D_b A_b D_b, is K G for the unitaries G = E A_b E and
   K = E conj(A_b) E, so 1 + U' = K F with the elementwise product
@@ -216,13 +221,6 @@ def quasienergy_spectrum(unitary) -> np.ndarray:
     return np.sort(phases)
 
 
-def _real_congruence(left: np.ndarray, diagonal: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left^T diag(diagonal) right for real left and right, by two real products."""
-    out = left.T @ (diagonal.imag[:, None] * right) * 1j
-    out += left.T @ (diagonal.real[:, None] * right)
-    return out
-
-
 def _rotation_signs(vecs: np.ndarray, image: np.ndarray) -> np.ndarray:
     """Signs s with S y_k = s_k z_{n-1-k} on the eigenvectors y_k of one of
     Jx's parity blocks and z_k of the block S maps it onto, S the pi rotation
@@ -239,57 +237,56 @@ def _rotation_signs(vecs: np.ndarray, image: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _rotation_sectors(block: np.ndarray, signs: np.ndarray) -> tuple:
-    """Sectors of A_b on S_b's eigenvectors (e_k + t s_k e_{n-1-k})/sqrt(2),
-    k < n // 2, of sign t: first the sign without e_{n//2}, then the other,
-    with e_{n//2} last at odd n; each entry averages the two of A_b's four
-    quadrants that S_b maps onto each other."""
-    dim, half = block.shape[0], block.shape[0] // 2
-    side = signs[half] if dim % 2 else -1.0
-    pair = signs[:half]
-    base = (block[:half, :half] + np.outer(pair, pair) * block[::-1, ::-1][:half, :half]) / 2.0
-    cross = block[:half, ::-1][:, :half] * pair
-    mix = (cross + cross.T) / 2.0
-    outer = np.empty((dim - half, dim - half), dtype=complex)
-    outer[:half, :half] = base + side * mix
-    if dim % 2:
-        outer[:half, half] = outer[half, :half] = (block[:half, half] + side * pair * block[:half:-1, half]) / 2 ** 0.5
-        outer[half, half] = block[half, half]
-    return base - side * mix, outer
+def _gauge_sector(vecs: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """vecs^T diag(diagonal) vecs for real vecs, by two real products; LinAlgError,
+    a numerical failure, when its unitarity defect exceeds UNITARITY_ATOL."""
+    sector = vecs.T @ (diagonal.imag[:, None] * vecs) * 1j
+    sector += vecs.T @ (diagonal.real[:, None] * vecs)
+    defect = unitarity_defect(sector)
+    if not defect <= UNITARITY_ATOL:
+        raise np.linalg.LinAlgError(f"Floquet operator is not unitary (defect {defect:.3e} of a gauge block)")
+    return sector
+
+
+def _rotation_sector(vecs: np.ndarray, signs: np.ndarray, sign: float) -> np.ndarray:
+    """S_b's eigenvectors (y_k + t s_k y_{n-1-k})/sqrt(2), k < n // 2, of
+    sign t, then y_{n//2} when s_{n//2} = t, on the rows where
+    S_b = diag((-1)^i) has sign t, off which they vanish to PARITY_ATOL."""
+    rows, pair = vecs[int(sign < 0)::2], len(signs) // 2
+    sector = (rows[:, :pair] + rows[:, ::-1][:, :pair] * (sign * signs[:pair])) / 2 ** 0.5
+    if len(signs) % 2 and signs[pair] == sign:
+        sector = np.column_stack((sector, rows[:, pair]))
+    return sector
 
 
 def _ladder_gauge(spin: SpinLabel, eta: float) -> tuple:
     """Sectors of A = Vx^T P^dag Vx per chiral block, built from Jx's
-    half-size parity blocks: each block's `_rotation_sectors` at integer
+    half-size parity blocks: each block's two `_rotation_sector`s at integer
     spin, and (A_o, A_o) of the R-odd block at half-integer spin.
     Its checks hold for every rung built from the sectors: LinAlgError, a
     numerical failure, when A couples the blocks by more than PARITY_ATOL,
-    S leaves a reversal of Jx eigenvectors or a gauge block's unitarity
-    defect exceeds UNITARITY_ATOL."""
+    S leaves a reversal of Jx eigenvectors or a sector's unitarity defect
+    exceeds UNITARITY_ATOL."""
     (_, even), (_, odd) = _parity_solve(spin_operators(spin).jx,
                                         lambda lower: np.linalg.eigh(_dense_hermitian(lower)))
     adjoint, half = _twist_gauge(spin, eta).conj(), spin.dim // 2
     head, tail = adjoint[:half], adjoint[::-1][:half]
-    # the R-even x R-odd block of A, equal up to signs and a transpose to the
-    # dropped A[0::2, 1::2]
-    mixing = max_abs(_real_congruence(even[:half], (head - tail) / 2.0, odd))
+    # bounds the entries of A's dropped R-even x R-odd block, even[:half]^T diag((head - tail)/2) odd
+    mixing = max_abs(head - tail) / 2.0
     if not mixing <= PARITY_ATOL:
         raise np.linalg.LinAlgError(f"twist gauge mixes the spin-flip parity blocks by {mixing:.3g}")
     pairs = (head + tail) / 2.0
+    if not spin.dim % 2:
+        _rotation_signs(odd, even)
+        return ((_gauge_sector(odd, pairs),) * 2,)
     # R-even holds the even indices at integer spin (odd dimension), and the
     # ladder pairs the k-th chiral block with spin.m_values[k::2]
-    if spin.dim % 2:
-        chiral = ((even, even, np.concatenate((pairs, adjoint[half:spin.dim - half]))), (odd, odd, pairs))
-    else:
-        chiral = ((odd, even, pairs),)
     sectors = []
-    for vecs, image, diagonal in chiral:
-        signs = _rotation_signs(vecs, image)
-        block = _real_congruence(vecs, diagonal, vecs)
-        defect = unitarity_defect(block)
-        if not defect <= UNITARITY_ATOL:
-            raise np.linalg.LinAlgError(f"Floquet operator is not unitary (defect {defect:.3e} of a gauge block)")
-        sectors.append(_rotation_sectors(block, signs) if spin.dim % 2 else (block, block))
+    for vecs, diagonal in ((even, np.concatenate((pairs, adjoint[half:half + 1]))), (odd, pairs)):
+        signs = _rotation_signs(vecs, vecs)
+        side = signs[len(signs) // 2] if len(signs) % 2 else -1.0
+        sectors.append(tuple(_gauge_sector(_rotation_sector(vecs, signs, sign), diagonal[int(sign < 0)::2])
+                             for sign in (-side, side)))
     return tuple(sectors)
 
 

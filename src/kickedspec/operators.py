@@ -20,8 +20,8 @@ to a solver or an exponential passes one of those entry points.  The one
 check on a built result is `effective.heff_delta_kicked`'s, because its
 products can overflow even when its inputs passed.  `hermitian_eigh` checks
 nothing: `eigensolve` and the Floquet comparison hand it checked operators.
-The Floquet ladder checks its two gauge blocks once, not the rungs built
-from them.
+The Floquet ladder checks its gauge sectors once (four quarter-size at
+integer spin, one half-size at half-integer spin), not the rungs.
 """
 
 import numbers

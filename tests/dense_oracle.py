@@ -5,7 +5,9 @@ matrix products, straight from its defining formula, so the banded builders
 in kickedspec can be checked against an independent route at small sizes.
 The Floquet operator of the double kicked top is the product of two dense
 exponentials, each from numpy's `eigh`, and its quasienergies come from the
-nonsymmetric eigensolver.  Nothing here calls kickedspec's Floquet code.
+nonsymmetric eigensolver.  The pi-rotation sectors of a whole gauge block
+are averaged from its four quadrants.  Nothing here calls kickedspec's
+Floquet code.
 """
 
 import numpy as np
@@ -99,6 +101,26 @@ def dkt_floquet_errors(alphas, eta, j):
         folded = np.sort(_phases(np.exp(-1j * np.linalg.eigvalsh(dkt_heff(alpha, eta, j)))))
         errors.append(float(np.max(np.abs(folded - quasienergies(dkt_floquet(alpha, eta, j))))))
     return errors
+
+
+def rotation_sectors(block, signs):
+    """Sectors of a gauge block A_b on S_b's eigenvectors
+    (e_k + t s_k e_{n-1-k})/sqrt(2), k < n // 2, of sign t, for the signed
+    reversal S_b: e_k -> s_k e_{n-1-k}: first the sign without e_{n//2},
+    then the other, with e_{n//2} last at odd n; each entry averages the two
+    of A_b's four quadrants that S_b maps onto each other."""
+    dim, half = block.shape[0], block.shape[0] // 2
+    side = signs[half] if dim % 2 else -1.0
+    pair = signs[:half]
+    base = (block[:half, :half] + np.outer(pair, pair) * block[::-1, ::-1][:half, :half]) / 2.0
+    cross = block[:half, ::-1][:, :half] * pair
+    mix = (cross + cross.T) / 2.0
+    outer = np.empty((dim - half, dim - half), dtype=complex)
+    outer[:half, :half] = base + side * mix
+    if dim % 2:
+        outer[:half, half] = outer[half, :half] = (block[:half, half] + side * pair * block[:half:-1, half]) / 2 ** 0.5
+        outer[half, half] = block[half, half]
+    return base - side * mix, outer
 
 
 def harper(length, sigma, alpha=1.0, period=1.0, kind="static"):

@@ -994,12 +994,14 @@ def test_floquet_compare_diagonalizes_jx_parity_blocks(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("ladder", ["0.04,0.02,0.01", "0.04,0.02,0.01,0.005,0.0025,0.00125"],
                          ids=["three-rungs", "six-rungs"])
-@pytest.mark.parametrize("j, sizes", [("10", [(11, 11), (10, 10)]), ("10.5", [(11, 11)])],
+@pytest.mark.parametrize("j, sizes", [("10", [(5, 5), (6, 6), (5, 5), (5, 5)]), ("10.5", [(11, 11)])],
                          ids=["j10", "j10.5"])
 def test_floquet_compare_checks_unitarity_once_per_gauge_block(j, sizes, ladder, tmp_path, monkeypatch):
-    # every rung is unitary when its gauge block is, so a ladder of any
-    # length checks its gauge blocks, two at integer spin and one at
-    # half-integer spin, and no rung
+    # every rung is unitary when the sectors it is built from are, so a
+    # ladder of any length checks its gauge once and no rung: at integer
+    # spin the two quarter-size pi-rotation sectors of each parity block
+    # (11 = 5 + 6 and 10 = 5 + 5 at j = 10), at half-integer spin the one
+    # R-odd gauge block
     checked = []
     defect = kickedspec.operators.unitarity_defect
 

@@ -10,7 +10,6 @@ from kickedspec import GOLDEN_RATIO, floquet
 from kickedspec.floquet import (
     _ladder_gauge,
     _ladder_quasienergies,
-    _rotation_sectors,
     _sector_cayley_phases,
     _twist_gauge,
     dkt_effective_hamiltonian,
@@ -316,15 +315,18 @@ def test_ladder_gauge_rejects_a_twist_that_breaks_parity(monkeypatch):
 
 @pytest.mark.parametrize("j", [10, 10.5])
 def test_ladder_gauge_reports_the_dense_off_block_mixing(monkeypatch, j):
-    # the value in the message is the largest entry of A[0::2, 1::2] for the
-    # dense A = Vx^T P^dag Vx, which the half-size blocks never build
+    # the value in the message is max|p_i - p_{n-1-i}|/2, the largest entry
+    # of diag(P^dag) coupling the two parity bases; it bounds every entry of
+    # A[0::2, 1::2] for the dense A = Vx^T P^dag Vx, which the half-size
+    # blocks never build
     spin = SpinLabel(j)
     twist = np.exp(1j * np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, spin.dim))
     monkeypatch.setattr(floquet, "_twist_gauge", lambda spin, eta: twist)
+    mixing = max_abs(twist - twist[::-1]) / 2.0
     vecs = np.linalg.eigh(spin_operators(spin).jx.to_dense())[1]
     gauge = vecs.T @ (twist.conj()[:, None] * vecs)
-    want = f"parity blocks by {max_abs(gauge[0::2, 1::2]):.3g}"
-    with pytest.raises(np.linalg.LinAlgError, match=re.escape(want) + "$"):
+    assert mixing >= max_abs(gauge[0::2, 1::2])
+    with pytest.raises(np.linalg.LinAlgError, match=re.escape(f"parity blocks by {mixing:.3g}") + "$"):
         _ladder_gauge(spin, GOLDEN_RATIO * spin.j)
 
 
@@ -372,6 +374,37 @@ def test_ladder_blocks_are_chiral_under_the_pi_rotation(j):
                 assert unitarity_defect(sector) <= 1e-13 and max_abs(sector - sector.T) <= 1e-13
             union = np.concatenate([np.linalg.eigvals(sector) for sector in sectors])
             assert circular_distance(np.angle(union), np.angle(np.linalg.eigvals(block))) <= 1e-12
+
+
+@pytest.mark.parametrize("j", [1, 2, 10, 200])
+def test_integer_spin_sectors_match_the_whole_gauge_block(j, monkeypatch):
+    # each sector is a quarter-size congruence on the rows where S_b has the
+    # sector's sign; the reference averages the quadrants of the whole gauge
+    # block A_b = Y_b^T diag(q_b) Y_b, from the same Jx eigenvectors Y_b
+    spin = SpinLabel(j)
+    eigh, captured = np.linalg.eigh, []
+
+    def recorded(mat):
+        values, vecs = eigh(mat)
+        captured.append(vecs)
+        return values, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    half = spin.dim // 2
+    for modulation in sorted(MODULATIONS):
+        eta = MODULATIONS[modulation] * j
+        captured.clear()
+        gauge = _ladder_gauge(spin, eta)
+        adjoint = _twist_gauge(spin, eta).conj()
+        pairs = (adjoint[:half] + adjoint[::-1][:half]) / 2.0
+        diagonals = (np.concatenate((pairs, adjoint[half:half + 1])), pairs)
+        assert len(captured) == len(gauge) == 2
+        for vecs, diagonal, sectors in zip(captured, diagonals, gauge):
+            rotated = (-1.0) ** np.arange(len(vecs))[:, None] * vecs
+            signs = np.sign(np.sum(rotated * vecs[:, ::-1], axis=0))
+            want = dense.rotation_sectors(vecs.T @ (diagonal[:, None] * vecs), signs)
+            for got, expected in zip(sectors, want, strict=True):
+                assert got.shape == expected.shape and max_abs(got - expected) <= 1e-14
 
 
 @pytest.mark.parametrize("j", [1.5, 10.5])
@@ -437,7 +470,7 @@ def test_gauge_cut_of_a_rotation_symmetric_block(signs, pair_phase, kick, crowde
     m_values = spin.m_values[0::2]
     alpha = kick / (2.0 * (dim - 1))
     block = rotation_symmetric_gauge(signs, seed=dim, pair_phase=pair_phase)
-    sectors = _rotation_sectors(block, np.array(signs))
+    sectors = dense.rotation_sectors(block, np.array(signs))
     calls = {"solve": [], "inv": [], "svd": []}
     for name in calls:
         def counted(mat, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
