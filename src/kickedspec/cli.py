@@ -261,7 +261,11 @@ def _spelled(values: dict, name: str, j: float | None) -> float | None:
         raise ConfigError(f"give only one of --{', --'.join(given).replace('_', '-')}")
     if not given or given[0] == name:
         return values.get(name)
-    return _flagged(f"--{given[0].replace('_', '-')}", _SPELLINGS[given[0]][1], values[given[0]], j)
+    flag = f"--{given[0].replace('_', '-')}"
+    value = _flagged(flag, _SPELLINGS[given[0]][1], values[given[0]], j)
+    if not np.isfinite(value):  # a finite spelling times j can overflow
+        raise ConfigError(f"{flag}: {name} must be finite")
+    return value
 
 
 # system -> the parameters its Hamiltonian reads, harper-kicked once per --harper-mode
@@ -486,9 +490,9 @@ def cmd_spectrum(cfg: RunConfig) -> Path:
 
 
 def _squared_moduli(vectors: np.ndarray) -> np.ndarray:
-    """|v|^2 elementwise: in the buffer of real vectors, which it overwrites,
-    and in one real array for complex ones."""
-    weights = np.abs(vectors) if np.iscomplexobj(vectors) else np.abs(vectors, out=vectors)
+    """|v|^2 elementwise: in the buffer of real vectors, which it overwrites
+    (x*x is |x|*|x| bit for bit), and in one real array for complex ones."""
+    weights = np.abs(vectors) if np.iscomplexobj(vectors) else vectors
     return np.square(weights, out=weights)
 
 

@@ -36,6 +36,12 @@ def check_period(period: float) -> None:
         raise ValueError(f"kick period must be finite and positive, got {period}")
 
 
+def check_coupling(alpha: float) -> None:
+    """The coupling's rule: finite and nonzero."""
+    if not np.isfinite(alpha) or alpha == 0.0:
+        raise ValueError("alpha must be finite and nonzero")
+
+
 def _dagger(a):
     return a.conj().T
 

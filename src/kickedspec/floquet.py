@@ -46,17 +46,12 @@ full dimension is built.
 - Cayley quasienergies.  For W = exp(i theta) U, the Hermitian part of
   H_c = i(1 - W)(1 + W)^-1 has eigenvalues lambda = -tan((E - theta)/2), so
   E = theta - 2 arctan(lambda) comes from a Hermitian solve instead of a
-  nonsymmetric one.  The branch cut sits at E = theta + pi.  The first cut
-  is theta = 0.  When 1 + W is singular or max|lambda| exceeds CAYLEY_MAX,
-  an eigenvalue crowds the cut.  For a general unitary
-  (`quasienergy_spectrum`) the cut then moves once into the middle of
-  the widest gap of the spectrum's estimate from the Hermitian part of U,
-  whose eigenvalues cos(E) need no cut.  No eigenvalue lies closer to that
-  cut than half the gap g, so max|lambda| is about 4/g or less there; that
-  cut is accepted up to max(CAYLEY_MAX, 8/g).  The gap shrinks like 2 pi/dim
-  on an evenly spread spectrum, so a fixed limit would refuse it at large
-  dimension.  numpy.linalg.LinAlgError is raised only when 1 + W is
-  singular on the moved cut too, or the estimate misses the gap.
+  nonsymmetric one.  The branch cut sits at E = theta + pi.  The ladder's
+  first cut is theta = 0.  When 1 + W is singular or max|lambda| exceeds
+  CAYLEY_MAX, an eigenvalue crowds the cut (Chirality).  Only the ladder
+  takes this route: a general unitary (`quasienergy_spectrum`) has none of
+  its structure and takes its quasienergies from one nonsymmetric
+  eigensolve, which has no branch cut.
 - Chirality.  The pi rotation S = diag((-1)^(j+m)) about z anticommutes
   with Jx and commutes with P (Haake, Kus & Scharf, Z. Phys. B 65, 381
   (1987)).  At integer spin it commutes with R too and keeps each parity
@@ -95,7 +90,7 @@ full dimension is built.
 
 import numpy as np
 
-from .effective import KickedSystem, heff_delta_kicked
+from .effective import KickedSystem, check_coupling, heff_delta_kicked
 from .operators import (UNITARITY_ATOL, Banded, _dense_hermitian, _parity_solve, hermitian_eigh, max_abs,
                         require_hermitian, require_unitary, unitarity_defect)
 from .su2 import SpinLabel, _as_spin, dkt_static_part, phase_diagonal, spin_operators
@@ -126,8 +121,7 @@ def dkt_kicked_system(alpha: float, eta: float, j) -> KickedSystem:
     """Single-kicked system equivalent to the double kicked top: kick alpha*Jx
     once per unit period on top of the phase-modulated static part.  Its
     H_eff has no period to depend on (`su2.dkt_static_part`)."""
-    if not np.isfinite(alpha) or alpha == 0.0:
-        raise ValueError("alpha must be finite and nonzero")
+    check_coupling(alpha)
     spin = _as_spin(j)
     h0 = dkt_static_part(alpha, eta, spin)
     kick = alpha * spin_operators(spin).jx
@@ -161,64 +155,15 @@ def dkt_floquet(alpha: float, eta: float, j) -> np.ndarray:
     return (twist[:, None] * kick * twist.conj()) @ kick
 
 
-def _cayley_phases(unitary: np.ndarray, theta: float, limit: float):
-    """Quasienergies from the Cayley transform of W = exp(i*theta)*U, or None
-    when an eigenvalue sits too close to the branch cut at E = theta + pi:
-    1 + W is singular or a Cayley eigenvalue exceeds `limit` in magnitude."""
-    dim = unitary.shape[0]
-    shifted = unitary * np.exp(1j * theta)
-    shifted.flat[::dim + 1] += 1.0
-    try:
-        inverse = np.linalg.inv(shifted)
-    except np.linalg.LinAlgError:  # an eigenvalue exactly on the cut
-        return None
-    del shifted
-    # H_c = 2i(1 + W)^-1 - i, whose Hermitian part is i(X - X^dag) for
-    # X = (1 + W)^-1.  That part is taken explicitly: the inverse's rounding
-    # grows with max|lambda| mostly in the anti-Hermitian part, which a
-    # Hermitian solver reading one triangle would let through (quasienergy
-    # errors of 3e-11 instead of 1e-13 at j = 500).
-    inverse -= inverse.conj().T
-    inverse *= 1j
-    lam = np.linalg.eigvalsh(inverse)
-    if not np.max(np.abs(lam)) <= limit:
-        return None
-    return fold_phases(theta - 2.0 * np.arctan(lam))
-
-
-def _cut_in_widest_gap(unitary: np.ndarray):
-    """Quasienergy in [0, pi] midway across the widest gap of the spectrum's
-    estimate, and the width of that gap.
-
-    U + U^dag has eigenvalues 2 cos(E), which give |E| without a branch cut;
-    the spectrum is estimated as the mirrored set of +-|E|.
-    """
-    cosines = np.linalg.eigvalsh(unitary + unitary.conj().T) / 2.0
-    angles = np.sort(np.arccos(np.clip(cosines, -1.0, 1.0)))
-    # gaps between neighbouring angles, across E = 0 and across E = pi
-    edges = np.concatenate(([-angles[0]], angles, [TWO_PI - angles[-1]]))
-    gaps = np.diff(edges)
-    widest = int(np.argmax(gaps))
-    return 0.5 * (edges[widest] + edges[widest + 1]), float(gaps[widest])
-
-
 def quasienergy_spectrum(unitary) -> np.ndarray:
-    """Sorted quasienergies of a unitary, each in (-pi, pi].
+    """Sorted quasienergies of a unitary, each in (-pi, pi], from one
+    nonsymmetric eigensolve.
 
     A quasienergy E labels the eigenvalue exp(-iE), matching the sign of
     exp(-i*H_eff*T), so folded effective energies compare directly.  Raises
-    ValueError when the matrix is not unitary, numpy.linalg.LinAlgError when
-    eigenvalues crowd both branch cuts tried.
+    ValueError when the matrix is not unitary.
     """
-    unitary = require_unitary(unitary, name="Floquet operator")
-    phases = _cayley_phases(unitary, 0.0, CAYLEY_MAX)
-    if phases is None:
-        cut, gap = _cut_in_widest_gap(unitary)
-        phases = _cayley_phases(unitary, cut - np.pi, max(CAYLEY_MAX, 8.0 / gap))
-        if phases is None:
-            raise np.linalg.LinAlgError(
-                f"quasienergies: eigenvalues crowd the Cayley branch cuts at E = pi and E = {cut:.6g}")
-    return np.sort(phases)
+    return np.sort(fold_phases(-np.angle(np.linalg.eigvals(require_unitary(unitary, name="Floquet operator")))))
 
 
 def _rotation_signs(vecs: np.ndarray, image: np.ndarray) -> np.ndarray:

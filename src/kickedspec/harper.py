@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effective import KickedSystem, check_period, heff_delta_kicked
+from .effective import KickedSystem, check_coupling, check_period, heff_delta_kicked
 from .operators import Banded, max_abs
 
 CLOSED_FORM = "closed-form"
@@ -38,8 +38,7 @@ class HarperParams:
         check_length(self.length)
         if not np.isfinite(self.sigma):
             raise ValueError("sigma must be finite")
-        if not np.isfinite(self.alpha) or self.alpha == 0.0:
-            raise ValueError("alpha must be finite and nonzero")
+        check_coupling(self.alpha)
         check_period(self.period)
 
 

@@ -13,7 +13,8 @@ built.  The public entry points that accept a caller's Hamiltonian take a
 `Banded` one, and `require_hermitian` refuses anything else with a
 TypeError: `eigensolve`, `effective.KickedSystem` (the one input of the
 delta-kick layer) and `floquet.unitary_from_hermitian`.  The one dense entry
-is `floquet.quasienergy_spectrum`, whose unitary `require_unitary` checks.
+is `floquet.quasienergy_spectrum`, whose unitary `require_unitary` checks
+before the general route's one nonsymmetric eigensolve.
 The builders in `su2` and `harper` assemble their operators Hermitian by
 construction from validated scalars and check nothing; every path from them
 to a solver or an exponential passes one of those entry points.  The one

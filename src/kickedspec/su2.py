@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .effective import check_coupling
 from .operators import Banded
 
 
@@ -113,8 +114,7 @@ def general_su2_hamiltonian(case: str, alpha: float, eta: float, j, epsilon: flo
             raise ValueError("family case 'e' requires an explicit epsilon (b = epsilon*alpha)")
         b_rel = epsilon
     spin = _as_spin(j)
-    if not np.isfinite(alpha) or alpha == 0.0:
-        raise ValueError("alpha must be finite and nonzero")
+    check_coupling(alpha)
     if not np.isfinite(eta):
         raise ValueError("eta must be finite")
     ops = spin_operators(spin)

@@ -807,6 +807,11 @@ def test_overflowing_effective_hamiltonian_is_config_error(args, tmp_path):
     ["spectrum", "--system", "dkt", "--j", "0", "--alpha-over", "1", "--eta", "1"],
     ["butterfly", "--system", "dkt", "--j", "2", "--xi-sweep", "0:1:1e-300"],
     ["butterfly", "--system", "dkt", "--j", "2", "--xi-sweep", "0:1e308:1e-308"],
+    ["spectrum", "--system", "dkt", "--j", "10", "--xi", "1e308"],
+    ["spectrum", "--system", "dkt", "--j", "10", "--eta-over-j", "1e308"],
+    ["floquet-compare", "--j", "10", "--xi", "1e308", "--alpha-ladder", "0.04,0.02,0.01"],
+    ["floquet-compare", "--j", "10", "--eta-over-j", "1e308", "--alpha-ladder", "0.04,0.02,0.01"],
+    ["spectrum", "--system", "su2-a", "--j", "10", "--xi", "1e308"],
 ])
 def test_bad_spin_or_sweep_is_config_error(args, tmp_path):
     # rejected while parsing: one error line, no traceback, nothing written
@@ -913,23 +918,23 @@ def test_failed_cayley_solve_exits_three(tmp_path, monkeypatch, capsys):
 
 def test_failed_chiral_solve_takes_the_cs_angles(tmp_path, monkeypatch):
     # a singular first cut at integer spin takes the CS angles of its rung,
-    # with no inverse and no search for a gap, and gives the same
-    # quasienergies
+    # with no inverse and no general unitary's nonsymmetric eigensolve, and
+    # gives the same quasienergies
     argv = ["floquet-compare", "--j", "10", "--eta-over-j", "golden", "--alpha-ladder", "0.04,0.02,0.01"]
     assert run_cli(argv, tmp_path / "plain") == 0
-    cuts, inversions = [], []
-    cut, inv = kickedspec.floquet._cut_in_widest_gap, np.linalg.inv
+    eigensolves, inversions = [], []
+    eigvals, inv = np.linalg.eigvals, np.linalg.inv
 
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
     monkeypatch.setattr(np.linalg, "inv", lambda mat: inversions.append(1) or inv(mat))
-    monkeypatch.setattr(kickedspec.floquet, "_cut_in_widest_gap", lambda mat: cuts.append(1) or cut(mat))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda mat: eigensolves.append(1) or eigvals(mat))
     assert run_cli(argv, tmp_path / "cs") == 0
     errors = [json.loads((tmp_path / d / "floquet_compare.json").read_text())["results"]["errors"]
               for d in ("plain", "cs")]
-    assert len(cuts) == len(inversions) == 0
+    assert len(eigensolves) == len(inversions) == 0
     assert np.max(np.abs(np.subtract(*errors))) <= 1e-12 * np.pi
 
 
