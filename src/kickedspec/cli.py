@@ -37,7 +37,7 @@ from .floquet import dkt_effective_hamiltonian, effective_vs_floquet_errors, fol
 from .harper import CLOSED_FORM, GENERAL, HarperParams, check_length, harper_hamiltonian, heff_discrepancy_report, kicked_harper_effective
 from .multifractal import _counts, _q_values, analyze_eigenvectors, ensemble_statistics, tau_spectrum
 from .operators import Banded, eigensolve
-from .su2 import FAMILY_CASES, SpinLabel, check_phase_spin, general_su2_hamiltonian
+from .su2 import FAMILY_CASES, SpinLabel, check_phase_spin, general_su2_hamiltonian, phase_diagonal
 
 SYSTEMS = ("dkt",) + tuple(f"su2-{c}" for c in FAMILY_CASES) + ("harper-static", "harper-kicked")
 MAX_SWEEP_POINTS = 100_000  # each point is one eigensolve
@@ -254,17 +254,20 @@ _SPELLINGS = {"alpha_over": ("alpha", lambda v, j: v / j), "eta_over_j": ("eta",
               "xi": ("eta", lambda v, j: v * np.pi * j)}
 
 
-def _spelled(values: dict, name: str, j: float | None) -> float | None:
-    """Parameter `name` from the one of its flags given, or None if none is."""
+def _spelled(values: dict, name: str, j: float | None, rule=None) -> float | None:
+    """Parameter `name` from the one of its flags given, or None if none is;
+    a `rule(value)` that fails is a ConfigError naming that flag."""
     given = [k for k in (name, *(k for k, (p, _) in _SPELLINGS.items() if p == name)) if k in values]
     if len(given) > 1:
         raise ConfigError(f"give only one of --{', --'.join(given).replace('_', '-')}")
-    if not given or given[0] == name:
-        return values.get(name)
+    if not given:
+        return None
     flag = f"--{given[0].replace('_', '-')}"
-    value = _flagged(flag, _SPELLINGS[given[0]][1], values[given[0]], j)
+    value = values[name] if given[0] == name else _flagged(flag, _SPELLINGS[given[0]][1], values[given[0]], j)
     if not np.isfinite(value):  # a finite spelling times j can overflow
         raise ConfigError(f"{flag}: {name} must be finite")
+    if rule is not None:
+        _flagged(flag, rule, value)
     return value
 
 
@@ -310,7 +313,7 @@ def parse_config(argv) -> RunConfig:
         if cfg.j is None:
             raise ConfigError("floquet-compare requires --j")
         _flagged("--j", check_phase_spin, cfg.j)
-        cfg.eta = _spelled(values, "eta", cfg.j)
+        cfg.eta = _spelled(values, "eta", cfg.j, partial(phase_diagonal, cfg.j))
         if cfg.eta is None:
             raise ConfigError("floquet-compare requires eta (or eta-over-j / xi)")
         return cfg
@@ -357,8 +360,11 @@ def parse_config(argv) -> RunConfig:
         if cfg.j is None:
             raise ConfigError(f"system {cfg.system} requires --j")
         _flagged("--j", check_phase_spin, cfg.j)
-        cfg.eta = _spelled(values, "eta", cfg.j)
-        if command != "butterfly" and cfg.eta is None:
+        cfg.eta = _spelled(values, "eta", cfg.j, partial(phase_diagonal, cfg.j))
+        if command == "butterfly":  # the phases grow with |xi|, largest at an end of the sweep
+            for xi in (cfg.sweep[0], cfg.sweep[-1]):
+                _flagged("--xi-sweep", phase_diagonal, cfg.j, float(xi) * np.pi * cfg.j)
+        elif cfg.eta is None:
             raise ConfigError(f"{command} requires a fixed eta (or eta-over-j / xi)")
         if cfg.system == "su2-e" and cfg.epsilon is None:
             raise ConfigError("system su2-e requires --epsilon (coupling ratio b = epsilon*alpha)")

@@ -6,15 +6,14 @@ never the effective Hamiltonian, and `effective_vs_floquet_errors` compares
 it with the H_eff spectrum that `operators.hermitian_eigh` solves on the
 H_eff's spin-flip parity blocks, built from its stored bands: two
 quarter-size singular value solves at integer spin, two half-size
-Hermitian solves at half-integer spin.  Five facts make the exact side of
+Hermitian solves at half-integer spin.  Four facts make the exact side of
 a ladder of kick strengths cost two half-size real eigendecompositions and
 a unitarity check per gauge sector (four quarter-size at integer spin,
-one half-size at half-integer spin), then per kick strength one LU solve
-and one singular value solve of blocks formed elementwise: per parity
-block at quarter size at integer spin, once at half size at half-integer
-spin.  A rung whose eigenvalues crowd that branch cut takes two more
-singular value solves of the same blocks instead, on no cut.  Nothing of
-full dimension is built.
+one half-size at half-integer spin), then per kick strength one singular
+value solve of a block formed elementwise: per parity block at quarter
+size at integer spin, once at half size at half-integer spin.  A rung with
+an angle near pi/2 takes one more singular value solve, of a block of the
+same rows.  Nothing of full dimension is built.
 
 - Twist gauge.  The double kicked top's static generator is a diagonal phase
   gauge of Jx: ``dkt_static_part(1, eta, j) = P Jx P^dag`` with
@@ -43,15 +42,6 @@ full dimension is built.
   ladder needs (Chirality) are built and checked unitary once per ladder.
   The k-th Jx eigenvector has R-parity (-1)^(2j-k): R-even is index-even
   at integer spin and index-odd at half-integer spin.
-- Cayley quasienergies.  For W = exp(i theta) U, the Hermitian part of
-  H_c = i(1 - W)(1 + W)^-1 has eigenvalues lambda = -tan((E - theta)/2), so
-  E = theta - 2 arctan(lambda) comes from a Hermitian solve instead of a
-  nonsymmetric one.  The branch cut sits at E = theta + pi.  The ladder's
-  first cut is theta = 0.  When 1 + W is singular or max|lambda| exceeds
-  CAYLEY_MAX, an eigenvalue crowds the cut (Chirality).  Only the ladder
-  takes this route: a general unitary (`quasienergy_spectrum`) has none of
-  its structure and takes its quasienergies from one nonsymmetric
-  eigensolve, which has no branch cut.
 - Chirality.  The pi rotation S = diag((-1)^(j+m)) about z anticommutes
   with Jx and commutes with P (Haake, Kus & Scharf, Z. Phys. B 65, 381
   (1987)).  At integer spin it commutes with R too and keeps each parity
@@ -63,29 +53,29 @@ full dimension is built.
   of sign t, and the middle y_k in the sector of its sign.  S is
   diag((-1)^i) in the block's basis, so these vanish (to PARITY_ATOL) off
   the rows of their sign, and each sector is a quarter-size congruence on
-  those rows.  With E = diag(exp(i phi)),
-  phi = -alpha m_b/2, the rung U' = E conj(A_b) D_b A_b E, similar to
-  conj(A_b) D_b A_b D_b, is K G for the unitaries G = E A_b E and
-  K = E conj(A_b) E, so 1 + U' = K F with the elementwise product
-  F = K^dag + G = A_b o [2 cos(phi_i + phi_j)].  S_b E S_b = conj(E), so F
-  commutes with S_b, and the Cayley transform's block from sign b to sign a
-  is 2i G_aa^-1 (K^dag)_ab, whose singular values are the +-lambda.  In
-  S_b's eigenbasis E = [[C, iS], [iS, C]] (C = cos(phi), S = sin(phi) on
-  the pairs, 1 and 0 at the middle), so G_aa = C A_a C - S A_b' S and
-  (K^dag)_ab = -i(C A_a S + S A_b' C): one quarter-size solve.  By the CS
-  decomposition of the unitary G (Golub & Van Loan, Matrix Computations,
-  2.5.4), G_aa = U diag(cos theta) V^dag and G_ab = U [diag(sin theta), 0]
-  W^dag with theta in [0, pi/2], so lambda = +-tan theta, E = -+2 theta,
-  and 1 + U' is singular exactly when G_aa is.  When the first cut is
-  crowded, theta = arctan2(sin theta, cos theta) from the singular values
-  of G_ab and G_aa, paired in opposite orders, gives the rung's
-  quasienergies with no branch cut; it fails only when a singular value
-  solve does not converge.  At half-integer spin S maps each parity block
-  onto the other, the k-th R-odd Jx eigenvector y_k onto +-the
+  those rows.  With E = diag(exp(i phi)), phi = -alpha m_b/2, the rung
+  U' = E conj(A_b) D_b A_b E, similar to conj(A_b) D_b A_b D_b, is
+  S_b G^dag S_b G for the complex symmetric unitary G = E A_b E, since
+  S_b E S_b = conj(E).  In S_b's eigenbasis E = [[C, iS], [iS, C]]
+  (C = cos(phi), S = sin(phi) on the pairs, 1 and 0 at the middle), so
+  G_aa = C A_a C - S A_b' S and G_ab = i(C A_a S + S A_b' C).  The CS
+  decomposition of G (Golub & Van Loan, Matrix Computations, 2.5.4) is
+  G = diag(U_a, U_b) R diag(V_a, V_b)^dag, where R rotates by each angle
+  theta in [0, pi/2], [[cos, -sin], [sin, cos]], and is 1 on the indices
+  the outer sector has beyond the inner one; cos theta and sin theta are
+  the singular values of G_aa and G_ab.  S_b R^dag S_b = R, so
+  U' = V R^2 V^dag: the rung's quasienergies are +-2 theta, and 0 on the
+  unpaired indices, with no branch cut.  theta = arcsin of G_ab's singular
+  values, one quarter-size solve, has an error growing as 1/cos theta, so
+  a rung whose largest sine exceeds SINE_FLOOR takes G_aa's singular
+  values as the cosines too, theta = arctan2(sin theta, cos theta) with
+  the two paired in opposite orders; a rung fails only when a singular
+  value solve does not converge.  At half-integer spin S maps each parity
+  block onto the other, the k-th R-odd Jx eigenvector y_k onto +-the
   (n_b-1-k)-th R-even one (checked once per ladder like S_b), so A's R-even
   block is the signed reversal of the R-odd A_o.  The two blocks then make
   one chiral block, with the R-odd m values, on whose S eigenvectors
-  (y_k +- S y_k)/sqrt(2) both sectors are A_o: the same cut at half size.
+  (y_k +- S y_k)/sqrt(2) both sectors are A_o: the same angles at half size.
 """
 
 import numpy as np
@@ -96,10 +86,10 @@ from .operators import (UNITARITY_ATOL, Banded, _dense_hermitian, _parity_solve,
 from .su2 import SpinLabel, _as_spin, dkt_static_part, phase_diagonal, spin_operators
 
 TWO_PI = 2.0 * np.pi
-# Largest Cayley eigenvalue kept on the first cut: the solve's absolute error
-# grows with max|lambda|, and a quasienergy's error is about
-# 2 * eps * max|lambda|.
-CAYLEY_MAX = 1e3
+# Largest sine of a rung's CS angles taken by arcsin alone: arcsin's error
+# grows as 1/cos theta, so above it (cos theta < 0.1) the rung also takes
+# the cosines, and theta = arctan2(sin, cos) keeps its accuracy up to pi/2.
+SINE_FLOOR = 0.995
 # Largest entry coupling the two parity blocks of a ladder that may be dropped
 PARITY_ATOL = 1e-10
 
@@ -235,38 +225,35 @@ def _ladder_gauge(spin: SpinLabel, eta: float) -> tuple:
     return tuple(sectors)
 
 
-def _sector_cayley_phases(sectors: tuple, m_values: np.ndarray, alpha: float) -> np.ndarray:
-    """Quasienergies of a rung from the sectors of its chiral block, with the
-    m values of the block's Jx eigenvectors y_k, k < the outer sector's size:
-    on the first Cayley cut, or, when G_aa is singular or a Cayley eigenvalue
-    exceeds CAYLEY_MAX in magnitude, as +-2 theta from the CS decomposition
-    of G, which has no branch cut.  The coupling block drops its factor -i."""
+def _sector_quasienergies(sectors: tuple, m_values: np.ndarray, alpha: float) -> np.ndarray:
+    """Quasienergies +-2 theta of a rung from the sectors of its chiral block,
+    with the m values of the block's Jx eigenvectors y_k, k < the outer
+    sector's size, theta the CS angles of G: arcsin of the coupling block's
+    singular values, or, when the largest exceeds SINE_FLOOR, arctan2 of
+    those and G_aa's.  G_ab drops its factor i."""
     inner, outer = sectors
     half = inner.shape[0]
     if not half:  # one index, where m = 0 and the rung is 1
         return np.zeros(1)
     angles = -0.5 * alpha * m_values[:outer.shape[0]]
     cos, sin = np.cos(angles), np.sin(angles)
-    gauge = cos[:half, None] * inner * cos[:half]
-    gauge -= sin[:half, None] * outer[:half, :half] * sin[:half]
     coupling = sin[:half, None] * outer[:half] * cos
     coupling[:, :half] += cos[:half, None] * inner * sin[:half]
-    zeros = np.zeros(outer.shape[0] - half)
-    try:
-        sigma = np.linalg.svd(np.linalg.solve(gauge, coupling), compute_uv=False)
-    except np.linalg.LinAlgError:  # an eigenvalue exactly on the cut, or no convergence
-        sigma = None
-    if sigma is not None and np.all(sigma <= CAYLEY_MAX):
-        return -2.0 * np.arctan(np.concatenate((sigma, zeros, -sigma)))
-    # the CS angles: G_aa's and G_ab's singular values pair in opposite orders
-    theta = np.arctan2(np.linalg.svd(coupling, compute_uv=False)[::-1], np.linalg.svd(gauge, compute_uv=False))
-    return fold_phases(2.0 * np.concatenate((theta, zeros, -theta)))
+    sines = np.linalg.svd(coupling, compute_uv=False)
+    if sines[0] <= SINE_FLOOR:
+        theta = np.arcsin(sines)
+    else:  # G_aa's and G_ab's singular values pair in opposite orders
+        gauge = cos[:half, None] * inner * cos[:half]
+        gauge -= sin[:half, None] * outer[:half, :half] * sin[:half]
+        theta = np.arctan2(sines[::-1], np.linalg.svd(gauge, compute_uv=False))
+    # theta = pi/2 gives E = pi twice: -pi is pi in (-pi, pi]
+    return 2.0 * np.concatenate((theta, np.zeros(outer.shape[0] - half), np.where(theta < np.pi / 2, -theta, theta)))
 
 
 def _ladder_quasienergies(gauge: tuple, spin: SpinLabel, alpha: float) -> np.ndarray:
     """Sorted quasienergies of the one-period operator at alpha from the
     `_ladder_gauge` sectors, whose contracts it checked."""
-    return np.sort(np.concatenate([_sector_cayley_phases(sectors, spin.m_values[parity::2], alpha)
+    return np.sort(np.concatenate([_sector_quasienergies(sectors, spin.m_values[parity::2], alpha)
                                    for parity, sectors in enumerate(gauge)]))
 
 

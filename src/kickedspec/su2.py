@@ -80,9 +80,14 @@ def check_phase_spin(j) -> SpinLabel:
 
 
 def phase_diagonal(j, eta: float) -> np.ndarray:
-    """Diagonal entries eta*(2m+1)/(2j) of the phase operator, ascending in m."""
+    """Diagonal entries eta*(2m+1)/(2j) of the phase operator, ascending in m;
+    ValueError when one is not finite, as a finite eta can make it."""
     spin = check_phase_spin(j)
-    return eta * (2.0 * spin.m_values + 1.0) / (2.0 * spin.j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = eta * (2.0 * spin.m_values + 1.0) / (2.0 * spin.j)
+    if not np.all(np.isfinite(phases)):
+        raise ValueError(f"phases eta(2m+1)/2j must be finite, got eta={eta} at j={spin.j}")
+    return phases
 
 
 def phase_operator(j, eta: float) -> Banded:
@@ -115,8 +120,6 @@ def general_su2_hamiltonian(case: str, alpha: float, eta: float, j, epsilon: flo
         b_rel = epsilon
     spin = _as_spin(j)
     check_coupling(alpha)
-    if not np.isfinite(eta):
-        raise ValueError("eta must be finite")
     ops = spin_operators(spin)
     modulated = coupling(ops, alpha) @ Banded.diagonal(np.cos(phase_diagonal(spin, eta)))
     ham = (a_rel * alpha) * ops.jx + (b_rel * alpha) * hopping_operator(spin)

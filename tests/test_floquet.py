@@ -10,7 +10,7 @@ from kickedspec import GOLDEN_RATIO, floquet
 from kickedspec.floquet import (
     _ladder_gauge,
     _ladder_quasienergies,
-    _sector_cayley_phases,
+    _sector_quasienergies,
     _twist_gauge,
     dkt_effective_hamiltonian,
     dkt_floquet,
@@ -199,7 +199,7 @@ def test_effective_hamiltonian_matches_kicked_system():
 @pytest.mark.parametrize("modulation", sorted(MODULATIONS))
 def test_ladder_errors_match_dense_oracle(j, ladder, modulation):
     # the benchmark's ladder, cut to its three largest kicks at j = 200, where
-    # (silver, 0.02) crowds the first branch cut; the oracle multiplies two
+    # every rung takes the cosines of its CS angles; the oracle multiplies two
     # dense exponentials and takes quasienergies from the nonsymmetric solver
     eta = MODULATIONS[modulation] * j
     got = effective_vs_floquet_errors(ladder, eta, j)
@@ -244,8 +244,8 @@ def test_static_part_is_twist_gauge_of_jx(eta_over_j, j):
     np.diag([-1.0, 1.0]),
 ], ids=["minus-one", "near-minus-one", "minus-identity", "diag-minus-one-one"])
 def test_quasienergy_spectrum_moves_a_crowded_cut(unitary):
-    # each has an eigenvalue on or within 1e-9 of -1, where a Cayley branch
-    # cut at E = pi would sit; the spectrum matches eigvals
+    # each has an eigenvalue on or within 1e-9 of -1, at the fold E = pi;
+    # the spectrum matches eigvals
     got = quasienergy_spectrum(unitary)
     assert np.all(np.diff(got) >= 0) and np.all(got > -np.pi) and np.all(got <= np.pi)
     assert got.size == unitary.shape[0]
@@ -258,10 +258,12 @@ def evenly_spread(dim):
 
 
 @pytest.mark.parametrize("basis", ["diagonal", "haar"])
-def test_quasienergy_spectrum_accepts_the_moved_cut_at_large_dimension(basis):
-    # every gap is 2 pi/dim wide and one eigenvalue sits pi/dim from E = pi,
-    # so any Cayley cut would have |lambda| ~ 2 dim/pi, beyond CAYLEY_MAX
-    phases = evenly_spread(2001 if basis == "diagonal" else 1601)
+def test_quasienergy_spectrum_resolves_an_even_spread_next_to_pi(basis):
+    # every gap is 2 pi/dim wide and one eigenvalue sits pi/dim from the fold
+    # at E = pi; the nonsymmetric eigensolve has no branch cut, so only its
+    # rounding grows with dim, and the benchmark ladder's dim 401 already
+    # spaces the phases 0.016 apart, where the cases above keep 0.24
+    phases = evenly_spread(401)
     if basis == "diagonal":
         unitary = np.diag(np.exp(-1j * phases))
         expected = dense.quasienergies(unitary)
@@ -285,15 +287,15 @@ def test_quasienergy_spectrum_keeps_the_unitarity_tolerance():
     pytest.param(j, alpha, modulation, id=f"{alpha}-{modulation}" if j == 200 else f"j{j}-{alpha}-{modulation}")
     for j in (200, 200.5, 10.5, 2, 1.5, 1, 0.5) for alpha in (0.01, 0.04) for modulation in sorted(MODULATIONS)])
 def test_ladder_quasienergies_match_dense_oracle(j, alpha, modulation):
-    # a j = 200 rung in the Jx eigenbasis puts Cayley eigenvalues up to ~500
-    # on the first cut; j = 200.5 and 10.5 have an even dimension, where the
-    # two parity blocks make one chiral block, j = 2 and 1 a middle index in
-    # parity blocks of sizes 3 + 2 and 2 + 1, j = 1.5 blocks 2 + 2 and
-    # j = 0.5 two 1x1 blocks
+    # j = 200 and 200.5 rungs take the cosines of their CS angles at these
+    # kicks, the smaller spins arcsin alone; j = 200.5 and 10.5 have an even
+    # dimension, where the two parity blocks make one chiral block, j = 2
+    # and 1 a middle index in parity blocks of sizes 3 + 2 and 2 + 1,
+    # j = 1.5 blocks 2 + 2 and j = 0.5 two 1x1 blocks
     spin = SpinLabel(j)
     eta = MODULATIONS[modulation] * spin.j
     got = _ladder_quasienergies(_ladder_gauge(spin, eta), spin, alpha)
-    assert circular_distance(got, dense.quasienergies(dense.dkt_floquet(alpha, eta, spin.j))) <= 1e-12
+    assert circular_distance(got, dense.quasienergies(dense.dkt_floquet(alpha, eta, spin.j))) <= 3e-14
 
 
 def test_ladder_gauge_rejects_a_twist_that_breaks_parity(monkeypatch):
@@ -451,12 +453,12 @@ def rotation_symmetric_gauge(signs, seed, pair_phase=None):
     ([1.0, -1.0, -1.0, 1.0], 0.7, np.pi, True),
 ], ids=["even-dim", "odd-dim", "near-minus-one", "minus-one"])
 def test_gauge_cut_of_a_rotation_symmetric_block(signs, pair_phase, kick, crowded, monkeypatch):
-    # one quarter-size solve and a singular value solve on the sector cut;
-    # an eigenvalue within 1e-9 of -1, or at -1, puts a Cayley eigenvalue
-    # beyond CAYLEY_MAX (G_aa's LU sees cos(pi/4)^2 - sin(pi/4)^2 = 2e-16,
-    # not zero), and the rung takes the CS angles from two more singular
-    # value solves, of G_aa and of the coupling block.  kick = 2 alpha |m_0|
-    # is that eigenvalue's quasienergy when the block has a pair phase
+    # one singular value solve of the coupling block gives the sines of the
+    # CS angles; an eigenvalue within 1e-9 of -1, or at -1, has an angle
+    # near pi/2, whose sine passes SINE_FLOOR, and the rung takes G_aa's
+    # singular values as the cosines from one more, quarter-size, solve.
+    # kick = 2 alpha |m_0| is that eigenvalue's quasienergy when the block
+    # has a pair phase
     dim = len(signs)
     spin = SpinLabel(dim - 1)  # m_values[0::2] = -(n-1), ..., n-1
     m_values = spin.m_values[0::2]
@@ -471,17 +473,17 @@ def test_gauge_cut_of_a_rotation_symmetric_block(signs, pair_phase, kick, crowde
         monkeypatch.setattr(np.linalg, name, counted)
     got = _ladder_quasienergies((sectors,), spin, alpha)
     quarter, outer = (dim // 2, dim // 2), (dim // 2, dim - dim // 2)
-    assert calls == {"solve": [quarter], "inv": [], "svd": [outer] + [outer, quarter] * crowded}
+    assert calls == {"solve": [], "inv": [], "svd": [outer] + [quarter] * crowded}
     assert np.all(np.diff(got) >= 0) and np.all(got > -np.pi) and np.all(got <= np.pi)
     assert circular_distance(got, dense.quasienergies(dense_rung(block, m_values, alpha))) <= 1e-12
     if kick == np.pi:  # the pair's eigenvalue -1, twice, on no branch cut
         assert list(got[-2:]) == [np.pi, np.pi]
 
 
-def test_crowded_benchmark_rungs_refuse_the_sector_cut(monkeypatch):
+def test_crowded_benchmark_rungs_take_the_cosines(monkeypatch):
     # silver at j = 200 puts an eigenvalue of both blocks of the alpha = 0.02
-    # rung close enough to -1 that the first cut is refused: each block makes
-    # the first cut's singular value solve and the CS pair
+    # rung close enough to -1 that its sine passes SINE_FLOOR: each block
+    # makes the coupling block's singular value solve, then G_aa's
     spin, eta = SpinLabel(200), MODULATIONS["silver"] * 200
     gauge = dense_gauge(spin, eta)
     shapes = []
@@ -490,9 +492,9 @@ def test_crowded_benchmark_rungs_refuse_the_sector_cut(monkeypatch):
     for parity, sectors in enumerate(_ladder_gauge(spin, eta)):
         shapes.clear()
         m_values = spin.m_values[parity::2]
-        got = np.sort(_sector_cayley_phases(sectors, m_values, 0.02))
+        got = np.sort(_sector_quasienergies(sectors, m_values, 0.02))
         inner, outer = sectors
-        assert shapes == [(len(inner), len(outer))] * 2 + [(len(inner), len(inner))]
+        assert shapes == [(len(inner), len(outer)), (len(inner), len(inner))]
         rung = dense_rung(gauge[parity::2, parity::2], m_values, 0.02)
         assert circular_distance(got, dense.quasienergies(rung)) <= 1e-13
 
@@ -501,7 +503,7 @@ def test_ladder_gauge_rejects_eigenvectors_the_pi_rotation_does_not_reverse(monk
     # mixing two eigenvectors of one parity block keeps the blocks apart but
     # breaks S y_k = +-z_{n-1-k}, with z the eigenvectors of the same block
     # at integer spin and of the other block at half-integer spin, which the
-    # chiral first cut relies on
+    # rung's sectors rely on
     eigh = np.linalg.eigh
 
     def mixed(mat):
