@@ -3,17 +3,17 @@ Floquet comparison, and the Harper closed-form/general diff.
 
 Each option is declared once, in OPTIONS, with the converter that turns its
 text into the final value; argparse applies it, and a bad value exits 2 with
-one ``error:`` line that names the flag; argparse's own errors (a missing
-value, an unknown flag) are one ``error:`` line too.  Flags are written in
-full: argparse takes no abbreviations.  A value that starts with ``-`` and
-a digit or ``.`` (``--eta -1e-3``, ``--xi-sweep -1:1:0.5``) is the flag's
-value, not an option.  A ``--config`` file holds ``key = value`` lines whose
-keys are exactly the command's flags.  Its entries are read as flags placed
-ahead of the command line, so a flag overrides the file.  `parse_config`
-then applies the rules that span options (a system refuses the flags of the
-parameters its Hamiltonian does not read, `_READS`), the system-dependent
-defaults and, to a grid given, the analysis's own grid rules; every other
-default lives in `RunConfig`.
+one ``error:`` line that names the flag, as do argparse's own errors (a
+missing value, an unknown flag).  Flags are written in full; a value that
+starts with ``-`` and a digit or ``.`` (``--eta -1e-3``) is the flag's.  A
+``--config`` file's ``key = value`` lines, keyed by the command's flags,
+are read as flags ahead of the command line, so a flag overrides the file.
+`parse_config` then applies the rules that span options (`_READS`: a system
+refuses the flags its Hamiltonian does not read), the system-dependent
+defaults, and each parameter's and given grid's own library rule.  So it
+alone decides exit 2 for an input, but for finite inputs whose operator
+products overflow, which `_built` refuses at the build.  Exit 3 is a
+numerical failure; any other exception is a bug and keeps its traceback.
 
 All pipelines are deterministic and emit flat CSV (17 significant digits,
 LF, header row) or JSON with a config echo, so every number in a report can
@@ -32,11 +32,11 @@ from pathlib import Path
 import numpy as np
 
 from . import GOLDEN_RATIO
-from .effective import check_period
+from .effective import check_coupling, check_period
 from .floquet import dkt_effective_hamiltonian, effective_vs_floquet_errors, fold_phases
 from .harper import CLOSED_FORM, GENERAL, HarperParams, check_length, harper_hamiltonian, heff_discrepancy_report, kicked_harper_effective
 from .multifractal import _counts, _q_values, analyze_eigenvectors, ensemble_statistics, tau_spectrum
-from .operators import Banded, eigensolve
+from .operators import Banded, eigensolve, require_hermitian
 from .su2 import FAMILY_CASES, SpinLabel, check_phase_spin, general_su2_hamiltonian, phase_diagonal
 
 SYSTEMS = ("dkt",) + tuple(f"su2-{c}" for c in FAMILY_CASES) + ("harper-static", "harper-kicked")
@@ -133,7 +133,7 @@ OPTIONS = {
              "histogram bin count, at most the number of states"),
     "alpha-ladder": (_checked(_list(parse_scalar), lambda a: len(a) >= 3, "alpha ladder needs at least 3 values"),
                      "comma-separated alpha values, largest first"),
-    "out-dir": (Path, "output directory for emitted files"),
+    "out-dir": (_checked(Path, lambda p: "\0" not in str(p), "embedded null byte"), "output directory for emitted files"),
 }
 _SYSTEM_OPTIONS = ("system", "j", "length", "alpha", "alpha-over", "eta", "eta-over-j", "xi", "sigma", "period",
                    "epsilon")
@@ -151,7 +151,7 @@ def read_config_file(path: str) -> dict:
     entries = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -196,8 +196,8 @@ class RunConfig:
 
 
 def _flagged(flag: str, rule, *args):
-    """`rule(*args)`, its ConfigError or ValueError re-raised as a ConfigError
-    that names the flag, since neither argparse nor a library rule does."""
+    """`rule(*args)`, a converter or a library's own rule applied while parsing,
+    its ConfigError or ValueError re-raised as a ConfigError naming the flag."""
     try:
         return rule(*args)
     except (ConfigError, ValueError) as exc:
@@ -254,9 +254,9 @@ _SPELLINGS = {"alpha_over": ("alpha", lambda v, j: v / j), "eta_over_j": ("eta",
               "xi": ("eta", lambda v, j: v * np.pi * j)}
 
 
-def _spelled(values: dict, name: str, j: float | None, rule=None) -> float | None:
+def _spelled(values: dict, name: str, j: float | None, rule) -> float | None:
     """Parameter `name` from the one of its flags given, or None if none is;
-    a `rule(value)` that fails is a ConfigError naming that flag."""
+    a `rule(value)` that fails (a spelling times j can overflow) names that flag."""
     given = [k for k in (name, *(k for k, (p, _) in _SPELLINGS.items() if p == name)) if k in values]
     if len(given) > 1:
         raise ConfigError(f"give only one of --{', --'.join(given).replace('_', '-')}")
@@ -264,10 +264,7 @@ def _spelled(values: dict, name: str, j: float | None, rule=None) -> float | Non
         return None
     flag = f"--{given[0].replace('_', '-')}"
     value = values[name] if given[0] == name else _flagged(flag, _SPELLINGS[given[0]][1], values[given[0]], j)
-    if not np.isfinite(value):  # a finite spelling times j can overflow
-        raise ConfigError(f"{flag}: {name} must be finite")
-    if rule is not None:
-        _flagged(flag, rule, value)
+    _flagged(flag, rule, value)
     return value
 
 
@@ -312,6 +309,8 @@ def parse_config(argv) -> RunConfig:
             raise ConfigError("floquet-compare requires --alpha-ladder")
         if cfg.j is None:
             raise ConfigError("floquet-compare requires --j")
+        for alpha in cfg.alpha_ladder:
+            _flagged("--alpha-ladder", check_coupling, alpha)
         _flagged("--j", check_phase_spin, cfg.j)
         cfg.eta = _spelled(values, "eta", cfg.j, partial(phase_diagonal, cfg.j))
         if cfg.eta is None:
@@ -323,6 +322,7 @@ def parse_config(argv) -> RunConfig:
             raise ConfigError("harper-diff requires --length and --sigma")
         _flagged("--length", check_length, cfg.length)
         cfg.alpha = values.get("alpha", 1.0)
+        _flagged("--alpha", check_coupling, cfg.alpha)
         return cfg
 
     if cfg.system is None:
@@ -369,7 +369,7 @@ def parse_config(argv) -> RunConfig:
         if cfg.system == "su2-e" and cfg.epsilon is None:
             raise ConfigError("system su2-e requires --epsilon (coupling ratio b = epsilon*alpha)")
     if "alpha" in reads:
-        cfg.alpha = _spelled(values, "alpha", cfg.j)
+        cfg.alpha = _spelled(values, "alpha", cfg.j, check_coupling)
         if cfg.alpha is None:
             cfg.alpha = 1.0 / cfg.j if cfg.j else 1.0  # 1/j on a spin (the butterfly sweep's), 1 on a chain
 
@@ -394,6 +394,18 @@ def parse_config(argv) -> RunConfig:
 # Hamiltonian builder
 # ---------------------------------------------------------------------------
 
+def _built(build, *args):
+    """`build(*args)`; finite inputs whose products overflow fail its contract
+    with a ValueError, re-raised as a ConfigError (a LinAlgError is not)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # the contract reports an overflow
+            return build(*args)
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(exc) from exc
+
+
 def _hamiltonian(cfg: RunConfig, sweep_value: float | None = None) -> Banded:
     """The configured system's Hamiltonian.  A butterfly passes `sweep_value`
     in place of the fixed parameter: xi (eta = xi*pi*j) for the SU(2)
@@ -404,11 +416,12 @@ def _hamiltonian(cfg: RunConfig, sweep_value: float | None = None) -> Banded:
         params = HarperParams(length=cfg.length, sigma=sigma, **read)  # HarperParams' defaults for the rest
         if cfg.system == "harper-static":
             return harper_hamiltonian(params)
-        return kicked_harper_effective(params, cfg.harper_mode)
+        return _built(kicked_harper_effective, params, cfg.harper_mode)
     eta = cfg.eta if sweep_value is None else sweep_value * np.pi * cfg.j
     if cfg.system == "dkt":
-        return dkt_effective_hamiltonian(cfg.alpha, eta, cfg.j)
-    return general_su2_hamiltonian(cfg.system.split("-", 1)[1], cfg.alpha, eta, cfg.j, cfg.epsilon)
+        return _built(dkt_effective_hamiltonian, cfg.alpha, eta, cfg.j)
+    case = cfg.system.split("-", 1)[1]
+    return _built(lambda: require_hermitian(general_su2_hamiltonian(case, cfg.alpha, eta, cfg.j, cfg.epsilon)))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +533,7 @@ def cmd_eigenstates(cfg: RunConfig) -> Path:
 
 def cmd_floquet_compare(cfg: RunConfig) -> Path:
     """Effective-vs-exact quasienergy error along a ladder of kick strengths."""
-    errors = effective_vs_floquet_errors(cfg.alpha_ladder, cfg.eta, cfg.j)
+    errors = _built(effective_vs_floquet_errors, cfg.alpha_ladder, cfg.eta, cfg.j)
     ratios = [errors[i] / errors[i + 1] if errors[i + 1] > 0 else None for i in range(len(errors) - 1)]
     report = {
         "config": {"command": cfg.command, "j": cfg.j, "eta": cfg.eta, "alpha_ladder": list(cfg.alpha_ladder)},
@@ -534,7 +547,7 @@ def cmd_floquet_compare(cfg: RunConfig) -> Path:
 def cmd_harper_diff(cfg: RunConfig) -> Path:
     """Bond-by-bond diff between the closed-form and generic effective chains."""
     params = HarperParams(length=cfg.length, sigma=cfg.sigma, alpha=cfg.alpha, period=cfg.period)
-    diff = heff_discrepancy_report(params)
+    diff = _built(heff_discrepancy_report, params)
     report = {
         "config": {"command": cfg.command, "length": cfg.length, "sigma": cfg.sigma,
                    "alpha": cfg.alpha, "period": cfg.period},
@@ -563,11 +576,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         cfg = parse_config(sys.argv[1:] if argv is None else list(argv))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-
-    try:
         out = _COMMANDS[cfg.command](cfg)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -575,10 +583,6 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
-    except ValueError as exc:
-        # domain errors from parameter validation count as configuration errors
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
     print(out)
     return 0
 

@@ -136,8 +136,8 @@ def dkt_floquet(alpha: float, eta: float, j) -> np.ndarray:
     G = dkt_static_part(1, eta, j) = P Jx P^dag is the twisted Jx, and the kick
     factor K = exp(-i*alpha*Jx): U = P K P^dag K.
     """
-    if not (np.isfinite(alpha) and np.isfinite(eta)):
-        raise ValueError(f"alpha and eta must be finite, got alpha={alpha}, eta={eta}")
+    if not np.isfinite(alpha):  # a non-finite eta fails `phase_diagonal`
+        raise ValueError(f"alpha must be finite, got alpha={alpha}")
     spin = _as_spin(j)
     twist = _twist_gauge(spin, eta)
     vecs = hermitian_eigh(spin_operators(spin).jx, vectors=True)[1]

@@ -57,7 +57,10 @@ def box_probabilities(values, n_bins: int) -> np.ndarray:
     lo, hi = float(values.min()), float(values.max())
     if not hi > lo:
         raise ValueError("degenerate range: all values identical")
-    counts, _ = np.histogram(values, bins=int(n_bins), range=(lo, hi))
+    try:
+        counts, _ = np.histogram(values, bins=int(n_bins), range=(lo, hi))
+    except ValueError as exc:  # a range too narrow, or too wide, for n_bins finite-sized bins
+        raise FloatingPointError(f"cannot split the values' range [{lo!r}, {hi!r}] into {n_bins} bins") from exc
     return counts.astype(float) / values.size
 
 
@@ -381,7 +384,10 @@ def _histogram_summary(values, n_bins: int, thresholds):
     values = np.asarray(values, dtype=float)
     if np.all(np.isnan(values)):
         return None
-    counts, edges = np.histogram(values, bins=n_bins)
+    try:
+        counts, edges = np.histogram(values, bins=n_bins)
+    except ValueError as exc:  # values a few ulps apart (every state alike), or not all finite
+        raise FloatingPointError(f"cannot split the values' range into {n_bins} finite-sized bins") from exc
     return {
         "mean": float(values.mean()),
         "variance": float(values.var()),

@@ -567,16 +567,31 @@ def test_non_finite_parameter_is_config_error_on_every_system(args, tmp_path):
     assert run_cli(["spectrum", *args], tmp_path) == 2
 
 
+# every builder and solver that a command calls
+_BUILDS = ("dkt_effective_hamiltonian", "general_su2_hamiltonian", "harper_hamiltonian", "kicked_harper_effective",
+           "eigensolve", "effective_vs_floquet_errors", "heff_discrepancy_report")
+
+
+def _forbid_builds(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a run refused while parsing reached a build or a solve")
+
+    for name in _BUILDS:
+        monkeypatch.setattr(f"kickedspec.cli.{name}", never)
+
+
 @pytest.mark.parametrize("args", [
     ["spectrum", "--system", "dkt", "--j", "10", "--alpha", "0", "--eta", "1"],
     ["eigenstates", "--system", "dkt", "--j", "10", "--alpha", "0", "--eta", "1"],
     ["butterfly", "--system", "dkt", "--j", "10", "--alpha", "0", "--xi-sweep", "0:1:0.5"],
     ["floquet-compare", "--j", "10", "--eta", "1", "--alpha-ladder", "0.04,0.02,0"],
 ])
-def test_zero_dkt_alpha_is_config_error(args, tmp_path, capsys):
-    # the same check as the SU(2) family and the Harper chains
+def test_zero_dkt_alpha_is_config_error(args, tmp_path, capsys, monkeypatch):
+    # the same rule as the SU(2) family and the Harper chains, applied while parsing
+    _forbid_builds(monkeypatch)
+    flag = "--alpha-ladder" if "--alpha-ladder" in args else "--alpha"
     assert run_cli(args, tmp_path) == 2
-    assert "alpha must be finite and nonzero" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {flag}: alpha must be finite and nonzero\n"
     assert not any(tmp_path.iterdir())
 
 
@@ -585,11 +600,12 @@ def test_zero_dkt_alpha_is_config_error(args, tmp_path, capsys):
     ["spectrum", "--system", "harper-kicked", "--length", "10", "--sigma", "golden",
      "--harper-mode", "general", "--alpha", "0"],
 ])
-def test_zero_harper_alpha_is_config_error(args, tmp_path, capsys):
-    # the general route divides by alpha; zero is rejected before any build
+def test_zero_harper_alpha_is_config_error(args, tmp_path, capsys, monkeypatch):
+    # the general route divides by alpha; zero is rejected while parsing
+    _forbid_builds(monkeypatch)
     assert run_cli(args, tmp_path) == 2
-    assert "alpha" in capsys.readouterr().err
-    assert not (tmp_path / "harper_diff.json").exists()
+    assert capsys.readouterr().err == "error: --alpha: alpha must be finite and nonzero\n"
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("args", [
@@ -599,10 +615,19 @@ def test_zero_harper_alpha_is_config_error(args, tmp_path, capsys):
      "--alpha", "0"],
     ["floquet-compare", "--j", "10", "--eta", "1", "--alpha-ladder", "0.04,0.02,0"],
     ["harper-diff", "--length", "10", "--sigma", "golden", "--alpha", "0"],
+    # finite inputs whose operator products overflow, refused at the build
+    pytest.param(["spectrum", "--system", "dkt", "--j", "10", "--alpha", "1e200", "--eta", "1"], id="dkt-overflow"),
+    pytest.param(["spectrum", "--system", "harper-kicked", "--harper-mode", "general", "--length", "10",
+                  "--sigma", "golden", "--alpha", "1e200"], id="harper-kicked-overflow"),
+    pytest.param(["floquet-compare", "--j", "10", "--eta", "1", "--alpha-ladder", "1e200,1e100,1e50"],
+                 id="floquet-compare-overflow"),
+    pytest.param(["harper-diff", "--length", "10", "--sigma", "golden", "--alpha", "1e200"], id="harper-diff-overflow"),
+    pytest.param(["spectrum", "--system", "su2-a", "--j", "10", "--alpha", "1e308", "--eta", "1"],
+                 id="su2-a-overflow"),
 ], ids=lambda args: args[0])
 def test_builder_error_leaves_no_output_directory(args, tmp_path):
-    # the builders reject these after parsing; the directory is made only
-    # when a file is written
+    # a zero alpha is refused while parsing, an overflow after it; either
+    # way the directory is made only when a file is written
     out_dir = tmp_path / "out"
     proc = run_module([*args, "--out-dir", str(out_dir)])
     assert proc.returncode == 2, proc.stderr
@@ -756,13 +781,27 @@ ZERO_SPIN_RUNS = {
 @pytest.mark.parametrize("run", sorted(ZERO_SPIN_RUNS))
 def test_zero_spin_is_rejected_while_parsing(run, tmp_path, capsys, monkeypatch):
     # every spin Hamiltonian divides its phases by 2j; no build or solve may run
-    def never(*args, **kwargs):
-        raise AssertionError("a run with j = 0 reached the solver")
-
-    monkeypatch.setattr("kickedspec.cli.eigensolve", never)
-    monkeypatch.setattr("kickedspec.cli.effective_vs_floquet_errors", never)
+    _forbid_builds(monkeypatch)
     assert run_cli(ZERO_SPIN_RUNS[run], tmp_path / "out") == 2
     assert capsys.readouterr().err == "error: --j: phase operator requires j > 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_dir_with_a_null_byte_is_rejected_before_the_solve(tmp_path, capsys, monkeypatch):
+    # Path.exists() reads such a path as missing, and only mkdir would fail
+    _forbid_builds(monkeypatch)
+    assert run_cli(["spectrum", "--system", "dkt", "--j", "10", "--eta", "1"], f"{tmp_path}/a\0b") == 2
+    assert capsys.readouterr().err == "error: --out-dir: embedded null byte\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"eta = 1 # \xff\n")
+    assert main(["spectrum", "--system", "dkt", "--j", "10", "--config", str(config),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {config}: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
 
 
@@ -793,10 +832,10 @@ def test_short_chain_is_rejected_while_parsing(args, tmp_path, capsys):
 ])
 def test_overflowing_effective_hamiltonian_is_config_error(args, tmp_path):
     # finite inputs whose H_eff products overflow fail H_eff's own contract;
-    # a subprocess keeps the overflow warning away from the test's filters
+    # a subprocess shows that no overflow warning reaches stderr
     proc = run_module([*args, "--out-dir", str(tmp_path)])
     assert proc.returncode == 2, proc.stderr
-    assert "effective Hamiltonian is not Hermitian" in proc.stderr
+    assert proc.stderr.startswith("error: effective Hamiltonian is not Hermitian") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("args", [
@@ -894,6 +933,32 @@ def test_eigenstates_default_grid_at_smallest_dimensions(args, dim, tmp_path):
     report = json.loads((tmp_path / "eigenstates_report.json").read_text())
     assert report["partition_grid"] == [2]
     assert report["statistics"]["count"] == dim
+
+
+@pytest.mark.parametrize("args", [
+    # a valid alpha whose spectrum spans a few subnormals
+    ["spectrum", "--system", "su2-f", "--j", "0.5", "--alpha", "5e-324", "--eta", "1"],
+    ["spectrum", "--system", "dkt", "--j", "10", "--alpha", "1e-322", "--eta", "1"],
+    # a uniform chain whose states' PR agree to rounding
+    ["eigenstates", "--system", "harper-kicked", "--harper-mode", "general", "--length", "4", "--sigma", "0"],
+], ids=["spectrum-su2-f", "spectrum-dkt", "eigenstates-pr"])
+def test_range_too_narrow_for_the_bins_exits_three(args, tmp_path):
+    # numpy cannot make the bins: one line, exit 3, nothing written
+    out_dir = tmp_path / "out"
+    proc = run_module([*args, "--out-dir", str(out_dir)])
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numerical failure: cannot split") and proc.stderr.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_value_error_in_a_pipeline_is_a_bug(tmp_path, monkeypatch):
+    # exit 2 is decided while parsing and at the build; a ValueError later is not an input error
+    def internal_bug(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr("kickedspec.cli.tau_spectrum", internal_bug)
+    with pytest.raises(ValueError, match="internal bug"):
+        run_cli(["spectrum", *HARPER_GOLDEN], tmp_path)
 
 
 def test_exit_code_three_on_numerical_failure(tmp_path, monkeypatch):

@@ -44,6 +44,12 @@ def test_box_probabilities_rightmost_bin_closed():
     assert np.allclose(box_probabilities([0.0, 0.5, 1.0], 2), [1.0 / 3.0, 2.0 / 3.0])
 
 
+def test_box_probabilities_range_too_narrow_for_the_bins():
+    # numpy cannot split a range of two subnormals into 16 finite-sized bins
+    with pytest.raises(FloatingPointError, match="cannot split"):
+        box_probabilities([0.0, 5e-324], 16)
+
+
 def test_box_probabilities_validation():
     with pytest.raises(ValueError, match="degenerate"):
         box_probabilities([1.0, 1.0, 1.0], 4)
