@@ -2,18 +2,23 @@
 Floquet comparison, and the Harper closed-form/general diff.
 
 Each option is declared once, in OPTIONS, with the converter that turns its
-text into the final value; argparse applies it, and a bad value exits 2 with
-one ``error:`` line that names the flag, as do argparse's own errors (a
-missing value, an unknown flag).  Flags are written in full; a value that
-starts with ``-`` and a digit or ``.`` (``--eta -1e-3``) is the flag's.  A
-``--config`` file's ``key = value`` lines, keyed by the command's flags,
-are read as flags ahead of the command line, so a flag overrides the file.
-`parse_config` then applies the rules that span options (`_READS`: a system
-refuses the flags its Hamiltonian does not read), the system-dependent
-defaults, and each parameter's and given grid's own library rule.  So it
-alone decides exit 2 for an input, but for finite inputs whose operator
-products overflow, which `_built` refuses at the build.  Exit 3 is a
-numerical failure; any other exception is a bug and keeps its traceback.
+text into the final value and applies every library rule on that value
+alone (the spin of ``--j``, the chain ``--length``, the kick ``--period``,
+the ``--q-grid`` orders, each ``--alpha-ladder`` rung).  argparse applies
+it, and a bad value exits 2 with one ``error:`` line that names the flag,
+as do argparse's own errors (a missing value, an unknown flag).  Flags are
+written in full; a value that starts with ``-`` and a digit or ``.``
+(``--eta -1e-3``) is the flag's.  A ``--config`` file's ``key = value``
+lines, keyed by the command's flags, are read as flags ahead of the
+command line, so a flag overrides the file.  `parse_config` then applies
+only the rules that span flags, on one path for every command: `_READS`
+gives the parameters a run reads, by its ``--system`` or, for
+floquet-compare and harper-diff, by its command; a flag for any other is
+refused, and a parameter read but not given is required or takes its
+default.  So parsing alone decides exit 2 for an input, but for finite
+inputs whose operator products overflow, which `_built` refuses at the
+build.  Exit 3 is a numerical failure; any other exception is a bug and
+keeps its traceback.
 
 All pipelines are deterministic and emit flat CSV (17 significant digits,
 LF, header row) or JSON with a config echo, so every number in a report can
@@ -93,47 +98,53 @@ def _list(item):
     return lambda text: tuple(item(tok) for tok in text.split(",") if tok.strip())
 
 
+def _ruled(convert, rule):
+    """`convert`, then `rule(value)`, a library rule that raises unless the value is valid."""
+    def ruled(text):
+        value = convert(text)
+        rule(value)
+        return value
+    return ruled
+
+
 def _checked(convert, accept, message: str):
     """`convert`, then a ConfigError with `message` (formatted with the value) unless `accept`."""
-    def checked(text):
-        value = convert(text)
+    def rule(value):
         if not accept(value):
             raise ConfigError(message.format(value))
-        return value
-    return checked
+    return _ruled(convert, rule)
 
 
-def _period(text: str) -> float:
-    period = parse_scalar(text)
-    check_period(period)
-    return period
+_PATH = _checked(Path, lambda p: "\0" not in str(p), "embedded null byte")
 
-
-# flag -> (converter of its text, help)
+# flag -> (converter of its text, help).  A converter applies each rule on a value
+# that its flag alone gives; alpha and eta, which a spelling through j can give
+# too, meet theirs in `_spelled`.
 OPTIONS = {
     "system": (_checked(str, lambda s: s in SYSTEMS, f"unknown system {{!r}}; expected one of {', '.join(SYSTEMS)}"),
                f"one of {', '.join(SYSTEMS)}"),
-    "j": (parse_scalar, "spin quantum number"),
-    "length": (_integer, "Harper chain length"),
+    "j": (_ruled(parse_scalar, check_phase_spin), "spin quantum number"),
+    "length": (_ruled(_integer, check_length), "Harper chain length"),
     "alpha": (parse_scalar, "coupling alpha"),
     "alpha-over": (parse_scalar, "set alpha = value/j"),
     "eta": (parse_scalar, "phase parameter eta"),
     "eta-over-j": (parse_scalar, "set eta = value*j ('golden' accepted)"),
     "xi": (parse_scalar, "set eta = value*pi*j"),
     "sigma": (parse_scalar, "Harper modulation ('golden' accepted)"),
-    "period": (_period, "kick period T"),
+    "period": (_ruled(parse_scalar, check_period), "kick period T"),
     "epsilon": (parse_scalar, "family case 'e' coupling ratio"),
     "xi-sweep": (parse_sweep, "xi sweep start:stop:step"),
     "sigma-sweep": (parse_sweep, "sigma sweep start:stop:step"),
     "harper-mode": (_checked(str, lambda m: m in (CLOSED_FORM, GENERAL),
                              f"harper-mode must be {CLOSED_FORM} or {GENERAL}, got {{!r}}"), "closed-form or general"),
-    "q-grid": (_list(parse_scalar), "comma-separated moment orders"),
+    "q-grid": (_ruled(_list(parse_scalar), _q_values), "comma-separated moment orders"),
     "scale-grid": (_list(_integer), "comma-separated bin or partition counts"),
     "bins": (_checked(_integer, lambda n: 1 <= n <= MAX_BINS, f"bins must be between 1 and {MAX_BINS}, got {{}}"),
              "histogram bin count, at most the number of states"),
-    "alpha-ladder": (_checked(_list(parse_scalar), lambda a: len(a) >= 3, "alpha ladder needs at least 3 values"),
-                     "comma-separated alpha values, largest first"),
-    "out-dir": (_checked(Path, lambda p: "\0" not in str(p), "embedded null byte"), "output directory for emitted files"),
+    "alpha-ladder": (_checked(_list(_ruled(parse_scalar, check_coupling)), lambda a: len(a) >= 3,
+                              "alpha ladder needs at least 3 values"), "comma-separated alpha values, largest first"),
+    "out-dir": (_PATH, "output directory for emitted files"),
+    "config": (_PATH, "flat key = value file whose keys are this command's flags; flags override it"),
 }
 _SYSTEM_OPTIONS = ("system", "j", "length", "alpha", "alpha-over", "eta", "eta-over-j", "xi", "sigma", "period",
                    "epsilon")
@@ -180,7 +191,7 @@ class RunConfig:
     command: str
     system: str | None = None
     j: float | None = None
-    length: int | None = None
+    length: int | None = 2001
     alpha: float | None = None
     eta: float | None = None
     sigma: float | None = None
@@ -190,7 +201,7 @@ class RunConfig:
     q_grid: tuple | None = None
     scale_grid: tuple | None = None
     harper_mode: str = CLOSED_FORM
-    alpha_ladder: tuple = ()
+    alpha_ladder: tuple | None = None
     bins: int = 50
     out_dir: Path = field(default_factory=lambda: Path("."))
 
@@ -242,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         # its default; a flag is written in full, so a negative value after an
         # abbreviation cannot be taken for an option
         p = sub.add_parser(command, argument_default=argparse.SUPPRESS, allow_abbrev=False)
-        p.add_argument("--config", help="flat key = value file whose keys are this command's flags; flags override it")
-        for name in names:
+        for name in ("config", *names):
             convert, help_text = OPTIONS[name]
             p.add_argument(f"--{name}", type=partial(_flagged, f"--{name}", convert), help=help_text, metavar="V")
     return parser
@@ -268,13 +278,16 @@ def _spelled(values: dict, name: str, j: float | None, rule) -> float | None:
     return value
 
 
-# system -> the parameters its Hamiltonian reads, harper-kicked once per --harper-mode
+# system -> the parameters its Hamiltonian reads, harper-kicked once per --harper-mode;
+# floquet-compare and harper-diff, which take no --system, by their command
 _SPIN = ("j", "alpha", "eta")
 _READS = {"dkt": _SPIN,
           **{f"su2-{c}": (*_SPIN, "epsilon") if c == "e" else _SPIN for c in FAMILY_CASES},
           "harper-static": ("length", "sigma"),
           f"harper-kicked --harper-mode {CLOSED_FORM}": ("length", "sigma", "harper_mode"),
-          f"harper-kicked --harper-mode {GENERAL}": ("length", "sigma", "harper_mode", "alpha", "period")}
+          f"harper-kicked --harper-mode {GENERAL}": ("length", "sigma", "harper_mode", "alpha", "period"),
+          "floquet-compare": ("j", "eta", "alpha_ladder"),
+          "harper-diff": ("length", "sigma", "alpha", "period")}
 _PARAMETERS = {name for reads in _READS.values() for name in reads}
 
 
@@ -304,84 +317,61 @@ def parse_config(argv) -> RunConfig:
     cfg = RunConfig(**{k: v for k, v in values.items() if k in known})
     _check_out_dir(cfg.out_dir)
 
-    if command == "floquet-compare":
-        if not cfg.alpha_ladder:
-            raise ConfigError("floquet-compare requires --alpha-ladder")
-        if cfg.j is None:
-            raise ConfigError("floquet-compare requires --j")
-        for alpha in cfg.alpha_ladder:
-            _flagged("--alpha-ladder", check_coupling, alpha)
-        _flagged("--j", check_phase_spin, cfg.j)
-        cfg.eta = _spelled(values, "eta", cfg.j, partial(phase_diagonal, cfg.j))
-        if cfg.eta is None:
-            raise ConfigError("floquet-compare requires eta (or eta-over-j / xi)")
-        return cfg
-
-    if command == "harper-diff":
-        if cfg.length is None or cfg.sigma is None:
-            raise ConfigError("harper-diff requires --length and --sigma")
-        _flagged("--length", check_length, cfg.length)
-        cfg.alpha = values.get("alpha", 1.0)
-        _flagged("--alpha", check_coupling, cfg.alpha)
-        return cfg
-
-    if cfg.system is None:
+    if command in _READS:
+        row = command
+    elif cfg.system is None:
         raise ConfigError(f"{command} requires --system ({', '.join(SYSTEMS)})")
-    is_harper = cfg.system.startswith("harper")
+    else:
+        row = f"{cfg.system} --harper-mode {cfg.harper_mode}" if cfg.system == "harper-kicked" else cfg.system
+    reads = set(_READS[row])
     if command == "butterfly":
         sweeps = [k for k in ("xi_sweep", "sigma_sweep") if k in values]
         if len(sweeps) != 1:
             raise ConfigError("butterfly requires exactly one of --xi-sweep, --sigma-sweep")
-        axis, other = ("sigma", "xi") if is_harper else ("xi", "sigma")
+        axis, other = ("sigma", "xi") if "sigma" in reads else ("xi", "sigma")
         if sweeps[0] != f"{axis}_sweep":
             raise ConfigError(f"system {cfg.system} sweeps {axis}, not {other}")
-        if not is_harper and any(k in values for k in ("eta", "eta_over_j", "xi")):
+        if axis == "xi" and any(k in values for k in ("eta", "eta_over_j", "xi")):
             raise ConfigError("give either a fixed eta/xi or a sweep, not both")
-        if is_harper and cfg.sigma is not None:
+        if axis == "sigma" and cfg.sigma is not None:
             raise ConfigError("give either a fixed sigma or a sweep, not both")
         cfg.sweep = values[sweeps[0]]
 
-    system = f"{cfg.system} --harper-mode {cfg.harper_mode}" if cfg.system == "harper-kicked" else cfg.system
-    reads = set(_READS[system])
     for key in values:
         needs = {_SPELLINGS[key][0], "j"} if key in _SPELLINGS else {key}  # a spelling reads j too
         if needs <= _PARAMETERS and not needs <= reads:
             readers = ", ".join(name for name, names in _READS.items() if needs <= set(names))
-            raise ConfigError(f"--{key.replace('_', '-')}: {system} does not read it (read by {readers})")
+            raise ConfigError(f"--{key.replace('_', '-')}: {row} does not read it (read by {readers})")
     for name in _PARAMETERS - reads:
         setattr(cfg, name, None)
 
-    if is_harper:
-        cfg.length = values.get("length", 2001)
-        _flagged("--length", check_length, cfg.length)
-        if command != "butterfly" and cfg.sigma is None:
-            raise ConfigError(f"{command} requires a fixed sigma")
-    else:
+    if "sigma" in reads and command != "butterfly" and cfg.sigma is None:
+        raise ConfigError(f"{command} requires --sigma")
+    if "j" in reads:
         if cfg.j is None:
-            raise ConfigError(f"system {cfg.system} requires --j")
-        _flagged("--j", check_phase_spin, cfg.j)
+            raise ConfigError(f"{row} requires --j")
         cfg.eta = _spelled(values, "eta", cfg.j, partial(phase_diagonal, cfg.j))
         if command == "butterfly":  # the phases grow with |xi|, largest at an end of the sweep
             for xi in (cfg.sweep[0], cfg.sweep[-1]):
                 _flagged("--xi-sweep", phase_diagonal, cfg.j, float(xi) * np.pi * cfg.j)
         elif cfg.eta is None:
-            raise ConfigError(f"{command} requires a fixed eta (or eta-over-j / xi)")
-        if cfg.system == "su2-e" and cfg.epsilon is None:
-            raise ConfigError("system su2-e requires --epsilon (coupling ratio b = epsilon*alpha)")
+            raise ConfigError(f"{command} requires --eta (or --eta-over-j, --xi)")
+    if "epsilon" in reads and cfg.epsilon is None:
+        raise ConfigError(f"system {row} requires --epsilon (coupling ratio b = epsilon*alpha)")
+    if "alpha_ladder" in reads and cfg.alpha_ladder is None:
+        raise ConfigError(f"{command} requires --alpha-ladder")
     if "alpha" in reads:
         cfg.alpha = _spelled(values, "alpha", cfg.j, check_coupling)
         if cfg.alpha is None:
             cfg.alpha = 1.0 / cfg.j if cfg.j else 1.0  # 1/j on a spin (the butterfly sweep's), 1 on a chain
 
-    # a given grid meets the analysis's own rules here, before any solve or output directory
-    if cfg.q_grid is not None:
-        _flagged("--q-grid", _q_values, cfg.q_grid)
+    # a given count grid meets the analysis's own rules here, before any solve or output directory
     if cfg.scale_grid is not None and command == "spectrum":
         _flagged("--scale-grid", _counts, cfg.scale_grid, 4)
         if max(cfg.scale_grid) > MAX_BINS:
             raise ConfigError(f"--scale-grid: bin counts must not exceed {MAX_BINS}, got {max(cfg.scale_grid)}")
     if command == "eigenstates":
-        states = cfg.length if is_harper else SpinLabel(cfg.j).dim
+        states = cfg.length or SpinLabel(cfg.j).dim
         if cfg.scale_grid is not None:
             _flagged("--scale-grid", _counts, cfg.scale_grid, 1, states)
         # more bins than states add only empty bins; the default stays as it is
@@ -457,7 +447,7 @@ def write_json(path: Path, payload: dict) -> None:
 def _config_echo(cfg: RunConfig) -> dict:
     """The run's inputs in RunConfig's order; a parameter the system does not read is None, and left out."""
     echo = {name: value for name, value in vars(cfg).items()
-            if value is not None and name not in ("alpha_ladder", "bins", "out_dir")}
+            if value is not None and name not in ("bins", "out_dir")}
     if cfg.sweep is not None:
         echo["sweep"] = {"start": float(cfg.sweep[0]), "stop": float(cfg.sweep[-1]), "points": int(cfg.sweep.size)}
     return echo

@@ -196,9 +196,14 @@ def _scaling_fit(counts, measures, q_grid):
     """Fit log Z_q against log N for cells x states tables, one per count N.
 
     Returns tau and R^2 (shape (n_q, n_states)), each state's window bounds
-    (start, stop), D_q and mu.
+    (start, stop), D_q and mu.  FloatingPointError names every q at which
+    some Z_q underflows to 0 (p^q of every cell does), so log Z_q is -inf.
     """
-    log_z = np.stack([np.log(_moments(parts, q_grid)) for parts in measures])
+    with np.errstate(divide="ignore"):
+        log_z = np.stack([np.log(_moments(parts, q_grid)) for parts in measures])
+    underflow = np.asarray(q_grid)[~np.all(np.isfinite(log_z), axis=(0, 2))]
+    if underflow.size:
+        raise FloatingPointError(f"Z_q underflows to 0 at q = {', '.join(map(repr, underflow.tolist()))}")
     tau, r2, start, stop = _shared_window_fit(np.log(counts.astype(float)), log_z, _window_q_mask(q_grid))
     return tau, r2, start, stop, _dimensions(q_grid, tau), _slopes_over_q(q_grid, tau)
 

@@ -457,6 +457,9 @@ def test_benchmark_floquet_ladder_matches_its_reference(seed, tmp_path):
 def test_floquet_compare_requires_three_alphas(tmp_path):
     with pytest.raises(ConfigError, match="3 values"):
         parse_config(["floquet-compare", "--j", "4", "--eta", "1", "--alpha-ladder", "0.1,0.05"])
+    # each rung is converted, and checked, before the ladder's length
+    with pytest.raises(ConfigError, match="^--alpha-ladder: alpha must be finite and nonzero$"):
+        parse_config(["floquet-compare", "--j", "4", "--eta", "1", "--alpha-ladder", "0.1,0"])
 
 
 def test_harper_diff_report(tmp_path):
@@ -584,14 +587,13 @@ def _forbid_builds(monkeypatch):
     ["spectrum", "--system", "dkt", "--j", "10", "--alpha", "0", "--eta", "1"],
     ["eigenstates", "--system", "dkt", "--j", "10", "--alpha", "0", "--eta", "1"],
     ["butterfly", "--system", "dkt", "--j", "10", "--alpha", "0", "--xi-sweep", "0:1:0.5"],
-    ["floquet-compare", "--j", "10", "--eta", "1", "--alpha-ladder", "0.04,0.02,0"],
 ])
 def test_zero_dkt_alpha_is_config_error(args, tmp_path, capsys, monkeypatch):
-    # the same rule as the SU(2) family and the Harper chains, applied while parsing
+    # the same rule as the SU(2) family and the Harper chains, applied while parsing;
+    # a zero --alpha-ladder rung is in FLAG_RULES
     _forbid_builds(monkeypatch)
-    flag = "--alpha-ladder" if "--alpha-ladder" in args else "--alpha"
     assert run_cli(args, tmp_path) == 2
-    assert capsys.readouterr().err == f"error: {flag}: alpha must be finite and nonzero\n"
+    assert capsys.readouterr().err == "error: --alpha: alpha must be finite and nonzero\n"
     assert not any(tmp_path.iterdir())
 
 
@@ -748,7 +750,7 @@ def test_nonpositive_or_non_finite_period_is_config_error(period, tmp_path, caps
         assert not (tmp_path / "out").exists()
 
 
-DKT_PERIOD_REFUSED = "--period: dkt does not read it (read by harper-kicked --harper-mode general)"
+DKT_PERIOD_REFUSED = "--period: dkt does not read it (read by harper-kicked --harper-mode general, harper-diff)"
 
 
 @pytest.mark.parametrize("args, message", [
@@ -795,6 +797,15 @@ def test_out_dir_with_a_null_byte_is_rejected_before_the_solve(tmp_path, capsys,
     assert not any(tmp_path.iterdir())
 
 
+def test_config_path_with_a_null_byte_is_config_error(tmp_path, capsys, monkeypatch):
+    # Path.read_text raises ValueError, not OSError, on such a path; the flag's converter refuses it
+    _forbid_builds(monkeypatch)
+    assert main(["spectrum", "--system", "dkt", "--j", "10", "--eta", "1", "--config", "a\0b",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: --config: embedded null byte\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_bytes(b"eta = 1 # \xff\n")
@@ -815,14 +826,73 @@ def test_out_dir_under_a_file_is_rejected_before_the_solve(command, tmp_path, ca
     assert capsys.readouterr().err == f"error: --out-dir: {blocker} is not a directory\n"
 
 
-@pytest.mark.parametrize("args", [
-    ["eigenstates", "--system", "harper-static", "--length", "1", "--sigma", "golden", "--scale-grid", "2"],
-    ["harper-diff", "--length", "1", "--sigma", "golden"],
-])
-def test_short_chain_is_rejected_while_parsing(args, tmp_path, capsys):
-    assert run_cli(args, tmp_path / "out") == 2
-    assert capsys.readouterr().err == "error: --length: chain length must be >= 2, got 1\n"
-    assert not (tmp_path / "out").exists()
+# flag -> (a bad value, the library rule's message), a rule on the value that the flag alone gives
+FLAG_RULES = {"j": ("0", "phase operator requires j > 0"),
+              "length": ("1", "chain length must be >= 2, got 1"),
+              "period": ("0", "kick period must be finite and positive, got 0.0"),
+              "q-grid": ("-1", "negative moments are not supported"),
+              "alpha-ladder": ("0.04,0.02,0", "alpha must be finite and nonzero")}
+# flag -> command -> a run that reads the flag's parameter, without the flag
+FLAG_RULE_RUNS = {
+    "j": {"butterfly": ["--system", "dkt", "--xi-sweep", "0:1:0.5"], "spectrum": ["--system", "dkt", "--eta", "1"],
+          "eigenstates": ["--system", "su2-a", "--eta", "1"],
+          "floquet-compare": ["--eta", "1", "--alpha-ladder", "0.04,0.02,0.01"]},
+    "length": {"butterfly": ["--system", "harper-static", "--sigma-sweep", "0:1:0.5"],
+               "spectrum": ["--system", "harper-kicked", "--sigma", "golden"],
+               "eigenstates": ["--system", "harper-static", "--sigma", "golden"],
+               "harper-diff": ["--sigma", "golden"]},
+    "period": {"butterfly": ["--system", "harper-kicked", "--harper-mode", "general", "--sigma-sweep", "0:1:0.5"],
+               "spectrum": ["--system", "harper-kicked", "--harper-mode", "general", "--length", "30",
+                            "--sigma", "golden"],
+               "eigenstates": ["--system", "harper-kicked", "--harper-mode", "general", "--length", "30",
+                               "--sigma", "golden"],
+               "harper-diff": ["--length", "30", "--sigma", "golden"]},
+    "q-grid": {"spectrum": ["--system", "dkt", "--j", "10", "--eta", "1"],
+               "eigenstates": ["--system", "harper-static", "--length", "64", "--sigma", "golden"]},
+    "alpha-ladder": {"floquet-compare": ["--j", "10", "--eta", "1"]},
+}
+
+
+@pytest.mark.parametrize("flag, command", [(flag, command) for flag, runs in FLAG_RULE_RUNS.items()
+                                           for command in runs], ids=lambda value: value)
+def test_a_flag_rule_is_one_error_line_from_argv_or_config(flag, command, tmp_path, capsys, monkeypatch):
+    # the flag's converter applies the rule: the same line from argv and from
+    # a --config file, before any build, solve or output directory
+    assert set(FLAG_RULE_RUNS[flag]) == {c for c, names in COMMAND_OPTIONS.items() if flag in names}
+    _forbid_builds(monkeypatch)
+    value, message = FLAG_RULES[flag]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{flag} = {value}\n")
+    args = [command, *FLAG_RULE_RUNS[flag][command]]
+    for argv in ([*args, f"--{flag}", value], [*args, "--config", str(config)]):
+        assert run_cli(argv, tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: --{flag}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["floquet-compare", "--eta", "1", "--alpha-ladder", "0.04,0.02,0.01"], "floquet-compare requires --j"),
+    (["floquet-compare", "--j", "10", "--alpha-ladder", "0.04,0.02,0.01"],
+     "floquet-compare requires --eta (or --eta-over-j, --xi)"),
+    (["floquet-compare", "--j", "10", "--eta", "1"], "floquet-compare requires --alpha-ladder"),
+    (["harper-diff", "--length", "40"], "harper-diff requires --sigma"),
+    (["spectrum", "--system", "dkt", "--eta", "1"], "dkt requires --j"),
+    (["eigenstates", "--system", "harper-static"], "eigenstates requires --sigma"),
+    (["spectrum", "--system", "su2-a", "--j", "10"], "spectrum requires --eta (or --eta-over-j, --xi)"),
+    (["spectrum", "--system", "su2-e", "--j", "10", "--eta", "1"],
+     "system su2-e requires --epsilon (coupling ratio b = epsilon*alpha)"),
+], ids=["floquet-compare-j", "floquet-compare-eta", "floquet-compare-alpha-ladder", "harper-diff-sigma", "dkt-j",
+        "eigenstates-sigma", "spectrum-eta", "su2-e-epsilon"])
+def test_a_parameter_read_without_a_default_is_required(argv, message):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(argv)
+    assert str(excinfo.value) == message
+
+
+def test_harper_diff_takes_the_default_length():
+    # as every command does for a parameter it reads and is not given
+    cfg = parse_config(["harper-diff", "--sigma", "golden"])
+    assert (cfg.length, cfg.alpha, cfg.period) == (2001, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("args", [
@@ -948,6 +1018,22 @@ def test_range_too_narrow_for_the_bins_exits_three(args, tmp_path):
     proc = run_module([*args, "--out-dir", str(out_dir)])
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("numerical failure: cannot split") and proc.stderr.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--system", "dkt", "--j", "10", "--alpha", "1", "--eta", "1", "--q-grid", "0,1e300"],
+    ["spectrum", "--system", "dkt", "--j", "100", "--alpha-over", "1", "--eta-over-j", "golden",
+     "--q-grid", "0,2,1e300"],
+    ["eigenstates", "--system", "harper-kicked", "--length", "201", "--sigma", "golden", "--q-grid", "0,2,1e300"],
+], ids=["spectrum-j10", "spectrum-j100", "eigenstates"])
+def test_underflowing_moment_sum_exits_three(args, tmp_path):
+    # p^q of every cell underflows at q = 1e300: no fit is defined, so one
+    # line, exit 3, no RuntimeWarning and nothing written
+    out_dir = tmp_path / "out"
+    proc = run_module([*args, "--out-dir", str(out_dir)])
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "numerical failure: Z_q underflows to 0 at q = 1e+300\n"
     assert not out_dir.exists()
 
 

@@ -127,6 +127,17 @@ def test_tau_requires_enough_scales():
         tau_spectrum(np.full(100, 2.0), scale_grid=[4, 8, 16, 32])
 
 
+def test_underflowing_moment_sum_is_a_floating_point_error():
+    # every p^q underflows at q = 1e300, so log Z_q is -inf; spectra and
+    # eigenvectors share the fit, and neither warns on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match=r"^Z_q underflows to 0 at q = 1e\+300$"):
+            tau_spectrum(np.linspace(0.0, 1.0, 200) ** 2, q_grid=[0, 2, 1e300])
+        with pytest.raises(FloatingPointError, match=r"^Z_q underflows to 0 at q = 900.0, 1e\+300$"):
+            analyze_eigenvectors(np.full((64, 2), 1.0 / 64), q_grid=[0, 2, 900, 1e300])
+
+
 def test_tau_rejects_negative_q():
     with pytest.raises(ValueError, match="negative"):
         tau_spectrum(np.linspace(0, 1, 100), q_grid=[-2.0, 2.0], scale_grid=[4, 8, 16, 32])

@@ -4,7 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
-from kickedspec.cli import parse_config
+from kickedspec.cli import _READS, parse_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,3 +24,17 @@ def test_readme_cli_examples_parse():
     assert len(commands) == 5
     for argv in commands:
         assert parse_config(argv).command == argv[0]
+
+
+def test_readme_parameter_table_is_reads():
+    # one row per line of the table, a system or command in backticks -> the parameters read, in order
+    section = README.read_text().split("| `--system`, or command | parameters read |", 1)[1]
+    documented = {}
+    for line in section.strip().splitlines()[1:]:
+        if not line.startswith("|"):
+            break
+        names, params = (cell.strip() for cell in line.strip("|").split("|"))
+        read = tuple(re.sub(r"\s*\(.*\)$", "", p.strip()).replace("-", "_") for p in params.split(","))
+        for name in re.findall(r"`([^`]+)`", names):
+            documented[name] = read
+    assert documented == _READS
