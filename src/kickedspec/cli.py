@@ -446,11 +446,8 @@ def write_json(path: Path, payload: dict) -> None:
 
 def _config_echo(cfg: RunConfig) -> dict:
     """The run's inputs in RunConfig's order; a parameter the system does not read is None, and left out."""
-    echo = {name: value for name, value in vars(cfg).items()
+    return {name: value for name, value in vars(cfg).items()
             if value is not None and name not in ("bins", "out_dir")}
-    if cfg.sweep is not None:
-        echo["sweep"] = {"start": float(cfg.sweep[0]), "stop": float(cfg.sweep[-1]), "points": int(cfg.sweep.size)}
-    return echo
 
 
 # ---------------------------------------------------------------------------

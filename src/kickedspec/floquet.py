@@ -28,15 +28,16 @@ same rows.  Nothing of full dimension is built.
   M = conj(A) D A D = Vx^T U Vx has the spectrum of U.
 - Spin-flip parity.  P = exp(i eta Jz^2/2j) up to a phase, and P and Jx
   both commute with the flip m -> -m, the index reversal R.  So Jx splits
-  into the two parity blocks of `operators._parity_solve`, in the basis
+  into the two parity blocks of `operators._parity_blocks`, in the basis
   (e_i +- e_{n-1-i})/sqrt(2), of sizes n - n//2 and n//2; each is
   diagonalized at that size, with eigenvectors Y_b.  In that basis P^dag is
-  diag(q) on each block: q_i = conj(p_i + p_{n-1-i})/2 on the pairs, and
-  conj(p_mid) last in the even block when n is odd.  Pair i of the two
-  blocks is coupled by conj(p_i - p_{n-1-i})/2, which vanishes with
-  P's symmetry, so A couples Jx eigenvectors of equal R-parity only: the
-  dropped coupling, that diagonal between orthonormal Jx eigenvectors, has
-  no entry above max|p_i - p_{n-1-i}|/2 (1e-15 at j = 1000).  U has
+  diag(q) on each block, those of its symmetric part conj(P + RPR)/2:
+  q_i = conj(p_i + p_{n-1-i})/2 on the pairs, conj(p_mid) last in the even
+  block when n is odd.  Pair i of the two blocks is coupled by
+  conj(p_i - p_{n-1-i})/2, which vanishes with P's symmetry, so A couples
+  Jx eigenvectors of equal R-parity only: the dropped coupling, that
+  diagonal between orthonormal Jx eigenvectors, has no entry above
+  max|p_i - p_{n-1-i}|/2 (1e-15 at j = 1000).  U has
   the union of the spectra of conj(A_b) D_b A_b D_b, unitary with its
   block A_b = Y_b^T diag(q) Y_b, over the two blocks b; the sectors the
   ladder needs (Chirality) are built and checked unitary once per ladder.
@@ -81,8 +82,8 @@ same rows.  Nothing of full dimension is built.
 import numpy as np
 
 from .effective import KickedSystem, check_coupling, heff_delta_kicked
-from .operators import (UNITARITY_ATOL, Banded, _dense_hermitian, _parity_solve, hermitian_eigh, max_abs,
-                        require_hermitian, require_unitary, unitarity_defect)
+from .operators import (UNITARITY_ATOL, Banded, _parity_blocks, hermitian_eigh, max_abs, require_hermitian,
+                        require_unitary, unitarity_defect)
 from .su2 import SpinLabel, _as_spin, dkt_static_part, phase_diagonal, spin_operators
 
 TWO_PI = 2.0 * np.pi
@@ -202,22 +203,22 @@ def _ladder_gauge(spin: SpinLabel, eta: float) -> tuple:
     numerical failure, when A couples the blocks by more than PARITY_ATOL,
     S leaves a reversal of Jx eigenvectors or a sector's unitarity defect
     exceeds UNITARITY_ATOL."""
-    (_, even), (_, odd) = _parity_solve(spin_operators(spin).jx,
-                                        lambda lower: np.linalg.eigh(_dense_hermitian(lower)))
-    adjoint, half = _twist_gauge(spin, eta).conj(), spin.dim // 2
-    head, tail = adjoint[:half], adjoint[::-1][:half]
-    # bounds the entries of A's dropped R-even x R-odd block, even[:half]^T diag((head - tail)/2) odd
-    mixing = max_abs(head - tail) / 2.0
+    even, odd = (np.linalg.eigh(block.to_dense())[1] for block in _parity_blocks(spin_operators(spin).jx))
+    adjoint = _twist_gauge(spin, eta).conj()
+    # bounds the entries of A's dropped R-even x R-odd block, even[:half]^T diag(adjoint - R adjoint)[:half] odd / 2
+    mixing = max_abs(adjoint - adjoint[::-1]) / 2.0
     if not mixing <= PARITY_ATOL:
         raise np.linalg.LinAlgError(f"twist gauge mixes the spin-flip parity blocks by {mixing:.3g}")
-    pairs = (head + tail) / 2.0
+    # conj(P + R P R)/2 equals its reversal bit for bit, since the sum commutes
+    symmetric = Banded.diagonal((adjoint + adjoint[::-1]) / 2.0)
+    even_gauge, odd_gauge = (block.band(0) for block in _parity_blocks(symmetric))
     if not spin.dim % 2:
         _rotation_signs(odd, even)
-        return ((_gauge_sector(odd, pairs),) * 2,)
+        return ((_gauge_sector(odd, odd_gauge),) * 2,)
     # R-even holds the even indices at integer spin (odd dimension), and the
     # ladder pairs the k-th chiral block with spin.m_values[k::2]
     sectors = []
-    for vecs, diagonal in ((even, np.concatenate((pairs, adjoint[half:half + 1]))), (odd, pairs)):
+    for vecs, diagonal in ((even, even_gauge), (odd, odd_gauge)):
         signs = _rotation_signs(vecs, vecs)
         side = signs[len(signs) // 2] if len(signs) % 2 else -1.0
         sectors.append(tuple(_gauge_sector(_rotation_sector(vecs, signs, sign), diagonal[int(sign < 0)::2])

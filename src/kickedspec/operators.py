@@ -2,10 +2,10 @@
 eigensolver dispatch chosen from an operator's band structure.
 
 An operator equal to its index reversal R (the kicked-top H_eff, whose
-spin flip m -> -m is R) is solved on its two half-size parity blocks,
-built from its stored bands by `_parity_solve` for `eigensolve`'s banded
-eigenvalue driver, `hermitian_eigh` and the Floquet ladder's Jx: two block
-solves in place of one of the whole operator.
+spin flip m -> -m is R) is solved on its two half-size parity blocks, two
+`Banded` operators built once from its stored bands by `_parity_blocks` for
+every solver: `eigensolve`'s banded driver, `hermitian_eigh`, and the
+Floquet ladder's Jx and twist gauge.
 
 Every Hamiltonian is a `Banded` operator; dense arrays are left for
 unitaries.  Contracts are checked where an operator enters, not where it is
@@ -241,27 +241,17 @@ def _reversal_symmetric(op: Banded) -> bool:
     return op.dim > 1 and all(np.array_equal(band, op.band(-k)[::-1]) for k, band in op.bands.items())
 
 
-def _lower_band(op: Banded, size: int) -> np.ndarray:
-    """LAPACK lower band storage of the leading size x size block of `op`:
-    row d holds its diagonal -d."""
-    width = min(op.bandwidth, max(size - 1, 0))
-    lower = np.zeros((width + 1, size), dtype=np.result_type(op.dtype, float))
-    for d in range(width + 1):
-        lower[d, :size - d] = op.band(-d)[:size - d]
+def _lower_band(op: Banded) -> np.ndarray:
+    """LAPACK lower band storage of `op`: row d holds its diagonal -d."""
+    lower = np.zeros((op.bandwidth + 1, op.dim), dtype=np.result_type(op.dtype, float))
+    for d, band in enumerate(lower):
+        band[:op.dim - d] = op.band(-d)
     return lower
 
 
-def _dense_hermitian(lower: np.ndarray) -> np.ndarray:
-    """The Hermitian matrix whose lower band storage is `lower`."""
-    size = lower.shape[1]
-    bands = {d: band[:size - d].conj() for d, band in enumerate(lower)}
-    bands.update({-d: band[:size - d] for d, band in enumerate(lower)})
-    return Banded(size, bands).to_dense()
-
-
-def _parity_solve(op: Banded, solve) -> list:
-    """`solve` applied to `op` in lower band storage, or, when `op` equals
-    its index reversal R, to its even and odd parity blocks in that order.
+def _parity_blocks(op: Banded) -> list:
+    """The even and odd parity blocks of `op` when it equals its index
+    reversal R, else `op` alone.
 
     The blocks are taken in the basis (e_i +- e_{n-1-i})/sqrt(2), i < n // 2,
     with the middle index e_{n//2} last in the even block when n is odd.
@@ -269,30 +259,36 @@ def _parity_solve(op: Banded, solve) -> list:
     block size, plus the fold of the mirror images, which is nonzero only in
     the corner r, c >= n // 2 - bandwidth next to the middle, so each block
     keeps H's bandwidth.  The middle index couples to each pair by sqrt(2).
+    Each block is built from H's lower bands, its upper bands their adjoint.
     """
     if not _reversal_symmetric(op):
-        return [solve(_lower_band(op, op.dim))]
-    dim, half = op.dim, op.dim // 2
-    even, odd = _lower_band(op, dim - half), _lower_band(op, half)
-    for c in range(max(0, half - op.bandwidth), half):
-        for r in range(c, min(half, c + odd.shape[0])):
-            mirror = op[r, dim - 1 - c]
-            even[r - c, c] += mirror
-            odd[r - c, c] -= mirror
-    if dim % 2:
-        rows = np.arange(1, even.shape[0])
-        even[rows, half - rows] *= np.sqrt(2.0)
-    return [solve(even), solve(odd)]
+        return [op]
+    dim, half, dtype = op.dim, op.dim // 2, np.result_type(op.dtype, float)
+    blocks = []
+    for size, sign in ((dim - half, 1), (half, -1)):
+        lower = [op.band(-d)[:size - d].astype(dtype) for d in range(min(op.bandwidth, size - 1) + 1)]
+        for d, band in enumerate(lower):
+            for c in range(max(0, half - op.bandwidth), half - d):
+                band[c] += sign * op[c + d, dim - 1 - c]
+        if sign > 0 and dim % 2:
+            for d in range(1, len(lower)):
+                lower[d][half - d] *= np.sqrt(2.0)
+        bands = {d: band.conj() for d, band in enumerate(lower)}
+        bands.update({-d: band for d, band in enumerate(lower)})
+        blocks.append(Banded(size, bands))
+    return blocks
 
 
-def _chiral_or_eigh(block: np.ndarray, vectors: bool):
-    """`hermitian_eigh` of one block.  A block with no even-even and no odd-odd
-    entries is [[0, C], [C^dag, 0]] on its even and odd indices, so the SVD
+def _chiral_or_eigh(block: Banded, vectors: bool):
+    """`hermitian_eigh` of one block, densified.  A block whose even diagonals
+    are zero has no even-even and no odd-odd entries, so it is
+    [[0, C], [C^dag, 0]] on its even and odd indices, and the SVD
     C = U diag(s) V^dag gives the eigenpairs +-s with eigenvectors
     (u, +-v)/sqrt(2), and the columns of U past s are zero modes (u, 0)."""
-    if block[0::2, 0::2].any() or block[1::2, 1::2].any():
-        return np.linalg.eigh(block) if vectors else np.linalg.eigvalsh(block)
-    coupling, dim = block[0::2, 1::2], block.shape[0]
+    dense, dim = np.asarray(block, dtype=np.result_type(block.dtype, float)), block.dim
+    if any(band.any() for k, band in block.bands.items() if k % 2 == 0):
+        return np.linalg.eigh(dense) if vectors else np.linalg.eigvalsh(dense)
+    coupling = dense[0::2, 1::2]
     if vectors:
         u, sigma, vh = np.linalg.svd(coupling)
     else:
@@ -315,17 +311,18 @@ def hermitian_eigh(op: Banded, vectors: bool = False):
     `vectors` its eigenvectors as columns in the same order, by its exact
     symmetries, with numpy alone.
 
-    An operator equal to its index reversal R splits into the two parity
-    blocks of `_parity_solve`, each densified at half size, so each
-    eigenvector has R-parity +-1.  The kicked-top H_eff commutes with R, its
-    spin flip m -> -m (Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987)), and
-    its mirror pairs are degenerate to rounding: a solve of the whole matrix
-    would return rounding-dependent mixtures of them.  It stores odd
-    diagonals only, so at integer spin both blocks are chiral.  Other
-    blocks, and operators without the symmetry, go to numpy's ``eigh`` or
-    ``eigvalsh``, which read the lower triangle only.
+    An operator equal to its index reversal R splits into the two `Banded`
+    parity blocks of `_parity_blocks`, so each eigenvector has R-parity
+    +-1.  The kicked-top H_eff commutes with R, its spin flip m -> -m
+    (Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987)), and its mirror pairs
+    are degenerate to rounding: a solve of the whole matrix would return
+    rounding-dependent mixtures of them.  Each block is densified at half
+    size.  One with odd diagonals only, as both H_eff blocks at integer
+    spin, is chiral and goes to one SVD; other blocks, and operators
+    without the symmetry, to numpy's ``eigh`` or ``eigvalsh``, which read
+    the lower triangle only.
     """
-    blocks = _parity_solve(op, lambda lower: _chiral_or_eigh(_dense_hermitian(lower), vectors))
+    blocks = [_chiral_or_eigh(block, vectors) for block in _parity_blocks(op)]
     if not vectors:
         return np.sort(np.concatenate(blocks))
     if len(blocks) == 1:
@@ -376,4 +373,5 @@ def eigensolve(op: Banded, vectors: bool = False):
             return scipy.linalg.eigh_tridiagonal(diagonal, off_diagonal)
         return scipy.linalg.eigvalsh_tridiagonal(diagonal, off_diagonal)
 
-    return np.sort(np.concatenate(_parity_solve(op, lambda lower: scipy.linalg.eigvals_banded(lower, lower=True))))
+    return np.sort(np.concatenate([scipy.linalg.eigvals_banded(_lower_band(block), lower=True)
+                                   for block in _parity_blocks(op)]))

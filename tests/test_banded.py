@@ -159,7 +159,8 @@ def random_hermitian(dim, seed):
     return mat + mat.conj().T
 
 
-@pytest.mark.parametrize("j", [0.5, 1, 1.5, 10, 10.5, 200, 200.5])
+# j = 11 has dim 23 = 3 (mod 4): an even block of even size, which holds the middle index
+@pytest.mark.parametrize("j", [0.5, 1, 1.5, 10, 10.5, 11, 200, 200.5])
 def test_eigensolve_dkt_eigenvectors_match_dense_oracle(j):
     eta = GOLDEN_RATIO * j
     want = np.linalg.eigvalsh(dense.dkt_heff(1.0 / j, eta, j))
@@ -244,7 +245,7 @@ def test_spin_flip_symmetric_blocks_without_chirality(j, monkeypatch):
     assert_eigenpairs(op, values, vectors, want)
 
 
-@pytest.mark.parametrize("j, sizes", [(10, [11, 10]), (10.5, [11, 11]), (1.5, [2, 2])])
+@pytest.mark.parametrize("j, sizes", [(10, [11, 10]), (10.5, [11, 11]), (11, [12, 11]), (1.5, [2, 2])])
 def test_spin_flip_symmetric_spectrum_is_solved_by_blocks(j, sizes, monkeypatch):
     calls = count_banded_solves(monkeypatch)
     eigensolve(dkt_effective_hamiltonian(1.0 / j, GOLDEN_RATIO * j, j))

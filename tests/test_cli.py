@@ -222,6 +222,35 @@ def test_argparse_errors_are_one_line(argv, message, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+BUTTERFLY_SWEEPS = "butterfly requires exactly one of --xi-sweep, --sigma-sweep"
+
+
+@pytest.mark.parametrize("args, config, message", [
+    (["butterfly", "--system", "dkt", "--j", "10", "--xi-sweep", "2:0:0.1"], None,
+     "--xi-sweep: sweep stop 0.0 is below start 2.0"),
+    (["spectrum", "--system", "dkt", "--eta", "1"], "j 10\n", "{config}:1: expected 'key = value', got 'j 10'"),
+    (["spectrum", "--system", "dkt", "--eta", "1"], "j = \n", "{config}:1: empty key or value"),
+    (["spectrum", "--system", "dkt", "--j", "10", "--eta", "1", "--xi", "0.3"], None, "give only one of --eta, --xi"),
+    (["spectrum", "--j", "10", "--eta", "1"], None, f"spectrum requires --system ({', '.join(SYSTEMS)})"),
+    (["butterfly", "--system", "dkt", "--j", "10"], None, BUTTERFLY_SWEEPS),
+    (["butterfly", "--system", "dkt", "--j", "10", "--xi-sweep", "0:1:0.5", "--sigma-sweep", "0:1:0.5"], None,
+     BUTTERFLY_SWEEPS),
+    (["spectrum", "--system", "dkt", "--j", "10", "--eta", "1", "--scale-grid", "16,32,64,2000000"], None,
+     f"--scale-grid: bin counts must not exceed {MAX_BINS}, got 2000000"),
+    (["eigenstates", "--system", "dkt", "--j", "10", "--eta", "1", "--bins", "50"], None,
+     "--bins: bins must not exceed the number of states 21, got 50"),
+], ids=["reversed-sweep", "config-without-equals", "config-empty-value", "eta-and-xi", "no-system", "no-sweep",
+        "two-sweeps", "scale-grid-above-max-bins", "bins-above-states"])
+def test_refusals_are_one_line(args, config, message, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        args, message = [*args, "--config", str(path)], message.format(config=path)
+    assert run_cli(args, tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["1e-3", "-1e-3"])
 def test_flags_are_written_in_full(value, tmp_path, capsys):
     # an abbreviation is an unknown flag, whatever the sign of its value
