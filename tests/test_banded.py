@@ -245,7 +245,7 @@ def test_spin_flip_symmetric_blocks_without_chirality(j, monkeypatch):
     assert_eigenpairs(op, values, vectors, want)
 
 
-@pytest.mark.parametrize("j, sizes", [(10, [11, 10]), (10.5, [11, 11]), (11, [12, 11]), (1.5, [2, 2])])
+@pytest.mark.parametrize("j, sizes", [(10, [11, 10]), (10.5, [11, 11]), (1.5, [2, 2]), (11, [12, 11])])
 def test_spin_flip_symmetric_spectrum_is_solved_by_blocks(j, sizes, monkeypatch):
     calls = count_banded_solves(monkeypatch)
     eigensolve(dkt_effective_hamiltonian(1.0 / j, GOLDEN_RATIO * j, j))
