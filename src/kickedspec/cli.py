@@ -8,7 +8,7 @@ the ``--q-grid`` orders, each ``--alpha-ladder`` rung).  argparse applies
 it, and a bad value exits 2 with one ``error:`` line that names the flag,
 as do argparse's own errors (a missing value, an unknown flag).  Flags are
 written in full; a value that starts with ``-`` and a digit or ``.``
-(``--eta -1e-3``) is the flag's.  A ``--config`` file's ``key = value``
+(``--eta -1e-3``) is the flag's.  One ``--config`` file's ``key = value``
 lines, keyed by the command's flags, are read as flags ahead of the
 command line, so a flag overrides the file.  `parse_config` then applies
 only the rules that span flags, on one path for every command: `_READS`
@@ -17,8 +17,8 @@ floquet-compare and harper-diff, by its command; a flag for any other is
 refused, and a parameter read but not given is required or takes its
 default.  So parsing alone decides exit 2 for an input, but for finite
 inputs whose operator products overflow, which `_built` refuses at the
-build.  Exit 3 is a numerical failure; any other exception is a bug and
-keeps its traceback.
+build, and for a size whose arrays cannot be allocated.  Exit 3 is a
+numerical failure; any other exception is a bug and keeps its traceback.
 
 All pipelines are deterministic and emit flat CSV (17 significant digits,
 LF, header row) or JSON with a config echo, so every number in a report can
@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, argument_default=argparse.SUPPRESS, allow_abbrev=False)
         for name in ("config", *names):
             convert, help_text = OPTIONS[name]
-            p.add_argument(f"--{name}", type=partial(_flagged, f"--{name}", convert), help=help_text, metavar="V")
+            p.add_argument(f"--{name}", type=partial(_flagged, f"--{name}", convert), help=help_text, metavar="V",
+                           action="append" if name == "config" else "store")
     return parser
 
 
@@ -311,8 +312,10 @@ def parse_config(argv) -> RunConfig:
     values = vars(parser.parse_args(argv))
     command = values["command"]
     if "config" in values:
+        if len(values["config"]) > 1:  # one file is read: a second would go unread
+            raise ConfigError(f"--config: give one config file, got {len(values['config'])}")
         at = argv.index(command) + 1
-        values = vars(parser.parse_args(argv[:at] + _config_flags(values["config"], command) + argv[at:]))
+        values = vars(parser.parse_args(argv[:at] + _config_flags(values["config"][0], command) + argv[at:]))
     known = {f.name for f in fields(RunConfig)}
     cfg = RunConfig(**{k: v for k, v in values.items() if k in known})
     _check_out_dir(cfg.out_dir)
@@ -564,7 +567,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(sys.argv[1:] if argv is None else list(argv))
         out = _COMMANDS[cfg.command](cfg)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except (np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -4,7 +4,9 @@ import os
 import resource
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -70,32 +72,6 @@ def test_parse_config_golden_sigma():
     assert cfg.sigma == 0.6180339887498949
 
 
-def test_parse_config_requires_epsilon_for_case_e():
-    with pytest.raises(ConfigError, match="epsilon"):
-        parse_config(["spectrum", "--system", "su2-e", "--j", "10", "--eta-over-j", "golden"])
-
-
-def test_parse_config_rejects_fixed_plus_sweep():
-    with pytest.raises(ConfigError, match="not both"):
-        parse_config(["butterfly", "--system", "dkt", "--j", "4",
-                      "--xi", "0.3", "--xi-sweep", "0:1:0.5"])
-    # fixed-parameter commands do not even expose sweep flags
-    with pytest.raises(ConfigError, match="unrecognized arguments: --xi-sweep 0:1:0.5$"):
-        parse_config(["spectrum", "--system", "dkt", "--j", "4", "--xi-sweep", "0:1:0.5"])
-    # and reject sweep keys arriving through a config file
-    with pytest.raises(ConfigError, match="unknown config keys"):
-        import tempfile, pathlib
-        with tempfile.TemporaryDirectory() as d:
-            p = pathlib.Path(d) / "c.cfg"
-            p.write_text("system = dkt\nj = 4\neta = 1\nxi-sweep = 0:1:0.5\n")
-            parse_config(["spectrum", "--config", str(p)])
-
-
-def test_parse_config_rejects_wrong_sweep_axis():
-    with pytest.raises(ConfigError, match="sweeps xi"):
-        parse_config(["butterfly", "--system", "dkt", "--j", "4", "--sigma-sweep", "0:1:0.5"])
-
-
 def test_parse_config_accepts_full_scale_eigenstates():
     # the symmetry-adapted eigenvector solve needs no size guard at the paper's j = 2500
     cfg = parse_config(["eigenstates", "--system", "dkt", "--j", "2500", "--eta-over-j", "golden"])
@@ -113,7 +89,7 @@ def test_config_file_merging_and_strictness(tmp_path):
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("system = dkt\nj = 4\nxi-sweep = 0:1:0.5\nmystery-knob = 7\n")
-    with pytest.raises(ConfigError, match="unknown config keys"):
+    with pytest.raises(ConfigError, match="^unknown config keys for butterfly: mystery-knob$"):
         parse_config(["butterfly", "--config", str(bad)])
 
 
@@ -126,20 +102,6 @@ def test_flags_override_the_config_file(tmp_path):
         cfg = parse_config(["eigenstates", *argv])
         assert (cfg.sigma, cfg.q_grid, cfg.out_dir) == (GOLDEN_RATIO, (2.0, 4.0), Path("b"))
         assert (cfg.length, cfg.bins) == (40, 9)
-    # every occurrence is converted, so a bad file value fails even when a flag overrides it
-    config.write_text("system = harper-static\nlength = 40\nsigma = nan\n")
-    with pytest.raises(ConfigError, match="finite"):
-        parse_config(["eigenstates", "--config", str(config), "--sigma", "golden"])
-
-
-@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
-def test_full_scale_is_an_unknown_flag(command, tmp_path):
-    with pytest.raises(ConfigError, match="unrecognized arguments: --full-scale$"):
-        parse_config([command, "--full-scale"])
-    config = tmp_path / "run.cfg"
-    config.write_text("full-scale = 1\n")
-    with pytest.raises(ConfigError, match=f"unknown config keys for {command}: full-scale$"):
-        parse_config([command, "--config", str(config)])
 
 
 def parse_outcome(argv):
@@ -201,80 +163,12 @@ def test_negative_values_after_a_flag():
     # argparse alone takes '-1e-3' after a flag for an option on some Python versions
     for argv in (["spectrum", "--system", "dkt", "--j", "4", "--eta", "-1e-3"],
                  ["spectrum", "--system", "harper-static", "--length", "30", "--sigma", "-.5e-1"],
+                 ["spectrum", "--system", "harper-static", "--length", "30", "--sigma", "-1e-3"],
                  ["butterfly", "--system", "dkt", "--j", "4", "--xi-sweep", "-1:1:0.5"]):
         spaced = parse_outcome(argv)
         assert isinstance(spaced, dict), spaced
         assert spaced == parse_outcome([*argv[:-2], f"{argv[-2]}={argv[-1]}"])
     assert parse_outcome(["spectrum", "--system", "dkt", "--j", "4", "--eta", "-1e-3"])["eta"] == -1e-3
-    with pytest.raises(ConfigError, match="argument --eta: expected one argument"):
-        parse_config(["spectrum", "--system", "dkt", "--eta", "--j", "4"])
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["spectrum", "--system", "dkt", "--eta", "--j", "4"], "argument --eta: expected one argument"),
-    (["spectrum", "--system", "dkt", "--j", "4", "--eta", "1", "--mystery", "2"],
-     "unrecognized arguments: --mystery 2"),
-], ids=["missing-value", "unknown-flag"])
-def test_argparse_errors_are_one_line(argv, message, tmp_path, capsys):
-    assert run_cli(argv, tmp_path) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: {message}\n", err
-    assert not any(tmp_path.iterdir())
-
-
-BUTTERFLY_SWEEPS = "butterfly requires exactly one of --xi-sweep, --sigma-sweep"
-
-
-@pytest.mark.parametrize("args, config, message", [
-    (["butterfly", "--system", "dkt", "--j", "10", "--xi-sweep", "2:0:0.1"], None,
-     "--xi-sweep: sweep stop 0.0 is below start 2.0"),
-    (["spectrum", "--system", "dkt", "--eta", "1"], "j 10\n", "{config}:1: expected 'key = value', got 'j 10'"),
-    (["spectrum", "--system", "dkt", "--eta", "1"], "j = \n", "{config}:1: empty key or value"),
-    (["spectrum", "--system", "dkt", "--j", "10", "--eta", "1", "--xi", "0.3"], None, "give only one of --eta, --xi"),
-    (["spectrum", "--j", "10", "--eta", "1"], None, f"spectrum requires --system ({', '.join(SYSTEMS)})"),
-    (["butterfly", "--system", "dkt", "--j", "10"], None, BUTTERFLY_SWEEPS),
-    (["butterfly", "--system", "dkt", "--j", "10", "--xi-sweep", "0:1:0.5", "--sigma-sweep", "0:1:0.5"], None,
-     BUTTERFLY_SWEEPS),
-    (["spectrum", "--system", "dkt", "--j", "10", "--eta", "1", "--scale-grid", "16,32,64,2000000"], None,
-     f"--scale-grid: bin counts must not exceed {MAX_BINS}, got 2000000"),
-    (["eigenstates", "--system", "dkt", "--j", "10", "--eta", "1", "--bins", "50"], None,
-     "--bins: bins must not exceed the number of states 21, got 50"),
-], ids=["reversed-sweep", "config-without-equals", "config-empty-value", "eta-and-xi", "no-system", "no-sweep",
-        "two-sweeps", "scale-grid-above-max-bins", "bins-above-states"])
-def test_refusals_are_one_line(args, config, message, tmp_path, capsys):
-    if config is not None:
-        path = tmp_path / "run.cfg"
-        path.write_text(config)
-        args, message = [*args, "--config", str(path)], message.format(config=path)
-    assert run_cli(args, tmp_path / "out") == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("value", ["1e-3", "-1e-3"])
-def test_flags_are_written_in_full(value, tmp_path, capsys):
-    # an abbreviation is an unknown flag, whatever the sign of its value
-    chain = ["spectrum", "--system", "harper-static", "--length", "30"]
-    assert run_cli([*chain, "--sig", value], tmp_path) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: unrecognized arguments: --sig {value}\n", err
-    assert run_cli([*chain, "--sigma", "-1e-3"], tmp_path) == 0
-
-
-NUMERIC_OPTIONS = ("j", "length", "alpha", "alpha-over", "eta", "eta-over-j", "xi", "sigma", "period", "epsilon",
-                   "xi-sweep", "sigma-sweep", "q-grid", "scale-grid", "bins", "alpha-ladder")
-
-
-@pytest.mark.parametrize("name", NUMERIC_OPTIONS)
-def test_bad_number_error_names_its_flag(name, tmp_path, capsys):
-    command = next(c for c in sorted(COMMAND_OPTIONS) if name in COMMAND_OPTIONS[c])
-    config = tmp_path / "bad.cfg"
-    config.write_text(f"{name} = x\n")
-    for argv in ([command, f"--{name}", "x"], [command, "--config", str(config)]):
-        assert run_cli(argv, tmp_path) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: --{name}: ") and err.count("\n") == 1, err
-    assert not any(p != config for p in tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +377,6 @@ def test_benchmark_floquet_ladder_matches_its_reference(seed, tmp_path):
     assert workloads._floquet_check(workload.extract(tmp_path), configs[str(workloads.config_index(seed))]) == []
 
 
-def test_floquet_compare_requires_three_alphas(tmp_path):
-    with pytest.raises(ConfigError, match="3 values"):
-        parse_config(["floquet-compare", "--j", "4", "--eta", "1", "--alpha-ladder", "0.1,0.05"])
-    # each rung is converted, and checked, before the ladder's length
-    with pytest.raises(ConfigError, match="^--alpha-ladder: alpha must be finite and nonzero$"):
-        parse_config(["floquet-compare", "--j", "4", "--eta", "1", "--alpha-ladder", "0.1,0"])
-
-
 def test_harper_diff_report(tmp_path):
     assert run_cli(["harper-diff", "--length", "40", "--sigma", "golden"], tmp_path) == 0
     report = json.loads((tmp_path / "harper_diff.json").read_text())
@@ -539,7 +425,7 @@ def test_write_json_refuses_nan(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# exit codes as a subprocess (the documented contract)
+# refusals: bad input is one error line and exit 2, a numerical failure exit 3
 # ---------------------------------------------------------------------------
 
 def run_python(args, **kwargs):
@@ -554,49 +440,9 @@ def run_module(args, **kwargs):
 
 
 def test_exit_code_zero_on_success(tmp_path):
+    # the documented contract holds for the process: see the isolated rows of REFUSALS for exit 2 and 3
     proc = run_module(["spectrum", *HARPER_GOLDEN, "--out-dir", str(tmp_path)])
-    assert proc.returncode == 0
-
-
-def test_exit_code_two_on_config_error(tmp_path):
-    proc = run_module(["spectrum", "--system", "warp-drive", "--out-dir", str(tmp_path)])
-    assert proc.returncode == 2
-    assert "unknown system" in proc.stderr
-
-
-def test_exit_code_two_on_bad_flag(tmp_path):
-    proc = run_module(["spectrum", "--no-such-flag", "1"])
-    assert proc.returncode == 2
-
-
-@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
-def test_command_help(command):
-    # argparse %-formats help strings, so a stray '%' in one would crash --help
-    proc = run_module([command, "--help"])
-    assert proc.returncode == 0, proc.stderr
-    assert "--out-dir" in proc.stdout
-
-
-def test_unknown_system_is_config_error(tmp_path, capsys):
-    assert run_cli(["spectrum", "--system", "synthetic-uniform", "--length", "64"], tmp_path) == 2
-    assert "unknown system" in capsys.readouterr().err
-
-
-def test_exit_code_two_on_non_finite_parameter(tmp_path):
-    proc = run_module(["spectrum", "--system", "dkt", "--j", "60", "--alpha", "nan",
-                       "--eta-over-j", "golden", "--out-dir", str(tmp_path)])
-    assert proc.returncode == 2
-    assert "finite" in proc.stderr
-
-
-@pytest.mark.parametrize("args", [
-    ["--system", "dkt", "--j", "60", "--alpha", "0.1", "--eta", "nan"],
-    ["--system", "su2-a", "--j", "60", "--alpha", "nan", "--eta-over-j", "golden"],
-    ["--system", "harper-static", "--length", "50", "--sigma", "nan"],
-    ["--system", "harper-kicked", "--length", "50", "--sigma", "golden", "--alpha", "inf"],
-])
-def test_non_finite_parameter_is_config_error_on_every_system(args, tmp_path):
-    assert run_cli(["spectrum", *args], tmp_path) == 2
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{tmp_path / 'tau.csv'}\n", "")
 
 
 # every builder and solver that a command calls
@@ -612,93 +458,420 @@ def _forbid_builds(monkeypatch):
         monkeypatch.setattr(f"kickedspec.cli.{name}", never)
 
 
-@pytest.mark.parametrize("args", [
-    ["spectrum", "--system", "dkt", "--j", "10", "--alpha", "0", "--eta", "1"],
-    ["eigenstates", "--system", "dkt", "--j", "10", "--alpha", "0", "--eta", "1"],
-    ["butterfly", "--system", "dkt", "--j", "10", "--alpha", "0", "--xi-sweep", "0:1:0.5"],
-])
-def test_zero_dkt_alpha_is_config_error(args, tmp_path, capsys, monkeypatch):
-    # the same rule as the SU(2) family and the Harper chains, applied while parsing;
-    # a zero --alpha-ladder rung is in FLAG_RULES
-    _forbid_builds(monkeypatch)
-    assert run_cli(args, tmp_path) == 2
-    assert capsys.readouterr().err == "error: --alpha: alpha must be finite and nonzero\n"
-    assert not any(tmp_path.iterdir())
+def _limit_address_space():
+    # 3 GB: enough to run, too little for a runaway allocation to reach the host's memory
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
 
 
-@pytest.mark.parametrize("args", [
-    ["harper-diff", "--length", "10", "--sigma", "golden", "--alpha", "0"],
-    ["spectrum", "--system", "harper-kicked", "--length", "10", "--sigma", "golden",
-     "--harper-mode", "general", "--alpha", "0"],
-])
-def test_zero_harper_alpha_is_config_error(args, tmp_path, capsys, monkeypatch):
-    # the general route divides by alpha; zero is rejected while parsing
-    _forbid_builds(monkeypatch)
-    assert run_cli(args, tmp_path) == 2
-    assert capsys.readouterr().err == "error: --alpha: alpha must be finite and nonzero\n"
-    assert not any(tmp_path.iterdir())
+class Refused(NamedTuple):
+    """A run of `argv`, split at spaces, then `--out-dir out_dir`, that exits `code` with one stderr line:
+    "error: " (exit 2) or "numerical failure: " (exit 3), then `line`.  `{tmp}` is the run's directory and
+    `{config}` a file there that holds `config`.  It runs in process, with `patch` (a target and its
+    replacement) applied and, unless it may `build`, every build and solve forbidden; an `isolated` run is
+    the process `python -m kickedspec.cli` under an address-space limit, for its exit status or for a size
+    no machine can allocate."""
+    argv: str
+    line: str
+    config: str | bytes | None = None
+    code: int = 2
+    build: bool = False
+    isolated: bool = False
+    out_dir: str = "{tmp}/out"
+    patch: tuple = ()
 
 
-@pytest.mark.parametrize("args", [
-    ["butterfly", "--system", "su2-a", "--j", "10", "--alpha", "0", "--xi-sweep", "0:1:0.5"],
-    ["spectrum", "--system", "su2-a", "--j", "10", "--alpha", "0", "--eta", "1"],
-    ["eigenstates", "--system", "harper-kicked", "--harper-mode", "general", "--length", "10", "--sigma", "golden",
-     "--alpha", "0"],
-    ["floquet-compare", "--j", "10", "--eta", "1", "--alpha-ladder", "0.04,0.02,0"],
-    ["harper-diff", "--length", "10", "--sigma", "golden", "--alpha", "0"],
-    # finite inputs whose operator products overflow, refused at the build
-    pytest.param(["spectrum", "--system", "dkt", "--j", "10", "--alpha", "1e200", "--eta", "1"], id="dkt-overflow"),
-    pytest.param(["spectrum", "--system", "harper-kicked", "--harper-mode", "general", "--length", "10",
-                  "--sigma", "golden", "--alpha", "1e200"], id="harper-kicked-overflow"),
-    pytest.param(["floquet-compare", "--j", "10", "--eta", "1", "--alpha-ladder", "1e200,1e100,1e50"],
-                 id="floquet-compare-overflow"),
-    pytest.param(["harper-diff", "--length", "10", "--sigma", "golden", "--alpha", "1e200"], id="harper-diff-overflow"),
-    pytest.param(["spectrum", "--system", "su2-a", "--j", "10", "--alpha", "1e308", "--eta", "1"],
-                 id="su2-a-overflow"),
-], ids=lambda args: args[0])
-def test_builder_error_leaves_no_output_directory(args, tmp_path):
-    # a zero alpha is refused while parsing, an overflow after it; either
-    # way the directory is made only when a file is written
-    out_dir = tmp_path / "out"
-    proc = run_module([*args, "--out-dir", str(out_dir)])
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("args, flag", [
-    (["spectrum", "--system", "su2-b", "--j", "20", "--eta-over-j", "golden", "--period", "2.5"], "period"),
-    (["spectrum", "--system", "su2-b", "--j", "20", "--eta-over-j", "golden", "--epsilon", "0.6"], "epsilon"),
-    (["eigenstates", "--system", "dkt", "--j", "10", "--eta", "1", "--epsilon", "0.6"], "epsilon"),
-    (["spectrum", "--system", "harper-static", "--length", "30", "--sigma", "golden", "--alpha", "0.5"], "alpha"),
-    (["spectrum", "--system", "harper-static", "--length", "30", "--sigma", "golden", "--period", "2.5"], "period"),
-    (["butterfly", "--system", "harper-kicked", "--length", "30", "--sigma-sweep", "0:1:0.5", "--alpha", "0.5"],
-     "alpha"),
-    (["spectrum", "--system", "harper-kicked", "--length", "30", "--sigma", "golden", "--period", "2.5"], "period"),
-    (["spectrum", "--system", "harper-kicked", "--harper-mode", "general", "--length", "30", "--sigma", "golden",
-      "--epsilon", "0.6"], "epsilon"),
-    # alpha = value/j needs a j, which a chain has not
-    (["spectrum", "--system", "harper-kicked", "--harper-mode", "general", "--length", "30", "--sigma", "golden",
-      "--alpha-over", "2"], "alpha-over"),
-    (["spectrum", "--system", "harper-static", "--length", "30", "--sigma", "golden", "--j", "10"], "j"),
-    (["eigenstates", "--system", "harper-kicked", "--length", "30", "--sigma", "golden", "--eta", "1"], "eta"),
-    (["butterfly", "--system", "harper-static", "--length", "30", "--sigma-sweep", "0:1:0.5", "--xi", "0.3"], "xi"),
-    (["spectrum", "--system", "dkt", "--j", "10", "--eta", "1", "--length", "30"], "length"),
-    (["eigenstates", "--system", "su2-a", "--j", "10", "--eta", "1", "--sigma", "0.3"], "sigma"),
-    (["spectrum", "--system", "su2-c", "--j", "10", "--eta", "1", "--harper-mode", "general"], "harper-mode"),
-    (["spectrum", "--system", "harper-static", "--length", "30", "--sigma", "golden", "--harper-mode", "general"],
-     "harper-mode"),
-], ids=lambda value: value if isinstance(value, str) else value[2])
-def test_option_the_system_does_not_read_is_config_error(args, flag, tmp_path, capsys):
-    # the config echo would name a value that never reached the Hamiltonian
+def check_refused(row, tmp_path, capsys, monkeypatch):
+    """`row`'s exit status and stderr line, with nothing on stdout and nothing made in `tmp_path`."""
     config = tmp_path / "run.cfg"
-    at = args.index(f"--{flag}")
-    config.write_text(f"{flag} = {args[at + 1]}\n")
-    for argv in (args, [*args[:at], *args[at + 2:], "--config", str(config)]):
-        assert run_cli(argv, tmp_path / "out") == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: --{flag}: ") and err.count("\n") == 1, err
-        assert not (tmp_path / "out").exists()
+    if row.config is not None:
+        config.write_bytes(row.config if isinstance(row.config, bytes) else row.config.encode())
+    fill = partial(str.format, tmp=tmp_path, config=config)
+    argv = [*map(fill, row.argv.split()), "--out-dir", fill(row.out_dir)]
+    before = sorted(tmp_path.iterdir())
+    if row.isolated:
+        proc = run_module(argv, preexec_fn=_limit_address_space)
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        if row.patch:
+            monkeypatch.setattr(*row.patch)
+        if not row.build:
+            _forbid_builds(monkeypatch)
+        code = main(argv)
+        out, err = capsys.readouterr()
+    prefix = {2: "error: ", 3: "numerical failure: "}[row.code]
+    assert (code, out, err) == (row.code, "", f"{prefix}{fill(row.line)}\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def rows(cases, **options):
+    """Rows by id from (id, argv, line) cases, each with `options`."""
+    return {case: Refused(argv, line, **options) for case, argv, line in cases}
+
+
+def argv_and_config(cases):
+    """Rows from (id, args, flag, value, line): `--flag value` after `args`, and (id-config) a --config entry."""
+    found = {}
+    for case, args, flag, value, line in cases:
+        found[case] = Refused(f"{args} --{flag} {value}", line)
+        found[f"{case}-config"] = Refused(f"{args} --config {{config}}", line, config=f"{flag} = {value}\n")
+    return found
+
+
+def _unconverged(message):
+    def raising(*args, **kwargs):
+        raise np.linalg.LinAlgError(message)
+    return raising
+
+
+# the ladder's gauge, and one that breaks its spin-flip parity
+TWIST = kickedspec.floquet._twist_gauge
+
+
+def _random_twist(spin, eta):
+    return np.exp(1j * np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, spin.dim))
+
+
+# each numeric flag -> its converter's message for the value 'x'
+NUMERIC_OPTIONS = {
+    **dict.fromkeys(("j", "alpha", "alpha-over", "eta", "eta-over-j", "xi", "sigma", "period", "epsilon", "q-grid",
+                     "alpha-ladder"), "expected a number or 'golden', got 'x'"),
+    **dict.fromkeys(("length", "scale-grid", "bins"), "expected an integer, got 'x'"),
+    **dict.fromkeys(("xi-sweep", "sigma-sweep"), "sweep must look like start:stop:step, got 'x'")}
+# flag -> (a bad value, the library rule's message), a rule on the value that the flag alone gives
+FLAG_RULES = {"j": ("0", "phase operator requires j > 0"), "length": ("1", "chain length must be >= 2, got 1"),
+              "period": ("0", "kick period must be finite and positive, got 0.0"),
+              "q-grid": ("-1", "negative moments are not supported"),
+              "alpha-ladder": ("0.04,0.02,0", "alpha must be finite and nonzero")}
+# flag -> command -> a run that reads the flag's parameter, without the flag
+GENERAL = "--system harper-kicked --harper-mode general"
+FLAG_RULE_RUNS = {
+    "j": {"butterfly": "--system dkt --xi-sweep 0:1:0.5", "spectrum": "--system dkt --eta 1",
+          "eigenstates": "--system su2-a --eta 1", "floquet-compare": "--eta 1 --alpha-ladder 0.04,0.02,0.01"},
+    "length": {"butterfly": "--system harper-static --sigma-sweep 0:1:0.5", "harper-diff": "--sigma golden",
+               "spectrum": "--system harper-kicked --sigma golden",
+               "eigenstates": "--system harper-static --sigma golden"},
+    "period": {"butterfly": f"{GENERAL} --sigma-sweep 0:1:0.5", "spectrum": f"{GENERAL} --length 30 --sigma golden",
+               "eigenstates": f"{GENERAL} --length 30 --sigma golden", "harper-diff": "--length 30 --sigma golden"},
+    "q-grid": {"spectrum": "--system dkt --j 10 --eta 1",
+               "eigenstates": "--system harper-static --length 64 --sigma golden"},
+    "alpha-ladder": {"floquet-compare": "--j 10 --eta 1"}}
+
+
+def test_flag_rule_runs_cover_every_command_that_takes_the_flag():
+    for flag, runs in FLAG_RULE_RUNS.items():
+        assert set(runs) == {c for c, names in COMMAND_OPTIONS.items() if flag in names}
+
+
+# a run of every spin system, and of each command on the kicked top, at j = 0
+ZERO_SPIN_RUNS = {
+    **{f"spectrum-{system}": f"spectrum --system {system} --j 0 --alpha 1 --eta 1"
+                             + (" --epsilon 0.6" if system == "su2-e" else "")
+       for system in SYSTEMS if not system.startswith("harper")},
+    "eigenstates-dkt": "eigenstates --system dkt --j 0 --eta 1",
+    "butterfly-dkt": "butterfly --system dkt --j 0 --xi-sweep 0:1:0.5",
+    "butterfly-su2-a": "butterfly --system su2-a --j 0 --alpha-over 1 --xi-sweep 0:1:0.5",
+    "floquet-compare": "floquet-compare --j 0 --eta 1 --alpha-ladder 0.04,0.02,0.01"}
+# flag -> the runs that read its parameter, as a refusal of the flag names them
+SPINS = "dkt, su2-a, su2-b, su2-c, su2-d, su2-e, su2-f"
+KICKED_CHAINS = "harper-kicked --harper-mode closed-form, harper-kicked --harper-mode general"
+READ_BY = {**dict.fromkeys(("j", "eta", "xi"), f"{SPINS}, floquet-compare"), "alpha-over": SPINS,
+           "alpha": f"{SPINS}, harper-kicked --harper-mode general, harper-diff", "epsilon": "su2-e",
+           "period": "harper-kicked --harper-mode general, harper-diff", "harper-mode": KICKED_CHAINS,
+           **dict.fromkeys(("length", "sigma"), f"harper-static, {KICKED_CHAINS}, harper-diff")}
+# a run -> flags, with a value, whose parameter its system does not read: the config echo would
+# name a value that never reached the Hamiltonian (alpha = value/j needs a j, which a chain has not)
+CHAIN = "--length 30 --sigma golden"
+NOT_READ = {
+    "spectrum --system su2-b --j 20 --eta-over-j golden": {"period": "2.5", "epsilon": "0.6"},
+    "eigenstates --system dkt --j 10 --eta 1": {"epsilon": "0.6"},
+    f"spectrum --system harper-static {CHAIN}": {"alpha": "0.5", "period": "2.5", "j": "10", "harper-mode": "general"},
+    "butterfly --system harper-kicked --length 30 --sigma-sweep 0:1:0.5": {"alpha": "0.5"},
+    f"spectrum --system harper-kicked {CHAIN}": {"period": "2.5"},
+    f"spectrum {GENERAL} {CHAIN}": {"epsilon": "0.6", "alpha-over": "2"},
+    f"eigenstates --system harper-kicked {CHAIN}": {"eta": "1"},
+    "butterfly --system harper-static --length 30 --sigma-sweep 0:1:0.5": {"xi": "0.3"},
+    "spectrum --system dkt --j 10 --eta 1": {"length": "30"},
+    "eigenstates --system su2-a --j 10 --eta 1": {"sigma": "0.3"},
+    "spectrum --system su2-c --j 10 --eta 1": {"harper-mode": "general"}}
+
+
+def not_read(args, flag):
+    """The refusal of `--flag` after `args`, which names the run by its system (and harper-kicked's mode)."""
+    system = args.split()[2]
+    if system == "harper-kicked":
+        system += f" --harper-mode {'general' if 'general' in args else 'closed-form'}"
+    return f"--{flag}: {system} does not read it (read by {READ_BY[flag]})"
+
+
+UNKNOWN_SYSTEM = "--system: unknown system '{}'; expected one of " + ", ".join(SYSTEMS)
+NOT_FINITE = "expected a finite number, got '{}'"
+SPIN_RULE = "--j: spin must be a non-negative half-integer, got j={}"
+PERIOD_RULE = "--period: kick period must be finite and positive, got {}"
+PHASES = "phases eta(2m+1)/2j must be finite, got eta={} at j=10.0"
+ALPHA_RULE = "--alpha: alpha must be finite and nonzero"
+TWO_SWEEPS = "butterfly requires exactly one of --xi-sweep, --sigma-sweep"
+NOT_HERMITIAN = "effective Hamiltonian is not Hermitian (relative defect nan)"
+UNDERFLOW = "Z_q underflows to 0 at q = 1e+300"
+DKT = "--system dkt --j 10 --eta 1"
+LADDER = "--alpha-ladder 0.04,0.02,0.01"
+STATIC_64 = "eigenstates --system harper-static --length 64 --sigma golden"
+# finite inputs whose operator products overflow, refused at the build with no overflow warning
+OVERFLOWS = rows([
+    ("dkt", "spectrum --system dkt --j 10 --alpha 1e200 --eta 1", NOT_HERMITIAN),
+    ("harper-kicked", f"spectrum {GENERAL} --length 10 --sigma golden --alpha 1e200", NOT_HERMITIAN),
+    ("floquet-compare", "floquet-compare --j 10 --eta 1 --alpha-ladder 1e200,1e100,1e50", NOT_HERMITIAN),
+    ("harper-diff", "harper-diff --length 10 --sigma golden --alpha 1e200", NOT_HERMITIAN),
+    ("su2-a", "spectrum --system su2-a --j 10 --alpha 1e308 --eta 1",
+     "operator is not Hermitian (relative defect nan)"),
+], build=True)
+
+# test -> its rows by case id, or its one row: every refusal of the command line
+REFUSALS = {
+    "test_argparse_errors_are_one_line": rows([
+        ("missing-value", "spectrum --system dkt --eta --j 4", "argument --eta: expected one argument"),
+        ("unknown-flag", "spectrum --system dkt --j 4 --eta 1 --mystery 2", "unrecognized arguments: --mystery 2")]),
+    # an abbreviation is an unknown flag, whatever the sign of its value
+    "test_flags_are_written_in_full": rows(
+        (value, f"spectrum --system harper-static --length 30 --sig {value}", f"unrecognized arguments: --sig {value}")
+        for value in ("1e-3", "-1e-3")),
+    "test_full_scale_is_an_unknown_flag": {
+        **rows((c, f"{c} --full-scale", "unrecognized arguments: --full-scale") for c in COMMAND_OPTIONS),
+        **{f"{c}-config": Refused(f"{c} --config {{config}}", f"unknown config keys for {c}: full-scale",
+                                  config="full-scale = 1\n") for c in COMMAND_OPTIONS}},
+    # one file is read, so a second would go unread
+    "test_a_second_config_file_is_refused": Refused(f"spectrum {DKT} --config {{config}} --config {{tmp}}/2.cfg",
+                                                    "--config: give one config file, got 2", config="alpha = 0\n"),
+    "test_refusals_are_one_line": {
+        **rows([
+            ("reversed-sweep", "butterfly --system dkt --j 10 --xi-sweep 2:0:0.1",
+             "--xi-sweep: sweep stop 0.0 is below start 2.0"),
+            ("eta-and-xi", f"spectrum {DKT} --xi 0.3", "give only one of --eta, --xi"),
+            ("no-system", "spectrum --j 10 --eta 1", f"spectrum requires --system ({', '.join(SYSTEMS)})"),
+            ("no-sweep", "butterfly --system dkt --j 10", TWO_SWEEPS),
+            ("two-sweeps", "butterfly --system dkt --j 10 --xi-sweep 0:1:0.5 --sigma-sweep 0:1:0.5", TWO_SWEEPS),
+            # fixed-parameter commands do not even expose sweep flags
+            ("sweep-of-spectrum", "spectrum --system dkt --j 4 --xi-sweep 0:1:0.5",
+             "unrecognized arguments: --xi-sweep 0:1:0.5"),
+            ("scale-grid-above-max-bins", f"spectrum {DKT} --scale-grid 16,32,64,2000000",
+             f"--scale-grid: bin counts must not exceed {MAX_BINS}, got 2000000"),
+            ("bins-above-states", f"eigenstates {DKT} --bins 50",
+             "--bins: bins must not exceed the number of states 21, got 50"),
+            # each rung is converted, and checked, before the ladder's length
+            ("zero-rung-of-two", "floquet-compare --j 4 --eta 1 --alpha-ladder 0.1,0",
+             "--alpha-ladder: alpha must be finite and nonzero")]),
+        **{case: Refused(argv, line, config=config) for case, argv, line, config in [
+            ("config-without-equals", "spectrum --system dkt --eta 1 --config {config}",
+             "{config}:1: expected 'key = value', got 'j 10'", "j 10\n"),
+            ("config-empty-value", "spectrum --system dkt --eta 1 --config {config}", "{config}:1: empty key or value",
+             "j = \n"),
+            ("sweep-key-in-config", "spectrum --config {config}", "unknown config keys for spectrum: xi-sweep",
+             "system = dkt\nj = 4\neta = 1\nxi-sweep = 0:1:0.5\n"),
+            # every occurrence is converted, so a bad file value fails even when a flag overrides it
+            ("file-value-under-a-flag", "eigenstates --config {config} --sigma golden",
+             "--sigma: " + NOT_FINITE.format("nan"), "system = harper-static\nlength = 40\nsigma = nan\n")]}},
+    "test_parse_config_rejects_fixed_plus_sweep": Refused("butterfly --system dkt --j 4 --xi 0.3 --xi-sweep 0:1:0.5",
+                                                          "give either a fixed eta/xi or a sweep, not both"),
+    "test_parse_config_rejects_wrong_sweep_axis": Refused("butterfly --system dkt --j 4 --sigma-sweep 0:1:0.5",
+                                                          "system dkt sweeps xi, not sigma"),
+    "test_floquet_compare_requires_three_alphas": Refused("floquet-compare --j 4 --eta 1 --alpha-ladder 0.1,0.05",
+                                                          "--alpha-ladder: alpha ladder needs at least 3 values"),
+    "test_parse_config_requires_epsilon_for_case_e": Refused(
+        "spectrum --system su2-e --j 10 --eta-over-j golden",
+        "system su2-e requires --epsilon (coupling ratio b = epsilon*alpha)"),
+    "test_bad_number_error_names_its_flag": argv_and_config(
+        (name, next(c for c in sorted(COMMAND_OPTIONS) if name in COMMAND_OPTIONS[c]), name, "x",
+         f"--{name}: {message}") for name, message in NUMERIC_OPTIONS.items()),
+    # the flag's converter applies the rule: the same line from argv and from a --config file
+    "test_a_flag_rule_is_one_error_line_from_argv_or_config": argv_and_config(
+        (f"{flag}-{command}", f"{command} {args}", flag, FLAG_RULES[flag][0], f"--{flag}: {FLAG_RULES[flag][1]}")
+        for flag, runs in FLAG_RULE_RUNS.items() for command, args in runs.items()),
+    "test_option_the_system_does_not_read_is_config_error": argv_and_config(
+        (f"{args.split()[2]}-{flag}", args, flag, value, not_read(args, flag))
+        for args, flags in NOT_READ.items() for flag, value in flags.items()),
+    # the two runs that read a period, where it sets the onsite-to-hopping ratio
+    "test_nonpositive_or_non_finite_period_is_config_error": rows(
+        (f"{period}{run}", f"{args} --period {period}", line)
+        for period, line in (("0", PERIOD_RULE.format(0.0)), ("-1", PERIOD_RULE.format(-1.0)),
+                             ("nan", "--period: " + NOT_FINITE.format("nan")),
+                             ("inf", "--period: " + NOT_FINITE.format("inf")))
+        for run, args in (("", f"spectrum {GENERAL} {CHAIN}"), ("-harper-diff", f"harper-diff {CHAIN}"))),
+    # with h0 = (alpha/T) G and kick alpha Jx, T*H_eff = alpha G + alpha Jx +
+    # (alpha^3/24)[[Jx, G], Jx] has no T in it, nor has the one-period operator
+    "test_the_kicked_top_takes_no_period": rows([
+        *((args.split()[0], f"{args} --period 2", not_read(args, "period"))
+          for args in (f"spectrum {DKT}", f"eigenstates {DKT}", "butterfly --system dkt --j 10 --xi-sweep 0:1:0.5")),
+        ("floquet-compare", f"floquet-compare --j 10 --eta 1 {LADDER} --period 2",
+         "unrecognized arguments: --period 2")]),
+    # every spin Hamiltonian divides its phases by 2j
+    "test_zero_spin_is_rejected_while_parsing": rows(
+        (run, argv, "--j: phase operator requires j > 0") for run, argv in ZERO_SPIN_RUNS.items()),
+    "test_a_parameter_read_without_a_default_is_required": rows([
+        ("floquet-compare-j", f"floquet-compare --eta 1 {LADDER}", "floquet-compare requires --j"),
+        ("floquet-compare-eta", f"floquet-compare --j 10 {LADDER}",
+         "floquet-compare requires --eta (or --eta-over-j, --xi)"),
+        ("floquet-compare-alpha-ladder", "floquet-compare --j 10 --eta 1", "floquet-compare requires --alpha-ladder"),
+        ("harper-diff-sigma", "harper-diff --length 40", "harper-diff requires --sigma"),
+        ("dkt-j", "spectrum --system dkt --eta 1", "dkt requires --j"),
+        ("eigenstates-sigma", "eigenstates --system harper-static", "eigenstates requires --sigma"),
+        ("spectrum-eta", "spectrum --system su2-a --j 10", "spectrum requires --eta (or --eta-over-j, --xi)"),
+        ("su2-e-epsilon", "spectrum --system su2-e --j 10 --eta 1",
+         "system su2-e requires --epsilon (coupling ratio b = epsilon*alpha)")]),
+    "test_unknown_system_is_config_error": Refused("spectrum --system synthetic-uniform --length 64",
+                                                   UNKNOWN_SYSTEM.format("synthetic-uniform")),
+    "test_exit_code_two_on_config_error": Refused("spectrum --system warp-drive", UNKNOWN_SYSTEM.format("warp-drive")),
+    "test_exit_code_two_on_bad_flag": Refused("spectrum --no-such-flag 1", "unrecognized arguments: --no-such-flag 1"),
+    "test_exit_code_two_on_non_finite_parameter": Refused(
+        "spectrum --system dkt --j 60 --alpha nan --eta-over-j golden", "--alpha: " + NOT_FINITE.format("nan")),
+    # exit 2 and 3 as the exit status of the process
+    "test_exit_code_of_a_process": {
+        "2": Refused("spectrum --system warp-drive", UNKNOWN_SYSTEM.format("warp-drive"), isolated=True),
+        "3": Refused("spectrum --system dkt --j 10 --alpha 1 --eta 1 --q-grid 0,1e300", UNDERFLOW, code=3, build=True,
+                     isolated=True)},
+    "test_non_finite_parameter_is_config_error_on_every_system": rows([
+        ("args0", "spectrum --system dkt --j 60 --alpha 0.1 --eta nan", "--eta: " + NOT_FINITE.format("nan")),
+        ("args1", "spectrum --system su2-a --j 60 --alpha nan --eta-over-j golden",
+         "--alpha: " + NOT_FINITE.format("nan")),
+        ("args2", "spectrum --system harper-static --length 50 --sigma nan", "--sigma: " + NOT_FINITE.format("nan")),
+        ("args3", "spectrum --system harper-kicked --length 50 --sigma golden --alpha inf",
+         "--alpha: " + NOT_FINITE.format("inf"))]),
+    "test_non_finite_q_grid_is_config_error": rows(
+        (f"{q_grid}-command{i}", f"{command} --q-grid {q_grid}", "--q-grid: " + NOT_FINITE.format(bad))
+        for q_grid, bad in (("nan,2", "nan"), ("inf,2", "inf"), ("2,-inf", "-inf"))
+        for i, command in enumerate(("spectrum --system harper-static --length 2001 --sigma golden", STATIC_64))),
+    # the same rule as the SU(2) family and the Harper chains, applied while parsing
+    "test_zero_dkt_alpha_is_config_error": rows((f"args{i}", argv, ALPHA_RULE) for i, argv in enumerate([
+        "spectrum --system dkt --j 10 --alpha 0 --eta 1", "eigenstates --system dkt --j 10 --alpha 0 --eta 1",
+        "butterfly --system dkt --j 10 --alpha 0 --xi-sweep 0:1:0.5"])),
+    # the general route divides by alpha
+    "test_zero_harper_alpha_is_config_error": rows((f"args{i}", argv, ALPHA_RULE) for i, argv in enumerate([
+        "harper-diff --length 10 --sigma golden --alpha 0",
+        f"spectrum {GENERAL} --length 10 --sigma golden --alpha 0"])),
+    # a zero alpha is refused while parsing, an overflow at the build
+    "test_builder_error_leaves_no_output_directory": {
+        **rows([("butterfly", "butterfly --system su2-a --j 10 --alpha 0 --xi-sweep 0:1:0.5", ALPHA_RULE),
+                ("spectrum", "spectrum --system su2-a --j 10 --alpha 0 --eta 1", ALPHA_RULE),
+                ("eigenstates", f"eigenstates {GENERAL} --length 10 --sigma golden --alpha 0", ALPHA_RULE),
+                ("floquet-compare", "floquet-compare --j 10 --eta 1 --alpha-ladder 0.04,0.02,0",
+                 "--alpha-ladder: alpha must be finite and nonzero"),
+                ("harper-diff", "harper-diff --length 10 --sigma golden --alpha 0", ALPHA_RULE)]),
+        **{f"{run}-overflow": row for run, row in OVERFLOWS.items()}},
+    "test_overflowing_effective_hamiltonian_is_config_error": {
+        f"args{i}": OVERFLOWS[run] for i, run in enumerate(("dkt", "floquet-compare", "harper-diff"))},
+    "test_bad_spin_or_sweep_is_config_error": rows((f"args{i}", argv, line) for i, (argv, line) in enumerate([
+        ("spectrum --system dkt --j -1 --eta 1", SPIN_RULE.format(-1.0)),
+        ("eigenstates --system su2-a --j 2.25 --eta 1", SPIN_RULE.format(2.25)),
+        ("butterfly --system dkt --j -1 --xi-sweep 0:1:0.5", SPIN_RULE.format(-1.0)),
+        (f"floquet-compare --j -2 --eta 1 {LADDER}", SPIN_RULE.format(-2.0)),
+        ("spectrum --system dkt --j 0 --alpha-over 1 --eta 1", "--j: phase operator requires j > 0"),
+        *((f"butterfly --system dkt --j 2 --xi-sweep {sweep}",
+           f"--xi-sweep: sweep '{sweep}' has more than 100000 points") for sweep in ("0:1:1e-300", "0:1e308:1e-308")),
+        ("spectrum --system dkt --j 10 --xi 1e308", "--xi: " + PHASES.format("inf")),
+        ("spectrum --system dkt --j 10 --eta-over-j 1e308", "--eta-over-j: " + PHASES.format("inf")),
+        (f"floquet-compare --j 10 --xi 1e308 {LADDER}", "--xi: " + PHASES.format("inf")),
+        (f"floquet-compare --j 10 --eta-over-j 1e308 {LADDER}", "--eta-over-j: " + PHASES.format("inf")),
+        ("spectrum --system su2-a --j 10 --xi 1e308", "--xi: " + PHASES.format("inf")),
+        # a finite eta whose phases eta(2m+1)/2j overflow
+        ("spectrum --system dkt --j 10 --eta 1e308", "--eta: " + PHASES.format("1e+308")),
+        ("spectrum --system dkt --j 10 --eta-over-j 1e307", "--eta-over-j: " + PHASES.format("1e+308")),
+        (f"floquet-compare --j 10 --eta 1e308 {LADDER}", "--eta: " + PHASES.format("1e+308")),
+        ("butterfly --system dkt --j 10 --xi-sweep 0:1e306:1e305",
+         "--xi-sweep: " + PHASES.format("3.1415926535897923e+307")),
+        ("spectrum --system su2-a --j 10 --eta 1e308", "--eta: " + PHASES.format("1e+308"))])),
+    "test_nonpositive_bins_is_config_error": rows(
+        (bins, f"{STATIC_64} --bins {bins}", f"--bins: bins must be between 1 and {MAX_BINS}, got {bins}")
+        for bins in ("0", "-3")),
+    # np.histogram would allocate 8 GiB of bin edges
+    "test_oversized_bin_count_is_config_error": rows([
+        ("args0", f"{STATIC_64} --bins 1073741824", f"--bins: bins must be between 1 and {MAX_BINS}, got 1073741824"),
+        ("args1", f"spectrum {DKT} --scale-grid 16,32,64,1073741824",
+         f"--scale-grid: bin counts must not exceed {MAX_BINS}, got 1073741824")]),
+    # by the analysis's own grid rules
+    "test_degenerate_count_grid_is_config_error": rows([
+        ("args0", "spectrum --system harper-static --length 2001 --sigma golden --scale-grid 16,16,16,16",
+         "--scale-grid: scale counts must be strictly increasing, got [16, 16, 16, 16]"),
+        ("args1", f"{STATIC_64} --scale-grid 2,4,100,200",
+         "--scale-grid: partition counts must not exceed the dimension 64, got 200"),
+        ("args2", f"spectrum {DKT} --q-grid=-1,2", "--q-grid: negative moments are not supported"),
+        ("args3", f"{STATIC_64} --bins 65", "--bins: bins must not exceed the number of states 64, got 65")]),
+    # Path.exists() reads such a path as missing, and only mkdir would fail
+    "test_out_dir_with_a_null_byte_is_rejected_before_the_solve": Refused(
+        f"spectrum {DKT}", "--out-dir: embedded null byte", out_dir="{tmp}/a\0b"),
+    # Path.read_text raises ValueError, not OSError, on such a path; the flag's converter refuses it
+    "test_config_path_with_a_null_byte_is_config_error": Refused(f"spectrum {DKT} --config a\0b",
+                                                                 "--config: embedded null byte"),
+    "test_config_file_that_is_not_utf8_is_config_error": Refused(
+        "spectrum --system dkt --j 10 --config {config}",
+        "cannot read config file {config}: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte",
+        config=b"eta = 1 # \xff\n"),
+    # the config file stands where the output directory's parent would
+    "test_out_dir_under_a_file_is_rejected_before_the_solve": {
+        command: Refused(f"{command} --system dkt --j 10 --eta-over-j golden", "--out-dir: {config} is not a directory",
+                         config="", out_dir="{config}/out") for command in ("spectrum", "eigenstates")},
+    # numpy cannot make the bins of a valid alpha's spectrum, a few subnormals
+    # wide, or of a uniform chain's PR, equal to rounding
+    "test_range_too_narrow_for_the_bins_exits_three": rows([
+        ("spectrum-su2-f", "spectrum --system su2-f --j 0.5 --alpha 5e-324 --eta 1",
+         "cannot split the values' range [-0.0, 1e-323] into 16 bins"),
+        ("spectrum-dkt", "spectrum --system dkt --j 10 --alpha 1e-322 --eta 1",
+         "cannot split the values' range [-1.966e-321, 1.966e-321] into 43 bins"),
+        ("eigenstates-pr", f"eigenstates {GENERAL} --length 4 --sigma 0",
+         "cannot split the values' range into 50 finite-sized bins")], code=3, build=True),
+    # p^q of every cell underflows at q = 1e300: no fit is defined
+    "test_underflowing_moment_sum_exits_three": rows([
+        ("spectrum-j10", "spectrum --system dkt --j 10 --alpha 1 --eta 1 --q-grid 0,1e300", UNDERFLOW),
+        ("spectrum-j100", "spectrum --system dkt --j 100 --alpha-over 1 --eta-over-j golden --q-grid 0,2,1e300",
+         UNDERFLOW),
+        ("eigenstates", "eigenstates --system harper-kicked --length 201 --sigma golden --q-grid 0,2,1e300",
+         UNDERFLOW)], code=3, build=True),
+    # a solver that gives up, or a ladder block that is not what it was built as
+    "test_numerical_failure_exits_three": {
+        case: Refused(argv, line, code=3, build=True, patch=patch) for case, patch, argv, line in [
+            # the dkt spectrum is solved by the banded driver (bandwidth 3, complex)
+            ("eigvals-banded", ("scipy.linalg.eigvals_banded", _unconverged("Eigenvalues did not converge")),
+             "spectrum --system dkt --j 10 --alpha 0.1 --eta-over-j golden", "Eigenvalues did not converge"),
+            # every rung's CS angles come from singular value solves; at half-integer
+            # spin the H_eff takes Hermitian solves, so the failure is the ladder's
+            ("ladder-svd", ("numpy.linalg.svd", _unconverged("SVD did not converge")),
+             f"floquet-compare --j 10.5 --eta-over-j golden {LADDER}", "SVD did not converge"),
+            # the ladder's blocks are built unitary, and with the spin-flip parity
+            ("non-unitary-block", ("kickedspec.floquet._twist_gauge", lambda spin, eta: 1.01 * TWIST(spin, eta)),
+             f"floquet-compare --j 10 --eta-over-j golden {LADDER}",
+             "Floquet operator is not unitary (defect 2.010e-02 of a gauge block)"),
+            ("parity-mixing-twist", ("kickedspec.floquet._twist_gauge", _random_twist),
+             f"floquet-compare --j 10 --eta-over-j golden {LADDER}",
+             "twist gauge mixes the spin-flip parity blocks by 1")]},
+    # a size whose arrays no machine can allocate
+    "test_unallocatable_size_is_config_error": rows(
+        ((run, argv, f"Unable to allocate {size} for an array with shape ({dim},) and data type int64")
+         for run, argv, size, dim in (
+            ("spectrum-dkt", "spectrum --system dkt --j 1e12 --eta 1", "14.6 TiB", 2 * 10**12 + 1),
+            ("floquet-compare", f"floquet-compare --j 1e12 --eta 1 {LADDER}", "14.6 TiB", 2 * 10**12 + 1),
+            *((f"{command}-harper-static", f"{command} --system harper-static --length {10**13} --sigma golden",
+               "72.8 TiB", 10**13) for command in ("spectrum", "eigenstates")))), build=True, isolated=True),
+}
+
+
+def _table_test(rows):
+    """The test of one REFUSALS entry: a case per row id, or its one row."""
+    if isinstance(rows, Refused):
+        return lambda tmp_path, capsys, monkeypatch: check_refused(rows, tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("row", list(rows.values()), ids=list(rows))
+    def test(row, tmp_path, capsys, monkeypatch):
+        check_refused(row, tmp_path, capsys, monkeypatch)
+    return test
+
+
+globals().update({name: _table_test(rows) for name, rows in REFUSALS.items()})
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_command_help(command, capsys):
+    # argparse %-formats help strings, so a stray '%' in one would crash --help
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    assert "--out-dir" in capsys.readouterr().out
 
 
 # every CLI system, harper-kicked once per mode, by the flags that select it
@@ -766,261 +939,10 @@ def test_config_echo_names_exactly_the_parameters_the_system_reads(name):
     echo = _config_echo(parse_config(["spectrum", *SYSTEM_FLAGS[name], *flags]))
     assert set(echo) - {"command", "system"} == fields_read(name)
 
-
-@pytest.mark.parametrize("period", ["0", "-1", "nan", "inf"])
-def test_nonpositive_or_non_finite_period_is_config_error(period, tmp_path, capsys):
-    # the two runs that read a period, where it sets the onsite-to-hopping ratio
-    for args in (["spectrum", "--system", "harper-kicked", "--harper-mode", "general", "--length", "30",
-                  "--sigma", "golden"],
-                 ["harper-diff", "--length", "30", "--sigma", "golden"]):
-        assert run_cli([*args, "--period", period], tmp_path / "out") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: --period: ") and err.count("\n") == 1, err
-        assert not (tmp_path / "out").exists()
-
-
-DKT_PERIOD_REFUSED = "--period: dkt does not read it (read by harper-kicked --harper-mode general, harper-diff)"
-
-
-@pytest.mark.parametrize("args, message", [
-    (["spectrum", "--system", "dkt", "--j", "10", "--eta", "1"], DKT_PERIOD_REFUSED),
-    (["eigenstates", "--system", "dkt", "--j", "10", "--eta", "1"], DKT_PERIOD_REFUSED),
-    (["butterfly", "--system", "dkt", "--j", "10", "--xi-sweep", "0:1:0.5"], DKT_PERIOD_REFUSED),
-    (["floquet-compare", "--j", "10", "--eta", "1", "--alpha-ladder", "0.04,0.02,0.01"],
-     "unrecognized arguments: --period 2"),
-], ids=["spectrum", "eigenstates", "butterfly", "floquet-compare"])
-def test_the_kicked_top_takes_no_period(args, message, tmp_path, capsys):
-    # with h0 = (alpha/T) G and kick alpha Jx, T*H_eff = alpha G + alpha Jx +
-    # (alpha^3/24)[[Jx, G], Jx] has no T in it, nor has the one-period operator
-    assert run_cli([*args, "--period", "2"], tmp_path / "out") == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "out").exists()
-
-
-# a run of every spin system, and of each command on the kicked top, at j = 0
-ZERO_SPIN_RUNS = {
-    **{f"spectrum-{system}": ["spectrum", "--system", system, "--j", "0", "--alpha", "1", "--eta", "1",
-                              *(["--epsilon", "0.6"] if system == "su2-e" else [])]
-       for system in SYSTEMS if not system.startswith("harper")},
-    "eigenstates-dkt": ["eigenstates", "--system", "dkt", "--j", "0", "--eta", "1"],
-    "butterfly-dkt": ["butterfly", "--system", "dkt", "--j", "0", "--xi-sweep", "0:1:0.5"],
-    "butterfly-su2-a": ["butterfly", "--system", "su2-a", "--j", "0", "--alpha-over", "1", "--xi-sweep", "0:1:0.5"],
-    "floquet-compare": ["floquet-compare", "--j", "0", "--eta", "1", "--alpha-ladder", "0.04,0.02,0.01"],
-}
-
-
-@pytest.mark.parametrize("run", sorted(ZERO_SPIN_RUNS))
-def test_zero_spin_is_rejected_while_parsing(run, tmp_path, capsys, monkeypatch):
-    # every spin Hamiltonian divides its phases by 2j; no build or solve may run
-    _forbid_builds(monkeypatch)
-    assert run_cli(ZERO_SPIN_RUNS[run], tmp_path / "out") == 2
-    assert capsys.readouterr().err == "error: --j: phase operator requires j > 0\n"
-    assert not (tmp_path / "out").exists()
-
-
-def test_out_dir_with_a_null_byte_is_rejected_before_the_solve(tmp_path, capsys, monkeypatch):
-    # Path.exists() reads such a path as missing, and only mkdir would fail
-    _forbid_builds(monkeypatch)
-    assert run_cli(["spectrum", "--system", "dkt", "--j", "10", "--eta", "1"], f"{tmp_path}/a\0b") == 2
-    assert capsys.readouterr().err == "error: --out-dir: embedded null byte\n"
-    assert not any(tmp_path.iterdir())
-
-
-def test_config_path_with_a_null_byte_is_config_error(tmp_path, capsys, monkeypatch):
-    # Path.read_text raises ValueError, not OSError, on such a path; the flag's converter refuses it
-    _forbid_builds(monkeypatch)
-    assert main(["spectrum", "--system", "dkt", "--j", "10", "--eta", "1", "--config", "a\0b",
-                 "--out-dir", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "error: --config: embedded null byte\n"
-    assert not (tmp_path / "out").exists()
-
-
-def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
-    config = tmp_path / "run.cfg"
-    config.write_bytes(b"eta = 1 # \xff\n")
-    assert main(["spectrum", "--system", "dkt", "--j", "10", "--config", str(config),
-                 "--out-dir", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read config file {config}: ") and err.count("\n") == 1, err
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("command", ["spectrum", "eigenstates"])
-def test_out_dir_under_a_file_is_rejected_before_the_solve(command, tmp_path, capsys, monkeypatch):
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    monkeypatch.setattr("kickedspec.cli.eigensolve", None)  # a solve would raise TypeError
-    args = [command, "--system", "dkt", "--j", "10", "--eta-over-j", "golden"]
-    assert run_cli(args, blocker / "out") == 2
-    assert capsys.readouterr().err == f"error: --out-dir: {blocker} is not a directory\n"
-
-
-# flag -> (a bad value, the library rule's message), a rule on the value that the flag alone gives
-FLAG_RULES = {"j": ("0", "phase operator requires j > 0"),
-              "length": ("1", "chain length must be >= 2, got 1"),
-              "period": ("0", "kick period must be finite and positive, got 0.0"),
-              "q-grid": ("-1", "negative moments are not supported"),
-              "alpha-ladder": ("0.04,0.02,0", "alpha must be finite and nonzero")}
-# flag -> command -> a run that reads the flag's parameter, without the flag
-FLAG_RULE_RUNS = {
-    "j": {"butterfly": ["--system", "dkt", "--xi-sweep", "0:1:0.5"], "spectrum": ["--system", "dkt", "--eta", "1"],
-          "eigenstates": ["--system", "su2-a", "--eta", "1"],
-          "floquet-compare": ["--eta", "1", "--alpha-ladder", "0.04,0.02,0.01"]},
-    "length": {"butterfly": ["--system", "harper-static", "--sigma-sweep", "0:1:0.5"],
-               "spectrum": ["--system", "harper-kicked", "--sigma", "golden"],
-               "eigenstates": ["--system", "harper-static", "--sigma", "golden"],
-               "harper-diff": ["--sigma", "golden"]},
-    "period": {"butterfly": ["--system", "harper-kicked", "--harper-mode", "general", "--sigma-sweep", "0:1:0.5"],
-               "spectrum": ["--system", "harper-kicked", "--harper-mode", "general", "--length", "30",
-                            "--sigma", "golden"],
-               "eigenstates": ["--system", "harper-kicked", "--harper-mode", "general", "--length", "30",
-                               "--sigma", "golden"],
-               "harper-diff": ["--length", "30", "--sigma", "golden"]},
-    "q-grid": {"spectrum": ["--system", "dkt", "--j", "10", "--eta", "1"],
-               "eigenstates": ["--system", "harper-static", "--length", "64", "--sigma", "golden"]},
-    "alpha-ladder": {"floquet-compare": ["--j", "10", "--eta", "1"]},
-}
-
-
-@pytest.mark.parametrize("flag, command", [(flag, command) for flag, runs in FLAG_RULE_RUNS.items()
-                                           for command in runs], ids=lambda value: value)
-def test_a_flag_rule_is_one_error_line_from_argv_or_config(flag, command, tmp_path, capsys, monkeypatch):
-    # the flag's converter applies the rule: the same line from argv and from
-    # a --config file, before any build, solve or output directory
-    assert set(FLAG_RULE_RUNS[flag]) == {c for c, names in COMMAND_OPTIONS.items() if flag in names}
-    _forbid_builds(monkeypatch)
-    value, message = FLAG_RULES[flag]
-    config = tmp_path / "run.cfg"
-    config.write_text(f"{flag} = {value}\n")
-    args = [command, *FLAG_RULE_RUNS[flag][command]]
-    for argv in ([*args, f"--{flag}", value], [*args, "--config", str(config)]):
-        assert run_cli(argv, tmp_path / "out") == 2
-        assert capsys.readouterr().err == f"error: --{flag}: {message}\n"
-        assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["floquet-compare", "--eta", "1", "--alpha-ladder", "0.04,0.02,0.01"], "floquet-compare requires --j"),
-    (["floquet-compare", "--j", "10", "--alpha-ladder", "0.04,0.02,0.01"],
-     "floquet-compare requires --eta (or --eta-over-j, --xi)"),
-    (["floquet-compare", "--j", "10", "--eta", "1"], "floquet-compare requires --alpha-ladder"),
-    (["harper-diff", "--length", "40"], "harper-diff requires --sigma"),
-    (["spectrum", "--system", "dkt", "--eta", "1"], "dkt requires --j"),
-    (["eigenstates", "--system", "harper-static"], "eigenstates requires --sigma"),
-    (["spectrum", "--system", "su2-a", "--j", "10"], "spectrum requires --eta (or --eta-over-j, --xi)"),
-    (["spectrum", "--system", "su2-e", "--j", "10", "--eta", "1"],
-     "system su2-e requires --epsilon (coupling ratio b = epsilon*alpha)"),
-], ids=["floquet-compare-j", "floquet-compare-eta", "floquet-compare-alpha-ladder", "harper-diff-sigma", "dkt-j",
-        "eigenstates-sigma", "spectrum-eta", "su2-e-epsilon"])
-def test_a_parameter_read_without_a_default_is_required(argv, message):
-    with pytest.raises(ConfigError) as excinfo:
-        parse_config(argv)
-    assert str(excinfo.value) == message
-
-
 def test_harper_diff_takes_the_default_length():
     # as every command does for a parameter it reads and is not given
     cfg = parse_config(["harper-diff", "--sigma", "golden"])
     assert (cfg.length, cfg.alpha, cfg.period) == (2001, 1.0, 1.0)
-
-
-@pytest.mark.parametrize("args", [
-    ["spectrum", "--system", "dkt", "--j", "10", "--alpha", "1e200", "--eta", "1"],
-    ["floquet-compare", "--j", "10", "--eta", "1", "--alpha-ladder", "1e200,1e100,1e50"],
-    ["harper-diff", "--length", "10", "--sigma", "golden", "--alpha", "1e200"],
-])
-def test_overflowing_effective_hamiltonian_is_config_error(args, tmp_path):
-    # finite inputs whose H_eff products overflow fail H_eff's own contract;
-    # a subprocess shows that no overflow warning reaches stderr
-    proc = run_module([*args, "--out-dir", str(tmp_path)])
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: effective Hamiltonian is not Hermitian") and proc.stderr.count("\n") == 1
-
-
-@pytest.mark.parametrize("args", [
-    ["spectrum", "--system", "dkt", "--j", "-1", "--eta", "1"],
-    ["eigenstates", "--system", "su2-a", "--j", "2.25", "--eta", "1"],
-    ["butterfly", "--system", "dkt", "--j", "-1", "--xi-sweep", "0:1:0.5"],
-    ["floquet-compare", "--j", "-2", "--eta", "1", "--alpha-ladder", "0.04,0.02,0.01"],
-    ["spectrum", "--system", "dkt", "--j", "0", "--alpha-over", "1", "--eta", "1"],
-    ["butterfly", "--system", "dkt", "--j", "2", "--xi-sweep", "0:1:1e-300"],
-    ["butterfly", "--system", "dkt", "--j", "2", "--xi-sweep", "0:1e308:1e-308"],
-    ["spectrum", "--system", "dkt", "--j", "10", "--xi", "1e308"],
-    ["spectrum", "--system", "dkt", "--j", "10", "--eta-over-j", "1e308"],
-    ["floquet-compare", "--j", "10", "--xi", "1e308", "--alpha-ladder", "0.04,0.02,0.01"],
-    ["floquet-compare", "--j", "10", "--eta-over-j", "1e308", "--alpha-ladder", "0.04,0.02,0.01"],
-    ["spectrum", "--system", "su2-a", "--j", "10", "--xi", "1e308"],
-    # a finite eta whose phases eta(2m+1)/2j overflow
-    ["spectrum", "--system", "dkt", "--j", "10", "--eta", "1e308"],
-    ["spectrum", "--system", "dkt", "--j", "10", "--eta-over-j", "1e307"],
-    ["floquet-compare", "--j", "10", "--eta", "1e308", "--alpha-ladder", "0.04,0.02,0.01"],
-    ["butterfly", "--system", "dkt", "--j", "10", "--xi-sweep", "0:1e306:1e305"],
-    ["spectrum", "--system", "su2-a", "--j", "10", "--eta", "1e308"],
-])
-def test_bad_spin_or_sweep_is_config_error(args, tmp_path):
-    # rejected while parsing: one error line, no traceback, nothing written
-    proc = run_module([*args, "--out-dir", str(tmp_path)])
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr
-    assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("bins", ["0", "-3"])
-def test_nonpositive_bins_is_config_error(bins, tmp_path):
-    # rejected while parsing, before eigenstates.csv is written
-    proc = run_module(["eigenstates", "--system", "harper-static", "--length", "64", "--sigma", "golden",
-                       "--bins", bins, "--out-dir", str(tmp_path)])
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
-    assert not any(tmp_path.iterdir())
-
-
-def _limit_address_space():
-    # 3 GB: enough to run, too little for a runaway allocation to reach the host's memory
-    resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
-
-
-@pytest.mark.parametrize("args", [
-    ["eigenstates", "--system", "harper-static", "--length", "64", "--sigma", "golden", "--bins", "1073741824"],
-    ["spectrum", "--system", "dkt", "--j", "10", "--alpha", "0.1", "--eta", "1",
-     "--scale-grid", "16,32,64,1073741824"],
-])
-def test_oversized_bin_count_is_config_error(args, tmp_path):
-    # rejected while parsing: np.histogram would allocate 8 GiB of bin edges
-    proc = run_module([*args, "--out-dir", str(tmp_path)], preexec_fn=_limit_address_space)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
-    assert str(MAX_BINS) in proc.stderr
-    assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("command", [
-    ["spectrum", *HARPER_GOLDEN],
-    ["eigenstates", "--system", "harper-static", "--length", "64", "--sigma", "golden"],
-])
-@pytest.mark.parametrize("q_grid", ["nan,2", "inf,2", "2,-inf"])
-def test_non_finite_q_grid_is_config_error(command, q_grid, tmp_path, capsys):
-    assert run_cli([*command, "--q-grid", q_grid], tmp_path) == 2
-    assert "finite" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("args", [
-    ["spectrum", *HARPER_GOLDEN, "--scale-grid", "16,16,16,16"],
-    ["eigenstates", "--system", "harper-static", "--length", "64", "--sigma", "golden",
-     "--scale-grid", "2,4,100,200"],
-    ["spectrum", "--system", "dkt", "--j", "10", "--alpha", "0.1", "--eta", "1", "--q-grid=-1,2"],
-    ["eigenstates", "--system", "harper-static", "--length", "64", "--sigma", "golden", "--bins", "65"],
-])
-def test_degenerate_count_grid_is_config_error(args, tmp_path):
-    # rejected while parsing, by the analysis's own grid rules: no solve runs
-    # and the output directory is never made
-    out_dir = tmp_path / "out"
-    proc = run_module([*args, "--out-dir", str(out_dir)])
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
-    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("args, dim", [
@@ -1034,38 +956,6 @@ def test_eigenstates_default_grid_at_smallest_dimensions(args, dim, tmp_path):
     assert report["statistics"]["count"] == dim
 
 
-@pytest.mark.parametrize("args", [
-    # a valid alpha whose spectrum spans a few subnormals
-    ["spectrum", "--system", "su2-f", "--j", "0.5", "--alpha", "5e-324", "--eta", "1"],
-    ["spectrum", "--system", "dkt", "--j", "10", "--alpha", "1e-322", "--eta", "1"],
-    # a uniform chain whose states' PR agree to rounding
-    ["eigenstates", "--system", "harper-kicked", "--harper-mode", "general", "--length", "4", "--sigma", "0"],
-], ids=["spectrum-su2-f", "spectrum-dkt", "eigenstates-pr"])
-def test_range_too_narrow_for_the_bins_exits_three(args, tmp_path):
-    # numpy cannot make the bins: one line, exit 3, nothing written
-    out_dir = tmp_path / "out"
-    proc = run_module([*args, "--out-dir", str(out_dir)])
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith("numerical failure: cannot split") and proc.stderr.count("\n") == 1
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("args", [
-    ["spectrum", "--system", "dkt", "--j", "10", "--alpha", "1", "--eta", "1", "--q-grid", "0,1e300"],
-    ["spectrum", "--system", "dkt", "--j", "100", "--alpha-over", "1", "--eta-over-j", "golden",
-     "--q-grid", "0,2,1e300"],
-    ["eigenstates", "--system", "harper-kicked", "--length", "201", "--sigma", "golden", "--q-grid", "0,2,1e300"],
-], ids=["spectrum-j10", "spectrum-j100", "eigenstates"])
-def test_underflowing_moment_sum_exits_three(args, tmp_path):
-    # p^q of every cell underflows at q = 1e300: no fit is defined, so one
-    # line, exit 3, no RuntimeWarning and nothing written
-    out_dir = tmp_path / "out"
-    proc = run_module([*args, "--out-dir", str(out_dir)])
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stderr == "numerical failure: Z_q underflows to 0 at q = 1e+300\n"
-    assert not out_dir.exists()
-
-
 def test_value_error_in_a_pipeline_is_a_bug(tmp_path, monkeypatch):
     # exit 2 is decided while parsing and at the build; a ValueError later is not an input error
     def internal_bug(*args, **kwargs):
@@ -1074,55 +964,6 @@ def test_value_error_in_a_pipeline_is_a_bug(tmp_path, monkeypatch):
     monkeypatch.setattr("kickedspec.cli.tau_spectrum", internal_bug)
     with pytest.raises(ValueError, match="internal bug"):
         run_cli(["spectrum", *HARPER_GOLDEN], tmp_path)
-
-
-def test_exit_code_three_on_numerical_failure(tmp_path, monkeypatch):
-    import scipy.linalg
-
-    def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    # the dkt spectrum is solved by the banded driver (bandwidth 3, complex)
-    monkeypatch.setattr(scipy.linalg, "eigvals_banded", no_convergence)
-    assert run_cli(["spectrum", "--system", "dkt", "--j", "10", "--alpha", "0.1",
-                    "--eta-over-j", "golden"], tmp_path) == 3
-
-
-def test_unconverged_ladder_svd_exits_three(tmp_path, monkeypatch, capsys):
-    def unconverged(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    # every rung's CS angles come from singular value solves, so the
-    # quasienergy solve gives up; at half-integer spin the H_eff takes
-    # Hermitian solves, so the failure is the ladder's
-    monkeypatch.setattr(np.linalg, "svd", unconverged)
-    assert run_cli(["floquet-compare", "--j", "10.5", "--eta-over-j", "golden",
-                    "--alpha-ladder", "0.04,0.02,0.01"], tmp_path) == 3
-    assert "numerical failure" in capsys.readouterr().err
-    assert not (tmp_path / "floquet_compare.json").exists()
-
-
-def test_non_unitary_ladder_block_exits_three(tmp_path, monkeypatch, capsys):
-    # the ladder builds its blocks unitary, so a block that is not is a
-    # numerical failure, not a configuration error
-    twist = kickedspec.floquet._twist_gauge
-    monkeypatch.setattr(kickedspec.floquet, "_twist_gauge", lambda spin, eta: 1.01 * twist(spin, eta))
-    assert run_cli(["floquet-compare", "--j", "10", "--eta-over-j", "golden",
-                    "--alpha-ladder", "0.04,0.02,0.01"], tmp_path) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: Floquet operator is not unitary"), err
-    assert not (tmp_path / "floquet_compare.json").exists()
-
-
-def test_parity_mixing_twist_exits_three(tmp_path, monkeypatch, capsys):
-    # a twist that breaks the spin-flip parity is a numerical failure, not a
-    # configuration error
-    rng = np.random.default_rng(7)
-    monkeypatch.setattr(kickedspec.floquet, "_twist_gauge", lambda spin, eta: np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, spin.dim)))
-    assert run_cli(["floquet-compare", "--j", "10", "--eta-over-j", "golden",
-                    "--alpha-ladder", "0.04,0.02,0.01"], tmp_path) == 3
-    assert "numerical failure" in capsys.readouterr().err
-    assert not (tmp_path / "floquet_compare.json").exists()
 
 
 def test_floquet_compare_diagonalizes_jx_parity_blocks(tmp_path, monkeypatch):
