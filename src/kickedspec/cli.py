@@ -421,12 +421,6 @@ def _hamiltonian(cfg: RunConfig, sweep_value: float | None = None) -> Banded:
 # Emission helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
 def _create(path: Path):
     """`path` opened for writing, its directory made first: a run that writes
     no file leaves no directory behind."""
@@ -434,11 +428,14 @@ def _create(path: Path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def write_csv(path: Path, header, rows) -> None:
+def write_csv(path: Path, columns: dict, rows) -> None:
+    """A header of the names in `columns`, then each row in their %-formats:
+    ``%.17g`` writes a float as ``format(float(v), ".17g")`` does, nan and
+    -0.0 included."""
+    row_format = ",".join(columns.values()) + "\n"
     with _create(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(row_format % row for row in rows)
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -464,9 +461,9 @@ def cmd_butterfly(cfg: RunConfig) -> Path:
         energies = eigensolve(_hamiltonian(cfg, value))
         if cfg.system == "dkt":
             energies = np.sort(fold_phases(energies))
-        rows.extend((value, idx, energy) for idx, energy in enumerate(energies))
+        rows.extend((value, idx, energy) for idx, energy in enumerate(energies.tolist()))
     out = cfg.out_dir / "butterfly.csv"
-    write_csv(out, ("sweep_value", "index", "energy"), rows)
+    write_csv(out, {"sweep_value": "%.17g", "index": "%d", "energy": "%.17g"}, rows)
     return out
 
 
@@ -477,7 +474,7 @@ def cmd_spectrum(cfg: RunConfig) -> Path:
     q = spectrum.q_grid
     rows = zip(q, spectrum.tau, spectrum.dq, spectrum.fit_r2)
     csv_path = cfg.out_dir / "tau.csv"
-    write_csv(csv_path, ("q", "tau", "d_q", "r2"), rows)
+    write_csv(csv_path, dict.fromkeys(("q", "tau", "d_q", "r2"), "%.17g"), rows)
 
     report = {
         "config": _config_echo(cfg),
@@ -516,7 +513,8 @@ def cmd_eigenstates(cfg: RunConfig) -> Path:
     }
     columns = (table.pr.tolist(), table.d2.tolist(), table.d5.tolist(), table.mu_bar.tolist())
     csv_path = cfg.out_dir / "eigenstates.csv"
-    write_csv(csv_path, ("index", "pr", "d2", "d5", "mu"), zip(range(len(table)), *columns))
+    write_csv(csv_path, {"index": "%d", **dict.fromkeys(("pr", "d2", "d5", "mu"), "%.17g")},
+              zip(range(len(table)), *columns))
     write_json(cfg.out_dir / "eigenstates_report.json", report)
     return csv_path
 

@@ -1,11 +1,13 @@
 """Banded operators, their Hermiticity and unitarity contracts, and the one
-eigensolver dispatch chosen from an operator's band structure.
+eigensolver dispatch.
 
-An operator equal to its index reversal R (the kicked-top H_eff, whose
-spin flip m -> -m is R) is solved on its two half-size parity blocks, two
-`Banded` operators built once from its stored bands by `_parity_blocks` for
-every solver: `eigensolve`'s banded driver, `hermitian_eigh`, and the
-Floquet ladder's Jx and twist gauge.
+`eigensolve` splits every operator, picks a driver per block, and merges.
+An operator equal to its index reversal R (the kicked-top H_eff, whose spin
+flip m -> -m is R, and the real tridiagonal su2-a) splits into two `Banded`
+parity blocks, built once by `_parity_blocks` for every solver; any other
+is one block.  `_merged` assembles the block solves for `eigensolve` and
+the numpy-only `hermitian_eigh`; the Floquet ladder's Jx and twist gauge
+take their blocks from the same builder.
 
 Every Hamiltonian is a `Banded` operator; dense arrays are left for
 unitaries.  Contracts are checked where an operator enters, not where it is
@@ -20,7 +22,7 @@ construction from validated scalars and check nothing; every path from them
 to a solver or an exponential passes one of those entry points.  The one
 check on a built result is `effective.heff_delta_kicked`'s, because its
 products can overflow even when its inputs passed.  `hermitian_eigh` checks
-nothing: `eigensolve` and the Floquet comparison hand it checked operators.
+nothing: the Floquet comparison hands it checked operators.
 The Floquet ladder checks its gauge sectors once (four quarter-size at
 integer spin, one half-size at half-integer spin), not the rungs.
 """
@@ -280,7 +282,7 @@ def _parity_blocks(op: Banded) -> list:
 
 
 def _chiral_or_eigh(block: Banded, vectors: bool):
-    """`hermitian_eigh` of one block, densified.  A block whose even diagonals
+    """numpy's solve of one parity block, densified.  A block whose even diagonals
     are zero has no even-even and no odd-odd entries, so it is
     [[0, C], [C^dag, 0]] on its even and odd indices, and the SVD
     C = U diag(s) V^dag gives the eigenpairs +-s with eigenvectors
@@ -306,28 +308,17 @@ def _chiral_or_eigh(block: Banded, vectors: bool):
     return values, vecs
 
 
-def hermitian_eigh(op: Banded, vectors: bool = False):
-    """Ascending eigenvalues of a Hermitian `Banded` operator, and with
-    `vectors` its eigenvectors as columns in the same order, by its exact
-    symmetries, with numpy alone.
-
-    An operator equal to its index reversal R splits into the two `Banded`
-    parity blocks of `_parity_blocks`, so each eigenvector has R-parity
-    +-1.  The kicked-top H_eff commutes with R, its spin flip m -> -m
-    (Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987)), and its mirror pairs
-    are degenerate to rounding: a solve of the whole matrix would return
-    rounding-dependent mixtures of them.  Each block is densified at half
-    size.  One with odd diagonals only, as both H_eff blocks at integer
-    spin, is chiral and goes to one SVD; other blocks, and operators
-    without the symmetry, to numpy's ``eigh`` or ``eigvalsh``, which read
-    the lower triangle only.
-    """
-    blocks = [_chiral_or_eigh(block, vectors) for block in _parity_blocks(op)]
+def _merged(op: Banded, solved: list, vectors: bool):
+    """One operator's eigenvalues, ascending, and with `vectors` its
+    eigenvectors as columns in the same order, from the solves of its
+    `_parity_blocks`: ``values`` or ``(values, vectors)`` per block.  Each
+    parity block eigenvector v maps back to (v_top, +-v_top reversed)/sqrt(2),
+    with v's last entry on the middle index of an odd-dimension even block."""
+    if len(solved) == 1:
+        return solved[0]
     if not vectors:
-        return np.sort(np.concatenate(blocks))
-    if len(blocks) == 1:
-        return blocks[0]
-    (even_values, even), (odd_values, odd) = blocks
+        return np.sort(np.concatenate(solved))
+    (even_values, even), (odd_values, odd) = solved
     dim, half = op.dim, op.dim // 2
     values = np.concatenate((even_values, odd_values))
     order = np.argsort(values, kind="stable")
@@ -344,34 +335,40 @@ def hermitian_eigh(op: Banded, vectors: bool = False):
     return values[order], out
 
 
-def eigensolve(op: Banded, vectors: bool = False):
-    """Ascending eigenvalues of a Hermitian `Banded` operator, and with
-    `vectors` also its eigenvectors as columns, by a solver picked from the
-    operator's structure:
+def hermitian_eigh(op: Banded, vectors: bool = False):
+    """Ascending eigenvalues, and with `vectors` eigenvectors, as `eigensolve`
+    returns them, with numpy alone: the same split and merge, each block
+    densified and solved by `_chiral_or_eigh`."""
+    return _merged(op, [_chiral_or_eigh(block, vectors) for block in _parity_blocks(op)], vectors)
 
-    - real with bandwidth <= 1: scipy's tridiagonal solver, whose default
-      driver for the whole spectrum is LAPACK's divide and conquer ``?stevd``;
-    - otherwise, eigenvalues only: the banded Hermitian driver ``?hbevd`` on
-      the lower band; an operator equal to its index reversal (the kicked-top
-      H_eff) is split into its two half-size parity blocks, of the same
-      bandwidth, and the driver runs once per block;
-    - otherwise, with eigenvectors: `hermitian_eigh`, which returns the
-      kicked-top H_eff's with definite spin-flip parity.
 
-    scipy is imported here only: loading it costs more than a small Floquet
-    run, which never needs it.
-    """
-    op = require_hermitian(op)
-    tridiagonal = op.bandwidth <= 1 and op.is_real
+def _block_solve(block: Banded, vectors: bool):
+    """Eigenvalues of one block, ascending, and with `vectors` its
+    eigenvectors, by the driver the block's structure picks: scipy's
+    ``eigh_tridiagonal`` (LAPACK's divide and conquer ``?stevd``) for a real
+    tridiagonal block; otherwise the banded Hermitian ``?hbevd`` on its lower
+    band for eigenvalues, and `_chiral_or_eigh` for eigenvectors.  scipy is
+    imported only where a LAPACK driver is called: loading it costs more
+    than a small Floquet run or a kicked-top eigenvector solve."""
+    tridiagonal = block.bandwidth <= 1 and block.is_real
     if vectors and not tridiagonal:
-        return hermitian_eigh(op, vectors=True)
+        return _chiral_or_eigh(block, vectors=True)
     import scipy.linalg
 
     if tridiagonal:
-        diagonal, off_diagonal = op.band(0).real, op.band(1).real
-        if vectors:
-            return scipy.linalg.eigh_tridiagonal(diagonal, off_diagonal)
-        return scipy.linalg.eigvalsh_tridiagonal(diagonal, off_diagonal)
+        return scipy.linalg.eigh_tridiagonal(block.band(0).real, block.band(1).real, eigvals_only=not vectors)
+    return scipy.linalg.eigvals_banded(_lower_band(block), lower=True)
 
-    return np.sort(np.concatenate([scipy.linalg.eigvals_banded(_lower_band(block), lower=True)
-                                   for block in _parity_blocks(op)]))
+
+def eigensolve(op: Banded, vectors: bool = False):
+    """Ascending eigenvalues of a Hermitian `Banded` operator, and with
+    `vectors` also its eigenvectors as columns, by one rule: split it by
+    `_parity_blocks`, solve each block by `_block_solve`, merge by `_merged`.
+    An operator that commutes with the index reversal R, as the kicked-top
+    H_eff (spin flip m -> -m; Haake, Kus & Scharf, Z. Phys. B 65, 381
+    (1987)) and the real tridiagonal su2-a, has mirror pairs degenerate to
+    rounding or exactly: the split returns each eigenvector with R-parity
+    +-1, where a solve of the whole matrix returns rounding-dependent mixtures.
+    """
+    op = require_hermitian(op)
+    return _merged(op, [_block_solve(block, vectors) for block in _parity_blocks(op)], vectors)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import dense_oracle as dense
 from conftest import as_banded
 from kickedspec.floquet import dkt_effective_hamiltonian
-from kickedspec.harper import HarperParams, harper_hamiltonian, kicked_harper_effective
+from kickedspec.harper import CLOSED_FORM, HarperParams, harper_hamiltonian, kicked_harper_effective
 from kickedspec import GOLDEN_RATIO
 from kickedspec.operators import Banded, eigensolve, hermitian_eigh, hermiticity_defect
 from kickedspec.su2 import general_su2_hamiltonian, spin_operators
@@ -169,12 +169,27 @@ def test_eigensolve_dkt_eigenvectors_match_dense_oracle(j):
     assert_eigenpairs(op, values, vectors, want)
 
 
-@pytest.mark.parametrize("j", [10.5, 200])
-def test_dkt_eigenvectors_have_spin_flip_parity(j):
-    # the H_eff commutes with the index reversal R (m -> -m); its mirror
-    # pairs are degenerate to rounding, so only an R-adapted solve returns
-    # states of definite parity
-    _, vectors = eigensolve(dkt_effective_hamiltonian(1.0 / j, GOLDEN_RATIO * j, j), vectors=True)
+def su2_a(j):
+    # real tridiagonal, equal to its index reversal: its mirror pairs are exactly degenerate
+    return general_su2_hamiltonian("a", 1.0 / j, GOLDEN_RATIO * j, j)
+
+
+def dkt(j):
+    return dkt_effective_hamiltonian(1.0 / j, GOLDEN_RATIO * j, j)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: dkt(10.5), id="10.5"),
+    pytest.param(lambda: dkt(200), id="200"),
+    pytest.param(lambda: su2_a(50), id="su2-a-50"),
+    pytest.param(lambda: su2_a(200.5), id="su2-a-200.5"),
+    pytest.param(lambda: harper_hamiltonian(HarperParams(2001, 0.5)), id="harper-static-2001-half"),
+])
+def test_dkt_eigenvectors_have_spin_flip_parity(build):
+    # each operator commutes with the index reversal R (m -> -m); its mirror
+    # pairs are degenerate, to rounding or exactly, so only an R-adapted
+    # solve returns states of definite parity
+    _, vectors = eigensolve(build(), vectors=True)
     parity = np.sum(vectors.conj() * vectors[::-1], axis=0)
     assert np.max(np.abs(np.abs(parity) - 1.0)) <= 1e-10
 
@@ -217,13 +232,14 @@ def test_hermitian_eigh_without_symmetry_is_plain_eigh(build, monkeypatch):
     np.testing.assert_array_equal(hermitian_eigh(op), np.linalg.eigvalsh(mat))
 
 
-def count_banded_solves(monkeypatch):
-    """Sizes of the blocks that scipy's banded eigenvalue driver is given from now on."""
+def count_banded_solves(monkeypatch, driver="eigvals_banded"):
+    """Sizes of the blocks that scipy's `driver`, the banded eigenvalue one or
+    "eigh_tridiagonal", is given from now on."""
     import scipy.linalg
 
-    calls, solve = [], scipy.linalg.eigvals_banded
-    monkeypatch.setattr(scipy.linalg, "eigvals_banded", lambda a_band, **kw: calls.append(a_band.shape[1])
-                        or solve(a_band, **kw))
+    calls, solve = [], getattr(scipy.linalg, driver)
+    monkeypatch.setattr(scipy.linalg, driver, lambda band, *args, **kw: calls.append(np.shape(band)[-1])
+                        or solve(band, *args, **kw))
     return calls
 
 
@@ -248,8 +264,25 @@ def test_spin_flip_symmetric_blocks_without_chirality(j, monkeypatch):
 @pytest.mark.parametrize("j, sizes", [(10, [11, 10]), (10.5, [11, 11]), (1.5, [2, 2]), (11, [12, 11])])
 def test_spin_flip_symmetric_spectrum_is_solved_by_blocks(j, sizes, monkeypatch):
     calls = count_banded_solves(monkeypatch)
-    eigensolve(dkt_effective_hamiltonian(1.0 / j, GOLDEN_RATIO * j, j))
+    eigensolve(dkt(j))
     assert calls == sizes
+
+
+@pytest.mark.parametrize("build, sizes", [(lambda: su2_a(10), [11, 10]), (lambda: su2_a(10.5), [11, 11]),
+                                          (lambda: kicked_harper_effective(HarperParams(51, GOLDEN_RATIO), CLOSED_FORM),
+                                           [51])],
+                         ids=["su2-a-10", "su2-a-10.5", "harper-kicked-51"])
+@pytest.mark.parametrize("vectors", [False, True], ids=["values", "vectors"])
+def test_real_tridiagonal_blocks_go_to_the_tridiagonal_driver(build, sizes, vectors, monkeypatch):
+    # su2-a equals its index reversal and is split; the golden kicked chain
+    # does not, and is solved whole
+    calls, banded = count_banded_solves(monkeypatch, "eigh_tridiagonal"), count_banded_solves(monkeypatch)
+    op = build()
+    want = np.linalg.eigvalsh(op.to_dense())
+    values = eigensolve(op, vectors=vectors)
+    values = values[0] if vectors else values
+    assert np.max(np.abs(values - want)) <= 1e-12 * np.max(np.abs(want))
+    assert calls == sizes and banded == []
 
 
 def test_spectrum_without_spin_flip_symmetry_is_one_banded_solve(monkeypatch):

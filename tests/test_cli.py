@@ -1029,9 +1029,11 @@ def test_floquet_compare_checks_unitarity_once_per_gauge_block(j, sizes, ladder,
 
 def test_floquet_path_does_not_load_scipy(tmp_path):
     # importing scipy.linalg costs more time and memory than a small Floquet
-    # comparison; only the banded eigensolver may load it
-    argv = ["floquet-compare", "--j", "10", "--eta-over-j", "golden",
-            "--alpha-ladder", "0.04,0.02,0.01", "--out-dir", str(tmp_path)]
-    proc = run_python(["-c", f"import sys, kickedspec.cli as cli; rc = cli.main({argv!r}); "
-                             "print(rc, 'scipy' in sys.modules)"])
-    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+    # comparison; only a LAPACK driver's call may load it, and the kicked
+    # top's eigenvectors take none
+    argvs = [["floquet-compare", "--j", "10", "--eta-over-j", "golden", "--alpha-ladder", "0.04,0.02,0.01"],
+             ["eigenstates", "--system", "dkt", "--j", "10", "--alpha-over", "1", "--eta-over-j", "golden"]]
+    runs = [argv + ["--out-dir", str(tmp_path / argv[0])] for argv in argvs]
+    proc = run_python(["-c", "import sys, kickedspec.cli as cli; "
+                             f"print([(cli.main(argv), 'scipy' in sys.modules) for argv in {runs!r}])"])
+    assert proc.stdout.splitlines()[-1] == "[(0, False), (0, False)]", proc.stderr
