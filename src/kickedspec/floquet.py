@@ -7,7 +7,8 @@ it with the H_eff spectrum that `operators.hermitian_eigh` solves on the
 H_eff's spin-flip parity blocks, built from its stored bands: two
 quarter-size singular value solves at integer spin, two half-size
 Hermitian solves at half-integer spin.  Four facts make the exact side of
-a ladder of kick strengths cost two half-size real eigendecompositions and
+a ladder of kick strengths cost a half-size real eigendecomposition per
+parity block it uses (two at integer spin, one at half-integer spin) and
 a unitarity check per gauge sector (four quarter-size at integer spin,
 one half-size at half-integer spin), then per kick strength one singular
 value solve of a block formed elementwise: per parity block at quarter
@@ -29,15 +30,16 @@ same rows.  Nothing of full dimension is built.
 - Spin-flip parity.  P = exp(i eta Jz^2/2j) up to a phase, and P and Jx
   both commute with the flip m -> -m, the index reversal R.  So Jx splits
   into the two parity blocks of `operators._parity_blocks`, in the basis
-  (e_i +- e_{n-1-i})/sqrt(2), of sizes n - n//2 and n//2; each is
-  diagonalized at that size, with eigenvectors Y_b.  In that basis P^dag is
-  diag(q) on each block, those of its symmetric part conj(P + RPR)/2:
-  q_i = conj(p_i + p_{n-1-i})/2 on the pairs, conj(p_mid) last in the even
-  block when n is odd.  Pair i of the two blocks is coupled by
-  conj(p_i - p_{n-1-i})/2, which vanishes with P's symmetry, so A couples
-  Jx eigenvectors of equal R-parity only: the dropped coupling, that
-  diagonal between orthonormal Jx eigenvectors, has no entry above
-  max|p_i - p_{n-1-i}|/2 (1e-15 at j = 1000).  U has
+  (e_i +- e_{n-1-i})/sqrt(2), of sizes n - n//2 and n//2; each block B
+  the ladder uses is diagonalized at that size, with eigenvectors Y_b
+  checked once per ladder to hold B y_k = m_k y_k to PARITY_ATOL times j.
+  In that basis P^dag is diag(q) on each block, those of its symmetric
+  part conj(P + RPR)/2: q_i = conj(p_i + p_{n-1-i})/2 on the pairs,
+  conj(p_mid) last in the even block when n is odd.  Pair i of the two
+  blocks is coupled by conj(p_i - p_{n-1-i})/2, which vanishes with P's
+  symmetry, so A couples Jx eigenvectors of equal R-parity only: the
+  dropped coupling, that diagonal between orthonormal Jx eigenvectors,
+  has no entry above max|p_i - p_{n-1-i}|/2 (1e-15 at j = 1000).  U has
   the union of the spectra of conj(A_b) D_b A_b D_b, unitary with its
   block A_b = Y_b^T diag(q) Y_b, over the two blocks b; the sectors the
   ladder needs (Chirality) are built and checked unitary once per ladder.
@@ -46,19 +48,18 @@ same rows.  Nothing of full dimension is built.
 - Chirality.  The pi rotation S = diag((-1)^(j+m)) about z anticommutes
   with Jx and commutes with P (Haake, Kus & Scharf, Z. Phys. B 65, 381
   (1987)).  At integer spin it commutes with R too and keeps each parity
-  block, where, reversing Jx's spectrum m -> -m, it is a signed reversal
-  S_b: y_k -> s_k y_{n_b-1-k} of the block's Jx eigenvectors; the signs are
-  read from Y_b and checked once per ladder.  S_b A_b S_b = A_b, so A_b is
-  the direct sum of its sectors A_a and A_b' on S_b's eigenvectors of the
-  two signs, a without the middle index: (y_k + t s_k y_{n_b-1-k})/sqrt(2)
-  of sign t, and the middle y_k in the sector of its sign.  S is
-  diag((-1)^i) in the block's basis, so these vanish (to PARITY_ATOL) off
-  the rows of their sign, and each sector is a quarter-size congruence on
-  those rows.  With E = diag(exp(i phi)), phi = -alpha m_b/2, the rung
+  block B, where it is S_b = diag((-1)^i), and B, tridiagonal with a zero
+  diagonal, couples even rows to odd ones only.  So S_b y_k is the Jx
+  eigenvector of -m_k, and y_k of m_k < 0 is (w_k^+ + w_k^-)/sqrt(2) for
+  S_b's unit eigenvectors w_k^+- = sqrt(2) y_k on the rows of sign +-;
+  that of m = 0 lies on the even rows.  S_b A_b S_b = A_b, so A_b is the
+  direct sum of its sectors A_a and A_b' on those vectors, a without
+  m = 0, each a quarter-size congruence on the rows of its sign.  With
+  E = diag(exp(i phi)), phi = -alpha m_b/2, the rung
   U' = E conj(A_b) D_b A_b E, similar to conj(A_b) D_b A_b D_b, is
   S_b G^dag S_b G for the complex symmetric unitary G = E A_b E, since
   S_b E S_b = conj(E).  In S_b's eigenbasis E = [[C, iS], [iS, C]]
-  (C = cos(phi), S = sin(phi) on the pairs, 1 and 0 at the middle), so
+  (C = cos(phi), S = sin(phi) on the pairs, 1 and 0 at m = 0), so
   G_aa = C A_a C - S A_b' S and G_ab = i(C A_a S + S A_b' C).  The CS
   decomposition of G (Golub & Van Loan, Matrix Computations, 2.5.4) is
   G = diag(U_a, U_b) R diag(V_a, V_b)^dag, where R rotates by each angle
@@ -73,8 +74,8 @@ same rows.  Nothing of full dimension is built.
   the two paired in opposite orders; a rung fails only when a singular
   value solve does not converge.  At half-integer spin S maps each parity
   block onto the other, the k-th R-odd Jx eigenvector y_k onto +-the
-  (n_b-1-k)-th R-even one (checked once per ladder like S_b), so A's R-even
-  block is the signed reversal of the R-odd A_o.  The two blocks then make
+  (n_b-1-k)-th R-even one, so A's R-even block is a signed reversal of the
+  R-odd A_o, and only the R-odd block is solved.  The two blocks then make
   one chiral block, with the R-odd m values, on whose S eigenvectors
   (y_k +- S y_k)/sqrt(2) both sectors are A_o: the same angles at half size.
 """
@@ -82,8 +83,8 @@ same rows.  Nothing of full dimension is built.
 import numpy as np
 
 from .effective import KickedSystem, check_coupling, heff_delta_kicked
-from .operators import (UNITARITY_ATOL, Banded, _parity_blocks, hermitian_eigh, max_abs, require_hermitian,
-                        require_unitary, unitarity_defect)
+from .operators import (UNITARITY_ATOL, Banded, _first_row, _parity_blocks, hermitian_eigh, max_abs,
+                        require_hermitian, require_unitary, unitarity_defect)
 from .su2 import SpinLabel, _as_spin, dkt_static_part, phase_diagonal, spin_operators
 
 TWO_PI = 2.0 * np.pi
@@ -157,22 +158,6 @@ def quasienergy_spectrum(unitary) -> np.ndarray:
     return np.sort(fold_phases(-np.angle(np.linalg.eigvals(require_unitary(unitary, name="Floquet operator")))))
 
 
-def _rotation_signs(vecs: np.ndarray, image: np.ndarray) -> np.ndarray:
-    """Signs s with S y_k = s_k z_{n-1-k} on the eigenvectors y_k of one of
-    Jx's parity blocks and z_k of the block S maps it onto, S the pi rotation
-    diag((-1)^(j+m)), which is diag((-1)^i) between the blocks' bases;
-    LinAlgError, a numerical failure, when S y_k leaves +-z_{n-1-k} by more
-    than PARITY_ATOL."""
-    rotated = vecs * (1.0 - 2.0 * (np.arange(vecs.shape[0]) % 2))[:, None]
-    reversed_image = image[:, ::-1]
-    signs = np.sign(np.einsum("ik,ik->k", rotated, reversed_image))
-    rotated -= reversed_image * signs
-    defect = max_abs(rotated)
-    if not defect <= PARITY_ATOL:
-        raise np.linalg.LinAlgError(f"the pi rotation leaves the reversed Jx eigenvectors by {defect:.3g}")
-    return signs
-
-
 def _gauge_sector(vecs: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     """vecs^T diag(diagonal) vecs for real vecs, by two real products; LinAlgError,
     a numerical failure, when its unitarity defect exceeds UNITARITY_ATOL."""
@@ -184,26 +169,15 @@ def _gauge_sector(vecs: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     return sector
 
 
-def _rotation_sector(vecs: np.ndarray, signs: np.ndarray, sign: float) -> np.ndarray:
-    """S_b's eigenvectors (y_k + t s_k y_{n-1-k})/sqrt(2), k < n // 2, of
-    sign t, then y_{n//2} when s_{n//2} = t, on the rows where
-    S_b = diag((-1)^i) has sign t, off which they vanish to PARITY_ATOL."""
-    rows, pair = vecs[int(sign < 0)::2], len(signs) // 2
-    sector = (rows[:, :pair] + rows[:, ::-1][:, :pair] * (sign * signs[:pair])) / 2 ** 0.5
-    if len(signs) % 2 and signs[pair] == sign:
-        sector = np.column_stack((sector, rows[:, pair]))
-    return sector
-
-
 def _ladder_gauge(spin: SpinLabel, eta: float) -> tuple:
-    """Sectors of A = Vx^T P^dag Vx per chiral block, built from Jx's
-    half-size parity blocks: each block's two `_rotation_sector`s at integer
-    spin, and (A_o, A_o) of the R-odd block at half-integer spin.
+    """Sectors of A = Vx^T P^dag Vx per chiral block, from one `eigh` per
+    half-size parity block of Jx it solves: at integer spin each block's
+    two, on the odd and the even rows of the block's Jx eigenvectors, and
+    at half-integer spin (A_o, A_o) of the R-odd block, the one solved.
     Its checks hold for every rung built from the sectors: LinAlgError, a
     numerical failure, when A couples the blocks by more than PARITY_ATOL,
-    S leaves a reversal of Jx eigenvectors or a sector's unitarity defect
-    exceeds UNITARITY_ATOL."""
-    even, odd = (np.linalg.eigh(block.to_dense())[1] for block in _parity_blocks(spin_operators(spin).jx))
+    a Jx eigenvector y_k leaves B y_k = m_k y_k by more than PARITY_ATOL
+    times j, or a sector's unitarity defect exceeds UNITARITY_ATOL."""
     adjoint = _twist_gauge(spin, eta).conj()
     # bounds the entries of A's dropped R-even x R-odd block, even[:half]^T diag(adjoint - R adjoint)[:half] odd / 2
     mixing = max_abs(adjoint - adjoint[::-1]) / 2.0
@@ -211,18 +185,28 @@ def _ladder_gauge(spin: SpinLabel, eta: float) -> tuple:
         raise np.linalg.LinAlgError(f"twist gauge mixes the spin-flip parity blocks by {mixing:.3g}")
     # conj(P + R P R)/2 equals its reversal bit for bit, since the sum commutes
     symmetric = Banded.diagonal((adjoint + adjoint[::-1]) / 2.0)
-    even_gauge, odd_gauge = (block.band(0) for block in _parity_blocks(symmetric))
-    if not spin.dim % 2:
-        _rotation_signs(odd, even)
-        return ((_gauge_sector(odd, odd_gauge),) * 2,)
-    # R-even holds the even indices at integer spin (odd dimension), and the
-    # ladder pairs the k-th chiral block with spin.m_values[k::2]
+    # the ladder pairs the k-th chiral block with spin.m_values[k::2]: R-even then R-odd at
+    # integer spin (odd dimension), the R-odd block alone at half-integer spin
+    blocks = list(zip(_parity_blocks(spin_operators(spin).jx), _parity_blocks(symmetric)))[1 - spin.dim % 2:]
+    # every block is solved before any sector is built, so that no solve's workspace lands among their temporaries
+    solved = [np.linalg.eigh(jx_block.to_dense())[1] for jx_block, _ in blocks]
     sectors = []
-    for vecs, diagonal in ((even, even_gauge), (odd, odd_gauge)):
-        signs = _rotation_signs(vecs, vecs)
-        side = signs[len(signs) // 2] if len(signs) % 2 else -1.0
-        sectors.append(tuple(_gauge_sector(_rotation_sector(vecs, signs, sign), diagonal[int(sign < 0)::2])
-                             for sign in (-side, side)))
+    for parity, ((jx_block, gauge_block), vecs) in enumerate(zip(blocks, solved)):
+        residual = vecs * -spin.m_values[parity::2]
+        for offset, band in jx_block.bands.items():
+            row = _first_row(offset)
+            residual[row:row + band.size] += band[:, None] * vecs[row + offset:row + offset + band.size]
+        defect = max_abs(residual) / spin.j
+        if not defect <= PARITY_ATOL:
+            raise np.linalg.LinAlgError(f"Jx eigenvectors leave their m values by {defect:.3g} of j")
+        diagonal, pairs = gauge_block.band(0), jx_block.dim // 2
+        if spin.dim % 2:
+            # S_b's eigenvectors sqrt(2) y_k, m_k < 0, on the rows of each sign, then the m = 0 one on the even rows
+            vecs[:, :pairs] *= 2 ** 0.5
+            sectors.append((_gauge_sector(vecs[1::2, :pairs], diagonal[1::2]),
+                            _gauge_sector(vecs[0::2, :jx_block.dim - pairs], diagonal[0::2])))
+        else:
+            sectors.append((_gauge_sector(vecs, diagonal),) * 2)
     return tuple(sectors)
 
 

@@ -7,6 +7,7 @@ import pytest
 import dense_oracle as dense
 from conftest import as_banded, random_hermitian
 from kickedspec import GOLDEN_RATIO, floquet
+from kickedspec.cli import main
 from kickedspec.floquet import (
     _ladder_gauge,
     _ladder_quasienergies,
@@ -370,37 +371,6 @@ def test_ladder_blocks_are_chiral_under_the_pi_rotation(j):
             assert circular_distance(np.angle(union), np.angle(np.linalg.eigvals(block))) <= 1e-12
 
 
-@pytest.mark.parametrize("j", [1, 2, 10, 200])
-def test_integer_spin_sectors_match_the_whole_gauge_block(j, monkeypatch):
-    # each sector is a quarter-size congruence on the rows where S_b has the
-    # sector's sign; the reference averages the quadrants of the whole gauge
-    # block A_b = Y_b^T diag(q_b) Y_b, from the same Jx eigenvectors Y_b
-    spin = SpinLabel(j)
-    eigh, captured = np.linalg.eigh, []
-
-    def recorded(mat):
-        values, vecs = eigh(mat)
-        captured.append(vecs)
-        return values, vecs
-
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
-    half = spin.dim // 2
-    for modulation in sorted(MODULATIONS):
-        eta = MODULATIONS[modulation] * j
-        captured.clear()
-        gauge = _ladder_gauge(spin, eta)
-        adjoint = _twist_gauge(spin, eta).conj()
-        pairs = (adjoint[:half] + adjoint[::-1][:half]) / 2.0
-        diagonals = (np.concatenate((pairs, adjoint[half:half + 1])), pairs)
-        assert len(captured) == len(gauge) == 2
-        for vecs, diagonal, sectors in zip(captured, diagonals, gauge):
-            rotated = (-1.0) ** np.arange(len(vecs))[:, None] * vecs
-            signs = np.sign(np.sum(rotated * vecs[:, ::-1], axis=0))
-            want = dense.rotation_sectors(vecs.T @ (diagonal[:, None] * vecs), signs)
-            for got, expected in zip(sectors, want, strict=True):
-                assert got.shape == expected.shape and max_abs(got - expected) <= 1e-14
-
-
 @pytest.mark.parametrize("j", [1.5, 10.5])
 def test_pi_rotation_swaps_the_parity_blocks_at_half_integer_spin(j):
     # S maps the k-th Jx eigenvector onto +-the (n-1-k)-th, which has the
@@ -499,11 +469,12 @@ def test_crowded_benchmark_rungs_take_the_cosines(monkeypatch):
         assert circular_distance(got, dense.quasienergies(rung)) <= 1e-13
 
 
-def test_ladder_gauge_rejects_eigenvectors_the_pi_rotation_does_not_reverse(monkeypatch):
-    # mixing two eigenvectors of one parity block keeps the blocks apart but
-    # breaks S y_k = +-z_{n-1-k}, with z the eigenvectors of the same block
-    # at integer spin and of the other block at half-integer spin, which the
-    # rung's sectors rely on
+def test_ladder_gauge_rejects_eigenvectors_the_pi_rotation_does_not_reverse(monkeypatch, tmp_path, capsys):
+    # each sector vector is read off the rows of the Jx eigenvector of one
+    # m < 0, so every column of eigh must hold B y_k = m_k y_k: mixing two
+    # eigenvectors of one parity block (which keeps the blocks apart) and
+    # swapping two (each still exact) both fail that residual check, at both
+    # spins, and floquet-compare exits 3
     eigh = np.linalg.eigh
 
     def mixed(mat):
@@ -512,7 +483,17 @@ def test_ladder_gauge_rejects_eigenvectors_the_pi_rotation_does_not_reverse(monk
         vecs[:, :2] = vecs[:, :2] @ turn
         return values, vecs
 
-    monkeypatch.setattr(np.linalg, "eigh", mixed)
-    for j in (10, 10.5):
-        with pytest.raises(np.linalg.LinAlgError, match="pi rotation leaves the reversed Jx eigenvectors by"):
-            _ladder_gauge(SpinLabel(j), GOLDEN_RATIO * j)
+    def swapped(mat):
+        values, vecs = eigh(mat)
+        return values, vecs[:, [1, 0, *range(2, len(vecs))]]
+
+    for fault, residual in ((mixed, r"1\.1\d*e-07"), (swapped, r"0\.11\d*")):
+        monkeypatch.setattr(np.linalg, "eigh", fault)
+        line = f"Jx eigenvectors leave their m values by {residual} of j"
+        for j in (10, 10.5):
+            with pytest.raises(np.linalg.LinAlgError, match=f"^{line}$"):
+                _ladder_gauge(SpinLabel(j), GOLDEN_RATIO * j)
+            out_dir = tmp_path / f"{fault.__name__}-{j}"
+            argv = ["floquet-compare", "--j", str(j), "--eta-over-j", "golden", "--alpha-ladder", "0.04,0.02,0.01"]
+            assert main([*argv, "--out-dir", str(out_dir)]) == 3 and not out_dir.exists()
+            assert re.fullmatch(f"numerical failure: {line}\n", capsys.readouterr().err)
