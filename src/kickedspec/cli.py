@@ -30,7 +30,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -356,7 +356,7 @@ def parse_config(argv) -> RunConfig:
         cfg.eta = _spelled(values, "eta", cfg.j, partial(phase_diagonal, cfg.j))
         if command == "butterfly":  # the phases grow with |xi|, largest at an end of the sweep
             for xi in (cfg.sweep[0], cfg.sweep[-1]):
-                _flagged("--xi-sweep", phase_diagonal, cfg.j, float(xi) * np.pi * cfg.j)
+                _flagged("--xi-sweep", phase_diagonal, cfg.j, _SPELLINGS["xi"][1](float(xi), cfg.j))
         elif cfg.eta is None:
             raise ConfigError(f"{command} requires --eta (or --eta-over-j, --xi)")
     if "epsilon" in reads and cfg.epsilon is None:
@@ -399,22 +399,19 @@ def _built(build, *args):
         raise ConfigError(exc) from exc
 
 
-def _hamiltonian(cfg: RunConfig, sweep_value: float | None = None) -> Banded:
-    """The configured system's Hamiltonian.  A butterfly passes `sweep_value`
-    in place of the fixed parameter: xi (eta = xi*pi*j) for the SU(2)
-    systems, sigma for the Harper chains."""
+def _hamiltonian(cfg: RunConfig) -> Banded:
+    """The configured system's Hamiltonian, from the parameters it reads; each
+    butterfly point is `cmd_butterfly`'s copy of the config with its sweep value set."""
     if cfg.system.startswith("harper"):
-        sigma = cfg.sigma if sweep_value is None else sweep_value
         read = {name: getattr(cfg, name) for name in ("alpha", "period") if getattr(cfg, name) is not None}
-        params = HarperParams(length=cfg.length, sigma=sigma, **read)  # HarperParams' defaults for the rest
+        params = HarperParams(length=cfg.length, sigma=cfg.sigma, **read)  # HarperParams' defaults for the rest
         if cfg.system == "harper-static":
             return harper_hamiltonian(params)
         return _built(kicked_harper_effective, params, cfg.harper_mode)
-    eta = cfg.eta if sweep_value is None else sweep_value * np.pi * cfg.j
     if cfg.system == "dkt":
-        return _built(dkt_effective_hamiltonian, cfg.alpha, eta, cfg.j)
+        return _built(dkt_effective_hamiltonian, cfg.alpha, cfg.eta, cfg.j)
     case = cfg.system.split("-", 1)[1]
-    return _built(lambda: require_hermitian(general_su2_hamiltonian(case, cfg.alpha, eta, cfg.j, cfg.epsilon)))
+    return _built(lambda: require_hermitian(general_su2_hamiltonian(case, cfg.alpha, cfg.eta, cfg.j, cfg.epsilon)))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +455,8 @@ def cmd_butterfly(cfg: RunConfig) -> Path:
     """Sweep xi (SU(2) family) or sigma (Harper) and emit one spectrum per point."""
     rows = []
     for value in cfg.sweep.tolist():
-        energies = eigensolve(_hamiltonian(cfg, value))
+        swept = {"sigma": value} if cfg.system.startswith("harper") else {"eta": _SPELLINGS["xi"][1](value, cfg.j)}
+        energies = eigensolve(_hamiltonian(replace(cfg, **swept)))
         if cfg.system == "dkt":
             energies = np.sort(fold_phases(energies))
         rows.extend((value, idx, energy) for idx, energy in enumerate(energies.tolist()))
@@ -524,7 +522,7 @@ def cmd_floquet_compare(cfg: RunConfig) -> Path:
     errors = _built(effective_vs_floquet_errors, cfg.alpha_ladder, cfg.eta, cfg.j)
     ratios = [errors[i] / errors[i + 1] if errors[i + 1] > 0 else None for i in range(len(errors) - 1)]
     report = {
-        "config": {"command": cfg.command, "j": cfg.j, "eta": cfg.eta, "alpha_ladder": list(cfg.alpha_ladder)},
+        "config": _config_echo(cfg),
         "results": {"errors": errors, "decay_ratios": ratios},
     }
     out = cfg.out_dir / "floquet_compare.json"
@@ -537,8 +535,7 @@ def cmd_harper_diff(cfg: RunConfig) -> Path:
     params = HarperParams(length=cfg.length, sigma=cfg.sigma, alpha=cfg.alpha, period=cfg.period)
     diff = _built(heff_discrepancy_report, params)
     report = {
-        "config": {"command": cfg.command, "length": cfg.length, "sigma": cfg.sigma,
-                   "alpha": cfg.alpha, "period": cfg.period},
+        "config": _config_echo(cfg),
         "results": {
             "max_norm": diff.max_norm,
             "max_diagonal_difference": float(np.max(np.abs(diff.diagonal_difference))),

@@ -82,12 +82,11 @@ same rows.  Nothing of full dimension is built.
 
 import numpy as np
 
-from .effective import KickedSystem, check_coupling, heff_delta_kicked
+from .effective import TWO_PI, KickedSystem, check_coupling, heff_delta_kicked
 from .operators import (UNITARITY_ATOL, Banded, _first_row, _parity_blocks, hermitian_eigh, max_abs,
                         require_hermitian, require_unitary, unitarity_defect)
 from .su2 import SpinLabel, _as_spin, dkt_static_part, phase_diagonal, spin_operators
 
-TWO_PI = 2.0 * np.pi
 # Largest sine of a rung's CS angles taken by arcsin alone: arcsin's error
 # grows as 1/cos theta, so above it (cos theta < 0.1) the rung also takes
 # the cosines, and theta = arctan2(sin, cos) keeps its accuracy up to pi/2.
@@ -174,6 +173,8 @@ def _ladder_gauge(spin: SpinLabel, eta: float) -> tuple:
     half-size parity block of Jx it solves: at integer spin each block's
     two, on the odd and the even rows of the block's Jx eigenvectors, and
     at half-integer spin (A_o, A_o) of the R-odd block, the one solved.
+    Only Jx is split: the gauge P is diagonal, so on a parity block of size
+    n_b the part conj(P + RPR)/2 that A keeps is its first n_b entries.
     Its checks hold for every rung built from the sectors: LinAlgError, a
     numerical failure, when A couples the blocks by more than PARITY_ATOL,
     a Jx eigenvector y_k leaves B y_k = m_k y_k by more than PARITY_ATOL
@@ -183,15 +184,14 @@ def _ladder_gauge(spin: SpinLabel, eta: float) -> tuple:
     mixing = max_abs(adjoint - adjoint[::-1]) / 2.0
     if not mixing <= PARITY_ATOL:
         raise np.linalg.LinAlgError(f"twist gauge mixes the spin-flip parity blocks by {mixing:.3g}")
-    # conj(P + R P R)/2 equals its reversal bit for bit, since the sum commutes
-    symmetric = Banded.diagonal((adjoint + adjoint[::-1]) / 2.0)
+    symmetric = (adjoint + adjoint[::-1]) / 2.0
     # the ladder pairs the k-th chiral block with spin.m_values[k::2]: R-even then R-odd at
     # integer spin (odd dimension), the R-odd block alone at half-integer spin
-    blocks = list(zip(_parity_blocks(spin_operators(spin).jx), _parity_blocks(symmetric)))[1 - spin.dim % 2:]
+    blocks = _parity_blocks(spin_operators(spin).jx)[1 - spin.dim % 2:]
     # every block is solved before any sector is built, so that no solve's workspace lands among their temporaries
-    solved = [np.linalg.eigh(jx_block.to_dense())[1] for jx_block, _ in blocks]
+    solved = [np.linalg.eigh(jx_block.to_dense())[1] for jx_block in blocks]
     sectors = []
-    for parity, ((jx_block, gauge_block), vecs) in enumerate(zip(blocks, solved)):
+    for parity, (jx_block, vecs) in enumerate(zip(blocks, solved)):
         residual = vecs * -spin.m_values[parity::2]
         for offset, band in jx_block.bands.items():
             row = _first_row(offset)
@@ -199,7 +199,7 @@ def _ladder_gauge(spin: SpinLabel, eta: float) -> tuple:
         defect = max_abs(residual) / spin.j
         if not defect <= PARITY_ATOL:
             raise np.linalg.LinAlgError(f"Jx eigenvectors leave their m values by {defect:.3g} of j")
-        diagonal, pairs = gauge_block.band(0), jx_block.dim // 2
+        diagonal, pairs = symmetric[:jx_block.dim], jx_block.dim // 2
         if spin.dim % 2:
             # S_b's eigenvectors sqrt(2) y_k, m_k < 0, on the rows of each sign, then the m = 0 one on the even rows
             vecs[:, :pairs] *= 2 ** 0.5
@@ -255,7 +255,7 @@ def effective_vs_floquet_errors(alphas, eta: float, j) -> list:
     spin = _as_spin(j)
     # every H_eff is solved before the Floquet blocks exist, so that its
     # temporaries never add to theirs
-    heffs = (heff_delta_kicked(dkt_kicked_system(alpha, eta, spin)) for alpha in alphas)
+    heffs = (dkt_effective_hamiltonian(alpha, eta, spin) for alpha in alphas)
     folded = [np.sort(fold_phases(hermitian_eigh(heff))) for heff in heffs]
     gauge = _ladder_gauge(spin, eta)
     return [float(np.max(np.abs(effective - _ladder_quasienergies(gauge, spin, alpha))))

@@ -65,8 +65,7 @@ def harper_hamiltonian(params: HarperParams) -> Banded:
 
 def closed_form_correction(params: HarperParams) -> Banded:
     """Hopping correction -(1/6) cos^2(2 pi n sigma) on bond (n, n+1)."""
-    sites = np.arange(1, params.length)
-    bonds = -np.cos(2.0 * np.pi * sites * params.sigma) ** 2 / 6.0
+    bonds = -(onsite_potential(params)[:-1] / 2.0) ** 2 / 6.0
     return _bond_matrix(params, bonds)
 
 

@@ -37,7 +37,6 @@ MU_FIT_RANGE = (2.0, 8.0)
 MIN_FIT_POINTS = 5
 _Q_ONE_TOL = 1e-9
 _MAX_HALF_STEPS = 20  # p^q by repeated multiplication up to q = 10: at most ~20 roundings
-_PR_BLOCK = 256  # states per block of squared weights in the participation ratio
 # ensemble_statistics: fraction of states below each threshold
 PR_THRESHOLDS = (20.0,)
 D_THRESHOLDS = (0.05,)
@@ -313,7 +312,7 @@ class EigenvectorTable:
 
 def _at_q(q_grid, values, q: float):
     """The row of values (shape (n_q, ...)) at q on the grid, NaN where q is absent."""
-    idx = np.nonzero(np.abs(np.asarray(q_grid) - q) <= 1e-9)[0]
+    idx = np.nonzero(np.abs(np.asarray(q_grid) - q) <= _Q_ONE_TOL)[0]
     return values[idx[0]] if idx.size else np.full(values.shape[1:], np.nan)
 
 
@@ -368,11 +367,8 @@ def analyze_eigenvectors(weight_columns, q_grid=None, partition_grid=None) -> Ei
     # Column-major, whatever layout came in: reduceat along axis 0 is several
     # times faster on it, and every sum below then runs in one order.
     columns = np.asfortranarray(weights)
-    # squared weights a block of states at a time, never a dim x n_states copy;
-    # each column still sums in one pass, so PR does not depend on the block
-    pr = np.empty(n_states)
-    for s in range(0, n_states, _PR_BLOCK):
-        pr[s:s + _PR_BLOCK] = 1.0 / np.sum(np.square(columns[:, s:s + _PR_BLOCK]), axis=0)
+    # each column's sum of squares in place, with no dim x n_states copy
+    pr = 1.0 / np.einsum("is,is->s", columns, columns)
     measures = (np.add.reduceat(columns, _partition_starts(dim, int(m)), axis=0) for m in partition_grid)
     tau_bar, fit_r2, _, _, d_bar, mu_bar = _scaling_fit(partition_grid, measures, q_grid)
     return EigenvectorTable(pr=pr, q_grid=q_grid, tau_bar=tau_bar, d_bar=d_bar, mu_bar=mu_bar,

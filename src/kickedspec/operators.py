@@ -6,8 +6,8 @@ An operator equal to its index reversal R (the kicked-top H_eff, whose spin
 flip m -> -m is R, and the real tridiagonal su2-a) splits into two `Banded`
 parity blocks, built once by `_parity_blocks` for every solver; any other
 is one block.  `_merged` assembles the block solves for `eigensolve` and
-the numpy-only `hermitian_eigh`; the Floquet ladder's Jx and twist gauge
-take their blocks from the same builder.
+the numpy-only `hermitian_eigh`; the Floquet ladder takes Jx's blocks from
+the same builder.
 
 Every Hamiltonian is a `Banded` operator; dense arrays are left for
 unitaries.  Contracts are checked where an operator enters, not where it is

@@ -13,8 +13,8 @@ import pytest
 
 import kickedspec
 from kickedspec import GOLDEN_RATIO
-from kickedspec.cli import (COMMAND_OPTIONS, MAX_BINS, SYSTEMS, ConfigError, RunConfig, _config_echo, _hamiltonian,
-                             main, parse_config, parse_scalar, parse_sweep, write_json)
+from kickedspec.cli import (_COMMANDS, COMMAND_OPTIONS, MAX_BINS, SYSTEMS, ConfigError, RunConfig, _config_echo,
+                             _hamiltonian, main, parse_config, parse_scalar, parse_sweep, write_json)
 from kickedspec.floquet import dkt_effective_hamiltonian, fold_phases
 from kickedspec.harper import HarperParams, harper_hamiltonian, kicked_harper_effective
 from kickedspec.operators import eigensolve
@@ -793,6 +793,9 @@ REFUSALS = {
          "--scale-grid: partition counts must not exceed the dimension 64, got 200"),
         ("args2", f"spectrum {DKT} --q-grid=-1,2", "--q-grid: negative moments are not supported"),
         ("args3", f"{STATIC_64} --bins 65", "--bins: bins must not exceed the number of states 64, got 65")]),
+    # the nearest existing directory above --out-dir must be writable; a root run passes os.access, so it is denied
+    "test_out_dir_that_cannot_be_written_is_rejected_before_the_solve": Refused(
+        f"spectrum {DKT}", "--out-dir: cannot write in {tmp}", patch=("kickedspec.cli.os.access", lambda *_: False)),
     # Path.exists() reads such a path as missing, and only mkdir would fail
     "test_out_dir_with_a_null_byte_is_rejected_before_the_solve": Refused(
         f"spectrum {DKT}", "--out-dir: embedded null byte", out_dir="{tmp}/a\0b"),
@@ -938,6 +941,46 @@ def test_config_echo_names_exactly_the_parameters_the_system_reads(name):
     flags = (f"--{key}={value}" for key, value in required_flags(name).items())
     echo = _config_echo(parse_config(["spectrum", *SYSTEM_FLAGS[name], *flags]))
     assert set(echo) - {"command", "system"} == fields_read(name)
+
+
+# each command that takes no --system -> the fewest flags it runs with, and the library call it builds from them
+COMMAND_RUNS = {"floquet-compare": ({"j": "3", "eta": "0.7", "alpha-ladder": "0.04,0.02,0.01"},
+                                    "effective_vs_floquet_errors"),
+                "harper-diff": ({"length": "12", "sigma": "0.3"}, "heff_discrepancy_report")}
+
+
+class _Called(Exception):
+    """Raised by a stand-in for a library call, with the arguments it was handed."""
+
+
+def command_fields_read(command, monkeypatch):
+    """The RunConfig fields whose value changes the arguments that `command` hands its library call, with
+    every field set."""
+    def called(*args):
+        raise _Called(args)
+
+    monkeypatch.setattr(f"kickedspec.cli.{COMMAND_RUNS[command][1]}", called)
+    values = {**FIELD_VALUES, "alpha_ladder": ((0.04, 0.02, 0.01), (0.05, 0.02, 0.01))}
+    base = {field: pair[0] for field, pair in values.items()}
+
+    def arguments(**changed):
+        with pytest.raises(_Called) as call:
+            _COMMANDS[command](RunConfig(command, **{**base, **changed}))
+        return call.value.args[0]
+
+    handed = arguments()
+    return {field for field, pair in values.items() if arguments(**{field: pair[1]}) != handed}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_RUNS))
+def test_config_echo_of_a_command_names_exactly_the_parameters_it_reads(command, tmp_path, monkeypatch):
+    # the report that main writes; the call the command makes is the oracle
+    assert run_cli([command, *(f"--{key}={value}" for key, value in COMMAND_RUNS[command][0].items())], tmp_path) == 0
+    (report,) = tmp_path.glob("*.json")
+    echo = json.loads(report.read_text())["config"]
+    assert echo["command"] == command
+    assert set(echo) - {"command"} == command_fields_read(command, monkeypatch)
+
 
 def test_harper_diff_takes_the_default_length():
     # as every command does for a parameter it reads and is not given
