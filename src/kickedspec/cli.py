@@ -399,15 +399,19 @@ def _built(build, *args):
         raise ConfigError(exc) from exc
 
 
+def _harper_params(cfg: RunConfig) -> HarperParams:
+    """The chain's parameters read from the config, HarperParams' defaults for the rest."""
+    read = {name: getattr(cfg, name) for name in ("alpha", "period") if getattr(cfg, name) is not None}
+    return HarperParams(length=cfg.length, sigma=cfg.sigma, **read)
+
+
 def _hamiltonian(cfg: RunConfig) -> Banded:
     """The configured system's Hamiltonian, from the parameters it reads; each
     butterfly point is `cmd_butterfly`'s copy of the config with its sweep value set."""
-    if cfg.system.startswith("harper"):
-        read = {name: getattr(cfg, name) for name in ("alpha", "period") if getattr(cfg, name) is not None}
-        params = HarperParams(length=cfg.length, sigma=cfg.sigma, **read)  # HarperParams' defaults for the rest
-        if cfg.system == "harper-static":
-            return harper_hamiltonian(params)
-        return _built(kicked_harper_effective, params, cfg.harper_mode)
+    if cfg.system == "harper-static":
+        return harper_hamiltonian(_harper_params(cfg))
+    if cfg.system == "harper-kicked":
+        return _built(kicked_harper_effective, _harper_params(cfg), cfg.harper_mode)
     if cfg.system == "dkt":
         return _built(dkt_effective_hamiltonian, cfg.alpha, cfg.eta, cfg.j)
     case = cfg.system.split("-", 1)[1]
@@ -532,8 +536,7 @@ def cmd_floquet_compare(cfg: RunConfig) -> Path:
 
 def cmd_harper_diff(cfg: RunConfig) -> Path:
     """Bond-by-bond diff between the closed-form and generic effective chains."""
-    params = HarperParams(length=cfg.length, sigma=cfg.sigma, alpha=cfg.alpha, period=cfg.period)
-    diff = _built(heff_discrepancy_report, params)
+    diff = _built(heff_discrepancy_report, _harper_params(cfg))
     report = {
         "config": _config_echo(cfg),
         "results": {

@@ -8,7 +8,7 @@ second-order kick-operator expansion (Rahav, Gilary & Fishman, PRA 68,
 `heff_general` evaluates the same expansion with its Fourier sums truncated
 after N terms, an independent cross-check of the closed form, and
 `micromotion_kick` gives the periodic micromotion generator F(t), with
-exp(iF) the initial/final kick transformation, from the same truncation.
+exp(iF) the initial/final kick transformation, from its sums' closed forms.
 
 Every operand is a `Banded` operator, and every formula here is written with
 its products, sums and adjoints, so every result stays banded.
@@ -74,13 +74,6 @@ class KickedSystem:
         return TWO_PI / self.period
 
 
-def _orders(n_max: int) -> np.ndarray:
-    """Fourier orders 1..n_max of the truncated comb, as floats."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return np.arange(1, int(n_max) + 1, dtype=float)
-
-
 def heff_general(system: KickedSystem, n_max: int):
     """Second-order effective Hamiltonian with its Fourier sums truncated at n_max.
 
@@ -93,7 +86,9 @@ def heff_general(system: KickedSystem, n_max: int):
     Only scalar sums depend on N, so truncations as large as 10^6 stay cheap;
     s2 -> zeta(2) recovers `heff_delta_kicked`.
     """
-    n = _orders(n_max)
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n = np.arange(1, int(n_max) + 1, dtype=float)
     omega = system.omega
     h0 = system.h0
     v = system.kick / system.period
@@ -120,26 +115,27 @@ def heff_delta_kicked(system: KickedSystem):
     return require_hermitian(heff, name="effective Hamiltonian")
 
 
-def micromotion_kick(system: KickedSystem, n_max: int, t: float, order: int = 2):
+def micromotion_kick(system: KickedSystem, t: float, order: int = 2):
     """Periodic micromotion generator F(t) at first or second order in 1/omega.
 
-    With V = kick/T, theta = w (t mod T) and sums over n <= n_max:
+    With V = kick/T and theta = w (t mod T) in [0, 2 pi):
 
     F = (2/w) sum sin(n theta)/n V  -  (2i/w^2) sum cos(n theta)/n^2 [V, H0 + V]
 
-    the second term at order 2 only.  F is Hermitian (exp(iF) is the unitary
-    kick transformation), is T-periodic and averages to zero over one period.
+    the second term at order 2 only, the sums over n >= 1 in closed form:
+    (pi - theta)/2 (0 at the kick, theta = 0) and pi^2/6 - pi theta/2 + theta^2/4.
+    F is Hermitian (exp(iF) is the unitary kick transformation), is
+    T-periodic and averages to zero over one period.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    n = _orders(n_max)
     omega = system.omega
     theta = omega * (t % system.period)
     v = system.kick / system.period
-    result = (2.0 / omega) * float(np.sum(np.sin(n * theta) / n)) * v
+    result = (2.0 / omega) * ((np.pi - theta) / 2.0 if theta > 0 else 0.0) * v
     if order == 2:
         bracket = commutator(v, system.h0 + v)  # anti-Hermitian
-        weight = float(np.sum(np.cos(n * theta) / n**2))
+        weight = np.pi**2 / 6.0 - np.pi * theta / 2.0 + theta**2 / 4.0
         result = result + (weight / omega**2) * (-2.0j) * bracket
         # Nested commutators of equal coefficients vanish; nothing to add
         # from the double sums for a delta-kick drive.

@@ -47,7 +47,8 @@ class Banded:
     ``bands[k]`` holds diagonal k in ``np.diagonal`` order: M[i, i+k] for
     k >= 0 and M[i-k, i] for k < 0, so it has dim - |k| entries.  Sums,
     scalar multiples, adjoints and products stay banded; a product of
-    operators with b1 and b2 stored diagonals costs O(dim * b1 * b2).  They
+    operators with b1 and b2 stored diagonals costs O(dim * b1 * b2) and
+    takes a dense matmul's dtype, the result type of the two.  They
     combine with `Banded` operands and scalars only: a dense operand or a
     numpy ufunc raises TypeError.  ``op.to_dense()`` or ``np.asarray(op)``
     is the one way to the dense matrix the operator stands for.
@@ -167,6 +168,7 @@ class Banded:
             return NotImplemented
         self._same_dim(other)
         n = self.dim
+        dtype = np.result_type(self.dtype, other.dtype)
         bands = {}
         for ka, a in self.bands.items():
             for kb, b in other.bands.items():
@@ -177,9 +179,7 @@ class Banded:
                     continue
                 term = a[lo - _first_row(ka):hi - _first_row(ka)] * b[lo + ka - _first_row(kb):hi + ka - _first_row(kb)]
                 if k not in bands:
-                    bands[k] = np.zeros(n - abs(k), dtype=term.dtype)
-                elif bands[k].dtype != term.dtype:
-                    bands[k] = bands[k].astype(np.result_type(bands[k], term))
+                    bands[k] = np.zeros(n - abs(k), dtype=dtype)
                 bands[k][lo - _first_row(k):hi - _first_row(k)] += term
         return Banded(n, bands)
 

@@ -23,11 +23,12 @@ SYSTEMS = ("dkt",) + tuple(f"su2-{c}" for c in "abcdef") + ("harper-static", "ha
 
 @st.composite
 def banded_operators(draw, dim=None):
-    """A random complex operator on a random set of diagonals."""
+    """A random real or complex operator on a random set of diagonals."""
     dim = draw(st.integers(1, 24)) if dim is None else dim
     offsets = draw(st.sets(st.integers(1 - dim, dim - 1), max_size=5))
+    imag = 1j if draw(st.booleans()) else 0.0
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return Banded(dim, {k: rng.normal(size=dim - abs(k)) + 1j * rng.normal(size=dim - abs(k)) for k in offsets})
+    return Banded(dim, {k: rng.normal(size=dim - abs(k)) + imag * rng.normal(size=dim - abs(k)) for k in offsets})
 
 
 @PROPERTY
@@ -47,7 +48,7 @@ def test_banded_arithmetic_matches_dense(pair):
 def test_banded_mixed_with_dense_is_type_error():
     op = Banded(3, {1: np.ones(2), -1: np.ones(2)})
     eye = np.eye(3)
-    for combine in (operator.add, operator.sub, operator.matmul, operator.mul):
+    for combine in (operator.add, operator.sub, operator.matmul, operator.mul, operator.truediv):
         with pytest.raises(TypeError):
             combine(op, eye)
         with pytest.raises(TypeError):

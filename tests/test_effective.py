@@ -200,26 +200,26 @@ def _dkt_like_system(seed=51, period=0.4, dim=3):
 
 def test_micromotion_zero_kick():
     system = KickedSystem(h0=random_banded(3, seed=61), kick=zero(3), period=1.0)
-    assert max_abs(micromotion_kick(system, 256, 0.37)) == 0.0
+    assert max_abs(micromotion_kick(system, 0.37)) == 0.0
 
 
 def test_micromotion_periodicity():
     system = _dkt_like_system()
     t = 0.123
-    f0 = micromotion_kick(system, 512, t)
+    f0 = micromotion_kick(system, t)
     for shift in (1, 3):
-        assert max_abs(micromotion_kick(system, 512, t + shift * system.period) - f0) <= 1e-12 * max(max_abs(f0), 1.0)
+        assert max_abs(micromotion_kick(system, t + shift * system.period) - f0) <= 1e-12 * max(max_abs(f0), 1.0)
 
 
 def test_micromotion_is_hermitian_with_zero_average():
     # exp(iF) must be unitary, so F is Hermitian; its one-period average vanishes
     system = _dkt_like_system(seed=71)
-    samples = 4099  # odd and above the truncation: uniform midpoint rule kills every harmonic
+    samples = 4099  # uniform midpoint rule: the sawtooth cancels by symmetry, the parabola to O(samples^-2)
     ts = (np.arange(samples) + 0.5) * system.period / samples
     mean = zero(system.dim)
     norm = 0.0
     for t in ts:
-        f = micromotion_kick(system, 512, float(t))
+        f = micromotion_kick(system, float(t))
         assert hermiticity_defect(f) <= 1e-10
         mean = mean + f
         norm = max(norm, max_abs(f))
@@ -227,18 +227,34 @@ def test_micromotion_is_hermitian_with_zero_average():
 
 
 def test_micromotion_first_order_sawtooth_partial_sum():
-    # first order, delta kicks: F(t) = (2/w) sum sin(n w t)/n * V/T
+    # first order, delta kicks: F(t) = (2/w) sum sin(n theta)/n * V/T, whose sum is (pi - theta)/2 on (0, 2 pi)
     system = _dkt_like_system(seed=81, period=1.0)
-    n_max = 64
+    v = system.kick / system.period
     for t in (0.25, 0.5, 0.9):
         theta = system.omega * t
-        weight = (2.0 / system.omega) * np.sum(np.sin(np.arange(1, n_max + 1) * theta) / np.arange(1, n_max + 1))
-        expected = weight * system.kick / system.period
-        got = micromotion_kick(system, n_max, t, order=1)
-        assert np.allclose(got, expected, atol=1e-12)
+        got = micromotion_kick(system, t, order=1)
+        expected = (2.0 / system.omega) * (np.pi - theta) / 2.0 * v
+        assert max_abs(got - expected) <= 1e-12 * max_abs(expected)
+        # the partial sums converge to it within the tail bound |sum_{n>N} sin(n theta)/n| <= 1/((N+1) sin(theta/2))
+        for n_max in (64, 512, 4096):
+            n = np.arange(1, n_max + 1)
+            weight = (2.0 / system.omega) * np.sum(np.sin(n * theta) / n)
+            tail = (2.0 / system.omega) / ((n_max + 1) * np.sin(theta / 2.0))
+            assert max_abs(got - weight * v) <= tail * max_abs(v)
+
+
+def test_micromotion_at_the_kick():
+    # at t = kT the sine series is 0 and the cosine series is zeta(2) = pi^2/6
+    system = _dkt_like_system(seed=91)
+    v = system.kick / system.period
+    expected = (-2.0j / system.omega**2) * (np.pi**2 / 6.0) * commutator(v, system.h0 + v)
+    for k in (0, 1, 2):
+        t = k * system.period
+        assert max_abs(micromotion_kick(system, t, order=1)) == 0.0
+        assert max_abs(micromotion_kick(system, t) - expected) <= 1e-12 * max_abs(expected)
 
 
 def test_micromotion_rejects_bad_order():
     system = _dkt_like_system()
     with pytest.raises(ValueError, match="order"):
-        micromotion_kick(system, 16, 0.1, order=3)
+        micromotion_kick(system, 0.1, order=3)

@@ -55,6 +55,8 @@ def test_box_probabilities_validation():
         box_probabilities([1.0, 1.0, 1.0], 4)
     with pytest.raises(ValueError, match="bins"):
         box_probabilities([0.0, 1.0], 1)
+    with pytest.raises(ValueError, match="two values"):
+        box_probabilities([1.0], 4)
 
 
 def test_cantor_occupied_bins_follow_construction():

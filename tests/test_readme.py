@@ -1,9 +1,12 @@
 """The README's examples run as written, so they name only live API and flags."""
 
+import ast
+import inspect
 import re
 import shlex
 from pathlib import Path
 
+import kickedspec
 from kickedspec.cli import _READS, parse_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -15,6 +18,24 @@ def test_readme_library_example_runs():
     namespace = {}
     exec(compile(block, f"{README}:library-overview", "exec"), namespace)
     assert len(namespace["table"]) == namespace["stats"]["count"]
+
+
+def _parameter(text):
+    """(name, default) of one documented parameter, `inspect.Parameter.empty` for no default."""
+    name, _, default = text.partition("=")
+    return name.strip(), ast.literal_eval(default.strip()) if default else inspect.Parameter.empty
+
+
+def test_readme_module_signatures_are_live():
+    # each backticked `name(args)` of the Modules list that names a kickedspec attribute; args may wrap a line
+    section = README.read_text().split("Modules:", 1)[1].split("\n## ", 1)[0]
+    documented = [(name, [_parameter(arg) for arg in args.split(",") if arg.strip()])
+                  for name, args in re.findall(r"`(\w+)\(([^`]*)\)`", section) if hasattr(kickedspec, name)]
+    assert sorted(name for name, _ in documented) == ["KickedSystem", "eigensolve", "general_su2_hamiltonian",
+                                                      "heff_delta_kicked", "heff_general", "micromotion_kick"]
+    for name, params in documented:
+        signature = inspect.signature(getattr(kickedspec, name))
+        assert params == [(p.name, p.default) for p in signature.parameters.values()], name
 
 
 def test_readme_cli_examples_parse():
